@@ -45,10 +45,15 @@ struct RobEntry {
     seq: InstSeq,
     pc: Pc,
     cls: OpClass,
-    /// Source operands: the producing dynamic instruction, if the value comes from an
-    /// in-flight (or not-yet-fetched-when-flushed) producer rather than committed
-    /// state.
+    /// Source operands' producers as renamed at dispatch. Only the test-only
+    /// brute-force readiness check reads them; the pipeline itself tracks
+    /// readiness through `pending` and the producers' consumer lists.
+    #[cfg(test)]
     src_producers: [Option<InstSeq>; 2],
+    /// Wakeups this IQ entry still waits for: one per source operand whose producer
+    /// had not completed at dispatch, plus one for an unresolved store-set store.
+    /// The entry is in the ready set exactly while it is unissued and this is 0.
+    pending: u8,
     has_dst: bool,
     issued: bool,
     completed: bool,
@@ -406,10 +411,17 @@ struct Pipeline {
     exec_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
     /// Pending re-execution cache-access completions, same discipline.
     rex_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
-    /// Every entry below this sequence number is already issued (or completed): the
-    /// issue stage's select scan starts here instead of at the ROB head. Rolled back
-    /// on flush.
-    issue_scan_start: InstSeq,
+
+    // Wakeup-driven issue: a consumer registers on its in-flight producers at
+    // dispatch, and each producer wakes it (on completion, or for a store-set wait,
+    // on the store's address resolution).
+    /// Per-ROB-slot consumer lists (`RobRing::slot`): the younger entries to wake
+    /// when this slot's instruction produces its value, in dispatch (= sequence)
+    /// order. Capacity is retained across cells.
+    consumers: Vec<Vec<InstSeq>>,
+    /// The ready set: one bit per ROB slot, set while that slot's entry is an
+    /// unissued IQ entry with nothing pending. Walked oldest-first from the head.
+    ready: Vec<u64>,
 
     // Reusable scratch for the re-execution stage's batched SSBF calls (one probe
     // batch per run of marked loads, one update batch per run of stores). Contents
@@ -455,7 +467,8 @@ impl Pipeline {
             stats: CpuStats::default(),
             exec_events: BinaryHeap::new(),
             rex_events: BinaryHeap::new(),
-            issue_scan_start: 0,
+            consumers: Vec::new(),
+            ready: Vec::new(),
             rex_probes: Vec::new(),
             rex_decisions: Vec::new(),
             rex_stores: Vec::new(),
@@ -522,7 +535,10 @@ impl Pipeline {
         self.stats = CpuStats::default();
         self.exec_events.clear();
         self.rex_events.clear();
-        self.issue_scan_start = 0;
+        self.consumers.resize_with(config.rob_size, Vec::new);
+        self.consumers.iter_mut().for_each(Vec::clear);
+        self.ready.clear();
+        self.ready.resize(config.rob_size.div_ceil(64), 0);
         self.rex_probes.clear();
         self.rex_decisions.clear();
         self.rex_stores.clear();
@@ -539,20 +555,182 @@ impl Pipeline {
         self.reexecute(config);
         self.complete(config);
         self.issue(config, source);
+        #[cfg(test)]
+        self.check_ready_set(config);
         self.dispatch(config, source);
         self.now += 1;
     }
 
-    // ---------------------------------------------------------------- helpers
+    // ----------------------------------------------------------- wakeup/select
 
-    fn source_ready(&self, producer: Option<InstSeq>) -> bool {
-        match producer {
-            None => true,
-            Some(p) => match self.rob.get(p) {
-                None => true, // already committed (or squashed, in which case so is the consumer)
-                Some(e) => e.completed && e.complete_cycle <= self.now,
-            },
+    fn set_ready(&mut self, seq: InstSeq) {
+        let slot = self.rob.slot(seq);
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_ready(&mut self, seq: InstSeq) {
+        let slot = self.rob.slot(seq);
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Registers `consumer` to be woken when `producer` produces its value.
+    fn add_consumer(&mut self, producer: InstSeq, consumer: InstSeq) {
+        let slot = self.rob.slot(producer);
+        self.consumers[slot].push(consumer);
+    }
+
+    /// Delivers `producer`'s wakeup to every registered consumer; a consumer with
+    /// nothing left pending joins the ready set. The list is emptied (capacity kept).
+    fn wake_consumers(&mut self, producer: InstSeq) {
+        let slot = self.rob.slot(producer);
+        let mut list = std::mem::take(&mut self.consumers[slot]);
+        for &consumer in &list {
+            let e = self
+                .rob
+                .get_mut(consumer)
+                .expect("a registered consumer is in flight until its producer wakes it");
+            e.pending -= 1;
+            if e.pending == 0 {
+                self.set_ready(consumer);
+            }
         }
+        list.clear();
+        self.consumers[slot] = list;
+    }
+
+    /// Test-only reference check, run after every issue stage: recomputes each
+    /// in-flight entry's readiness by brute force — an operand is ready once its
+    /// renamed producer has committed or completed, a store-set wait once the
+    /// store queue holds the store's address — and requires the wakeup state
+    /// (`pending` counts, the ready bitmap, `iq_count`) to agree with it exactly.
+    #[cfg(test)]
+    fn check_ready_set(&self, config: &MachineConfig) {
+        let now = self.now;
+        let operand_ready = |producer: Option<InstSeq>| match producer {
+            None => true,
+            Some(p) => self
+                .rob
+                .get(p)
+                .is_none_or(|e| e.completed && e.complete_cycle <= now),
+        };
+        let is_ready = |seq: InstSeq| {
+            let slot = self.rob.slot(seq);
+            (self.ready[slot / 64] >> (slot % 64)) & 1 == 1
+        };
+        let mut unissued = 0usize;
+        let mut ready = 0u32;
+        for e in self.rob.iter() {
+            if e.eliminated.is_some() || e.issued {
+                assert!(
+                    !is_ready(e.seq),
+                    "cycle {now}: seq {} is outside the IQ but ready",
+                    e.seq
+                );
+                continue;
+            }
+            unissued += 1;
+            let unmet_operands = e
+                .src_producers
+                .iter()
+                .filter(|&&p| !operand_ready(p))
+                .count();
+            let store_wait = e
+                .wait_store
+                .is_some_and(|ws| matches!(self.sq.get(ws), Some(st) if st.addr.is_none()));
+            let unmet = unmet_operands + usize::from(store_wait);
+            assert_eq!(
+                usize::from(e.pending),
+                unmet,
+                "cycle {now}: seq {} ({}) pending count disagrees with its operands and \
+                 store-set wait",
+                e.seq,
+                e.cls
+            );
+            assert_eq!(
+                is_ready(e.seq),
+                unmet == 0,
+                "cycle {now}: seq {} ({}) ready bit disagrees with brute-force readiness",
+                e.seq,
+                e.cls
+            );
+            ready += u32::from(unmet == 0);
+        }
+        assert_eq!(
+            unissued, self.iq_count,
+            "cycle {now}: unissued entries vs iq_count"
+        );
+        assert!(self.iq_count <= config.iq_size);
+        let bits: u32 = self.ready.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(
+            bits, ready,
+            "cycle {now}: ready bits set for slots outside the ROB"
+        );
+    }
+
+    /// Describes where the machine is stuck, for the forward-progress failure: the
+    /// ROB head — its state and everything it waits on — or, with an empty ROB,
+    /// the front end.
+    fn stall_report(&self, trace_len: usize) -> String {
+        let progress = format!(
+            "cycle {}, {} of {trace_len} instructions committed",
+            self.now, self.stats.committed
+        );
+        let Some(head) = self.rob.front() else {
+            return format!(
+                "{progress}; ROB empty: fetch index {}, fetch stalled until cycle {}, \
+                 blocked on branch {:?}, wrap drain pending {}",
+                self.fetch_index,
+                self.fetch_stall_until,
+                self.fetch_blocked_on_branch,
+                self.wrap_drain_pending
+            );
+        };
+        // In-flight entries still holding a wakeup for the head. Producers are
+        // older than their consumers, so for the head this is empty unless a
+        // wakeup was lost.
+        let holders: Vec<InstSeq> = self
+            .rob
+            .iter()
+            .map(|e| e.seq)
+            .filter(|&p| self.consumers[self.rob.slot(p)].contains(&head.seq))
+            .collect();
+        format!(
+            "{progress}; ROB head seq {} ({} at pc {:#x}): issued={} completed={} \
+             complete_cycle={:?} pending={} held by producers {holders:?} wait_store={:?} \
+             rex={:?}; {} in ROB, {} in IQ, re-execution at seq {}",
+            head.seq,
+            head.cls,
+            head.pc,
+            head.issued,
+            head.completed,
+            head.issued.then_some(head.complete_cycle),
+            head.pending,
+            head.wait_store,
+            head.rex,
+            self.rob.len(),
+            self.iq_count,
+            self.rex_next_seq
+        )
+    }
+
+    /// The oldest ready entry with a sequence number in `[from, end)`, found by
+    /// walking the ready bitmap in ring order from `from`'s slot.
+    fn next_ready(&self, from: InstSeq, end: InstSeq) -> Option<InstSeq> {
+        let cap = self.rob.capacity();
+        let mut seq = from;
+        while seq < end {
+            let slot = self.rob.slot(seq);
+            let bits = self.ready[slot / 64] >> (slot % 64);
+            if bits != 0 {
+                // Set bits belong to in-flight entries, and every slot of a sequence
+                // number at or past `end` aliases an entry older than `from`.
+                let found = seq + u64::from(bits.trailing_zeros());
+                return (found < end).then_some(found);
+            }
+            // On to the next bitmap word, or across the ring's wrap point.
+            seq += (64 - slot % 64).min(cap - slot) as u64;
+        }
+        None
     }
 
     // ----------------------------------------------------------------- commit
@@ -968,13 +1146,15 @@ impl Pipeline {
                 break;
             }
             self.exec_events.pop();
-            if let Some(e) = self.rob.get_mut(seq) {
-                if e.issued && !e.completed && e.complete_cycle == cycle {
-                    e.completed = true;
-                    if e.cls == OpClass::Branch && e.mispredicted {
-                        unblock_branch = Some(e.seq);
-                    }
+            let Some(e) = self.rob.get_mut(seq) else {
+                continue;
+            };
+            if e.issued && !e.completed && e.complete_cycle == cycle {
+                e.completed = true;
+                if e.cls == OpClass::Branch && e.mispredicted {
+                    unblock_branch = Some(e.seq);
                 }
+                self.wake_consumers(seq);
             }
         }
         while let Some(&Reverse((cycle, seq))) = self.rex_events.peek() {
@@ -1003,7 +1183,13 @@ impl Pipeline {
 
     // ------------------------------------------------------------------- issue
 
+    /// Select: walks the ready set oldest-first, issuing within the per-class
+    /// budgets. Only entries whose operands (and store-set wait) are satisfied are
+    /// visited; a store that issues may wake a younger load that this same walk
+    /// then reaches, exactly as an age-ordered scan of the whole IQ would.
     fn issue(&mut self, config: &MachineConfig, source: &Source<'_>) {
+        // Unissued IQ entries number exactly `iq_count`, which dispatch bounds.
+        debug_assert!(self.iq_count <= config.iq_size);
         let mut budget_int = config.issue_int;
         let mut budget_fp = config.issue_fp;
         let mut budget_load = config.issue_load;
@@ -1011,21 +1197,17 @@ impl Pipeline {
         let mut budget_branch = config.issue_branch;
         let mut fsq_port_used = false;
         let mut pending_ordering_flush: Option<InstSeq> = None;
-        let mut scanned = 0usize;
 
         let Some(front) = self.rob.front().map(|e| e.seq) else {
             return;
         };
         let end = self.rob.end_seq();
-        // Start behind the contiguous already-issued prefix instead of at the head:
-        // entries below `issue_scan_start` were all observed issued (the invariant is
-        // rolled back on flush), so re-scanning them every cycle is pure waste.
-        let mut seq_cursor = self.issue_scan_start.max(front);
-        let mut advancing = true;
-        while seq_cursor < end && scanned < config.iq_size {
+        let mut cursor = front;
+        while let Some(seq) = self.next_ready(cursor, end) {
+            cursor = seq + 1;
             // Model v1 quirk, preserved for byte-identity: the early exit ignores
             // `budget_fp`, so once the other classes are exhausted a ready FP op
-            // waits a cycle even if FP slots remain. Model v2 keeps scanning
+            // waits a cycle even if FP slots remain. Model v2 keeps selecting
             // while FP bandwidth is left.
             if budget_int == 0
                 && budget_load == 0
@@ -1035,30 +1217,10 @@ impl Pipeline {
             {
                 break;
             }
-            let (seq, cls, pc, issued, completed, src_producers, wait_store) = {
-                let e = self.rob.get(seq_cursor).expect("cursor is in the ROB");
-                (
-                    e.seq,
-                    e.cls,
-                    e.pc,
-                    e.issued,
-                    e.completed,
-                    e.src_producers,
-                    e.wait_store,
-                )
+            let (cls, pc) = {
+                let e = self.rob.get(seq).expect("ready entries are in the ROB");
+                (e.cls, e.pc)
             };
-            seq_cursor += 1;
-            if issued || completed {
-                if advancing {
-                    self.issue_scan_start = seq + 1;
-                }
-                continue;
-            }
-            advancing = false;
-            scanned += 1;
-            if !self.source_ready(src_producers[0]) || !self.source_ready(src_producers[1]) {
-                continue;
-            }
             match cls {
                 OpClass::IntAlu | OpClass::IntMul | OpClass::Nop => {
                     if budget_int == 0 {
@@ -1095,13 +1257,8 @@ impl Pipeline {
                     if budget_load == 0 {
                         continue;
                     }
-                    // Memory dependence predicted by store-sets: wait while the store
-                    // is still in the window with an unresolved address.
-                    if let Some(ws) = wait_store {
-                        if matches!(self.sq.get(ws), Some(e) if e.addr.is_none()) {
-                            continue;
-                        }
-                    }
+                    // A load that fails here (FSQ port taken, forwarding replay,
+                    // cache bank busy) stays ready and retries next cycle.
                     let uses_fsq = config.lsq.is_ssq() && self.steering.uses_fsq(pc);
                     if uses_fsq && fsq_port_used {
                         continue;
@@ -1131,7 +1288,13 @@ impl Pipeline {
         e.issued = true;
         e.complete_cycle = done;
         self.exec_events.push(Reverse((done, seq)));
+        self.leave_iq(seq);
+    }
+
+    /// Removes an issuing entry from the IQ and the ready set.
+    fn leave_iq(&mut self, seq: InstSeq) {
         self.iq_count -= 1;
+        self.clear_ready(seq);
     }
 
     /// Issues a store (address + data generation). Returns the sequence number of the
@@ -1147,6 +1310,9 @@ impl Pipeline {
         let acc = *inst.mem_access();
         let pc = inst.pc;
         self.sq.resolve(seq, acc.addr, acc.width, acc.value);
+        // Loads predicted (store-sets) to depend on this store wait for exactly this
+        // address resolution.
+        self.wake_consumers(seq);
         self.store_sets.store_resolved(pc, seq);
         if let Some(fsq) = &mut self.fsq {
             fsq.resolve(seq, acc.addr, acc.width, acc.value);
@@ -1166,7 +1332,7 @@ impl Pipeline {
         e.issued = true;
         e.complete_cycle = done;
         self.exec_events.push(Reverse((done, seq)));
-        self.iq_count -= 1;
+        self.leave_iq(seq);
 
         // The conventional LQ's associative ordering search (removed in the NLQ and
         // unnecessary under SSQ, whose re-execution of every load subsumes it).
@@ -1301,7 +1467,7 @@ impl Pipeline {
             entry.marked = marked;
             entry.window = svw_window;
         }
-        self.iq_count -= 1;
+        self.leave_iq(seq);
         true
     }
 
@@ -1360,7 +1526,9 @@ impl Pipeline {
                 seq,
                 pc: inst.pc,
                 cls,
+                #[cfg(test)]
                 src_producers,
+                pending: 0,
                 has_dst,
                 issued: false,
                 completed: false,
@@ -1509,8 +1677,27 @@ impl Pipeline {
             }
             if enters_iq {
                 self.iq_count += 1;
+                // Wakeup registration: one pending wakeup per operand whose producer
+                // is still in flight and incomplete, plus one for a predicted store
+                // dependence whose store has not resolved its address yet.
+                for producer in src_producers.into_iter().flatten() {
+                    if self.rob.get(producer).is_some_and(|p| !p.completed) {
+                        self.add_consumer(producer, seq);
+                        entry.pending += 1;
+                    }
+                }
+                if let Some(ws) = entry.wait_store {
+                    if matches!(self.sq.get(ws), Some(st) if st.addr.is_none()) {
+                        self.add_consumer(ws, seq);
+                        entry.pending += 1;
+                    }
+                }
             }
+            let ready = enters_iq && entry.pending == 0;
             self.rob.push_back(entry);
+            if ready {
+                self.set_ready(seq);
+            }
             if let Some(done) = exec_event {
                 self.exec_events.push(Reverse((done, seq)));
             }
@@ -1529,20 +1716,31 @@ impl Pipeline {
     fn flush_from(&mut self, flush_seq: InstSeq, penalty: u64) {
         while matches!(self.rob.back(), Some(e) if e.seq >= flush_seq) {
             let e = self.rob.back().expect("checked non-empty");
-            let (has_dst, eliminated, issued, completed, rex) =
-                (e.has_dst, e.eliminated, e.issued, e.completed, e.rex);
+            let (seq, has_dst, eliminated, issued, rex) =
+                (e.seq, e.has_dst, e.eliminated, e.issued, e.rex);
             self.rob.pop_back();
             if has_dst {
                 self.inflight_dsts -= 1;
             }
-            let entered_iq = eliminated.is_none();
-            if entered_iq && !issued {
+            if eliminated.is_none() && !issued {
                 self.iq_count -= 1;
-            } else if entered_iq && issued && !completed {
-                // Issued but not completed: it already left the IQ.
             }
+            self.clear_ready(seq);
+            let slot = self.rob.slot(seq);
+            self.consumers[slot].clear();
             if matches!(rex, RexState::InFlight(_)) {
                 self.rex_inflight = self.rex_inflight.saturating_sub(1);
+            }
+        }
+        // Survivors forget their squashed consumers (lists are in sequence order), so
+        // a consumer re-dispatched under the same sequence number registers afresh
+        // instead of being woken twice.
+        if let Some(front) = self.rob.front().map(|e| e.seq) {
+            for seq in front..self.rob.end_seq() {
+                let list = &mut self.consumers[self.rob.slot(seq)];
+                while list.last().is_some_and(|&c| c >= flush_seq) {
+                    list.pop();
+                }
             }
         }
         let survivor = self.rob.back().map(|e| e.seq);
@@ -1561,7 +1759,6 @@ impl Pipeline {
         self.svw.flush(surviving_ssn);
         self.rename.rollback(flush_seq);
         self.rex_next_seq = self.rex_next_seq.min(flush_seq);
-        self.issue_scan_start = self.issue_scan_start.min(flush_seq);
         self.fetch_index = flush_seq as usize;
         self.fetch_stall_until = self.now + penalty;
         if matches!(self.fetch_blocked_on_branch, Some(b) if b >= flush_seq) {
@@ -1742,12 +1939,12 @@ impl<'a> Cpu<'a> {
         let p = self.state.get_mut();
         while p.fetch_index < trace_len || !p.rob.is_empty() {
             p.step(config, source, &mut obs);
-            assert!(
-                p.now < cycle_cap,
-                "simulation exceeded {cycle_cap} cycles — forward-progress failure at seq {} / {}",
-                p.rob.front().map(|e| e.seq).unwrap_or(p.fetch_index as u64),
-                trace_len
-            );
+            if p.now >= cycle_cap {
+                panic!(
+                    "simulation exceeded {cycle_cap} cycles — forward-progress failure at {}",
+                    p.stall_report(trace_len)
+                );
+            }
         }
         if let Some(obs) = obs {
             obs.on_finish(&p.committed_mem);
@@ -2024,6 +2221,150 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.loads_reexecuted, b.loads_reexecuted);
         assert_eq!(a.reexec_flushes, b.reexec_flushes);
+    }
+
+    /// The configuration families whose issue-stage special cases the wakeup
+    /// proptest covers: conventional LQ (ordering flushes), NLQ (store-set waits,
+    /// re-execution flushes), SSQ (the single FSQ port, forwarding replays), RLE
+    /// (pre-issued eliminated loads), 8-bit SSNs (wrap drains), and a narrow-issue
+    /// machine at both model versions (the FP-budget early exit).
+    fn wakeup_family(i: usize) -> MachineConfig {
+        let nlq = LsqOrganization::Nlq {
+            store_exec_bandwidth: 2,
+        };
+        let ssq = LsqOrganization::Ssq {
+            fsq_entries: 16,
+            fwd_buffer_entries: 8,
+            store_exec_bandwidth: 2,
+        };
+        let svw = ReexecMode::Svw(SvwConfig::paper_default());
+        let narrow = |version: u32| {
+            let mut cfg = MachineConfig::eight_wide("narrow", nlq, svw).with_model_version(version);
+            cfg.issue_int = 2;
+            cfg.issue_load = 1;
+            cfg.issue_store = 1;
+            cfg.issue_branch = 1;
+            cfg
+        };
+        match i {
+            0 => conventional_baseline("conv"),
+            1 => MachineConfig::eight_wide("nlq", nlq, ReexecMode::Full),
+            2 => MachineConfig::eight_wide("nlq-svw", nlq, svw),
+            3 => MachineConfig::eight_wide("ssq", ssq, ReexecMode::Full),
+            4 => MachineConfig::eight_wide("ssq-svw", ssq, svw),
+            5 => {
+                let mut narrow_ssn = SvwConfig::paper_default();
+                narrow_ssn.ssn_width = svw_core::SsnWidth::Bits(8);
+                MachineConfig::eight_wide("ssq-ssn8", ssq, ReexecMode::Svw(narrow_ssn))
+            }
+            6 => MachineConfig::four_wide(
+                "rle-svw",
+                LsqOrganization::Conventional {
+                    extra_load_latency: 0,
+                    store_exec_bandwidth: 1,
+                },
+                svw,
+            )
+            .with_rle(ItConfig::paper_default()),
+            7 => narrow(1),
+            _ => narrow(2),
+        }
+    }
+
+    const WAKEUP_FAMILIES: usize = 9;
+
+    fn wakeup_workload(i: usize) -> WorkloadProfile {
+        match i {
+            0 => WorkloadProfile::quicktest(),
+            1 => WorkloadProfile {
+                name: "fp-mix".to_string(),
+                fp_frac: 0.30,
+                branch_frac: 0.10,
+                dependence_density: 0.1,
+                branch_entropy: 0.02,
+                ..WorkloadProfile::quicktest()
+            },
+            _ => {
+                let names = [
+                    "gcc",
+                    "vortex",
+                    "adv.chain",
+                    "adv.alias",
+                    "adv.ssq",
+                    "adv.storm",
+                ];
+                WorkloadProfile::by_name(names[i - 2]).expect("builtin workload")
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(36))]
+
+        /// Random programs × every configuration family with the brute-force
+        /// readiness reference (`Pipeline::check_ready_set`, active in every test
+        /// build after every issue stage) comparing the wakeup state cycle by cycle:
+        /// a lost, duplicated, or early wakeup panics naming the cycle and entry.
+        #[test]
+        fn wakeup_ready_set_matches_brute_force_readiness(
+            seed in 0u64..1_000_000,
+            workload in 0usize..8,
+            family in 0usize..WAKEUP_FAMILIES
+        ) {
+            let program = wakeup_workload(workload).generate(1_500, seed);
+            let stats = Cpu::new(wakeup_family(family), &program).run();
+            proptest::prop_assert_eq!(stats.committed, program.len() as u64);
+        }
+    }
+
+    /// The forward-progress report names the ROB head and what it waits on. A
+    /// pipeline stopped mid-run has an in-flight head; corrupting its pending count
+    /// (a lost wakeup) must show up in the report.
+    #[test]
+    fn stall_report_names_the_rob_head_of_a_pipeline_stopped_mid_run() {
+        let program = small_program(3_000, 9);
+        let config = MachineConfig::eight_wide(
+            "nlq-svw",
+            LsqOrganization::Nlq {
+                store_exec_bandwidth: 2,
+            },
+            ReexecMode::Svw(SvwConfig::paper_default()),
+        );
+        let mut cpu = Cpu::new(config, &program);
+        let (config, source, p) = (&*cpu.config, &mut cpu.source, cpu.state.get_mut());
+        let mut obs = None;
+        while p.now < 300 || p.rob.is_empty() {
+            p.step(config, source, &mut obs);
+        }
+        let head = p.rob.front().expect("mid-run ROB is not empty").seq;
+        let report = p.stall_report(program.len());
+        assert!(
+            report.starts_with(&format!("cycle {}, ", p.now)),
+            "{report}"
+        );
+        assert!(
+            report.contains(&format!("ROB head seq {head} (")),
+            "{report}"
+        );
+        for field in [
+            "issued=",
+            "completed=",
+            "pending=0",
+            "held by producers []",
+            "wait_store=",
+            "rex=",
+        ] {
+            assert!(report.contains(field), "missing {field:?}: {report}");
+        }
+
+        p.rob.front_mut().expect("non-empty").pending = 1;
+        assert!(p
+            .stall_report(program.len())
+            .contains("pending=1 held by producers []"));
+
+        p.rob.reset(config.rob_size);
+        let empty = p.stall_report(program.len());
+        assert!(empty.contains("ROB empty: fetch index"), "{empty}");
     }
 
     /// The tentpole guarantee: a recycled arena must produce byte-identical results

@@ -76,6 +76,19 @@ impl<T: HasSeq> RobRing<T> {
         self.len
     }
 
+    /// Maximum number of in-flight entries.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The ring slot that holds (or would hold) entry `seq`. Density makes this
+    /// `seq mod capacity` for every in-flight entry, so side tables indexed by
+    /// slot stay valid for an entry's whole lifetime without any bookkeeping.
+    #[inline]
+    pub fn slot(&self, seq: InstSeq) -> usize {
+        (seq % self.capacity as u64) as usize
+    }
+
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -172,6 +185,7 @@ impl<T: HasSeq> RobRing<T> {
             );
         }
         let pos = self.pos(self.len);
+        debug_assert_eq!(pos, self.slot(seq), "entries live at slot seq mod capacity");
         if pos == self.slots.len() {
             self.slots.push(entry);
         } else {

@@ -7,7 +7,7 @@
 //! that every issue-stage special case is exercised:
 //!
 //! * the conventional LQ (associative ordering search → ordering flushes that
-//!   break the issue scan mid-way);
+//!   stop the issue stage's select mid-way);
 //! * the NLQ (marking loads that issue past unresolved stores, store-set waits);
 //! * the SSQ (forwarding buffers and the single forwarding-SQ port);
 //! * RLE (eliminated loads that dispatch pre-issued);
@@ -172,12 +172,21 @@ fn golden_table_exercises_every_issue_stage_special_case() {
                     .is_some_and(|v| v != "0")
         })
     };
-    assert!(nonzero("conv-lq", "ordering_flushes"), "ordering-flush path");
+    assert!(
+        nonzero("conv-lq", "ordering_flushes"),
+        "ordering-flush path"
+    );
     assert!(nonzero("nlq-svw", "store_set_squashes"), "store-set waits");
     assert!(nonzero("ssq-svw", "fwd_buffer_lookups"), "SSQ forwarding");
-    assert!(nonzero("rle-svw", "eliminated"), "pre-issued eliminated loads");
+    assert!(
+        nonzero("rle-svw", "eliminated"),
+        "pre-issued eliminated loads"
+    );
     assert!(nonzero("ssq-ssn8", "wrap_drains"), "SSN wrap drains");
-    assert!(nonzero("nlq-full", "reexec_flushes"), "re-execution flushes");
+    assert!(
+        nonzero("nlq-full", "reexec_flushes"),
+        "re-execution flushes"
+    );
     assert_eq!(GOLDEN.lines().count(), workloads().len() * configs().len());
     let counters = |version: &str| {
         let prefix = format!("fp-mix narrow-issue {version}:");
