@@ -1,12 +1,10 @@
 //! Throughput benchmarks for the `.svwt` trace codec: instructions/second for
-//! capture (encode), materialized replay (decode), and streaming replay, plus the
-//! end-to-end comparison the cache cares about — regenerating a workload versus
-//! reading its captured trace back.
+//! capture (encode) and replay (decode), plus the end-to-end comparison the cache
+//! cares about — regenerating a workload versus reading its captured trace back.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use svw_isa::InstStream;
-use svw_trace::{read_program_from_slice, write_program_to_vec, TraceReader};
+use svw_trace::{read_program_from_slice, write_program_to_vec};
 use svw_workloads::WorkloadProfile;
 
 /// Long enough to amortize header costs, short enough for repeated sampling.
@@ -35,17 +33,6 @@ fn bench_codec(c: &mut Criterion) {
 
     group.bench_function("decode_materialized", |b| {
         b.iter(|| black_box(read_program_from_slice(black_box(&bytes)).unwrap()))
-    });
-
-    group.bench_function("decode_streaming", |b| {
-        b.iter(|| {
-            let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let mut count = 0u64;
-            while let Some(inst) = reader.next_inst() {
-                count += black_box(inst.seq & 1);
-            }
-            black_box(count)
-        })
     });
 
     // The alternative the cache replaces: regenerating the workload from scratch.

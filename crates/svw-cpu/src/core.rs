@@ -8,13 +8,12 @@
 //! [`Cpu::new`] remains the one-shot entry point (it boxes a private pipeline).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use svw_core::{SsbfUpdate, Ssn, SvwConfig, SvwFilter, SvwUpdatePolicy, VulnWindow};
 use svw_isa::{
-    Addr, ArchReg, DynInst, InstSeq, InstStream, MemWidth, OpClass, Pc, Program, Value,
-    NUM_ARCH_REGS,
+    Addr, ArchReg, DynInst, InstSeq, MemWidth, OpClass, Pc, Program, Value, NUM_ARCH_REGS,
 };
 use svw_lsq::{ForwardResult, ForwardingBuffer, Fsq, LoadQueue, StoreQueue};
 use svw_mem::{AccessKind, BankedPorts, CommittedMemory, MemoryHierarchy, SharedPort};
@@ -266,95 +265,6 @@ impl RenameMap {
     }
 }
 
-/// Where the instructions being replayed come from: a materialized [`Program`]
-/// (random access, zero copies) or an [`InstStream`] (e.g. a `.svwt` trace decoder),
-/// buffered over a sliding window that covers exactly the in-flight instructions.
-enum Source<'a> {
-    /// Random access into a materialized trace.
-    Slice(&'a [DynInst]),
-    /// Incremental decode with a window buffer. The window's lower edge follows the
-    /// commit watermark and its upper edge follows fetch, so memory usage is bounded
-    /// by the machine's ROB size, not the trace length.
-    Stream {
-        stream: Box<dyn InstStream + 'a>,
-        len: usize,
-        buf: VecDeque<DynInst>,
-        /// Sequence number of `buf[0]`.
-        base: InstSeq,
-        /// Number of instructions pulled from the stream so far (`base + buf.len()`).
-        pulled: usize,
-    },
-}
-
-impl Source<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Source::Slice(insts) => insts.len(),
-            Source::Stream { len, .. } => *len,
-        }
-    }
-
-    /// Random access within the active window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` lies outside the buffered window (a pipeline-model invariant
-    /// violation, not a usage error).
-    fn get(&self, seq: InstSeq) -> &DynInst {
-        match self {
-            Source::Slice(insts) => &insts[seq as usize],
-            Source::Stream { buf, base, .. } => {
-                assert!(
-                    seq >= *base && seq < *base + buf.len() as u64,
-                    "seq {seq} outside the buffered window [{base}, {})",
-                    *base + buf.len() as u64
-                );
-                &buf[(seq - base) as usize]
-            }
-        }
-    }
-
-    /// Pulls from the stream until instructions `..upto` (exclusive, clamped to the
-    /// trace length) are buffered.
-    fn ensure(&mut self, upto: usize) {
-        if let Source::Stream {
-            stream,
-            len,
-            buf,
-            pulled,
-            ..
-        } = self
-        {
-            let upto = upto.min(*len);
-            while *pulled < upto {
-                let inst = stream.next_inst().unwrap_or_else(|| {
-                    panic!(
-                        "instruction stream ended at {} of its declared {}",
-                        *pulled, *len
-                    )
-                });
-                assert_eq!(
-                    inst.seq, *pulled as u64,
-                    "instruction stream must produce dense sequence numbers"
-                );
-                buf.push_back(inst);
-                *pulled += 1;
-            }
-        }
-    }
-
-    /// Drops buffered instructions below `watermark` (they have committed and can
-    /// never be referenced again).
-    fn release_below(&mut self, watermark: InstSeq) {
-        if let Source::Stream { buf, base, .. } = self {
-            while *base < watermark && !buf.is_empty() {
-                buf.pop_front();
-                *base += 1;
-            }
-        }
-    }
-}
-
 /// The SVW configuration the machine actually runs with: the configured one, or — for
 /// non-SVW re-execution modes — a neutral infinite-SSN stand-in whose clock never
 /// wraps and never filters anything away.
@@ -548,10 +458,10 @@ impl Pipeline {
     fn step(
         &mut self,
         config: &MachineConfig,
-        source: &mut Source<'_>,
+        source: &[DynInst],
         obs: &mut Option<&mut dyn CommitObserver>,
     ) {
-        self.commit(config, source, obs);
+        self.commit(config, obs);
         self.reexecute(config);
         self.complete(config);
         self.issue(config, source);
@@ -735,12 +645,7 @@ impl Pipeline {
 
     // ----------------------------------------------------------------- commit
 
-    fn commit(
-        &mut self,
-        config: &MachineConfig,
-        source: &mut Source<'_>,
-        obs: &mut Option<&mut dyn CommitObserver>,
-    ) {
+    fn commit(&mut self, config: &MachineConfig, obs: &mut Option<&mut dyn CommitObserver>) {
         let mut committed = 0usize;
         let mut stores_this_cycle = 0usize;
         while committed < config.commit_width {
@@ -900,14 +805,6 @@ impl Pipeline {
                 self.rex_next_seq = seq + 1;
             }
         }
-        // Committed instructions can never be referenced again: advance the streaming
-        // window (no-op when replaying a materialized program). After a flush the
-        // fetch index may sit below the ROB tail but never below the head.
-        let watermark = self
-            .rob
-            .front()
-            .map_or(self.fetch_index as InstSeq, |e| e.seq);
-        source.release_below(watermark);
     }
 
     fn handle_reexec_failure(
@@ -1187,7 +1084,7 @@ impl Pipeline {
     /// budgets. Only entries whose operands (and store-set wait) are satisfied are
     /// visited; a store that issues may wake a younger load that this same walk
     /// then reaches, exactly as an age-ordered scan of the whole IQ would.
-    fn issue(&mut self, config: &MachineConfig, source: &Source<'_>) {
+    fn issue(&mut self, config: &MachineConfig, source: &[DynInst]) {
         // Unissued IQ entries number exactly `iq_count`, which dispatch bounds.
         debug_assert!(self.iq_count <= config.iq_size);
         let mut budget_int = config.issue_int;
@@ -1303,10 +1200,10 @@ impl Pipeline {
     fn do_issue_store(
         &mut self,
         config: &MachineConfig,
-        source: &Source<'_>,
+        source: &[DynInst],
         seq: InstSeq,
     ) -> Option<InstSeq> {
-        let inst = source.get(seq);
+        let inst = &source[seq as usize];
         let acc = *inst.mem_access();
         let pc = inst.pc;
         self.sq.resolve(seq, acc.addr, acc.width, acc.value);
@@ -1343,7 +1240,7 @@ impl Pipeline {
             {
                 // Train store-sets on the violating pair so the load learns to wait
                 // for this store in the future.
-                let load_pc = source.get(victim).pc;
+                let load_pc = source[victim as usize].pc;
                 self.store_sets.train_violation(load_pc, pc);
                 return Some(victim);
             }
@@ -1356,11 +1253,11 @@ impl Pipeline {
     fn do_issue_load(
         &mut self,
         config: &MachineConfig,
-        source: &Source<'_>,
+        source: &[DynInst],
         seq: InstSeq,
         uses_fsq: bool,
     ) -> bool {
-        let inst = source.get(seq);
+        let inst = &source[seq as usize];
         let acc = *inst.mem_access();
         let bytes = acc.width;
 
@@ -1473,7 +1370,7 @@ impl Pipeline {
 
     // ---------------------------------------------------------------- dispatch
 
-    fn dispatch(&mut self, config: &MachineConfig, source: &mut Source<'_>) {
+    fn dispatch(&mut self, config: &MachineConfig, source: &[DynInst]) {
         if self.now < self.fetch_stall_until || self.fetch_blocked_on_branch.is_some() {
             return;
         }
@@ -1490,13 +1387,12 @@ impl Pipeline {
             }
         }
         let trace_len = source.len();
-        source.ensure((self.fetch_index + config.fetch_width).min(trace_len));
         let mut dispatched = 0usize;
         while dispatched < config.fetch_width && self.fetch_index < trace_len {
             let seq = self.fetch_index as InstSeq;
-            // Borrowed straight out of the source window: `source` is disjoint from
-            // the pipeline state, so no clone is needed.
-            let inst = source.get(seq);
+            // Borrowed straight out of the trace: `source` is disjoint from the
+            // pipeline state, so no clone is needed.
+            let inst = &source[seq as usize];
             let cls = inst.class();
             let is_load = cls == OpClass::Load;
             let is_store = cls == OpClass::Store;
@@ -1836,7 +1732,7 @@ impl State<'_> {
 /// [`SimArena`] — and call [`Cpu::run`].
 pub struct Cpu<'a> {
     config: Arc<MachineConfig>,
-    source: Source<'a>,
+    source: &'a [DynInst],
     state: State<'a>,
 }
 
@@ -1851,7 +1747,7 @@ impl<'a> Cpu<'a> {
         let pipeline = Box::new(Pipeline::new(&config));
         Cpu {
             config: Arc::new(config),
-            source: Source::Slice(program.instructions()),
+            source: program.instructions(),
             state: State::Owned(pipeline),
         }
     }
@@ -1879,32 +1775,8 @@ impl<'a> Cpu<'a> {
         };
         Cpu {
             config: Arc::clone(config),
-            source: Source::Slice(program.instructions()),
+            source: program.instructions(),
             state: State::Borrowed(pipeline),
-        }
-    }
-
-    /// Builds a processor that replays instructions incrementally from `stream` (e.g.
-    /// a `.svwt` trace decoder) without materializing the whole trace: only the
-    /// in-flight window — bounded by the ROB size, not the trace length — is buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`MachineConfig::validate`]).
-    pub fn from_stream(config: MachineConfig, stream: Box<dyn InstStream + 'a>) -> Self {
-        config.validate();
-        let pipeline = Box::new(Pipeline::new(&config));
-        let len = stream.len();
-        Cpu {
-            config: Arc::new(config),
-            source: Source::Stream {
-                stream,
-                len,
-                buf: VecDeque::new(),
-                base: 0,
-                pulled: 0,
-            },
-            state: State::Owned(pipeline),
         }
     }
 
@@ -1934,8 +1806,7 @@ impl<'a> Cpu<'a> {
     fn run_inner(mut self, mut obs: Option<&mut dyn CommitObserver>) -> CpuStats {
         let trace_len = self.source.len();
         let cycle_cap = 1_000 + trace_len as u64 * 300;
-        let config = &*self.config;
-        let source = &mut self.source;
+        let (config, source) = (&*self.config, self.source);
         let p = self.state.get_mut();
         while p.fetch_index < trace_len || !p.rob.is_empty() {
             p.step(config, source, &mut obs);
@@ -2331,7 +2202,7 @@ mod tests {
             ReexecMode::Svw(SvwConfig::paper_default()),
         );
         let mut cpu = Cpu::new(config, &program);
-        let (config, source, p) = (&*cpu.config, &mut cpu.source, cpu.state.get_mut());
+        let (config, source, p) = (&*cpu.config, cpu.source, cpu.state.get_mut());
         let mut obs = None;
         while p.now < 300 || p.rob.is_empty() {
             p.step(config, source, &mut obs);
@@ -2367,53 +2238,34 @@ mod tests {
         assert!(empty.contains("ROB empty: fetch index"), "{empty}");
     }
 
-    /// The tentpole guarantee: a recycled arena must produce byte-identical results
-    /// to fresh construction, across heterogeneous configurations sharing one arena
-    /// (including RLE↔non-RLE and SSQ↔NLQ transitions that reshape the arena).
-    #[test]
-    fn recycled_arena_matches_fresh_construction_across_configs() {
-        let configs: Vec<MachineConfig> = vec![
-            conventional_baseline("base"),
-            MachineConfig::eight_wide(
-                "nlq-svw",
-                LsqOrganization::Nlq {
-                    store_exec_bandwidth: 2,
-                },
-                ReexecMode::Svw(SvwConfig::paper_default()),
-            ),
-            MachineConfig::eight_wide(
-                "ssq-svw",
-                LsqOrganization::Ssq {
-                    fsq_entries: 16,
-                    fwd_buffer_entries: 8,
-                    store_exec_bandwidth: 2,
-                },
-                ReexecMode::Svw(SvwConfig::paper_default()),
-            ),
-            MachineConfig::four_wide(
-                "rle",
-                LsqOrganization::Conventional {
-                    extra_load_latency: 0,
-                    store_exec_bandwidth: 1,
-                },
-                ReexecMode::Full,
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A recycled arena produces byte-identical results to fresh construction,
+        /// whatever the arena simulated before: random workload seeds × every
+        /// configuration family, after a random history of recycled cells (RLE↔
+        /// non-RLE, SSQ↔NLQ and ROB-shape transitions that reshape the arena).
+        #[test]
+        fn recycled_arena_matches_fresh_construction_across_configs(
+            seed in 0u64..1_000_000,
+            workload in 0usize..8,
+            family in 0usize..WAKEUP_FAMILIES,
+            history in proptest::collection::vec(
+                (0u64..1_000_000, 0usize..8, 0usize..WAKEUP_FAMILIES),
+                0..4
             )
-            .with_rle(ItConfig::paper_default()),
-        ];
-        let mut arena = SimArena::new();
-        for seed in [11u64, 12] {
-            let program = small_program(5_000, seed);
-            for cfg in &configs {
-                let fresh = Cpu::new(cfg.clone(), &program).run();
-                let shared = Arc::new(cfg.clone());
-                let recycled = Cpu::recycle(&mut arena, &shared, &program).run();
-                assert_eq!(
-                    format!("{fresh:?}"),
-                    format!("{recycled:?}"),
-                    "recycled arena diverged for config {} seed {seed}",
-                    cfg.name
-                );
+        ) {
+            let mut arena = SimArena::new();
+            for &(h_seed, h_workload, h_family) in &history {
+                let program = wakeup_workload(h_workload).generate(1_000, h_seed);
+                let cfg = Arc::new(wakeup_family(h_family));
+                Cpu::recycle(&mut arena, &cfg, &program).run();
             }
+            let program = wakeup_workload(workload).generate(1_500, seed);
+            let cfg = wakeup_family(family);
+            let fresh = Cpu::new(cfg.clone(), &program).run();
+            let recycled = Cpu::recycle(&mut arena, &Arc::new(cfg), &program).run();
+            proptest::prop_assert_eq!(format!("{fresh:?}"), format!("{recycled:?}"));
         }
     }
 }

@@ -44,7 +44,6 @@ mod mem_image;
 mod op;
 mod oracle;
 mod program;
-mod stream;
 mod types;
 
 pub use inst::{BranchInfo, DynInst, InstKind, MemAccess};
@@ -52,5 +51,4 @@ pub use mem_image::{IntKeyHasher, IntKeyMap, MemoryImage};
 pub use op::{AluKind, BranchKind, MemWidth, OpClass};
 pub use oracle::{ArchState, ExecEffect};
 pub use program::{Program, ProgramStats};
-pub use stream::{InstStream, ProgramStream};
 pub use types::{Addr, ArchReg, InstSeq, Pc, Value, NUM_ARCH_REGS};

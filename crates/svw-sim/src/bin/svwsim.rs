@@ -16,9 +16,10 @@ use svw_cpu::Cpu;
 use svw_sim::events::kind as event_kind;
 use svw_sim::{
     artifact_trace_keys, expected_cells, json, merge_shards, presets, profile_events, registry,
-    render_artifact, render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId, EventSink,
-    ExperimentCtx, FigureReport, JsonlSink, MergeInput, OracleOptions, Progress, ResultCache,
-    RunOptions, Shard, Stat, StatsCollector, SweepMetrics, SweepObserver, LATEST_MODEL_VERSION,
+    render_artifact, render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId,
+    DifferentialChecker, EventSink, ExperimentCtx, FigureReport, JsonlSink, MergeInput,
+    OracleOptions, Progress, ResultCache, RunOptions, Shard, Stat, StatsCollector, SweepMetrics,
+    SweepObserver, LATEST_MODEL_VERSION,
 };
 use svw_sim::{DEFAULT_SEED, DEFAULT_TRACE_LEN};
 use svw_trace::{TraceCache, TraceReader};
@@ -43,8 +44,6 @@ COMMANDS:
     merge      validate and stitch sharded sweep JSONL files into one result set
     coordinate two-phase distributed-adaptive driver: merge shard streams, apply
                the CI-target stopping rule globally, requeue work as plan files
-    pack-traces
-               capture every trace a sweep needs into one .svwtb bundle
     profile    aggregate --events journals into phase breakdowns, slowest
                cells, and per-worker utilization
     experiments
@@ -65,7 +64,10 @@ RUN:
     svwsim run (--trace FILE | --workload NAME) [--config NAME]
                [--trace-len N] [--seed N] [--seeds K] [--json]
     `--config list` prints the available configuration names (default: nlq-svw).
-    With `--trace`, the file is replayed *streaming* (never fully materialized).
+    With `--trace`, the file is decoded in full before anything is simulated (a
+    corrupt file fails with an error, exit 2) and replayed like any other cell;
+    `--oracle` cross-checks the replay, and `--json` prints exactly what
+    `--workload` prints for the captured (workload, trace length, seed).
     With `--seeds K`, the workload is replicated over K seeds and the report
     carries mean ± 95% CI per metric.
 
@@ -74,10 +76,9 @@ SWEEP:
                            adversarial-ssbf|adversarial-svw>
                  [--trace-len N] [--seed N] [--seeds K] [--jobs N]
                  [--out results.jsonl] [--shard I/N|auto] [--ci-target PCT]
-                 [--trace-bundle FILE.svwtb] [--substrate] [--json]
+                 [--substrate] [--json]
     svwsim sweep --spec (FILE.toml | builtin:NAME) [same options]
     svwsim sweep --plan ROUND.plan.jsonl --shard I/N [--out shardI.jsonl]
-                 [--trace-bundle FILE.svwtb]
     Every (workload, configuration, seed) cell is an independent unit of work
     drained from a shared queue by the worker threads, so wide matrices saturate
     all cores. With `--out`, each finished cell is appended to the JSONL file
@@ -135,19 +136,6 @@ COORDINATE:
     with `sweep --figure ART --ci-target ... --out merged.jsonl` — byte-identical
     to a single-process adaptive run. Exit 1 on validation errors.
 
-PACK-TRACES:
-    svwsim pack-traces --figure ART[,ART...] --out BUNDLE.svwtb
-                       [--trace-len N] [--seed N] [--seeds K] [--jobs N]
-                       [--ci-target PCT --max-seeds K]
-    Captures every trace the named sweep needs — each unique (workload
-    fingerprint, trace length, seed) once — into an indexed .svwtb bundle,
-    generating up to --jobs traces in parallel (the bundle bytes are
-    identical at every job count).
-    With --ci-target, packs seeds seed..seed+max-seeds (everything adaptive
-    sampling might request). Ship the bundle with the shard inputs and run
-    sweeps with `--trace-bundle BUNDLE.svwtb`: shards then read traces instead
-    of regenerating them (verify with --stats: \"0 generated\").
-
 MERGE:
     svwsim merge SHARD.jsonl... --figure ART[,ART...] --out merged.jsonl
                  [--trace-len N] [--seed N] [--seeds K]
@@ -193,7 +181,6 @@ COMMON OPTIONS:
                      issue-stage FP-budget quirk. Results record the version in
                      their lineage, reports carry a divergence note, and merge/
                      coordinate reject shards from a different version
-    --trace-bundle F serve workload traces from a .svwtb bundle (see PACK-TRACES)
     --substrate      append substrate-level tables (SSBF lookup/update traffic,
                      L2 miss rate) to every artifact report, text and JSON
     --jobs N         worker threads (default: all available parallelism)
@@ -202,7 +189,7 @@ COMMON OPTIONS:
     --plan-out FILE  coordinate: where to write the next requeue plan
     --stats          dump per-worker scheduler statistics (cells drained, resets
                      vs rebuilds, slab high-water marks) and trace-acquisition
-                     counters (generated / cache hits / bundle hits) to stderr
+                     counters (generated / cache hits) to stderr
     --stats-json F   write the --stats counters to F as one JSON object
     --events FILE    append a kill-tolerant per-cell lifecycle event journal
                      (planned/trace_acquired/decoded/simulated/written, worker
@@ -232,14 +219,6 @@ COMMON OPTIONS:
     --json           emit machine-readable JSON instead of text tables
     --verbose        log trace-cache activity to stderr
     --no-cache       regenerate workloads instead of using the trace cache
-    --no-recycle     build a fresh Cpu per cell instead of recycling worker arenas
-                     (results are identical either way; this is an A/B check)
-    --no-shared-decode
-                     decode each cell's trace independently instead of sharing
-                     one decoded arena per (workload, seed) across the cells and
-                     matrices that consume it (results are identical either way;
-                     this is an A/B check — `--stats` reports how many cells were
-                     served a shared decode)
     --cache-dir DIR  trace cache root (default $SVW_TRACE_CACHE, else
                      ~/.cache/svw/traces)
     --result-cache DIR
@@ -293,16 +272,9 @@ struct Common {
     metrics_out: Option<String>,
     /// Append substrate-level tables to every artifact report.
     substrate: bool,
-    /// Serve workload traces from this pre-packed `.svwtb` bundle.
-    trace_bundle: Option<String>,
     json: bool,
     verbose: bool,
     no_cache: bool,
-    /// Build a fresh Cpu per cell instead of recycling the worker arena (A/B check).
-    no_recycle: bool,
-    /// Decode each cell's trace independently instead of sharing decoded arenas
-    /// (A/B check).
-    no_shared_decode: bool,
     /// Cross-check every simulated cell against the in-order golden model.
     oracle: bool,
     /// Corrupt the oracle checker's view of the N-th committed load per cell
@@ -386,9 +358,6 @@ impl Common {
         if self.substrate {
             fail(&format!("--substrate does not apply to {command}"));
         }
-        if self.trace_bundle.is_some() {
-            fail(&format!("--trace-bundle does not apply to {command}"));
-        }
         if self.oracle {
             fail(&format!("--oracle does not apply to {command}"));
         }
@@ -416,7 +385,7 @@ impl Common {
     }
 
     /// Rejects executor/report flags for commands that never simulate a cell
-    /// (coordinate, pack-traces) — silently ignoring them would hide typos and
+    /// (coordinate) — silently ignoring them would hide typos and
     /// misconceptions, the same way [`Common::reject_sweep_flags`] guards the
     /// non-scheduler commands.
     fn reject_simulation_flags(&self, command: &str) {
@@ -426,9 +395,6 @@ impl Common {
             (self.progress, "--progress"),
             (self.metrics_out.is_some(), "--metrics-out"),
             (self.json, "--json"),
-            (self.trace_bundle.is_some(), "--trace-bundle"),
-            (self.no_recycle, "--no-recycle"),
-            (self.no_shared_decode, "--no-shared-decode"),
             (self.substrate, "--substrate"),
             (self.oracle, "--oracle"),
             (self.inject_fault.is_some(), "--inject-fault"),
@@ -484,11 +450,8 @@ fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCac
             c.store_errors,
         );
     }
-    let (generated, cache_hits, bundle_hits) = collector.trace_counts();
-    eprintln!(
-        "  trace acquisition: {generated} generated, {cache_hits} cache hit(s), \
-         {bundle_hits} bundle hit(s)"
-    );
+    let (generated, cache_hits) = collector.trace_counts();
+    eprintln!("  trace acquisition: {generated} generated, {cache_hits} cache hit(s)");
     eprintln!(
         "  shared decode: {} cell(s) served an already-decoded trace arena",
         collector.cells_shared_decode()
@@ -502,7 +465,7 @@ fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCac
 /// `--stats-json FILE`: the machine-readable twin of [`dump_worker_stats`].
 fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option<&ResultCache>) {
     let workers = collector.workers();
-    let (generated, cache_hits, bundle_hits) = collector.trace_counts();
+    let (generated, cache_hits) = collector.trace_counts();
     let mut fields = vec![
         (
             "workers",
@@ -521,7 +484,6 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
         ),
         ("traces_generated", json::uint(generated as u64)),
         ("trace_cache_hits", json::uint(cache_hits as u64)),
-        ("trace_bundle_hits", json::uint(bundle_hits as u64)),
         (
             "cells_shared_decode",
             json::uint(collector.cells_shared_decode() as u64),
@@ -648,12 +610,9 @@ fn parse_common(args: Vec<String>) -> Common {
         progress: false,
         metrics_out: None,
         substrate: false,
-        trace_bundle: None,
         json: false,
         verbose: false,
         no_cache: false,
-        no_recycle: false,
-        no_shared_decode: false,
         oracle: false,
         inject_fault: None,
         cache_dir: None,
@@ -694,12 +653,6 @@ fn parse_common(args: Vec<String>) -> Common {
                 );
             }
             "--substrate" => c.substrate = true,
-            "--trace-bundle" => {
-                c.trace_bundle = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--trace-bundle needs a .svwtb file")),
-                );
-            }
             "--shard" => {
                 let raw = it
                     .next()
@@ -717,8 +670,6 @@ fn parse_common(args: Vec<String>) -> Common {
             "--json" => c.json = true,
             "--verbose" => c.verbose = true,
             "--no-cache" => c.no_cache = true,
-            "--no-recycle" => c.no_recycle = true,
-            "--no-shared-decode" => c.no_shared_decode = true,
             "--oracle" => c.oracle = true,
             "--inject-fault" => c.inject_fault = Some(parse_num(&mut it, "--inject-fault")),
             "--cache-dir" => {
@@ -1007,9 +958,6 @@ fn cmd_run(mut common: Common) {
     if common.substrate {
         fail("--substrate applies to sweep/fig*/tables, not run");
     }
-    if common.trace_bundle.is_some() {
-        fail("--trace-bundle applies to sweep/fig*/tables, not run");
-    }
     let mut rest = std::mem::take(&mut common.rest);
     let trace = take_flag_value(&mut rest, "--trace");
     let workload = take_flag_value(&mut rest, "--workload");
@@ -1051,9 +999,6 @@ fn cmd_run(mut common: Common) {
             if common.events.is_some() || common.progress || common.metrics_out.is_some() {
                 fail("--events/--progress/--metrics-out apply to scheduler runs (--workload), not --trace replay");
             }
-            if common.oracle {
-                fail("--oracle applies to scheduler runs (--workload), not --trace replay: a streamed trace is never materialized, so the golden model has nothing to replay");
-            }
             if common.result_cache.is_some()
                 || common.no_result_cache
                 || common.result_cache_mode.is_some()
@@ -1062,59 +1007,53 @@ fn cmd_run(mut common: Common) {
                     "--result-cache flags apply to scheduler runs (--workload), not --trace replay",
                 );
             }
-            // Streaming replay: the trace is decoded incrementally into the pipeline
-            // and never materialized.
-            let reader = TraceReader::open(&path)
+            // Decode the whole trace before simulating anything, so a file that is
+            // corrupt partway through fails cleanly here instead of mid-run.
+            let (header, program) = TraceReader::open(&path)
+                .and_then(|reader| {
+                    let header = reader.header().clone();
+                    reader.read_program().map(|program| (header, program))
+                })
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let name = reader.header().name.clone();
-            let seed = reader.header().seed;
-            let requested_len = reader.header().requested_len;
-            let fingerprint = reader.header().fingerprint;
             if common.verbose {
                 eprintln!(
-                    "[svwsim] streaming {} instructions of {name} from {path}",
-                    reader.header().count
+                    "[svwsim] replaying {} instructions of {} from {path}",
+                    program.len(),
+                    header.name
                 );
             }
-            // A trace that turns out corrupt mid-stream surfaces as a panic (the
-            // pipeline has no way to rewind); turn it back into a clean CLI error,
-            // silencing the default panic printer for the duration of the run.
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Cpu::from_stream(config, Box::new(reader)).run()
-            }));
-            std::panic::set_hook(default_hook);
-            match run {
-                Ok(stats) => {
-                    // `--out` streams this cell too (keyed by the trace's own
-                    // identity; replay runs are never skipped on resume).
-                    if let Some(sink) = open_sink(&common) {
-                        let id = CellId {
-                            matrix: "run".to_string(),
-                            workload: name.clone(),
-                            config: config_name.clone(),
-                            seed,
-                            trace_len: requested_len,
-                            fingerprint,
-                            model_version: common.model_version,
-                            spec_fingerprint: 0,
-                        };
-                        if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
-                            eprintln!("warning: failed to append to the JSONL stream: {e}");
-                        }
+            let cpu = Cpu::new(config, &program);
+            let stats = match common.oracle_options() {
+                Some(oracle_opts) => {
+                    let mut checker = DifferentialChecker::new(program.instructions(), oracle_opts);
+                    let stats = cpu.run_observed(&mut checker);
+                    if let Some(d) = checker.divergence() {
+                        fail(&format!(
+                            "simulation of {path} failed: oracle divergence: {d}"
+                        ));
                     }
-                    (name, seed, stats)
+                    stats
                 }
-                Err(cause) => {
-                    let msg = cause
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| cause.downcast_ref::<&str>().copied())
-                        .unwrap_or("simulation panicked");
-                    fail(&format!("replay of {path} failed: {msg}"));
+                None => cpu.run(),
+            };
+            // `--out` streams this cell too (keyed by the trace's own identity;
+            // replay runs are never skipped on resume).
+            if let Some(sink) = open_sink(&common) {
+                let id = CellId {
+                    matrix: "run".to_string(),
+                    workload: header.name.clone(),
+                    config: config_name.clone(),
+                    seed: header.seed,
+                    trace_len: header.requested_len,
+                    fingerprint: header.fingerprint,
+                    model_version: common.model_version,
+                    spec_fingerprint: 0,
+                };
+                if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
+                    eprintln!("warning: failed to append to the JSONL stream: {e}");
                 }
             }
+            (header.name, header.seed, stats)
         }
         (None, Some(w)) => {
             // One cell on the scheduler, so --out (stream + resume), --jobs, the
@@ -1130,13 +1069,10 @@ fn cmd_run(mut common: Common) {
                 verbose: common.verbose,
                 jobs: common.jobs,
                 sink: sink.as_ref(),
-                no_recycle: common.no_recycle,
                 shard: None,
                 stats: collector.as_ref(),
-                bundle: None,
                 obs: observer.as_ref(),
                 arenas: None,
-                no_shared_decode: common.no_shared_decode,
                 oracle: common.oracle_options(),
                 result_cache: result_cache.as_ref(),
             };
@@ -1209,13 +1145,10 @@ fn run_replicated(
         verbose: common.verbose,
         jobs: common.jobs,
         sink: sink.as_ref(),
-        no_recycle: common.no_recycle,
         shard: None,
         stats: collector.as_ref(),
-        bundle: None,
         obs: observer.as_ref(),
         arenas: None,
-        no_shared_decode: common.no_shared_decode,
         oracle: common.oracle_options(),
         result_cache: result_cache.as_ref(),
     };
@@ -1343,22 +1276,6 @@ fn open_sink(common: &Common) -> Option<JsonlSink> {
     })
 }
 
-/// Opens the `--trace-bundle` file, failing loudly — a mistyped bundle path would
-/// silently regenerate every trace, defeating the point of shipping bundles.
-fn open_bundle(common: &Common) -> Option<svw_trace::TraceBundle> {
-    common.trace_bundle.as_ref().map(|path| {
-        let bundle = svw_trace::TraceBundle::open(path)
-            .unwrap_or_else(|e| fail(&format!("cannot open --trace-bundle {path}: {e}")));
-        if common.verbose {
-            eprintln!(
-                "[svwsim] trace bundle {path}: {} trace(s) indexed",
-                bundle.len()
-            );
-        }
-        bundle
-    })
-}
-
 /// Builds the executor context shared by `--figure` and `--spec` sweeps, runs
 /// `render` under it, prints the reports (text or `--json`), and runs the
 /// observability/stats epilogues.
@@ -1366,7 +1283,6 @@ fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Ve
     let cache = open_cache(common);
     let result_cache = open_result_cache(common);
     let sink = open_sink(common);
-    let bundle = open_bundle(common);
     // --oracle forces the collector even without --stats: the per-worker failed
     // counters are how the epilogue below detects divergences across however many
     // sweeps the render ran.
@@ -1388,13 +1304,10 @@ fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Ve
             verbose: common.verbose,
             jobs: common.jobs,
             sink: sink.as_ref(),
-            no_recycle: common.no_recycle,
             shard: common.shard,
             stats: collector.as_ref(),
-            bundle: bundle.as_ref(),
             obs: observer.as_ref(),
-            arenas: (!common.no_shared_decode).then_some(&arenas),
-            no_shared_decode: common.no_shared_decode,
+            arenas: Some(&arenas),
             oracle: common.oracle_options(),
             result_cache: result_cache.as_ref(),
         },
@@ -1568,7 +1481,7 @@ fn plural_note(n: usize, what: &str) -> String {
 /// Expands a `--figure` comma list, with `tables` standing for its three
 /// artifacts, into an order-preserving deduplicated artifact list (a repeated
 /// artifact would, e.g., break merge's gap accounting by duplicating expected
-/// cells). Shared by `merge` and `pack-traces`.
+/// cells).
 fn expand_artifacts(figure: &str) -> Vec<String> {
     let mut artifacts: Vec<String> = Vec::new();
     for name in figure.split(',').filter(|s| !s.is_empty()) {
@@ -1629,7 +1542,6 @@ fn run_plan(common: &Common, path: &str) {
     let cache = open_cache(common);
     let result_cache = open_result_cache(common);
     let sink = open_sink(common);
-    let bundle = open_bundle(common);
     let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
     let observer = build_observer(common);
     // Plans in one requeue round share traces (the round's cells are new seeds
@@ -1640,15 +1552,12 @@ fn run_plan(common: &Common, path: &str) {
         verbose: common.verbose,
         jobs: common.jobs,
         sink: sink.as_ref(),
-        no_recycle: common.no_recycle,
         // The plan already carries the shard assignment (applied by position
         // across the whole file); the executor must not re-slice.
         shard: None,
         stats: collector.as_ref(),
-        bundle: bundle.as_ref(),
         obs: observer.as_ref(),
-        arenas: (!common.no_shared_decode).then_some(&arenas),
-        no_shared_decode: common.no_shared_decode,
+        arenas: Some(&arenas),
         oracle: common.oracle_options(),
         result_cache: result_cache.as_ref(),
     };
@@ -1924,72 +1833,6 @@ fn cmd_profile(mut common: Common) {
     } else {
         print!("{}", report.render());
     }
-}
-
-// --------------------------------------------------------------- pack-traces
-
-/// `svwsim pack-traces --figure ART[,ART...] --out BUNDLE.svwtb`: capture every
-/// trace the named sweep needs into one indexed bundle.
-fn cmd_pack_traces(mut common: Common) {
-    if common.shard.is_some() {
-        fail("--shard does not apply to pack-traces (the bundle holds every shard's traces)");
-    }
-    common.reject_simulation_flags("pack-traces (it only generates and packs traces)");
-    common.reject_result_cache_flags("pack-traces (it packs traces, not results)");
-    common.reject_events_flag("pack-traces");
-    common.reject_model_version("pack-traces (traces are model-independent)");
-    let mut rest = std::mem::take(&mut common.rest);
-    let figure = take_flag_value(&mut rest, "--figure")
-        .unwrap_or_else(|| fail("pack-traces needs --figure <artifact[,artifact...]>"));
-    let out = common
-        .out
-        .clone()
-        .unwrap_or_else(|| fail("pack-traces needs --out BUNDLE.svwtb"));
-    reject_leftovers(&rest);
-
-    // With an adaptive target, pack everything sampling might request
-    // (seed..seed+max-seeds); otherwise the fixed seed list.
-    let seeds: Vec<u64> = if let Some(ci_target) = common.ci_target {
-        let adaptive = svw_sim::AdaptiveOpts {
-            ci_target_pct: ci_target,
-            min_seeds: common.min_seeds.unwrap_or(3),
-            max_seeds: common.max_seeds.unwrap_or(10),
-        };
-        if let Err(e) = adaptive.validate() {
-            fail(&e);
-        }
-        if common.seeds != 1 {
-            fail("--seeds and --ci-target are mutually exclusive");
-        }
-        (0..adaptive.max_seeds as u64)
-            .map(|i| common.seed + i)
-            .collect()
-    } else {
-        common.seed_list()
-    };
-
-    let artifacts = expand_artifacts(&figure);
-    // The manifest only needs each matrix's workload list — not the full
-    // (workload × config × seed) cell enumeration the planner would build.
-    let mut manifest = svw_workloads::BundleManifest::new();
-    for artifact in &artifacts {
-        let matrices = svw_sim::artifact_matrices(artifact).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown artifact {artifact:?}{}",
-                registry::did_you_mean(artifact, registry::builtin_names())
-            ))
-        });
-        for (_, workloads, _) in &matrices {
-            manifest.add_matrix(workloads, common.trace_len, &seeds);
-        }
-    }
-    let cache = open_cache(&common);
-    let stats = svw_trace::pack_bundle(&manifest, cache.as_ref(), &out, common.jobs)
-        .unwrap_or_else(|e| fail(&format!("cannot pack {out}: {e}")));
-    eprintln!(
-        "[svwsim] packed {} trace(s) into {out} ({} bytes): {} from the cache, {} generated",
-        stats.traces, stats.bytes, stats.from_cache, stats.generated
-    );
 }
 
 // --------------------------------------------------------------- experiments
@@ -2290,7 +2133,6 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(parse_common(args)),
         "merge" => cmd_merge(parse_common(args)),
         "coordinate" => return cmd_coordinate(parse_common(args)),
-        "pack-traces" => cmd_pack_traces(parse_common(args)),
         "profile" => cmd_profile(parse_common(args)),
         "experiments" => return cmd_experiments(parse_common(args)),
         "cache" => cmd_cache(parse_common(args)),

@@ -36,7 +36,7 @@ use crate::jsonl::CellId;
 pub mod kind {
     /// A worker dequeued the cell.
     pub const PLANNED: &str = "planned";
-    /// The cell's trace was fetched (bundle/cache) or generated.
+    /// The cell's trace was fetched from the cache or generated.
     pub const TRACE_ACQUIRED: &str = "trace_acquired";
     /// The on-disk trace representation was decoded into a program.
     pub const DECODED: &str = "decoded";
@@ -177,7 +177,7 @@ pub struct Event {
     pub seed: Option<u64>,
     /// Worker thread that processed the cell.
     pub worker: Option<u64>,
-    /// Trace acquisition source (`bundle`, `cache`, `generated`).
+    /// Trace acquisition source (`cache`, `generated`).
     pub source: Option<String>,
     /// Bytes read from disk during acquisition.
     pub bytes: Option<u64>,

@@ -8,8 +8,8 @@
 //! user-defined sweeps), turns those specs into typed sweep plans
 //! ([`planner`] — ordered cells, shard assignment, seed
 //! policy, on-disk `*.plan.jsonl` files), executes any plan on a cell-granular
-//! work-stealing scheduler — with workload traces served by `.svwtb` bundles and
-//! the on-disk trace cache, per-cell panic capture, and an optional streaming-JSONL
+//! work-stealing scheduler — with workload traces served by the on-disk trace
+//! cache, per-cell panic capture, and an optional streaming-JSONL
 //! results file with resume ([`runner`], [`jsonl`]) — and formats the results as
 //! the tables/series the paper plots ([`report`]), with mean ± 95% confidence
 //! intervals under multi-seed replication, in text or JSON.
@@ -44,7 +44,6 @@
 //! | `svwsim tables` | the three table artifacts (ssn-width, spec-ssbf, summary) |
 //! | `svwsim merge` | validate and stitch sharded sweep JSONL files |
 //! | `svwsim coordinate` | two-phase distributed-adaptive round driver |
-//! | `svwsim pack-traces` | capture a sweep's traces into one `.svwtb` bundle |
 //! | `svwsim profile` | phase breakdowns from `--events` journals |
 //! | `svwsim experiments` | list/show/validate the experiment spec registry |
 //! | `svwsim cache` | manage the content-addressed result cache (stats/gc/verify) |
@@ -53,7 +52,7 @@
 //! arguments (`svwsim help` prints the full usage). Sweeps accept `--trace-len`,
 //! `--seed`, `--seeds K` (multi-seed replication), `--ci-target`/`--min-seeds`/
 //! `--max-seeds` (adaptive sampling), `--shard I/N|auto` (distributed sharding),
-//! `--trace-bundle FILE.svwtb` (pre-packed traces), `--jobs N` (worker threads), and
+//! `--jobs N` (worker threads), and
 //! `--out results.jsonl` (streaming results + resume) overrides, `--json` for
 //! machine-readable reports, `--substrate` for substrate-level tables (SSBF
 //! lookup/update traffic, L2 miss rate, forwarding-buffer hit rate), `--stats` for

@@ -38,8 +38,6 @@ pub struct SweepMetrics {
     pub traces_generated: Arc<Counter>,
     /// Traces served by the on-disk trace cache.
     pub trace_cache_hits: Arc<Counter>,
-    /// Traces served by a `--trace-bundle` file.
-    pub trace_bundle_hits: Arc<Counter>,
     /// Bytes read from disk while acquiring traces.
     pub trace_bytes_read: Arc<Counter>,
     /// Total simulated cycles across all cells.
@@ -101,10 +99,6 @@ impl SweepMetrics {
         let trace_cache_hits = registry.counter(
             "svw_trace_cache_hits_total",
             "Traces served by the on-disk trace cache",
-        );
-        let trace_bundle_hits = registry.counter(
-            "svw_trace_bundle_hits_total",
-            "Traces served by a trace bundle",
         );
         let trace_bytes_read = registry.counter(
             "svw_trace_bytes_read_total",
@@ -169,7 +163,6 @@ impl SweepMetrics {
             cells_failed,
             traces_generated,
             trace_cache_hits,
-            trace_bundle_hits,
             trace_bytes_read,
             sim_cycles,
             fwd_buffer_lookups,

@@ -17,8 +17,7 @@ use crate::json;
 /// Accumulated per-phase time, in microseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTotals {
-    /// Trace acquisition (bundle fetch, cache fetch, or generation), decode
-    /// included.
+    /// Trace acquisition (cache fetch or generation), decode included.
     pub acquire_us: f64,
     /// The part of `acquire_us` spent decoding an on-disk trace representation.
     /// Nested inside acquisition, so it is not a separate phase of the sum.

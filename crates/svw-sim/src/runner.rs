@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use svw_cpu::{Cpu, CpuStats, MachineConfig, SimArena};
 use svw_isa::Program;
 use svw_oracle::{DifferentialChecker, OracleOptions};
-use svw_trace::{TraceBundle, TraceCache};
+use svw_trace::TraceCache;
 use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
 
 use crate::cache::ResultCache;
@@ -267,10 +267,6 @@ pub struct RunOptions<'c> {
     /// Stream every finished cell to this JSONL sink, and skip cells the sink
     /// already holds (resume).
     pub sink: Option<&'c JsonlSink>,
-    /// Build a fresh `Cpu` for every cell instead of recycling the worker's
-    /// [`SimArena`]. Results are byte-identical either way (the determinism tests
-    /// compare the two paths); recycling is faster and is the default.
-    pub no_recycle: bool,
     /// Run only this shard's slice of the cell list; the other cells are recorded as
     /// [`CellOutcome::Skipped`] (unless the resume file already holds them). `None`
     /// runs everything. Applied by [`run_cells`] when it builds the plan;
@@ -279,10 +275,6 @@ pub struct RunOptions<'c> {
     /// Accumulate per-worker scheduler statistics (cells drained, resets vs
     /// rebuilds, slab high-water marks) into this collector.
     pub stats: Option<&'c StatsCollector>,
-    /// Serve workload traces from this pre-packed `.svwtb` bundle before consulting
-    /// the cache or generating. A key the bundle lacks falls back (with an
-    /// aggregated warning) — the bundle, like the cache, never changes results.
-    pub bundle: Option<&'c TraceBundle>,
     /// Observability instrumentation (`--events` journal, `--metrics-out`
     /// registry, `--progress` reporter). Purely additive: instrumentation
     /// measures timing and emits to its own outputs, never touching results —
@@ -292,13 +284,9 @@ pub struct RunOptions<'c> {
     /// decoded by one plan is reused (not re-decoded) by every later plan whose
     /// registration overlaps — the matrices of a multi-table artifact, adaptive
     /// re-rounds, coordinator requeue rounds. Results are byte-identical with or
-    /// without it (the determinism suite compares both paths).
+    /// without it (the decode-sharing tests compare both against a per-cell
+    /// reference).
     pub arenas: Option<&'c TraceArenas>,
-    /// Decode each cell's trace independently instead of sharing the decoded
-    /// program between the cells of a `(workload, seed)` pair — the legacy
-    /// pre-arena path, kept as the `--no-shared-decode` A/B control and the
-    /// bench comparison baseline. Results are byte-identical either way.
-    pub no_shared_decode: bool,
     /// Cross-check every simulated cell against the in-order golden model
     /// (`--oracle`): the pipeline runs under a [`DifferentialChecker`] and a
     /// divergence turns the cell into [`CellOutcome::Failed`] carrying the
@@ -316,12 +304,9 @@ pub struct RunOptions<'c> {
 }
 
 /// Where one workload trace came from, for the acquisition counters surfaced by
-/// `svwsim --stats` (a bundled distributed sweep should report **zero** generated
-/// traces — that is the whole point of shipping bundles with shard inputs).
+/// `svwsim --stats`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceSource {
-    /// Read from the `--trace-bundle` file.
-    Bundle,
     /// Read back from the on-disk trace cache.
     CacheHit,
     /// Generated by the workload generator (and captured when a cache was open).
@@ -332,7 +317,6 @@ impl TraceSource {
     /// The stable label used in `trace_acquired` journal events.
     pub fn label(self) -> &'static str {
         match self {
-            TraceSource::Bundle => "bundle",
             TraceSource::CacheHit => "cache",
             TraceSource::Generated => "generated",
         }
@@ -354,8 +338,7 @@ pub struct WorkerStats {
     /// Cell startups that reused the worker's arena (in-place pipeline reset).
     pub resets: u64,
     /// Cell startups that built a pipeline from scratch (the worker's first cell,
-    /// the cell after a panic discarded the arena, or every cell under
-    /// `--no-recycle`).
+    /// or the cell after a panic discarded the arena).
     pub rebuilds: u64,
     /// Largest rename-history slab (entries) any of this worker's cells needed.
     pub slab_high_water: u64,
@@ -384,7 +367,6 @@ pub struct StatsCollector {
     adaptive_extra_cells: AtomicUsize,
     traces_generated: AtomicUsize,
     traces_cache_hits: AtomicUsize,
-    traces_bundle_hits: AtomicUsize,
     cells_shared_decode: AtomicUsize,
 }
 
@@ -410,10 +392,9 @@ impl StatsCollector {
             .fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Records where one workload trace came from (bundle, cache, or generator).
+    /// Records where one workload trace came from (cache or generator).
     pub fn record_trace(&self, source: TraceSource) {
         let counter = match source {
-            TraceSource::Bundle => &self.traces_bundle_hits,
             TraceSource::CacheHit => &self.traces_cache_hits,
             TraceSource::Generated => &self.traces_generated,
         };
@@ -442,12 +423,11 @@ impl StatsCollector {
         self.cells_shared_decode.load(Ordering::Relaxed)
     }
 
-    /// Trace-acquisition counters: `(generated, cache hits, bundle hits)`.
-    pub fn trace_counts(&self) -> (usize, usize, usize) {
+    /// Trace-acquisition counters: `(generated, cache hits)`.
+    pub fn trace_counts(&self) -> (usize, usize) {
         (
             self.traces_generated.load(Ordering::Relaxed),
             self.traces_cache_hits.load(Ordering::Relaxed),
-            self.traces_bundle_hits.load(Ordering::Relaxed),
         )
     }
 }
@@ -493,17 +473,15 @@ fn effective_jobs(jobs: usize, total_cells: usize) -> usize {
     n.clamp(1, total_cells.max(1))
 }
 
-/// One acquired workload trace plus where it came from and any issues worth
-/// aggregating into sweep-level warnings. Neither the bundle nor the cache ever
-/// changes results — every fallback regenerates the identical trace.
+/// One acquired workload trace plus where it came from and any issue worth
+/// aggregating into a sweep-level warning. The cache never changes results — a
+/// cache error regenerates the identical trace.
 struct Acquired {
     program: Program,
     source: TraceSource,
     /// A cache read/write error (the trace was regenerated directly).
     cache_error: Option<String>,
-    /// The bundle lacked (or failed to serve) the key; the cache/generator path ran.
-    bundle_miss: Option<String>,
-    /// Bytes read from disk (bundle blob or cache file); 0 when generated.
+    /// Bytes read from disk (the cache file); 0 when generated.
     bytes: u64,
     /// Total acquisition wall time, fallbacks included.
     acquire: std::time::Duration,
@@ -511,7 +489,7 @@ struct Acquired {
     decode: std::time::Duration,
 }
 
-/// Acquires one workload trace: bundle first, then cache, then the generator.
+/// Acquires one workload trace: from the cache when one is open, else the generator.
 fn acquire_program(
     profile: &WorkloadProfile,
     trace_len: usize,
@@ -519,38 +497,6 @@ fn acquire_program(
     opts: &RunOptions<'_>,
 ) -> Acquired {
     let acquire_start = std::time::Instant::now();
-    let mut bundle_miss = None;
-    if let Some(bundle) = opts.bundle {
-        let key = TraceKey::of(profile, trace_len, seed);
-        match bundle.get_metered(&key) {
-            Ok(Some((program, meter))) => {
-                if opts.verbose {
-                    eprintln!(
-                        "[svwsim] trace {}:{trace_len}:{seed} — bundle hit",
-                        profile.name
-                    );
-                }
-                return Acquired {
-                    program,
-                    source: TraceSource::Bundle,
-                    cache_error: None,
-                    bundle_miss: None,
-                    bytes: meter.bytes_read,
-                    acquire: acquire_start.elapsed(),
-                    decode: meter.decode,
-                };
-            }
-            Ok(None) => {
-                bundle_miss = Some(format!(
-                    "{}:{trace_len}:{seed}: not in the bundle",
-                    profile.name
-                ));
-            }
-            Err(e) => {
-                bundle_miss = Some(format!("{}:{trace_len}:{seed}: {e}", profile.name));
-            }
-        }
-    }
     let (program, source, cache_error, bytes, decode) = match opts.cache {
         Some(cache) => match cache.get_or_generate_metered(profile, trace_len, seed) {
             Ok((program, outcome, meter)) => {
@@ -600,7 +546,6 @@ fn acquire_program(
         program,
         source,
         cache_error,
-        bundle_miss,
         bytes,
         acquire: acquire_start.elapsed(),
         decode,
@@ -744,12 +689,7 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     // a decoded arena warm exactly while plans (or an artifact-level pin) still
     // need it; the use is released when the slot's last cell finishes, whatever
     // its outcome.
-    let arenas = if opts.no_shared_decode {
-        None
-    } else {
-        opts.arenas
-    };
-    if let Some(a) = arenas {
+    if let Some(a) = opts.arenas {
         for key in &slot_keys {
             a.register(key, 1);
         }
@@ -758,7 +698,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     let next_task = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<ExperimentCell>>> = Mutex::new(vec![None; total]);
     let cache_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let bundle_misses: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let stream_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let restored_count = AtomicUsize::new(0);
@@ -791,8 +730,8 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
         let (slot_index, slot_keys, plan) = (&slot_index, &slot_keys, &plan);
         let (next_task, restored_count, skipped_count, cached_count) =
             (&next_task, &restored_count, &skipped_count, &cached_count);
-        let (cache_errors, bundle_misses, stream_errors, store_errors) =
-            (&cache_errors, &bundle_misses, &stream_errors, &store_errors);
+        let (cache_errors, stream_errors, store_errors) =
+            (&cache_errors, &stream_errors, &store_errors);
         for worker in 0..jobs {
             scope.spawn(move || {
                 // Each worker owns one simulation arena reused across every cell it
@@ -882,7 +821,7 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                         None => {
                             let slot_ix =
                                 slot_index[k].expect("non-cached cells have a trace slot");
-                            if opts.no_recycle || !arena.is_warm() {
+                            if !arena.is_warm() {
                                 wstats.rebuilds += 1;
                             } else {
                                 wstats.resets += 1;
@@ -898,62 +837,49 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                             )> = None;
                             let run =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let acquire = |acq: &mut Option<_>| {
-                                        let acquired = acquire_program(
-                                            &plan.workloads[planned.workload],
-                                            plan.trace_len,
-                                            id.seed,
-                                            opts,
-                                        );
-                                        if let Some(err) = acquired.cache_error {
-                                            cache_errors
-                                                .lock()
-                                                .unwrap_or_else(|e| e.into_inner())
-                                                .push(err);
-                                        }
-                                        if let Some(miss) = acquired.bundle_miss {
-                                            bundle_misses
-                                                .lock()
-                                                .unwrap_or_else(|e| e.into_inner())
-                                                .push(miss);
-                                        }
-                                        if let Some(collector) = opts.stats {
-                                            collector.record_trace(acquired.source);
-                                        }
-                                        *acq = Some((
-                                            acquired.source,
-                                            acquired.bytes,
-                                            acquired.acquire,
-                                            acquired.decode,
-                                        ));
-                                        Arc::new(acquired.program)
-                                    };
-                                    let program = if opts.no_shared_decode {
-                                        // Legacy A/B path: every cell decodes its
-                                        // own copy of the trace.
-                                        acquire(&mut acq)
-                                    } else {
+                                    // The slot's lock is held only while the slot
+                                    // is filled, never during the simulation.
+                                    let program = {
                                         let mut slot = programs[slot_ix]
                                             .lock()
                                             .unwrap_or_else(|e| e.into_inner());
-                                        if slot.program.is_none() {
-                                            // First consumer of this plan's slot:
-                                            // try the cross-plan arena registry
-                                            // before decoding.
-                                            let key = &slot_keys[slot_ix];
-                                            let from_arena = arenas.and_then(|a| a.lookup(key));
-                                            slot.program = Some(match from_arena {
-                                                Some(p) => p,
-                                                None => {
-                                                    let p = acquire(&mut acq);
-                                                    if let Some(a) = arenas {
-                                                        a.publish(key, p.clone());
-                                                    }
-                                                    p
-                                                }
-                                            });
-                                        }
-                                        slot.program.clone().expect("slot was just filled")
+                                        let key = &slot_keys[slot_ix];
+                                        let program = slot.program.get_or_insert_with(|| {
+                                            // First consumer of this plan's slot: try
+                                            // the cross-plan arena registry before
+                                            // acquiring the trace.
+                                            if let Some(p) = opts.arenas.and_then(|a| a.lookup(key))
+                                            {
+                                                return p;
+                                            }
+                                            let acquired = acquire_program(
+                                                &plan.workloads[planned.workload],
+                                                plan.trace_len,
+                                                id.seed,
+                                                opts,
+                                            );
+                                            if let Some(err) = acquired.cache_error {
+                                                cache_errors
+                                                    .lock()
+                                                    .unwrap_or_else(|e| e.into_inner())
+                                                    .push(err);
+                                            }
+                                            if let Some(collector) = opts.stats {
+                                                collector.record_trace(acquired.source);
+                                            }
+                                            acq = Some((
+                                                acquired.source,
+                                                acquired.bytes,
+                                                acquired.acquire,
+                                                acquired.decode,
+                                            ));
+                                            let p = Arc::new(acquired.program);
+                                            if let Some(a) = opts.arenas {
+                                                a.publish(key, p.clone());
+                                            }
+                                            p
+                                        });
+                                        Arc::clone(program)
                                     };
                                     let config = &plan.configs[planned.config];
                                     let sim_start = std::time::Instant::now();
@@ -967,23 +893,15 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                                             program.instructions(),
                                             oracle_opts,
                                         );
-                                        let stats = if opts.no_recycle {
-                                            Cpu::new(MachineConfig::clone(config), &program)
-                                                .run_observed(&mut checker)
-                                        } else {
-                                            Cpu::recycle(&mut arena, config, &program)
-                                                .run_observed(&mut checker)
-                                        };
+                                        let stats = Cpu::recycle(&mut arena, config, &program)
+                                            .run_observed(&mut checker);
                                         match checker.divergence() {
                                             Some(d) => Err(format!("oracle divergence: {d}")),
                                             None => Ok((stats, sim_start.elapsed())),
                                         }
                                     } else {
-                                        let stats = if opts.no_recycle {
-                                            Cpu::new(MachineConfig::clone(config), &program).run()
-                                        } else {
-                                            Cpu::recycle(&mut arena, config, &program).run()
-                                        };
+                                        let stats =
+                                            Cpu::recycle(&mut arena, config, &program).run();
                                         Ok((stats, sim_start.elapsed()))
                                     }
                                 }));
@@ -1117,7 +1035,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                                 if let Some(metrics) = &o.metrics {
                                     if let Some((source, bytes, acquire, decode)) = &acq {
                                         match source {
-                                            TraceSource::Bundle => metrics.trace_bundle_hits.inc(),
                                             TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
                                             TraceSource::Generated => {
                                                 metrics.traces_generated.inc()
@@ -1172,7 +1089,7 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                         slot.remaining -= 1;
                         if slot.remaining == 0 {
                             slot.program = None;
-                            if let Some(a) = arenas {
+                            if let Some(a) = opts.arenas {
                                 a.release(&slot_keys[slot_ix], 1);
                             }
                         }
@@ -1218,10 +1135,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     // flows into report notes) is deterministic regardless of `jobs`.
     let mut cache_errors = cache_errors.into_inner().unwrap_or_else(|e| e.into_inner());
     cache_errors.sort_unstable();
-    let mut bundle_misses = bundle_misses
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    bundle_misses.sort_unstable();
     let mut stream_errors = stream_errors
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
@@ -1234,14 +1147,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
             "trace cache errored for {} trace(s); regenerated directly (first: {})",
             cache_errors.len(),
             cache_errors[0]
-        ));
-    }
-    if !bundle_misses.is_empty() {
-        warnings.push(format!(
-            "trace bundle could not serve {} trace(s); fell back to the cache/generator \
-             (first: {})",
-            bundle_misses.len(),
-            bundle_misses[0]
         ));
     }
     if !stream_errors.is_empty() {
@@ -1294,31 +1199,11 @@ pub fn run_matrix(
     run_matrix_cached(workloads, configs, trace_len, seed, &RunOptions::default())
 }
 
-/// Parses the optional `[trace_len] [seed]` positional arguments accepted by the
-/// `svwsim` figure shortcuts.
-///
-/// Malformed arguments (a non-numeric trace length or seed, or extra positionals) are
-/// reported on stderr together with a usage line, and the process exits with status 2
-/// — silently falling back to defaults would run a multi-minute experiment the user
-/// did not ask for.
-pub fn parse_cli_args() -> (usize, u64) {
-    match parse_len_seed(std::env::args().skip(1), DEFAULT_TRACE_LEN, DEFAULT_SEED) {
-        Ok(pair) => pair,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("usage: <binary> [trace_len] [seed]");
-            eprintln!(
-                "  trace_len  per-workload dynamic instructions (default {DEFAULT_TRACE_LEN})"
-            );
-            eprintln!("  seed       workload-generation seed (default {DEFAULT_SEED})");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Parses the optional `[trace_len] [seed]` positionals against caller-supplied
-/// defaults. The single source of truth for this little grammar — [`parse_cli_args`]
-/// and the `svwsim` figure shortcuts both route through it.
+/// defaults, as accepted by the `svwsim` figure shortcuts (`svwsim fig5 20000 3`).
+/// Malformed arguments (a non-numeric trace length or seed, or extra positionals)
+/// are errors — silently falling back to defaults would run a multi-minute
+/// experiment the user did not ask for.
 pub fn parse_len_seed(
     mut args: impl Iterator<Item = String>,
     default_trace_len: usize,

@@ -64,11 +64,10 @@ fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
 }
 
 /// The cell-parallel scheduler must produce byte-identical statistics to the plain
-/// sequential path for the same matrix, regardless of the number of jobs — and
-/// regardless of whether workers recycle their simulation arenas (the default) or
-/// build a fresh `Cpu` per cell. A recycled arena crosses cells with different
-/// configurations, workloads, and seeds; any state leaking through a reset would
-/// show up here as a fingerprint mismatch.
+/// sequential path — a fresh `Cpu` per cell — for the same matrix, regardless of
+/// the number of jobs. Workers recycle their simulation arenas, so an arena crosses
+/// cells with different configurations, workloads, and seeds; any state leaking
+/// through a reset would show up here as a fingerprint mismatch.
 #[test]
 fn scheduler_is_deterministic_across_job_counts_and_arena_reuse() {
     let workloads = workloads();
@@ -88,20 +87,16 @@ fn scheduler_is_deterministic_across_job_counts_and_arena_reuse() {
     }
 
     for jobs in [1usize, 4, 16] {
-        for no_recycle in [false, true] {
-            let opts = RunOptions {
-                jobs,
-                no_recycle,
-                ..RunOptions::default()
-            };
-            let result = run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts);
-            assert_eq!(
-                fingerprint(&result.cells),
-                reference,
-                "scheduler output diverged from the sequential path at \
-                 jobs={jobs} no_recycle={no_recycle}"
-            );
-        }
+        let opts = RunOptions {
+            jobs,
+            ..RunOptions::default()
+        };
+        let result = run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts);
+        assert_eq!(
+            fingerprint(&result.cells),
+            reference,
+            "scheduler output diverged from the sequential path at jobs={jobs}"
+        );
     }
 }
 

@@ -1,12 +1,13 @@
 //! Integration tests for the decode-once shared trace arenas: byte-identity
-//! with and without sharing at every job count, arena lifetime bounds (failed
-//! cells included), and kill/resume mid-trace-group with sharing enabled.
+//! with and without sharing at every job count against a per-cell
+//! generate-and-simulate reference, arena lifetime bounds (failed cells
+//! included), and kill/resume mid-trace-group with sharing enabled.
 
 use std::fs;
 use std::path::PathBuf;
 
-use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
-use svw_sim::{run_cells, JsonlSink, RunOptions};
+use svw_cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
+use svw_sim::{execute_plan, run_cells, JsonlSink, RunOptions, SweepPlan};
 use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
 
 const LEN: usize = 2_000;
@@ -62,35 +63,39 @@ fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
         .collect()
 }
 
-/// Sharing decoded arenas must never change results: with arenas, without
-/// arenas, and with the `--no-shared-decode` per-cell path, every job count
-/// produces byte-identical cell statistics.
+/// Sharing decoded arenas must never change results: `execute_plan` with and
+/// without a cross-plan arena registry, at every job count, produces cell
+/// statistics byte-identical to generating each cell's trace itself and
+/// simulating it on a fresh `Cpu`.
 #[test]
 fn shared_decode_is_byte_identical_across_job_counts() {
     let workloads = workloads();
     let configs = configs();
     let seeds = [5u64, 6];
 
-    // Reference: the legacy per-cell decode path, sequentially.
-    let reference = {
-        let opts = RunOptions {
-            jobs: 1,
-            no_shared_decode: true,
-            ..RunOptions::default()
-        };
-        fingerprint(&run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts).cells)
-    };
+    // Reference: every cell generates its own trace, sequentially, in canonical
+    // (workload, configuration, seed) order.
+    let mut reference = String::new();
+    for w in &workloads {
+        for c in &configs {
+            for &s in &seeds {
+                let program = w.generate(LEN, s);
+                let stats = Cpu::new(c.clone(), &program).run();
+                reference.push_str(&format!("{}|{}|{}|{:?}\n", w.name, c.name, s, stats));
+            }
+        }
+    }
 
+    let plan = SweepPlan::enumerate("det", &workloads, &configs, LEN, &seeds, 0);
     for jobs in [1usize, 4, 16] {
         for shared in [false, true] {
             let arenas = TraceArenas::new();
             let opts = RunOptions {
                 jobs,
                 arenas: shared.then_some(&arenas),
-                no_shared_decode: !shared,
                 ..RunOptions::default()
             };
-            let result = run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts);
+            let result = execute_plan(&plan, &opts);
             assert_eq!(
                 fingerprint(&result.cells),
                 reference,

@@ -29,12 +29,11 @@ impl CacheOutcome {
 
 /// Timing and volume measurements for one trace acquisition.
 ///
-/// Filled in by the metered acquisition paths ([`TraceCache::get_or_generate_metered`],
-/// [`crate::TraceBundle::get_metered`]); a plain generation reports only
-/// `generate`. Durations not applicable to the path taken stay zero.
+/// Filled in by [`TraceCache::get_or_generate_metered`]; a generation (miss) reports
+/// only `generate`. Durations not applicable to the path taken stay zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchMeter {
-    /// Bytes read from disk (the `.svwt` file or bundle blob); 0 when generated.
+    /// Bytes read from disk (the `.svwt` file); 0 when generated.
     pub bytes_read: u64,
     /// Time spent decoding the on-disk representation into a [`Program`].
     pub decode: std::time::Duration,

@@ -3,11 +3,9 @@
 //! The reproduction's workloads are synthetic, so every experiment used to pay the
 //! full cost of regenerating its instruction streams. This crate makes traces
 //! first-class artifacts: a [`TraceWriter`] serializes a resolved dynamic trace into
-//! the compact `.svwt` format, a streaming [`TraceReader`] replays one back — either
-//! materialized into a [`Program`] or incrementally through the
-//! [`InstStream`](svw_isa::InstStream) trait without ever holding the whole trace in
-//! memory — and a [`TraceCache`] keyed by `(profile fingerprint, trace length, seed)`
-//! guarantees each workload is generated exactly once per machine.
+//! the compact `.svwt` format, a [`TraceReader`] decodes one back into a
+//! [`Program`], and a [`TraceCache`] keyed by `(profile fingerprint, trace length,
+//! seed)` guarantees each workload is generated exactly once per machine.
 //!
 //! # The `.svwt` format (version 1)
 //!
@@ -79,16 +77,12 @@ use std::io;
 
 use svw_isa::Program;
 
-mod bundle;
 mod cache;
 mod codec;
 mod reader;
 mod varint;
 mod writer;
 
-pub use bundle::{
-    pack_bundle, PackStats, TraceBundle, BUNDLE_FILE_EXTENSION, BUNDLE_FORMAT_VERSION, BUNDLE_MAGIC,
-};
 pub use cache::{CacheOutcome, FetchMeter, TraceCache};
 pub use reader::{TraceHeader, TraceReader};
 pub use writer::{write_program, TraceWriter};

@@ -1,14 +1,19 @@
-//! Streaming trace replay.
+//! `.svwt` trace decoding.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 
-use svw_isa::{DynInst, InstSeq, InstStream, Program};
+use svw_isa::{DynInst, InstSeq, Program};
 
 use crate::codec::{decode_inst, CodecState};
 use crate::varint::read_u64;
 use crate::{fnv1a, TraceError, FNV_OFFSET, FORMAT_VERSION, MAGIC};
+
+/// Records [`TraceReader::read_program`] reserves before any is decoded: every
+/// trace up to 2^20 instructions is read without regrowing the vector, while a
+/// hostile header `count` reserves at most this much address space.
+const MAX_PREALLOC: u64 = 1 << 20;
 
 /// The parsed fixed-size portion of a `.svwt` file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,12 +44,11 @@ impl<R: Read> Read for ChecksumRead<R> {
     }
 }
 
-/// Streaming `.svwt` reader.
+/// Incremental `.svwt` reader.
 ///
-/// Decodes records one at a time: use [`TraceReader::next_record`] (or the
-/// [`InstStream`] impl) for incremental replay, or [`TraceReader::read_program`] to
-/// materialize the remaining records. The trailing checksum is verified when the last
-/// record has been read.
+/// Decodes records one at a time with [`TraceReader::next_record`], or materializes
+/// the remaining records with [`TraceReader::read_program`]. The trailing checksum is
+/// verified when the last record has been read.
 pub struct TraceReader<R: Read> {
     input: ChecksumRead<R>,
     header: TraceHeader,
@@ -114,8 +118,8 @@ impl<R: Read> TraceReader<R> {
     ///
     /// The trailing checksum is verified *as part of returning the final record* (not
     /// lazily on the read past the end), so a consumer that pulls exactly
-    /// [`TraceHeader::count`] records — like the streaming CPU replay — still sees
-    /// corruption as an error rather than completing on a damaged file.
+    /// [`TraceHeader::count`] records still sees corruption as an error rather than
+    /// completing on a damaged file.
     pub fn next_record(&mut self) -> Result<Option<DynInst>, TraceError> {
         if self.next_seq >= self.header.count {
             self.verify_trailer()?;
@@ -143,33 +147,17 @@ impl<R: Read> TraceReader<R> {
 
     /// Materializes every remaining record into a [`Program`] (verifying the
     /// checksum).
+    ///
+    /// The header's record count is untrusted: at most 2^20 records are reserved up
+    /// front and the vector grows from there, so a hostile `count` fails on the
+    /// missing records instead of aborting the allocation.
     pub fn read_program(mut self) -> Result<Program, TraceError> {
-        let mut trace = Vec::with_capacity((self.header.count - self.next_seq) as usize);
+        let remaining = self.header.count - self.next_seq;
+        let mut trace = Vec::with_capacity(remaining.min(MAX_PREALLOC) as usize);
         while let Some(inst) = self.next_record()? {
             trace.push(inst);
         }
         Ok(Program::new(self.header.name.clone(), trace))
-    }
-}
-
-impl<R: Read> InstStream for TraceReader<R> {
-    fn name(&self) -> &str {
-        &self.header.name
-    }
-
-    fn len(&self) -> usize {
-        self.header.count as usize
-    }
-
-    /// Streaming replay interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace turns out to be corrupt mid-stream — a streaming consumer
-    /// (the CPU model) has no way to recover from a truncated instruction source.
-    fn next_inst(&mut self) -> Option<DynInst> {
-        self.next_record()
-            .unwrap_or_else(|e| panic!("corrupt trace during streaming replay: {e}"))
     }
 }
 
@@ -228,18 +216,20 @@ mod tests {
     fn streaming_read_matches_source() {
         let (bytes, program) = sample_bytes();
         let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(InstStream::len(&reader), program.len());
         for expected in program.instructions() {
-            assert_eq!(reader.next_inst().as_ref(), Some(expected));
+            assert_eq!(reader.next_record().unwrap().as_ref(), Some(expected));
         }
-        assert!(reader.next_inst().is_none());
-        assert!(reader.next_inst().is_none(), "stream stays exhausted");
+        assert!(reader.next_record().unwrap().is_none());
+        assert!(
+            reader.next_record().unwrap().is_none(),
+            "the reader stays exhausted"
+        );
     }
 
     #[test]
     fn trailer_corruption_is_caught_on_the_final_record() {
-        // A streaming consumer pulls exactly `count` records and never reads past the
-        // end — the checksum must still be enforced on that path.
+        // A consumer that pulls exactly `count` records never reads past the end —
+        // the checksum must still be enforced on that path.
         let (mut bytes, program) = sample_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // inside the stored checksum trailer

@@ -1,12 +1,13 @@
 //! Property and determinism tests for the `.svwt` codec: encode→decode is the
-//! identity on arbitrary generated programs, capture is byte-deterministic, and a
+//! identity on arbitrary generated programs, damaged images decode to an error
+//! (never a panic or an aborted allocation), capture is byte-deterministic, and a
 //! replayed trace drives the timing model to exactly the same statistics as the
 //! directly generated program.
 
 use proptest::prelude::*;
 
 use svw_cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
-use svw_trace::{read_program_from_slice, write_program_to_vec, TraceReader};
+use svw_trace::{read_program_from_slice, write_program_to_vec};
 use svw_workloads::WorkloadProfile;
 
 /// A strategy over workload profiles: one of the sixteen SPEC-like profiles or the
@@ -27,6 +28,48 @@ fn profile_strategy() -> impl Strategy<Value = WorkloadProfile> {
         }
         p
     })
+}
+
+/// One way of damaging a valid `.svwt` image.
+#[derive(Clone, Debug)]
+enum Damage {
+    /// Keep only the first `n % len` bytes.
+    Truncate(usize),
+    /// Flip bit `n % 8` of byte `(n / 8) % len`.
+    FlipBit(usize),
+    /// Overwrite the little-endian header field at this byte offset (seed,
+    /// fingerprint, requested length or record count) with a value.
+    Overwrite(usize, u64),
+}
+
+impl Damage {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        match *self {
+            Damage::Truncate(n) => bytes.truncate(n % bytes.len()),
+            Damage::FlipBit(n) => {
+                let len = bytes.len();
+                bytes[(n / 8) % len] ^= 1 << (n % 8);
+            }
+            Damage::Overwrite(offset, value) => {
+                bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            }
+        }
+    }
+}
+
+fn damage_strategy() -> impl Strategy<Value = Damage> {
+    let value = prop_oneof![
+        0u64..4_096,
+        Just(1u64 << 50),
+        Just(u64::MAX),
+        0u64..u64::MAX,
+    ];
+    prop_oneof![
+        (0usize..1 << 16).prop_map(Damage::Truncate),
+        (0usize..1 << 19).prop_map(Damage::FlipBit),
+        // Header layout: magic (4), version (2), flags (2), then the four u64s.
+        (0usize..4, value).prop_map(|(field, v)| Damage::Overwrite(8 + 8 * field, v)),
+    ]
 }
 
 proptest! {
@@ -58,6 +101,27 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A truncated, bit-flipped or header-overwritten image decodes to an error or
+    /// to the original instructions — never a panic, never an aborted allocation.
+    #[test]
+    fn damaged_images_decode_to_an_error_or_the_original(
+        len in 50usize..800,
+        seed in 0u64..1_000,
+        damage in damage_strategy(),
+    ) {
+        let profile = WorkloadProfile::quicktest();
+        let program = profile.generate(len, seed);
+        let mut bytes = write_program_to_vec(&program, len, seed, profile.fingerprint());
+        damage.apply(&mut bytes);
+        if let Ok(decoded) = read_program_from_slice(&bytes) {
+            prop_assert_eq!(decoded.instructions(), program.instructions());
+        }
+    }
+}
+
 /// Same `(profile, trace_len, seed)` ⇒ byte-identical `.svwt` images.
 #[test]
 fn capture_is_byte_deterministic() {
@@ -82,7 +146,7 @@ fn nlq_svw_config() -> MachineConfig {
 }
 
 /// Replaying a captured trace produces exactly the statistics of the generated
-/// program — materialized or streamed, the timing model cannot tell the difference.
+/// program — the timing model cannot tell the difference.
 #[test]
 fn replayed_trace_reproduces_cpu_stats() {
     let profile = WorkloadProfile::by_name("gcc").unwrap();
@@ -94,11 +158,6 @@ fn replayed_trace_reproduces_cpu_stats() {
     let materialized_program = read_program_from_slice(&bytes).unwrap();
     let materialized = Cpu::new(nlq_svw_config(), &materialized_program).run();
 
-    let streamed_reader = TraceReader::new(bytes.as_slice()).unwrap();
-    let streamed = Cpu::from_stream(nlq_svw_config(), Box::new(streamed_reader)).run();
-
-    let direct_repr = format!("{direct:?}");
-    assert_eq!(direct_repr, format!("{materialized:?}"));
-    assert_eq!(direct_repr, format!("{streamed:?}"));
+    assert_eq!(format!("{direct:?}"), format!("{materialized:?}"));
     assert!(direct.committed >= 5_000);
 }

@@ -16,9 +16,9 @@
 //! by the whole matrix. An arena whose last use is released is dropped
 //! immediately; a later lookup simply decodes again.
 //!
-//! Sharing never changes results: the arena stores the same `Program` the
-//! legacy per-cell path decodes, and the A/B flag (`--no-shared-decode`)
-//! bypasses this module entirely to prove it byte-for-byte.
+//! Sharing never changes results: the arena stores the same `Program` a cell
+//! would generate for itself, which the decode-sharing tests compare byte for
+//! byte against a per-cell generate-and-simulate reference.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +26,34 @@ use std::sync::{Arc, Mutex};
 
 use svw_isa::Program;
 
-use crate::manifest::TraceKey;
+use crate::WorkloadProfile;
+
+/// The identity of one generated trace: the workload profile's parameter
+/// [fingerprint](WorkloadProfile::fingerprint) plus the requested length and
+/// generation seed — the same key the on-disk trace cache files are named by.
+/// Keys carry the fingerprint rather than the profile itself, so editing a
+/// profile changes the key instead of replaying a stale trace.
+#[derive(Clone, Debug, Hash, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TraceKey {
+    /// The workload profile's parameter fingerprint
+    /// ([`WorkloadProfile::fingerprint`]).
+    pub fingerprint: u64,
+    /// Requested dynamic trace length.
+    pub trace_len: u64,
+    /// Workload-generation seed.
+    pub seed: u64,
+}
+
+impl TraceKey {
+    /// The key of `profile`'s trace at `(trace_len, seed)`.
+    pub fn of(profile: &WorkloadProfile, trace_len: usize, seed: u64) -> TraceKey {
+        TraceKey {
+            fingerprint: profile.fingerprint(),
+            trace_len: trace_len as u64,
+            seed,
+        }
+    }
+}
 
 /// One arena slot: the decoded program (lazily published by the first consumer
 /// that decodes it) plus the number of registered uses still outstanding.
@@ -177,7 +204,6 @@ impl Drop for ArenaPin<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::WorkloadProfile;
 
     fn key(seed: u64) -> TraceKey {
         TraceKey::of(&WorkloadProfile::quicktest(), 500, seed)
@@ -185,6 +211,17 @@ mod tests {
 
     fn program() -> Arc<Program> {
         Arc::new(WorkloadProfile::quicktest().generate(500, 1))
+    }
+
+    #[test]
+    fn keys_follow_the_profile_fingerprint() {
+        let p = WorkloadProfile::quicktest();
+        let k = TraceKey::of(&p, 1_000, 7);
+        assert_eq!(k.fingerprint, p.fingerprint());
+        assert_eq!((k.trace_len, k.seed), (1_000, 7));
+        let mut edited = p.clone();
+        edited.load_frac += 0.01;
+        assert_ne!(TraceKey::of(&edited, 1_000, 7), k, "edits change the key");
     }
 
     #[test]

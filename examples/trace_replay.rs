@@ -1,6 +1,7 @@
-//! Trace capture and replay: capture a workload to a `.svwt` file, replay it both
-//! materialized and streaming, and show that the timing model cannot tell any of the
-//! three apart — plus what the trace cache saves on the second acquisition.
+//! Trace capture and replay: capture a workload to the `.svwt` format, decode it
+//! back with `TraceReader::read_program`, and show that the timing model cannot
+//! tell the replay from the directly generated program — plus what the trace
+//! cache saves on the second acquisition.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
@@ -36,31 +37,29 @@ fn main() {
         bytes.len() as f64 / program.len() as f64,
     );
 
-    // Replay three ways: direct, materialized from bytes, streaming from bytes.
-    let direct = Cpu::new(config(), &program).run();
-    let materialized_program = svw::trace::read_program_from_slice(&bytes).expect("valid trace");
-    let materialized = Cpu::new(config(), &materialized_program).run();
-    let reader = TraceReader::new(bytes.as_slice()).expect("valid trace");
-    let streamed = Cpu::from_stream(config(), Box::new(reader)).run();
-
+    // Replay: decode the whole trace (checksum verified), then simulate it.
+    let reader = TraceReader::new(bytes.as_slice()).expect("valid header");
     println!(
-        "direct       IPC {:.4}, {:.2}% loads re-executed",
+        "header: workload {}, seed {}, {} records",
+        reader.header().name,
+        reader.header().seed,
+        reader.header().count
+    );
+    let replayed_program = reader.read_program().expect("valid trace");
+    let direct = Cpu::new(config(), &program).run();
+    let replayed = Cpu::new(config(), &replayed_program).run();
+    println!(
+        "direct   IPC {:.4}, {:.2}% loads re-executed",
         direct.ipc(),
         direct.reexec_rate()
     );
     println!(
-        "materialized IPC {:.4}, {:.2}% loads re-executed",
-        materialized.ipc(),
-        materialized.reexec_rate()
+        "replayed IPC {:.4}, {:.2}% loads re-executed",
+        replayed.ipc(),
+        replayed.reexec_rate()
     );
-    println!(
-        "streaming    IPC {:.4}, {:.2}% loads re-executed",
-        streamed.ipc(),
-        streamed.reexec_rate()
-    );
-    assert_eq!(format!("{direct:?}"), format!("{materialized:?}"));
-    assert_eq!(format!("{direct:?}"), format!("{streamed:?}"));
-    println!("all three replays produced identical statistics");
+    assert_eq!(format!("{direct:?}"), format!("{replayed:?}"));
+    println!("direct and replayed runs produced identical statistics");
 
     // The cache: first acquisition generates and captures, the second reads back.
     let dir = std::env::temp_dir().join("svw-example-trace-cache");
