@@ -19,11 +19,18 @@ use svw_sim::{
     render_artifact, render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId,
     DifferentialChecker, EventSink, ExperimentCtx, FigureReport, JsonlSink, MergeInput,
     OracleOptions, Progress, ResultCache, RunOptions, Shard, Stat, StatsCollector, SweepMetrics,
-    SweepObserver, LATEST_MODEL_VERSION,
+    SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
-use svw_sim::{DEFAULT_SEED, DEFAULT_TRACE_LEN};
 use svw_trace::{TraceCache, TraceReader};
 use svw_workloads::{ArenaPin, TraceArenas, WorkloadProfile};
+
+#[path = "svwsim/flags.rs"]
+mod flags;
+#[cfg(test)]
+#[path = "svwsim/tests.rs"]
+mod tests;
+
+use flags::Args;
 
 const USAGE: &str = "\
 svwsim — Store Vulnerability Window (ISCA 2005) reproduction driver
@@ -63,7 +70,7 @@ INSPECT:
 RUN:
     svwsim run (--trace FILE | --workload NAME) [--config NAME]
                [--trace-len N] [--seed N] [--seeds K] [--json]
-    `--config list` prints the available configuration names (default: nlq-svw).
+    `--config list` prints the available configuration names.
     With `--trace`, the file is decoded in full before anything is simulated (a
     corrupt file fails with an error, exit 2) and replayed like any other cell;
     `--oracle` cross-checks the replay, and `--json` prints exactly what
@@ -151,7 +158,7 @@ PROFILE:
     svwsim profile EVENTS.jsonl... [--top N] [--json]
     Reads one or more --events journals (e.g. each shard's) and reports phase
     breakdowns (trace-acquire / decode / simulate / write) in aggregate and per
-    workload, the --top N slowest cells (default 5), and per-worker busy time
+    workload, the --top N slowest cells, and per-worker busy time
     and utilization. Each input file is treated as one process's timeline.
 
 CACHE:
@@ -165,263 +172,67 @@ CACHE:
     reports what it found (a pruned entry is simply re-simulated and re-stored
     by the next sweep that needs it). See docs/CACHING.md.
 
-COMMON OPTIONS:
-    --trace-len N    per-workload dynamic instructions (default 60000)
-    --seed N         first workload-generation seed (default 1)
-    --seeds K        replication: run seeds seed..seed+K (default 1); reports
-                     aggregate to mean ± 95% CI per cell
-    --ci-target PCT  adaptive replication to a 95% CI within PCT% of the mean
-    --min-seeds K    adaptive: seeds before the first CI check (default 3)
-    --max-seeds K    adaptive: hard per-workload seed ceiling (default 10)
-    --shard I/N      run only shard I (0-based) of N; `auto` reads cluster env
-                     vars; see SWEEP
-    --model-version N
-                     simulate under simulator model version N (default 1;
-                     latest 2). v1 is the byte-identical baseline; v2 fixes the
-                     issue-stage FP-budget quirk. Results record the version in
-                     their lineage, reports carry a divergence note, and merge/
-                     coordinate reject shards from a different version
-    --substrate      append substrate-level tables (SSBF lookup/update traffic,
-                     L2 miss rate) to every artifact report, text and JSON
-    --jobs N         worker threads (default: all available parallelism)
-    --out FILE       stream per-cell results to FILE as JSONL and resume from it
-    --plan FILE      sweep: execute a coordinator plan file instead of --figure
-    --plan-out FILE  coordinate: where to write the next requeue plan
-    --stats          dump per-worker scheduler statistics (cells drained, resets
-                     vs rebuilds, slab high-water marks) and trace-acquisition
-                     counters (generated / cache hits) to stderr
-    --stats-json F   write the --stats counters to F as one JSON object
-    --events FILE    append a kill-tolerant per-cell lifecycle event journal
-                     (planned/trace_acquired/decoded/simulated/written, worker
-                     ids, per-phase durations) to FILE; merge and coordinate
-                     append merge_summary/round_summary events; analyze with
-                     `svwsim profile`
-    --progress       live progress lines on stderr (cells done/total, cells/s,
-                     ETA over cells still owed real simulation; --ci-target
-                     runs add the worst per-workload relative CI)
-    --metrics-out F  write an end-of-run metrics snapshot (counters, gauges,
-                     phase-duration histograms) to F in Prometheus text format
-                     None of the observability flags changes any artifact:
-                     every report and JSONL stream stays byte-identical with
-                     instrumentation on or off.
-    --oracle         cross-check every simulated cell against the in-order
-                     golden-model executor (differential oracle, see
-                     docs/VERIFICATION.md): each committed load and store is
-                     compared with sequential semantics, and a divergence fails
-                     the cell with a report naming the first divergent
-                     instruction; any failed cell makes the run exit nonzero.
-                     The checker is a pure observer — results stay byte-identical
-                     with or without --oracle when no divergence exists
-    --inject-fault N corrupt the oracle checker's view of the N-th committed
-                     load (0-based) in every cell, proving end to end that the
-                     oracle detects a wrong value; the simulation itself is
-                     untouched. Requires --oracle
-    --json           emit machine-readable JSON instead of text tables
-    --verbose        log trace-cache activity to stderr
-    --no-cache       regenerate workloads instead of using the trace cache
-    --cache-dir DIR  trace cache root (default $SVW_TRACE_CACHE, else
-                     ~/.cache/svw/traces)
-    --result-cache DIR
-                     content-addressed *result* cache: before scheduling, every
-                     cell is looked up by its full identity (workload
-                     fingerprint, config, seed, trace length, model version,
-                     spec fingerprint) and a hit skips trace acquisition,
-                     decode, and simulation entirely; every freshly simulated
-                     cell is published back with an atomic write, so concurrent
-                     sweeps, users, and CI can share one directory (default
-                     $SVW_RESULT_CACHE; unset = no result cache). Renders are
-                     byte-identical with or without the cache
-    --no-result-cache
-                     ignore --result-cache/$SVW_RESULT_CACHE and simulate
-                     every cell (A/B check)
-    --result-cache-mode rw|ro|wo
-                     rw (default) reads and publishes; ro never writes (CI
-                     against a read-only shared store); wo never reads
-                     (re-simulate everything but still warm the store)
 ";
 
-/// Options shared by every subcommand, parsed off the argument list first.
-struct Common {
-    trace_len: usize,
-    seed: u64,
-    /// Number of replication seeds (`seed..seed+seeds`).
-    seeds: u64,
-    /// Worker threads; 0 means all available parallelism.
-    jobs: usize,
-    /// Streaming JSONL results file (enables resume).
-    out: Option<String>,
-    /// Run only this slice of the cell list (distributed sweeps).
-    shard: Option<Shard>,
-    /// Adaptive sequential sampling: target relative 95% CI of IPC, in percent.
-    ci_target: Option<f64>,
-    /// Adaptive: seeds before the first CI check (set only if given; default 3).
-    min_seeds: Option<usize>,
-    /// Adaptive: hard per-workload seed ceiling (set only if given; default 10).
-    max_seeds: Option<usize>,
-    /// Simulator model version to run under (default 1, the byte-identical baseline).
-    model_version: u32,
-    /// Dump per-worker scheduler statistics to stderr after the run.
-    stats: bool,
-    /// Write the `--stats` counters to this file as one JSON object.
-    stats_json: Option<String>,
-    /// Append the per-cell lifecycle event journal to this file.
-    events: Option<String>,
-    /// Report live progress lines on stderr.
-    progress: bool,
-    /// Write an end-of-run Prometheus text metrics snapshot to this file.
-    metrics_out: Option<String>,
-    /// Append substrate-level tables to every artifact report.
-    substrate: bool,
-    json: bool,
-    verbose: bool,
-    no_cache: bool,
-    /// Cross-check every simulated cell against the in-order golden model.
-    oracle: bool,
-    /// Corrupt the oracle checker's view of the N-th committed load per cell
-    /// (self-test of the differential oracle; requires `--oracle`).
-    inject_fault: Option<u64>,
-    cache_dir: Option<String>,
-    /// Content-addressed result cache directory (`--result-cache`).
-    result_cache: Option<String>,
-    /// Ignore the result cache entirely (A/B check; overrides `--result-cache`
-    /// and `$SVW_RESULT_CACHE`).
-    no_result_cache: bool,
-    /// Result-cache access mode (`rw`/`ro`/`wo`; default `rw`).
-    result_cache_mode: Option<String>,
-    /// Arguments the common pass did not consume, in order.
-    rest: Vec<String>,
+/// The help text: the per-command prose and the table's OPTIONS section.
+fn usage() -> String {
+    format!("{USAGE}{}", flags::options_help())
 }
 
-impl Common {
-    /// The replication seed list: `seed..seed+seeds`.
-    fn seed_list(&self) -> Vec<u64> {
-        (0..self.seeds).map(|i| self.seed + i).collect()
-    }
-
-    /// The differential-oracle options, when `--oracle` was given.
-    fn oracle_options(&self) -> Option<OracleOptions> {
-        self.oracle.then_some(OracleOptions {
-            inject_fault: self.inject_fault,
-        })
-    }
-
-    /// The adaptive sampling policy, when `--ci-target` was given (validated).
-    fn adaptive(&self) -> Option<AdaptiveOpts> {
-        let Some(ci_target_pct) = self.ci_target else {
-            if self.min_seeds.is_some() || self.max_seeds.is_some() {
-                fail("--min-seeds/--max-seeds require --ci-target (they bound adaptive sampling; use --seeds for a fixed count)");
-            }
-            return None;
-        };
-        let opts = AdaptiveOpts {
-            ci_target_pct,
-            min_seeds: self.min_seeds.unwrap_or(3),
-            max_seeds: self.max_seeds.unwrap_or(10),
-        };
-        if let Err(e) = opts.validate() {
-            fail(&e);
-        }
-        if self.seeds != 1 {
-            fail("--seeds and --ci-target are mutually exclusive (adaptive sampling picks the seed count; bound it with --min-seeds/--max-seeds)");
-        }
-        if self.shard.is_some() {
-            fail("--ci-target and --shard are mutually exclusive: adaptive sampling needs every configuration's results to decide when to stop");
-        }
-        Some(opts)
-    }
-
-    /// Rejects sweep-only flags for commands that do not run the cell scheduler.
-    fn reject_sweep_flags(&self, command: &str) {
-        if self.shard.is_some() {
-            fail(&format!("--shard does not apply to {command}"));
-        }
-        if self.ci_target.is_some() {
-            fail(&format!("--ci-target does not apply to {command}"));
-        }
-        if self.min_seeds.is_some() || self.max_seeds.is_some() {
-            fail(&format!(
-                "--min-seeds/--max-seeds do not apply to {command}"
-            ));
-        }
-        if self.stats {
-            fail(&format!("--stats does not apply to {command}"));
-        }
-        if self.stats_json.is_some() {
-            fail(&format!("--stats-json does not apply to {command}"));
-        }
-        if self.progress {
-            fail(&format!("--progress does not apply to {command}"));
-        }
-        if self.metrics_out.is_some() {
-            fail(&format!("--metrics-out does not apply to {command}"));
-        }
-        if self.substrate {
-            fail(&format!("--substrate does not apply to {command}"));
-        }
-        if self.oracle {
-            fail(&format!("--oracle does not apply to {command}"));
-        }
-        if self.inject_fault.is_some() {
-            fail(&format!("--inject-fault does not apply to {command}"));
-        }
-    }
-
-    /// Rejects `--model-version` for commands whose outputs do not depend on the
-    /// simulator model (trace capture/inspection, journal analysis, registry
-    /// inspection) — traces are model-independent by construction.
-    fn reject_model_version(&self, command: &str) {
-        if self.model_version != 1 {
-            fail(&format!("--model-version does not apply to {command}"));
-        }
-    }
-
-    /// Rejects `--events` for commands that emit no lifecycle or summary events
-    /// (merge and coordinate *do* journal summary events, so this is separate
-    /// from [`Common::reject_sweep_flags`]).
-    fn reject_events_flag(&self, command: &str) {
-        if self.events.is_some() {
-            fail(&format!("--events does not apply to {command}"));
-        }
-    }
-
-    /// Rejects executor/report flags for commands that never simulate a cell
-    /// (coordinate) — silently ignoring them would hide typos and
-    /// misconceptions, the same way [`Common::reject_sweep_flags`] guards the
-    /// non-scheduler commands.
-    fn reject_simulation_flags(&self, command: &str) {
-        for (set, flag) in [
-            (self.stats, "--stats"),
-            (self.stats_json.is_some(), "--stats-json"),
-            (self.progress, "--progress"),
-            (self.metrics_out.is_some(), "--metrics-out"),
-            (self.json, "--json"),
-            (self.substrate, "--substrate"),
-            (self.oracle, "--oracle"),
-            (self.inject_fault.is_some(), "--inject-fault"),
-        ] {
-            if set {
-                fail(&format!("{flag} does not apply to {command}"));
-            }
-        }
-    }
-
-    /// Rejects the result-cache flags for commands that neither simulate cells
-    /// nor manage the store. Only *explicit* flags are rejected — a globally
-    /// exported `$SVW_RESULT_CACHE` must not break `merge` or `profile`.
-    fn reject_result_cache_flags(&self, command: &str) {
-        for (set, flag) in [
-            (self.result_cache.is_some(), "--result-cache"),
-            (self.no_result_cache, "--no-result-cache"),
-            (self.result_cache_mode.is_some(), "--result-cache-mode"),
-        ] {
-            if set {
-                fail(&format!("{flag} does not apply to {command}"));
-            }
-        }
-    }
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("run `svwsim help` for usage");
+    std::process::exit(2);
 }
 
-/// Prints the per-worker scheduler statistics accumulated over a run.
+/// The replication seed list: `seed..seed+seeds`.
+fn seed_list(args: &Args) -> Vec<u64> {
+    let seed: u64 = args.num("--seed");
+    (0..args.num::<u64>("--seeds")).map(|i| seed + i).collect()
+}
+
+/// The differential-oracle options, when `--oracle` was given.
+fn oracle_options(args: &Args) -> Option<OracleOptions> {
+    args.has("--oracle").then(|| OracleOptions {
+        inject_fault: args.int("--inject-fault"),
+    })
+}
+
+/// The adaptive sampling policy, when `--ci-target` was given (validated).
+fn adaptive(args: &Args) -> Option<AdaptiveOpts> {
+    let Some(ci_target_pct) = args.float("--ci-target") else {
+        if args.has("--min-seeds") || args.has("--max-seeds") {
+            fail("--min-seeds/--max-seeds require --ci-target (they bound adaptive sampling; use --seeds for a fixed count)");
+        }
+        return None;
+    };
+    if args.num::<u64>("--seeds") != 1 {
+        fail("--seeds and --ci-target are mutually exclusive (adaptive sampling picks the seed count; bound it with --min-seeds/--max-seeds)");
+    }
+    if args.has("--shard") {
+        fail("--ci-target and --shard are mutually exclusive: adaptive sampling needs every configuration's results to decide when to stop");
+    }
+    let opts = AdaptiveOpts {
+        ci_target_pct,
+        min_seeds: args.num("--min-seeds"),
+        max_seeds: args.num("--max-seeds"),
+    };
+    opts.validate().unwrap_or_else(|e| fail(&e));
+    Some(opts)
+}
+
+/// The `--shard` slice, when given; `auto` reads it from cluster variables.
+fn shard(args: &Args) -> Option<Shard> {
+    args.text("--shard").map(|raw| {
+        let shard = if raw == "auto" {
+            Shard::from_env()
+        } else {
+            Shard::parse(raw)
+        };
+        shard.unwrap_or_else(|e| fail(&e))
+    })
+}
+
 fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCache>) {
     let workers = collector.workers();
     eprintln!("[svwsim] per-worker scheduler statistics:");
@@ -515,233 +326,129 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
 /// Builds the `--events`/`--progress`/`--metrics-out` observer bundle for
 /// scheduler commands; `None` when no instrumentation flag was given, so the
 /// hot path pays nothing.
-fn build_observer(common: &Common) -> Option<SweepObserver> {
-    let observer = SweepObserver {
-        events: common.events.as_ref().map(|path| {
-            EventSink::open(path)
-                .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")))
-        }),
-        metrics: common.metrics_out.is_some().then(SweepMetrics::new),
-        progress: common.progress.then(Progress::new),
-    };
-    (!observer.is_empty()).then_some(observer)
+/// One executor session: the trace cache, result cache, `--out` sink, stats
+/// collector, observer and decode arenas a scheduler command runs under, and
+/// the epilogues that close them.
+struct Session<'a> {
+    args: &'a Args,
+    cache: Option<TraceCache>,
+    result_cache: Option<ResultCache>,
+    sink: Option<JsonlSink>,
+    collector: Option<StatsCollector>,
+    observer: Option<SweepObserver>,
+    /// One decode-once arena registry per invocation: the matrices of a
+    /// multi-table artifact, the artifacts of one render and the plans of one
+    /// requeue round share each decoded trace instead of re-decoding it.
+    arenas: TraceArenas,
 }
 
-/// End-of-run observability epilogue: the final progress line, the
-/// `--metrics-out` snapshot, and a warning if any journal append failed.
-fn finish_observer(common: &Common, observer: Option<&SweepObserver>) {
-    let Some(observer) = observer else { return };
-    if let Some(progress) = &observer.progress {
-        progress.finish();
+impl<'a> Session<'a> {
+    fn open(args: &'a Args) -> Self {
+        Session {
+            args,
+            cache: open_cache(args),
+            result_cache: open_result_cache(args),
+            sink: open_sink(args),
+            // --oracle forces the collector even without --stats: its per-worker
+            // failed counters are how `finish` counts divergences.
+            collector: (args.has("--stats") || args.has("--stats-json") || args.has("--oracle"))
+                .then(StatsCollector::new),
+            // `None` when no instrumentation flag was given, so the hot path
+            // pays nothing.
+            observer: {
+                let observer = SweepObserver {
+                    events: args.text("--events").map(|path| {
+                        EventSink::open(path)
+                            .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")))
+                    }),
+                    metrics: args.has("--metrics-out").then(SweepMetrics::new),
+                    progress: args.has("--progress").then(Progress::new),
+                };
+                (!observer.is_empty()).then_some(observer)
+            },
+            arenas: TraceArenas::new(),
+        }
     }
-    if let (Some(path), Some(metrics)) = (&common.metrics_out, &observer.metrics) {
-        std::fs::write(path, metrics.render_prometheus())
-            .unwrap_or_else(|e| fail(&format!("cannot write --metrics-out {path}: {e}")));
+
+    /// The executor options of this session, running the `shard` slice.
+    fn options(&self, shard: Option<Shard>) -> RunOptions<'_> {
+        RunOptions {
+            cache: self.cache.as_ref(),
+            verbose: self.args.has("--verbose"),
+            jobs: self.args.num("--jobs"),
+            sink: self.sink.as_ref(),
+            shard,
+            stats: self.collector.as_ref(),
+            obs: self.observer.as_ref(),
+            arenas: Some(&self.arenas),
+            oracle: oracle_options(self.args),
+            result_cache: self.result_cache.as_ref(),
+        }
     }
-    if let Some(events) = &observer.events {
-        if events.write_errors() > 0 {
+
+    /// The end-of-run epilogues: the final progress line, the `--metrics-out`
+    /// snapshot, a warning if any journal append failed, the `--stats` and
+    /// `--stats-json` dumps, and the result-cache summary. Returns the number
+    /// of cells that failed (counted when `--oracle` or a stats flag is given).
+    fn finish(self) -> u64 {
+        let result_cache = self.result_cache.as_ref();
+        if let Some(observer) = &self.observer {
+            if let Some(progress) = &observer.progress {
+                progress.finish();
+            }
+            if let (Some(path), Some(metrics)) =
+                (self.args.text("--metrics-out"), &observer.metrics)
+            {
+                std::fs::write(path, metrics.render_prometheus())
+                    .unwrap_or_else(|e| fail(&format!("cannot write --metrics-out {path}: {e}")));
+            }
+            if let Some(events) = &observer.events {
+                if events.write_errors() > 0 {
+                    eprintln!(
+                        "warning: {} event line(s) failed to write to {}",
+                        events.write_errors(),
+                        events.path().display()
+                    );
+                }
+            }
+        }
+        if let Some(collector) = &self.collector {
+            if self.args.has("--stats") {
+                dump_worker_stats(collector, result_cache);
+            }
+            if let Some(path) = self.args.text("--stats-json") {
+                write_stats_json(path, collector, result_cache);
+            }
+        }
+        // `misses` counts exactly the cells that went on to real simulation
+        // (restored and out-of-shard cells never consult the cache), so a fully
+        // warm run reads `... 0 simulated, 0 stored` — the line CI greps for.
+        if let Some(rc) = result_cache {
+            let c = rc.counters();
+            let errors = if c.store_errors > 0 {
+                format!(", {} store error(s)", c.store_errors)
+            } else {
+                String::new()
+            };
             eprintln!(
-                "warning: {} event line(s) failed to write to {}",
-                events.write_errors(),
-                events.path().display()
+                "[svwsim] result cache {} (mode {}): {} cached, {} simulated, {} stored{errors}",
+                rc.root().display(),
+                rc.mode().label(),
+                c.hits,
+                c.misses,
+                c.stores,
             );
         }
+        self.collector
+            .map_or(0, |c| c.workers().iter().map(|w| w.cells_failed).sum())
     }
 }
 
-/// `--stats`/`--stats-json` epilogue shared by the scheduler commands.
-fn finish_stats(
-    common: &Common,
-    collector: Option<&StatsCollector>,
-    result_cache: Option<&ResultCache>,
-) {
-    let Some(collector) = collector else { return };
-    if common.stats {
-        dump_worker_stats(collector, result_cache);
-    }
-    if let Some(path) = &common.stats_json {
-        write_stats_json(path, collector, result_cache);
-    }
-}
-
-/// End-of-run result-cache summary, printed whenever the cache was enabled.
-/// `misses` counts exactly the cells that went on to real simulation (restored
-/// and out-of-shard cells never consult the cache), so a fully warm run reads
-/// `... 0 simulated, 0 stored` — the line CI's warm-cache smoke greps for.
-fn finish_result_cache(result_cache: Option<&ResultCache>) {
-    let Some(rc) = result_cache else { return };
-    let c = rc.counters();
-    let errors = if c.store_errors > 0 {
-        format!(", {} store error(s)", c.store_errors)
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "[svwsim] result cache {} (mode {}): {} cached, {} simulated, {} stored{errors}",
-        rc.root().display(),
-        rc.mode().label(),
-        c.hits,
-        c.misses,
-        c.stores,
-    );
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("run `svwsim help` for usage");
-    std::process::exit(2);
-}
-
-fn parse_common(args: Vec<String>) -> Common {
-    let mut c = Common {
-        trace_len: DEFAULT_TRACE_LEN,
-        seed: DEFAULT_SEED,
-        seeds: 1,
-        jobs: 0,
-        out: None,
-        shard: None,
-        ci_target: None,
-        min_seeds: None,
-        max_seeds: None,
-        model_version: 1,
-        stats: false,
-        stats_json: None,
-        events: None,
-        progress: false,
-        metrics_out: None,
-        substrate: false,
-        json: false,
-        verbose: false,
-        no_cache: false,
-        oracle: false,
-        inject_fault: None,
-        cache_dir: None,
-        result_cache: None,
-        no_result_cache: false,
-        result_cache_mode: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace-len" => c.trace_len = parse_num(&mut it, "--trace-len"),
-            "--seed" => c.seed = parse_num(&mut it, "--seed"),
-            "--seeds" => c.seeds = parse_num(&mut it, "--seeds"),
-            "--jobs" => c.jobs = parse_num(&mut it, "--jobs"),
-            "--ci-target" => c.ci_target = Some(parse_num(&mut it, "--ci-target")),
-            "--min-seeds" => c.min_seeds = Some(parse_num(&mut it, "--min-seeds")),
-            "--max-seeds" => c.max_seeds = Some(parse_num(&mut it, "--max-seeds")),
-            "--model-version" => c.model_version = parse_num(&mut it, "--model-version"),
-            "--stats" => c.stats = true,
-            "--stats-json" => {
-                c.stats_json = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--stats-json needs a file path")),
-                );
-            }
-            "--events" => {
-                c.events = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--events needs a file path")),
-                );
-            }
-            "--progress" => c.progress = true,
-            "--metrics-out" => {
-                c.metrics_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--metrics-out needs a file path")),
-                );
-            }
-            "--substrate" => c.substrate = true,
-            "--shard" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| fail("--shard needs I/N or auto"));
-                let shard = if raw == "auto" {
-                    Shard::from_env().unwrap_or_else(|e| fail(&e))
-                } else {
-                    Shard::parse(&raw).unwrap_or_else(|e| fail(&e))
-                };
-                c.shard = Some(shard);
-            }
-            "--out" => {
-                c.out = Some(it.next().unwrap_or_else(|| fail("--out needs a file path")));
-            }
-            "--json" => c.json = true,
-            "--verbose" => c.verbose = true,
-            "--no-cache" => c.no_cache = true,
-            "--oracle" => c.oracle = true,
-            "--inject-fault" => c.inject_fault = Some(parse_num(&mut it, "--inject-fault")),
-            "--cache-dir" => {
-                c.cache_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--cache-dir needs a directory")),
-                );
-            }
-            "--result-cache" => {
-                c.result_cache = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--result-cache needs a directory")),
-                );
-            }
-            "--no-result-cache" => c.no_result_cache = true,
-            "--result-cache-mode" => {
-                c.result_cache_mode = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--result-cache-mode needs rw, ro, or wo")),
-                );
-            }
-            _ => c.rest.push(arg),
-        }
-    }
-    if c.trace_len == 0 {
-        fail("--trace-len must be positive");
-    }
-    if c.seeds == 0 {
-        fail("--seeds must be positive");
-    }
-    if c.model_version < 1 || c.model_version > LATEST_MODEL_VERSION {
-        fail(&format!(
-            "--model-version {} is not implemented by this binary (supported: 1..={})",
-            c.model_version, LATEST_MODEL_VERSION
-        ));
-    }
-    if c.inject_fault.is_some() && !c.oracle {
-        fail("--inject-fault requires --oracle (it corrupts the oracle checker's view of a load, not the simulation)");
-    }
-    c
-}
-
-fn parse_num<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let Some(raw) = it.next() else {
-        fail(&format!("{flag} needs a value"));
-    };
-    raw.parse()
-        .unwrap_or_else(|_| fail(&format!("invalid value {raw:?} for {flag}")))
-}
-
-/// Pulls the value of `--flag` out of the leftover arguments, if present.
-fn take_flag_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = rest.iter().position(|a| a == flag)?;
-    if pos + 1 >= rest.len() {
-        fail(&format!("{flag} needs a value"));
-    }
-    let value = rest.remove(pos + 1);
-    rest.remove(pos);
-    Some(value)
-}
-
-fn reject_leftovers(rest: &[String]) {
-    if let Some(first) = rest.first() {
-        fail(&format!("unexpected argument {first:?}"));
-    }
-}
-
-fn open_cache(common: &Common) -> Option<TraceCache> {
-    if common.no_cache {
+fn open_cache(args: &Args) -> Option<TraceCache> {
+    if args.has("--no-cache") {
         return None;
     }
-    let result = match &common.cache_dir {
+    let result = match args.text("--cache-dir") {
         Some(dir) => TraceCache::new(dir),
         None => TraceCache::open_default(),
     };
@@ -754,31 +461,30 @@ fn open_cache(common: &Common) -> Option<TraceCache> {
     }
 }
 
-/// Opens the content-addressed result cache when `--result-cache DIR` (or
-/// `$SVW_RESULT_CACHE`) names one and `--no-result-cache` was not given.
-/// Warn-and-degrade: an unusable cache directory must never fail a sweep that
-/// can simply simulate everything.
-fn open_result_cache(common: &Common) -> Option<ResultCache> {
-    if common.no_result_cache {
+/// The result cache directory: `--result-cache DIR`, else `$SVW_RESULT_CACHE`.
+fn result_cache_dir(args: &Args) -> Option<String> {
+    args.text("--result-cache")
+        .map(str::to_string)
+        .or_else(|| std::env::var("SVW_RESULT_CACHE").ok())
+}
+
+/// Opens the content-addressed result cache when a directory is named and
+/// `--no-result-cache` was not given. Warn-and-degrade: an unusable cache
+/// directory must never fail a sweep that can simply simulate everything.
+fn open_result_cache(args: &Args) -> Option<ResultCache> {
+    if args.has("--no-result-cache") {
         return None;
     }
-    let dir = common
-        .result_cache
-        .clone()
-        .or_else(|| std::env::var("SVW_RESULT_CACHE").ok());
-    let Some(dir) = dir else {
-        if common.result_cache_mode.is_some() {
+    let Some(dir) = result_cache_dir(args) else {
+        if args.has("--result-cache-mode") {
             fail("--result-cache-mode requires --result-cache DIR (or $SVW_RESULT_CACHE)");
         }
         return None;
     };
-    let mode = match &common.result_cache_mode {
-        Some(raw) => CacheMode::parse(raw).unwrap_or_else(|e| fail(&e)),
-        None => CacheMode::ReadWrite,
-    };
+    let mode = CacheMode::parse(args.str("--result-cache-mode")).unwrap_or_else(|e| fail(&e));
     match ResultCache::open(&dir, mode) {
         Ok(rc) => {
-            if common.verbose {
+            if args.has("--verbose") {
                 eprintln!("[svwsim] result cache {dir} (mode {})", mode.label());
             }
             Some(rc)
@@ -788,6 +494,27 @@ fn open_result_cache(common: &Common) -> Option<ResultCache> {
             None
         }
     }
+}
+
+/// Opens the `--out` JSONL sink, reporting what a resume will skip.
+fn open_sink(args: &Args) -> Option<JsonlSink> {
+    args.text("--out").map(|path| {
+        let sink = JsonlSink::open(path)
+            .unwrap_or_else(|e| fail(&format!("cannot open --out {path}: {e}")));
+        if sink.restored_count() > 0 {
+            eprintln!(
+                "[svwsim] resume: {} finished cell(s) in {path} will be skipped",
+                sink.restored_count()
+            );
+        }
+        if sink.skipped_lines() > 0 {
+            eprintln!(
+                "[svwsim] resume: {} malformed line(s) in {path} ignored (interrupted write?)",
+                sink.skipped_lines()
+            );
+        }
+        sink
+    })
 }
 
 fn workload_by_name(name: &str) -> WorkloadProfile {
@@ -801,27 +528,24 @@ fn workload_by_name(name: &str) -> WorkloadProfile {
 
 // ------------------------------------------------------------------- capture
 
-fn cmd_capture(common: Common) {
-    let mut rest = common.rest.clone();
-    let workload = take_flag_value(&mut rest, "--workload")
+fn cmd_capture(args: &Args) {
+    let workload = args
+        .text("--workload")
         .unwrap_or_else(|| fail("capture needs --workload <NAME|all>"));
-    // `--out` is consumed by the common pass (it names the JSONL stream for sweeps);
-    // for capture it names the trace file.
-    let out_file = common.out.clone();
-    let out_dir = take_flag_value(&mut rest, "--out-dir");
-    reject_leftovers(&rest);
+    let (out_file, out_dir) = (args.text("--out"), args.text("--out-dir"));
+    let (trace_len, seed) = (args.num("--trace-len"), args.num("--seed"));
 
     let profiles: Vec<WorkloadProfile> = if workload == "all" {
         WorkloadProfile::spec2000int()
     } else {
-        vec![workload_by_name(&workload)]
+        vec![workload_by_name(workload)]
     };
     if profiles.len() > 1 && out_file.is_some() {
         fail("capturing multiple workloads needs --out-dir, not --out");
     }
 
     for profile in &profiles {
-        let path = match (&out_file, &out_dir) {
+        let path = match (out_file, out_dir) {
             (Some(f), None) => std::path::PathBuf::from(f),
             (None, Some(d)) => std::path::Path::new(d).join(format!(
                 "{}.{}",
@@ -837,14 +561,14 @@ fn cmd_capture(common: Common) {
                     .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", parent.display())));
             }
         }
-        let program = profile.generate(common.trace_len, common.seed);
+        let program = profile.generate(trace_len, seed);
         let file = std::fs::File::create(&path)
             .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", path.display())));
         svw_trace::write_program(
             std::io::BufWriter::new(file),
             &program,
-            common.trace_len,
-            common.seed,
+            trace_len,
+            seed,
             profile.fingerprint(),
         )
         .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
@@ -860,24 +584,22 @@ fn cmd_capture(common: Common) {
 
 // ------------------------------------------------------------------- inspect
 
-fn cmd_inspect(common: Common) {
-    let mut rest = common.rest;
-    if rest.len() != 1 {
+fn cmd_inspect(args: &Args) {
+    let [path] = args.positionals.as_slice() else {
         fail("inspect needs exactly one trace file argument");
-    }
-    let path = rest.remove(0);
+    };
     let reader =
-        TraceReader::open(&path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+        TraceReader::open(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let header = reader.header().clone();
     let program = reader
         .read_program()
         .unwrap_or_else(|e| fail(&format!("cannot decode {path}: {e}")));
     let stats = program.stats();
-    if common.json {
+    if args.has("--json") {
         println!(
             "{}",
             json::object([
-                ("file", json::string(&path)),
+                ("file", json::string(path)),
                 ("name", json::string(&header.name)),
                 ("seed", json::uint(header.seed)),
                 (
@@ -945,164 +667,58 @@ fn cpu_stats_json(workload: &str, config: &str, seed: u64, stats: &svw_cpu::CpuS
     ])
 }
 
-fn cmd_run(mut common: Common) {
-    if common.shard.is_some() {
-        fail("--shard applies to sweep/fig*/tables, not run");
-    }
-    if common.ci_target.is_some() {
-        fail("--ci-target applies to sweep/fig*/tables, not run");
-    }
-    if common.min_seeds.is_some() || common.max_seeds.is_some() {
-        fail("--min-seeds/--max-seeds apply to adaptive sweeps, not run");
-    }
-    if common.substrate {
-        fail("--substrate applies to sweep/fig*/tables, not run");
-    }
-    let mut rest = std::mem::take(&mut common.rest);
-    let trace = take_flag_value(&mut rest, "--trace");
-    let workload = take_flag_value(&mut rest, "--workload");
-    let config_name =
-        take_flag_value(&mut rest, "--config").unwrap_or_else(|| "nlq-svw".to_string());
-    reject_leftovers(&rest);
-
+fn cmd_run(args: &Args) {
+    let config_name = args.str("--config");
     if config_name == "list" {
         for cfg in presets::named_configs() {
             println!("{}", cfg.name);
         }
         return;
     }
-    let config = presets::config_by_name(&config_name)
+    let config = presets::config_by_name(config_name)
         .unwrap_or_else(|| {
             fail(&format!(
                 "unknown config {config_name:?} (use `--config list` to see the choices)"
             ))
         })
-        .with_model_version(common.model_version);
+        .with_model_version(args.num("--model-version"));
 
-    if common.seeds > 1 {
-        match (&trace, &workload) {
-            (None, Some(w)) => return run_replicated(&common, w, config, &config_name),
-            (Some(_), _) => {
-                fail("--seeds applies to --workload runs; a trace file has a fixed seed")
-            }
-            _ => fail("run needs exactly one of --trace FILE or --workload NAME"),
-        }
-    }
-
-    let (name, seed, stats) = match (trace, workload) {
-        (Some(path), None) => {
-            if common.stats || common.stats_json.is_some() {
-                fail(
-                    "--stats/--stats-json apply to scheduler runs (--workload), not --trace replay",
-                );
-            }
-            if common.events.is_some() || common.progress || common.metrics_out.is_some() {
-                fail("--events/--progress/--metrics-out apply to scheduler runs (--workload), not --trace replay");
-            }
-            if common.result_cache.is_some()
-                || common.no_result_cache
-                || common.result_cache_mode.is_some()
-            {
-                fail(
-                    "--result-cache flags apply to scheduler runs (--workload), not --trace replay",
-                );
-            }
-            // Decode the whole trace before simulating anything, so a file that is
-            // corrupt partway through fails cleanly here instead of mid-run.
-            let (header, program) = TraceReader::open(&path)
-                .and_then(|reader| {
-                    let header = reader.header().clone();
-                    reader.read_program().map(|program| (header, program))
-                })
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            if common.verbose {
-                eprintln!(
-                    "[svwsim] replaying {} instructions of {} from {path}",
-                    program.len(),
-                    header.name
-                );
-            }
-            let cpu = Cpu::new(config, &program);
-            let stats = match common.oracle_options() {
-                Some(oracle_opts) => {
-                    let mut checker = DifferentialChecker::new(program.instructions(), oracle_opts);
-                    let stats = cpu.run_observed(&mut checker);
-                    if let Some(d) = checker.divergence() {
-                        fail(&format!(
-                            "simulation of {path} failed: oracle divergence: {d}"
-                        ));
-                    }
-                    stats
-                }
-                None => cpu.run(),
-            };
-            // `--out` streams this cell too (keyed by the trace's own identity;
-            // replay runs are never skipped on resume).
-            if let Some(sink) = open_sink(&common) {
-                let id = CellId {
-                    matrix: "run".to_string(),
-                    workload: header.name.clone(),
-                    config: config_name.clone(),
-                    seed: header.seed,
-                    trace_len: header.requested_len,
-                    fingerprint: header.fingerprint,
-                    model_version: common.model_version,
-                    spec_fingerprint: 0,
-                };
-                if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
-                    eprintln!("warning: failed to append to the JSONL stream: {e}");
-                }
-            }
-            (header.name, header.seed, stats)
-        }
+    let (name, seed, stats) = match (args.text("--trace"), args.text("--workload")) {
+        (Some(path), _) => replay_trace(args, path, config, config_name),
         (None, Some(w)) => {
-            // One cell on the scheduler, so --out (stream + resume), --jobs, the
-            // cache, and panic capture behave exactly as they do for sweeps.
-            let profile = workload_by_name(&w);
-            let cache = open_cache(&common);
-            let result_cache = open_result_cache(&common);
-            let sink = open_sink(&common);
-            let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
-            let observer = build_observer(&common);
-            let opts = RunOptions {
-                cache: cache.as_ref(),
-                verbose: common.verbose,
-                jobs: common.jobs,
-                sink: sink.as_ref(),
-                shard: None,
-                stats: collector.as_ref(),
-                obs: observer.as_ref(),
-                arenas: None,
-                oracle: common.oracle_options(),
-                result_cache: result_cache.as_ref(),
-            };
+            // Every seed is a cell on the scheduler, so --out (stream + resume),
+            // --jobs, the caches and panic capture behave exactly as for sweeps.
+            let profile = workload_by_name(w);
+            let seeds = seed_list(args);
+            let session = Session::open(args);
             let result = run_cells(
                 "run",
                 &[profile],
                 std::slice::from_ref(&config),
-                common.trace_len,
-                &[common.seed],
+                args.num("--trace-len"),
+                &seeds,
                 0,
-                &opts,
+                &session.options(None),
             );
             result.emit_warnings();
-            finish_observer(&common, observer.as_ref());
-            finish_stats(&common, collector.as_ref(), result_cache.as_ref());
-            finish_result_cache(result_cache.as_ref());
+            session.finish();
+            if seeds.len() > 1 {
+                return print_replicated(args, w, config_name, &result);
+            }
             let cell = &result.cells[0];
             match cell.stats() {
-                Some(stats) => (w, common.seed, stats.clone()),
+                Some(stats) => (w.to_string(), seeds[0], stats.clone()),
                 None => fail(&format!(
                     "simulation of {w} failed: {}",
                     cell.error().unwrap_or("unknown")
                 )),
             }
         }
-        _ => fail("run needs exactly one of --trace FILE or --workload NAME"),
+        (None, None) => fail("run needs exactly one of --trace FILE or --workload NAME"),
     };
 
-    if common.json {
-        println!("{}", cpu_stats_json(&name, &config_name, seed, &stats));
+    if args.has("--json") {
+        println!("{}", cpu_stats_json(&name, config_name, seed, &stats));
     } else {
         println!("workload {name} under {config_name}:");
         println!("  cycles            {}", stats.cycles);
@@ -1125,47 +741,65 @@ fn cmd_run(mut common: Common) {
     }
 }
 
-/// `svwsim run --workload W --seeds K`: replicates one (workload, configuration)
-/// pair over K seeds on the cell scheduler and reports per-seed statistics plus the
-/// mean ± 95% CI aggregates.
-fn run_replicated(
-    common: &Common,
-    workload: &str,
+/// `svwsim run --trace FILE`: decodes the whole trace before simulating
+/// anything, so a file that is corrupt partway through fails cleanly here
+/// instead of mid-run, then replays it on one `Cpu`.
+fn replay_trace(
+    args: &Args,
+    path: &str,
     config: svw_cpu::MachineConfig,
     config_name: &str,
-) {
-    let profile = workload_by_name(workload);
-    let cache = open_cache(common);
-    let result_cache = open_result_cache(common);
-    let sink = open_sink(common);
-    let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
-    let observer = build_observer(common);
-    let opts = RunOptions {
-        cache: cache.as_ref(),
-        verbose: common.verbose,
-        jobs: common.jobs,
-        sink: sink.as_ref(),
-        shard: None,
-        stats: collector.as_ref(),
-        obs: observer.as_ref(),
-        arenas: None,
-        oracle: common.oracle_options(),
-        result_cache: result_cache.as_ref(),
+) -> (String, u64, svw_cpu::CpuStats) {
+    let (header, program) = TraceReader::open(path)
+        .and_then(|reader| {
+            let header = reader.header().clone();
+            reader.read_program().map(|program| (header, program))
+        })
+        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    if args.has("--verbose") {
+        eprintln!(
+            "[svwsim] replaying {} instructions of {} from {path}",
+            program.len(),
+            header.name
+        );
+    }
+    let cpu = Cpu::new(config, &program);
+    let stats = match oracle_options(args) {
+        Some(oracle_opts) => {
+            let mut checker = DifferentialChecker::new(program.instructions(), oracle_opts);
+            let stats = cpu.run_observed(&mut checker);
+            if let Some(d) = checker.divergence() {
+                fail(&format!(
+                    "simulation of {path} failed: oracle divergence: {d}"
+                ));
+            }
+            stats
+        }
+        None => cpu.run(),
     };
-    let seeds = common.seed_list();
-    let result = run_cells(
-        "run",
-        &[profile],
-        std::slice::from_ref(&config),
-        common.trace_len,
-        &seeds,
-        0,
-        &opts,
-    );
-    result.emit_warnings();
-    finish_observer(common, observer.as_ref());
-    finish_stats(common, collector.as_ref(), result_cache.as_ref());
-    finish_result_cache(result_cache.as_ref());
+    // `--out` streams this cell too (keyed by the trace's own identity; replay
+    // runs are never skipped on resume).
+    if let Some(sink) = open_sink(args) {
+        let id = CellId {
+            matrix: "run".to_string(),
+            workload: header.name.clone(),
+            config: config_name.to_string(),
+            seed: header.seed,
+            trace_len: header.requested_len,
+            fingerprint: header.fingerprint,
+            model_version: args.num("--model-version"),
+            spec_fingerprint: 0,
+        };
+        if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
+            eprintln!("warning: failed to append to the JSONL stream: {e}");
+        }
+    }
+    (header.name, header.seed, stats)
+}
+
+/// `svwsim run --workload W --seeds K`: per-seed statistics plus the mean ±
+/// 95% CI aggregates.
+fn print_replicated(args: &Args, workload: &str, config_name: &str, result: &SweepResult) {
     let ok: Vec<&svw_cpu::CpuStats> = result.cells.iter().filter_map(|c| c.stats()).collect();
     if ok.is_empty() {
         let first = result
@@ -1181,13 +815,13 @@ fn run_replicated(
     let ipc = stat_of(svw_cpu::CpuStats::ipc);
     let reexec = stat_of(svw_cpu::CpuStats::reexec_rate);
     let filter = stat_of(svw_cpu::CpuStats::filter_rate);
-    if common.json {
+    if args.has("--json") {
         println!(
             "{}",
             json::object([
                 ("workload", json::string(workload)),
                 ("config", json::string(config_name)),
-                ("trace_len", json::uint(common.trace_len as u64)),
+                ("trace_len", json::uint(args.num("--trace-len"))),
                 (
                     "seeds",
                     json::array(result.cells.iter().map(|c| match c.stats() {
@@ -1215,8 +849,8 @@ fn run_replicated(
     } else {
         println!(
             "workload {workload} under {config_name} ({} seeds starting at {}):",
-            seeds.len(),
-            common.seed
+            result.cells.len(),
+            args.num::<u64>("--seed")
         );
         for cell in &result.cells {
             match cell.stats() {
@@ -1248,97 +882,47 @@ fn run_replicated(
     }
     // Under --oracle, any failed seed (divergence or panic) is a verification
     // failure even though the other seeds produced aggregates.
-    if common.oracle && result.failures().count() > 0 {
+    if args.has("--oracle") && result.failures().count() > 0 {
         std::process::exit(1);
     }
 }
 
 // --------------------------------------------------------------------- sweep
 
-/// Opens the `--out` JSONL sink, reporting what a resume will skip.
-fn open_sink(common: &Common) -> Option<JsonlSink> {
-    common.out.as_ref().map(|path| {
-        let sink = JsonlSink::open(path)
-            .unwrap_or_else(|e| fail(&format!("cannot open --out {path}: {e}")));
-        if sink.restored_count() > 0 {
-            eprintln!(
-                "[svwsim] resume: {} finished cell(s) in {path} will be skipped",
-                sink.restored_count()
-            );
-        }
-        if sink.skipped_lines() > 0 {
-            eprintln!(
-                "[svwsim] resume: {} malformed line(s) in {path} ignored (interrupted write?)",
-                sink.skipped_lines()
-            );
-        }
-        sink
-    })
-}
-
-/// Builds the executor context shared by `--figure` and `--spec` sweeps, runs
-/// `render` under it, prints the reports (text or `--json`), and runs the
-/// observability/stats epilogues.
-fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Vec<FigureReport>) {
-    let cache = open_cache(common);
-    let result_cache = open_result_cache(common);
-    let sink = open_sink(common);
-    // --oracle forces the collector even without --stats: the per-worker failed
-    // counters are how the epilogue below detects divergences across however many
-    // sweeps the render ran.
-    let collector =
-        (common.stats || common.stats_json.is_some() || common.oracle).then(StatsCollector::new);
-    let observer = build_observer(common);
-    // One decode-once arena registry per invocation: the matrices of a
-    // multi-table artifact (and the artifacts of one render) share each decoded
-    // trace instead of re-decoding it per sweep.
-    let arenas = TraceArenas::new();
+/// Runs `render` under one executor session for a `--figure`/`--spec` sweep or
+/// a shortcut, prints the reports (text or `--json`), and exits 1 if `--oracle`
+/// failed any cell.
+fn render_reports(args: &Args, render: impl FnOnce(&ExperimentCtx<'_>) -> Vec<FigureReport>) {
+    let (shard, adaptive) = (shard(args), adaptive(args));
+    let session = Session::open(args);
     let ctx = ExperimentCtx {
-        trace_len: common.trace_len,
-        seeds: common.seed_list(),
-        adaptive: common.adaptive(),
-        substrate: common.substrate,
-        model_version: common.model_version,
-        opts: RunOptions {
-            cache: cache.as_ref(),
-            verbose: common.verbose,
-            jobs: common.jobs,
-            sink: sink.as_ref(),
-            shard: common.shard,
-            stats: collector.as_ref(),
-            obs: observer.as_ref(),
-            arenas: Some(&arenas),
-            oracle: common.oracle_options(),
-            result_cache: result_cache.as_ref(),
-        },
+        trace_len: args.num("--trace-len"),
+        seeds: seed_list(args),
+        adaptive,
+        substrate: args.has("--substrate"),
+        model_version: args.num("--model-version"),
+        opts: session.options(shard),
     };
     let reports = render(&ctx);
-    if common.json {
+    if args.has("--json") {
         println!("{}", json::array(reports.iter().map(|r| r.to_json())));
     } else {
         for report in &reports {
             println!("{report}");
         }
     }
-    finish_observer(common, observer.as_ref());
-    finish_stats(common, collector.as_ref(), result_cache.as_ref());
-    finish_result_cache(result_cache.as_ref());
-    if common.oracle {
-        let failed: u64 = collector
-            .as_ref()
-            .map_or(0, |c| c.workers().iter().map(|w| w.cells_failed).sum());
-        if failed > 0 {
-            eprintln!(
-                "error: --oracle: {failed} cell(s) failed verification (divergence or panic); \
-                 the report notes above name the first failing cell"
-            );
-            std::process::exit(1);
-        }
+    let failed = session.finish();
+    if args.has("--oracle") && failed > 0 {
+        eprintln!(
+            "error: --oracle: {failed} cell(s) failed verification (divergence or panic); \
+             the report notes above name the first failing cell"
+        );
+        std::process::exit(1);
     }
 }
 
-fn run_artifacts(common: &Common, names: &[&str]) {
-    render_reports(common, |ctx| {
+fn run_artifacts(args: &Args, names: &[&str]) {
+    render_reports(args, |ctx| {
         // Pin every artifact's trace keys for the whole render: `tables` (three
         // artifacts over the same workloads) decodes each trace once instead of
         // once per artifact. The pin drops with the closure, freeing the arenas.
@@ -1354,7 +938,7 @@ fn run_artifacts(common: &Common, names: &[&str]) {
             .map(|name| {
                 let start = std::time::Instant::now();
                 let report = render_artifact(ctx, name).unwrap_or_else(|e| fail(&e));
-                if common.verbose {
+                if args.has("--verbose") {
                     eprintln!(
                         "[svwsim] {name} finished in {:.2}s",
                         start.elapsed().as_secs_f64()
@@ -1369,7 +953,7 @@ fn run_artifacts(common: &Common, names: &[&str]) {
 /// `svwsim sweep --spec (FILE.toml | builtin:NAME)`: sweep an experiment spec —
 /// a user-authored TOML file, or a builtin by name (byte-identical to the
 /// corresponding `--figure`).
-fn run_spec(common: &Common, spec_arg: &str) {
+fn run_spec(args: &Args, spec_arg: &str) {
     let spec = if let Some(name) = spec_arg.strip_prefix("builtin:") {
         registry::spec_by_name(name)
             .unwrap_or_else(|| {
@@ -1385,8 +969,9 @@ fn run_spec(common: &Common, spec_arg: &str) {
             .unwrap_or_else(|e| fail(&format!("cannot read --spec {spec_arg}: {e}")));
         registry::parse_spec(&content, spec_arg).unwrap_or_else(|e| fail(&e.to_string()))
     };
-    let resolved = registry::resolve_spec(&spec, common.model_version).unwrap_or_else(|e| fail(&e));
-    render_reports(common, |ctx| {
+    let resolved =
+        registry::resolve_spec(&spec, args.num("--model-version")).unwrap_or_else(|e| fail(&e));
+    render_reports(args, |ctx| {
         vec![render_resolved(ctx, &resolved).unwrap_or_else(|e| fail(&e))]
     });
 }
@@ -1396,31 +981,27 @@ fn run_spec(common: &Common, spec_arg: &str) {
 /// `svwsim merge SHARD.jsonl... --figure ART[,ART] --out merged.jsonl`: validates
 /// that the shard files exactly cover the named sweep (fingerprints, no gaps, no
 /// conflicting duplicates) and writes the complete result set in canonical order.
-fn cmd_merge(mut common: Common) {
-    common.reject_sweep_flags("merge");
-    common.reject_result_cache_flags(
-        "merge (it only stitches shard files; cached cells enter through sweep/coordinate)",
-    );
-    let mut rest = std::mem::take(&mut common.rest);
-    let figure = take_flag_value(&mut rest, "--figure")
+fn cmd_merge(args: &Args) {
+    let figure = args
+        .text("--figure")
         .unwrap_or_else(|| fail("merge needs --figure <artifact[,artifact...]> to know which cells the sweep must cover"));
-    let out = common
-        .out
-        .clone()
+    let out = args
+        .text("--out")
         .unwrap_or_else(|| fail("merge needs --out FILE for the merged result set"));
-    if rest.is_empty() {
+    if args.positionals.is_empty() {
         fail("merge needs at least one shard JSONL file");
     }
 
-    let artifacts = expand_artifacts(&figure);
+    let artifacts = expand_artifacts(figure);
     let expected = expected_cells(
         &artifacts,
-        common.trace_len as u64,
-        &common.seed_list(),
-        common.model_version,
+        args.num("--trace-len"),
+        &seed_list(args),
+        args.num("--model-version"),
     )
     .unwrap_or_else(|e| fail(&e.to_string()));
-    let inputs: Vec<MergeInput> = rest
+    let inputs: Vec<MergeInput> = args
+        .positionals
         .iter()
         .map(|path| MergeInput {
             name: path.clone(),
@@ -1431,9 +1012,9 @@ fn cmd_merge(mut common: Common) {
 
     match merge_shards(&expected, &inputs) {
         Ok(report) => {
-            std::fs::write(&out, &report.merged)
+            std::fs::write(out, &report.merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-            if let Some(path) = &common.events {
+            if let Some(path) = args.text("--events") {
                 let sink = EventSink::open(path)
                     .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")));
                 sink.emit(
@@ -1496,16 +1077,15 @@ fn expand_artifacts(figure: &str) -> Vec<String> {
     artifacts
 }
 
-fn cmd_sweep(mut common: Common) {
-    let figure = take_flag_value(&mut common.rest, "--figure");
-    let plan = take_flag_value(&mut common.rest, "--plan");
-    let spec = take_flag_value(&mut common.rest, "--spec");
-    let rest = std::mem::take(&mut common.rest);
-    reject_leftovers(&rest);
-    match (figure, plan, spec) {
-        (Some(figure), None, None) => run_artifacts(&common, &[figure.as_str()]),
-        (None, Some(plan), None) => run_plan(&common, &plan),
-        (None, None, Some(spec)) => run_spec(&common, &spec),
+fn cmd_sweep(args: &Args) {
+    match (
+        args.text("--figure"),
+        args.text("--spec"),
+        args.text("--plan"),
+    ) {
+        (Some(figure), None, None) => run_artifacts(args, &[figure]),
+        (None, Some(spec), None) => run_spec(args, spec),
+        (None, None, Some(plan)) => run_plan(args, plan),
         _ => fail(
             "sweep needs exactly one of --figure <artifact>, --spec <FILE.toml|builtin:NAME>, \
              or --plan <FILE.plan.jsonl>",
@@ -1516,51 +1096,21 @@ fn cmd_sweep(mut common: Common) {
 /// `svwsim sweep --plan FILE [--shard I/N] [--out shardI.jsonl]`: drain a
 /// coordinator-issued requeue plan through the ordinary executor. No artifact is
 /// rendered — the results stream to `--out` for the coordinator to collect.
-fn run_plan(common: &Common, path: &str) {
-    if common.ci_target.is_some() || common.min_seeds.is_some() || common.max_seeds.is_some() {
-        fail("--ci-target/--min-seeds/--max-seeds do not apply to --plan runs: the plan file already encodes the coordinator's adaptive decisions");
-    }
-    if common.seeds != 1 {
-        fail("--seeds does not apply to --plan runs: the plan file lists its cells explicitly");
-    }
-    if common.model_version != 1 {
-        fail("--model-version does not apply to --plan runs: the plan file records the model version in its lineage header");
-    }
-    if common.json || common.substrate {
-        fail("--json/--substrate do not apply to --plan runs: no artifact is rendered (the final render happens from the coordinator's merged file)");
-    }
-    if common.out.is_none() {
+fn run_plan(args: &Args, path: &str) {
+    if !args.has("--out") {
         fail("--plan runs need --out FILE: a plan's results exist only as the JSONL stream the coordinator collects — without it the simulation work would be discarded");
     }
     let content = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read --plan {path}: {e}")));
     let plan_file = svw_sim::parse_plan_file(&content)
         .unwrap_or_else(|e| fail(&format!("invalid plan file {path}: {e}")));
-    let plans = svw_sim::resolve_plan(&plan_file, common.shard)
+    let plans = svw_sim::resolve_plan(&plan_file, shard(args))
         .unwrap_or_else(|e| fail(&format!("cannot resolve plan file {path}: {e}")));
 
-    let cache = open_cache(common);
-    let result_cache = open_result_cache(common);
-    let sink = open_sink(common);
-    let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
-    let observer = build_observer(common);
-    // Plans in one requeue round share traces (the round's cells are new seeds
-    // of the same workloads): decode each arena once across the round.
-    let arenas = TraceArenas::new();
-    let opts = RunOptions {
-        cache: cache.as_ref(),
-        verbose: common.verbose,
-        jobs: common.jobs,
-        sink: sink.as_ref(),
-        // The plan already carries the shard assignment (applied by position
-        // across the whole file); the executor must not re-slice.
-        shard: None,
-        stats: collector.as_ref(),
-        obs: observer.as_ref(),
-        arenas: Some(&arenas),
-        oracle: common.oracle_options(),
-        result_cache: result_cache.as_ref(),
-    };
+    let session = Session::open(args);
+    // The plan already carries the shard assignment (applied by position across
+    // the whole file); the executor must not re-slice.
+    let opts = session.options(None);
     let (mut simulated, mut restored, mut skipped, mut cached, mut failed) =
         (0usize, 0usize, 0usize, 0usize, 0usize);
     for plan in &plans {
@@ -1572,9 +1122,7 @@ fn run_plan(common: &Common, path: &str) {
         cached += result.cached;
         failed += result.failures().count();
     }
-    finish_observer(common, observer.as_ref());
-    finish_stats(common, collector.as_ref(), result_cache.as_ref());
-    finish_result_cache(result_cache.as_ref());
+    session.finish();
     eprintln!(
         "[svwsim] plan {path} (round {}): {simulated} cell(s) simulated, {restored} restored, \
          {skipped} belong to other shards{}{}",
@@ -1600,56 +1148,36 @@ fn run_plan(common: &Common, path: &str) {
 /// `svwsim coordinate SHARD.jsonl... --figure ART --ci-target PCT --plan-out FILE
 /// --out merged.jsonl`: one stateless round of the two-phase distributed-adaptive
 /// protocol. Exit 0 = converged (merged written), 3 = plan emitted, 1 = error.
-fn cmd_coordinate(mut common: Common) -> ExitCode {
-    if common.shard.is_some() {
-        fail("--shard does not apply to coordinate (shards pass it to `sweep --plan`)");
-    }
-    if common.seeds != 1 {
-        fail("--seeds does not apply to coordinate: adaptive sampling picks the seed count");
-    }
-    if common.jobs != 0 {
-        fail("--jobs does not apply to coordinate (pass it to `sweep --plan`)");
-    }
-    common.reject_simulation_flags(
-        "coordinate (it only reads shard files — pass simulation flags to `sweep --plan`)",
-    );
-    let mut rest = std::mem::take(&mut common.rest);
-    let figure = take_flag_value(&mut rest, "--figure").unwrap_or_else(|| {
+fn cmd_coordinate(args: &Args) -> ExitCode {
+    let figure = args.text("--figure").unwrap_or_else(|| {
         fail("coordinate needs --figure <artifact> (one artifact per coordination)")
     });
     if figure.contains(',') || figure == "tables" {
         fail("coordinate drives one artifact at a time; run one coordination per artifact");
     }
-    let plan_out = take_flag_value(&mut rest, "--plan-out")
+    let plan_out = args
+        .text("--plan-out")
         .unwrap_or_else(|| fail("coordinate needs --plan-out FILE for requeue plans"));
-    let out = common
-        .out
-        .clone()
+    let out = args
+        .text("--out")
         .unwrap_or_else(|| fail("coordinate needs --out FILE for the merged result set"));
-    // Everything left must be a shard file path: a stray `--misspelled-flag`
-    // quietly becoming an "empty shard stream" would hide the typo forever.
-    if let Some(flagish) = rest.iter().find(|a| a.starts_with('-')) {
-        fail(&format!("unexpected argument {flagish:?}"));
-    }
-    if rest.is_empty() {
+    if args.positionals.is_empty() {
         fail("coordinate needs the shard JSONL files (they may not exist yet on round 0)");
     }
-    let Some(ci_target_pct) = common.ci_target else {
-        fail("coordinate needs --ci-target PCT (it exists to distribute adaptive sweeps; use `merge` for fixed --seeds sweeps)");
-    };
-    let adaptive = svw_sim::AdaptiveOpts {
-        ci_target_pct,
-        min_seeds: common.min_seeds.unwrap_or(3),
-        max_seeds: common.max_seeds.unwrap_or(10),
-    };
-    if let Err(e) = adaptive.validate() {
-        fail(&e);
-    }
+    let adaptive = adaptive(args).unwrap_or_else(|| {
+        fail("coordinate needs --ci-target PCT (it exists to distribute adaptive sweeps; use `merge` for fixed --seeds sweeps)")
+    });
+    let (trace_len, seed, model_version) = (
+        args.num("--trace-len"),
+        args.num("--seed"),
+        args.num("--model-version"),
+    );
 
     // Shard files that do not exist yet (round 0) read as empty streams; any
     // other read error (permissions, I/O) is fatal — treating it as empty would
     // make the driver loop requeue the same cells forever.
-    let inputs: Vec<MergeInput> = rest
+    let inputs: Vec<MergeInput> = args
+        .positionals
         .iter()
         .map(|path| {
             let content = match std::fs::read_to_string(path) {
@@ -1670,7 +1198,7 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
     // decision procedure actually requested are injected — anything else would
     // be rejected as a stray — and injected lines are the canonical JSONL
     // bytes, so overlapping a real shard line is a byte-identical duplicate.
-    let result_cache = open_result_cache(&common);
+    let result_cache = open_result_cache(args);
     let mut cache_lines: Vec<String> = Vec::new();
     let mut cache_cells = 0usize;
     let outcome = loop {
@@ -1682,11 +1210,11 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
             });
         }
         let request = svw_sim::CoordinateRequest {
-            artifact: figure.clone(),
-            trace_len: common.trace_len as u64,
-            start_seed: common.seed,
+            artifact: figure.to_string(),
+            trace_len,
+            start_seed: seed,
             adaptive,
-            model_version: common.model_version,
+            model_version,
             inputs: &round_inputs,
         };
         let outcome = svw_sim::coordinate_round(&request);
@@ -1719,9 +1247,9 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
             malformed_lines,
             notes,
         }) => {
-            std::fs::write(&out, &merged)
+            std::fs::write(out, &merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-            emit_round_summary(&common, &figure, "converged", None, cells as u64);
+            emit_round_summary(args, figure, "converged", None, cells as u64);
             eprintln!(
                 "[svwsim] coordinate {figure}: converged — {cells} cell(s) merged into {out}{}{}{}",
                 plural_note(duplicates_dropped, "identical duplicate line"),
@@ -1734,11 +1262,7 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
             eprintln!(
                 "[svwsim] render with: svwsim sweep --figure {figure} --trace-len {} --seed {} \
                  --ci-target {} --min-seeds {} --max-seeds {} --out {out}",
-                common.trace_len,
-                common.seed,
-                ci_target_pct,
-                adaptive.min_seeds,
-                adaptive.max_seeds
+                trace_len, seed, adaptive.ci_target_pct, adaptive.min_seeds, adaptive.max_seeds
             );
             ExitCode::SUCCESS
         }
@@ -1747,11 +1271,11 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
             rounds_complete,
             missing,
         }) => {
-            std::fs::write(&plan_out, svw_sim::write_plan_file(&plan))
+            std::fs::write(plan_out, svw_sim::write_plan_file(&plan))
                 .unwrap_or_else(|e| fail(&format!("cannot write {plan_out}: {e}")));
             emit_round_summary(
-                &common,
-                &figure,
+                args,
+                figure,
                 "pending",
                 Some(rounds_complete),
                 missing as u64,
@@ -1774,13 +1298,15 @@ fn cmd_coordinate(mut common: Common) -> ExitCode {
 /// so a whole coordinated run (shard journals plus the coordinator's own)
 /// concatenates into one analyzable timeline.
 fn emit_round_summary(
-    common: &Common,
+    args: &Args,
     artifact: &str,
     outcome: &str,
     rounds_complete: Option<u64>,
     cells: u64,
 ) {
-    let Some(path) = &common.events else { return };
+    let Some(path) = args.text("--events") else {
+        return;
+    };
     let sink = EventSink::open(path)
         .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")));
     let mut fields = vec![
@@ -1798,28 +1324,12 @@ fn emit_round_summary(
 
 /// `svwsim profile EVENTS.jsonl... [--top N] [--json]`: aggregate `--events`
 /// journals into phase breakdowns, slowest cells, and worker utilization.
-fn cmd_profile(mut common: Common) {
-    common.reject_sweep_flags("profile");
-    common.reject_result_cache_flags("profile (journals already record cell_cached events)");
-    common.reject_events_flag("profile (pass the journals as positional arguments)");
-    common.reject_model_version("profile (journals record lineage; profile only reads them)");
-    if common.out.is_some() {
-        fail("--out does not apply to profile (the report prints to stdout)");
-    }
-    let mut rest = std::mem::take(&mut common.rest);
-    let top: usize = take_flag_value(&mut rest, "--top")
-        .map(|raw| {
-            raw.parse()
-                .unwrap_or_else(|_| fail(&format!("invalid value {raw:?} for --top")))
-        })
-        .unwrap_or(5);
-    if let Some(flagish) = rest.iter().find(|a| a.starts_with('-')) {
-        fail(&format!("unexpected argument {flagish:?}"));
-    }
-    if rest.is_empty() {
+fn cmd_profile(args: &Args) {
+    if args.positionals.is_empty() {
         fail("profile needs at least one --events journal file");
     }
-    let files: Vec<(String, String)> = rest
+    let files: Vec<(String, String)> = args
+        .positionals
         .iter()
         .map(|path| {
             let content = std::fs::read_to_string(path)
@@ -1827,8 +1337,8 @@ fn cmd_profile(mut common: Common) {
             (path.clone(), content)
         })
         .collect();
-    let report = profile_events(&files, top);
-    if common.json {
+    let report = profile_events(&files, args.num("--top"));
+    if args.has("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
@@ -1842,23 +1352,13 @@ fn cmd_profile(mut common: Common) {
 /// emits one as canonical TOML (pinned fingerprint included, so the output is
 /// itself a valid `--spec` file), and `validate` parses and resolves spec files
 /// — every builtin when run without arguments.
-fn cmd_experiments(mut common: Common) -> ExitCode {
-    common.reject_sweep_flags("experiments");
-    common.reject_result_cache_flags("experiments");
-    common.reject_events_flag("experiments");
-    common.reject_model_version("experiments (specs resolve at every supported version)");
-    if common.out.is_some() {
-        fail("--out does not apply to experiments (the report prints to stdout)");
-    }
-    let mut rest = std::mem::take(&mut common.rest);
-    if rest.is_empty() {
+fn cmd_experiments(args: &Args) -> ExitCode {
+    let Some((sub, rest)) = args.positionals.split_first() else {
         fail("experiments needs a subcommand: list, show <NAME>, or validate [SPEC.toml...]");
-    }
-    let sub = rest.remove(0);
+    };
     match sub.as_str() {
         "list" => {
-            reject_leftovers(&rest);
-            if common.json {
+            if args.has("--json") {
                 println!(
                     "{}",
                     json::array(registry::builtin_specs().iter().map(|spec| {
@@ -1886,13 +1386,9 @@ fn cmd_experiments(mut common: Common) -> ExitCode {
             }
         }
         "show" => {
-            if common.json {
-                fail("--json does not apply to experiments show (the output is canonical TOML)");
-            }
-            if rest.len() != 1 {
+            let [name] = rest else {
                 fail("experiments show needs exactly one builtin spec name");
-            }
-            let name = &rest[0];
+            };
             let spec = registry::spec_by_name(name).unwrap_or_else(|| {
                 fail(&format!(
                     "unknown builtin spec {name:?}{} (expected one of: {})",
@@ -1907,12 +1403,6 @@ fn cmd_experiments(mut common: Common) -> ExitCode {
             print!("{}", registry::canonical_toml(spec));
         }
         "validate" => {
-            if common.json {
-                fail("--json does not apply to experiments validate");
-            }
-            if let Some(flagish) = rest.iter().find(|a| a.starts_with('-')) {
-                fail(&format!("unexpected argument {flagish:?}"));
-            }
             // Named files, or every builtin spec re-parsed from its embedded
             // source (not the cached registry), so validate exercises the same
             // path a user-authored --spec file takes.
@@ -1973,33 +1463,11 @@ fn cmd_experiments(mut common: Common) -> ExitCode {
 /// named by `--result-cache DIR` or `$SVW_RESULT_CACHE`. `stats` sizes the
 /// store, `gc --max-bytes N` evicts least-recently-used entries until the
 /// store fits, and `verify` re-checksums every entry and prunes corrupt ones.
-fn cmd_cache(mut common: Common) {
-    common.reject_sweep_flags("cache");
-    common.reject_events_flag("cache");
-    common.reject_model_version("cache (entries record their own lineage)");
-    if common.out.is_some() {
-        fail("--out does not apply to cache (the report prints to stdout)");
-    }
-    if common.no_result_cache {
-        fail("--no-result-cache does not apply to cache (it manages the store directly)");
-    }
-    if common.result_cache_mode.is_some() {
-        fail("--result-cache-mode does not apply to cache (stats/gc/verify operate on the store directly)");
-    }
-    let mut rest = std::mem::take(&mut common.rest);
-    if rest.is_empty() {
+fn cmd_cache(args: &Args) {
+    let Some(sub) = args.positionals.first() else {
         fail("cache needs a subcommand: stats, gc --max-bytes N, or verify");
-    }
-    let sub = rest.remove(0);
-    let max_bytes = take_flag_value(&mut rest, "--max-bytes");
-    reject_leftovers(&rest);
-    if sub != "gc" && max_bytes.is_some() {
-        fail("--max-bytes applies to cache gc");
-    }
-    let dir = common
-        .result_cache
-        .clone()
-        .or_else(|| std::env::var("SVW_RESULT_CACHE").ok())
+    };
+    let dir = result_cache_dir(args)
         .unwrap_or_else(|| fail("cache needs --result-cache DIR (or $SVW_RESULT_CACHE)"));
     let rc = ResultCache::open(&dir, CacheMode::ReadWrite)
         .unwrap_or_else(|e| fail(&format!("cannot open result cache {dir}: {e}")));
@@ -2008,7 +1476,7 @@ fn cmd_cache(mut common: Common) {
             let s = rc
                 .stats()
                 .unwrap_or_else(|e| fail(&format!("cannot read result cache {dir}: {e}")));
-            if common.json {
+            if args.has("--json") {
                 println!(
                     "{}",
                     json::object([
@@ -2031,7 +1499,7 @@ fn cmd_cache(mut common: Common) {
             let r = rc
                 .verify()
                 .unwrap_or_else(|e| fail(&format!("cannot verify result cache {dir}: {e}")));
-            if common.json {
+            if args.has("--json") {
                 println!(
                     "{}",
                     json::object([
@@ -2052,16 +1520,13 @@ fn cmd_cache(mut common: Common) {
             }
         }
         "gc" => {
-            let max: u64 = max_bytes
-                .unwrap_or_else(|| {
-                    fail("cache gc needs --max-bytes N (the store size to shrink to)")
-                })
-                .parse()
-                .unwrap_or_else(|_| fail("invalid value for --max-bytes"));
+            let max = args.int("--max-bytes").unwrap_or_else(|| {
+                fail("cache gc needs --max-bytes N (the store size to shrink to)")
+            });
             let r = rc
                 .gc(max)
                 .unwrap_or_else(|e| fail(&format!("cannot gc result cache {dir}: {e}")));
-            if common.json {
+            if args.has("--json") {
                 println!(
                     "{}",
                     json::object([
@@ -2088,61 +1553,36 @@ fn cmd_cache(mut common: Common) {
     }
 }
 
-fn cmd_figure_shortcut(mut common: Common, figure: &str) {
-    // The shortcuts also accept the historical positional [trace_len] [seed],
-    // layered over whatever --trace-len/--seed flags already set.
-    let positionals = std::mem::take(&mut common.rest);
-    match svw_sim::parse_len_seed(positionals.into_iter(), common.trace_len, common.seed) {
-        Ok((trace_len, seed)) => {
-            common.trace_len = trace_len;
-            common.seed = seed;
-        }
-        Err(msg) => fail(&msg),
-    }
-    run_artifacts(&common, &[figure]);
-}
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("{USAGE}");
+    let argv: Vec<String> = std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .unwrap_or_else(|raw| fail(&format!("argument {raw:?} is not valid UTF-8")))
+        })
+        .collect();
+    let Some((command, rest)) = argv.split_first() else {
+        eprintln!("{}", usage());
         return ExitCode::from(2);
+    };
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-    let command = args.remove(0);
+    let args = Args::parse(command, rest.to_vec()).unwrap_or_else(|e| fail(&e));
     match command.as_str() {
-        "help" | "--help" | "-h" => print!("{USAGE}"),
-        "capture" => {
-            let common = parse_common(args);
-            common.reject_sweep_flags("capture");
-            common.reject_events_flag("capture");
-            common.reject_model_version("capture (traces are model-independent)");
-            common.reject_result_cache_flags(
-                "capture (traces are cached separately; see --cache-dir)",
-            );
-            cmd_capture(common);
-        }
-        "inspect" => {
-            let common = parse_common(args);
-            common.reject_sweep_flags("inspect");
-            common.reject_events_flag("inspect");
-            common.reject_model_version("inspect");
-            common.reject_result_cache_flags("inspect");
-            cmd_inspect(common);
-        }
-        "run" => cmd_run(parse_common(args)),
-        "sweep" => cmd_sweep(parse_common(args)),
-        "merge" => cmd_merge(parse_common(args)),
-        "coordinate" => return cmd_coordinate(parse_common(args)),
-        "profile" => cmd_profile(parse_common(args)),
-        "experiments" => return cmd_experiments(parse_common(args)),
-        "cache" => cmd_cache(parse_common(args)),
-        "fig5" | "fig6" | "fig7" | "fig8" => cmd_figure_shortcut(parse_common(args), &command),
-        "tables" => {
-            let common = parse_common(args);
-            reject_leftovers(&common.rest);
-            run_artifacts(&common, &["ssn-width", "spec-ssbf", "summary"]);
-        }
-        other => fail(&format!("unknown command {other:?}")),
+        "capture" => cmd_capture(&args),
+        "inspect" => cmd_inspect(&args),
+        "run" => cmd_run(&args),
+        "sweep" => cmd_sweep(&args),
+        "merge" => cmd_merge(&args),
+        "coordinate" => return cmd_coordinate(&args),
+        "profile" => cmd_profile(&args),
+        "experiments" => return cmd_experiments(&args),
+        "cache" => cmd_cache(&args),
+        "tables" => run_artifacts(&args, &["ssn-width", "spec-ssbf", "summary"]),
+        // `Args::parse` accepts no other command than the figure shortcuts.
+        figure => run_artifacts(&args, &[figure]),
     }
     ExitCode::SUCCESS
 }

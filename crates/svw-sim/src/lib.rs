@@ -129,8 +129,8 @@ pub use registry::{
 };
 pub use report::{FigureReport, SeriesTable};
 pub use runner::{
-    execute_plan, parse_len_seed, run_cells, run_matrix, run_matrix_cached, CellOutcome,
-    ExperimentCell, RunOptions, Shard, StatsCollector, SweepResult, TraceSource, WorkerStats,
-    DEFAULT_SEED, DEFAULT_TRACE_LEN,
+    execute_plan, run_cells, run_matrix, run_matrix_cached, CellOutcome, ExperimentCell,
+    RunOptions, Shard, StatsCollector, SweepResult, TraceSource, WorkerStats, DEFAULT_SEED,
+    DEFAULT_TRACE_LEN,
 };
 pub use svw_oracle::{DifferentialChecker, Divergence, DivergenceKind, OracleOptions};

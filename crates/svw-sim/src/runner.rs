@@ -1199,37 +1199,6 @@ pub fn run_matrix(
     run_matrix_cached(workloads, configs, trace_len, seed, &RunOptions::default())
 }
 
-/// Parses the optional `[trace_len] [seed]` positionals against caller-supplied
-/// defaults, as accepted by the `svwsim` figure shortcuts (`svwsim fig5 20000 3`).
-/// Malformed arguments (a non-numeric trace length or seed, or extra positionals)
-/// are errors — silently falling back to defaults would run a multi-minute
-/// experiment the user did not ask for.
-pub fn parse_len_seed(
-    mut args: impl Iterator<Item = String>,
-    default_trace_len: usize,
-    default_seed: u64,
-) -> Result<(usize, u64), String> {
-    let trace_len = match args.next() {
-        None => default_trace_len,
-        Some(a) => a
-            .parse::<usize>()
-            .map_err(|_| format!("invalid trace length {a:?} (expected a positive integer)"))?,
-    };
-    if trace_len == 0 {
-        return Err("trace length must be positive".to_string());
-    }
-    let seed = match args.next() {
-        None => default_seed,
-        Some(a) => a
-            .parse::<u64>()
-            .map_err(|_| format!("invalid seed {a:?} (expected an unsigned integer)"))?,
-    };
-    if let Some(extra) = args.next() {
-        return Err(format!("unexpected extra argument {extra:?}"));
-    }
-    Ok((trace_len, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1410,30 +1379,5 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn arg_parsing_accepts_valid_and_rejects_malformed() {
-        let parse = |args: &[&str]| {
-            parse_len_seed(
-                args.iter().map(|s| s.to_string()),
-                DEFAULT_TRACE_LEN,
-                DEFAULT_SEED,
-            )
-        };
-        assert_eq!(parse(&[]), Ok((DEFAULT_TRACE_LEN, DEFAULT_SEED)));
-        assert_eq!(parse(&["5000"]), Ok((5000, DEFAULT_SEED)));
-        assert_eq!(parse(&["5000", "9"]), Ok((5000, 9)));
-        assert!(parse(&["abc"]).is_err(), "non-numeric length is rejected");
-        assert!(
-            parse(&["5000", "xyz"]).is_err(),
-            "non-numeric seed is rejected"
-        );
-        assert!(parse(&["0"]).is_err(), "zero length is rejected");
-        assert!(
-            parse(&["5000", "9", "extra"]).is_err(),
-            "extra positionals are rejected"
-        );
-        assert!(parse(&["-3"]).is_err(), "negative length is rejected");
     }
 }

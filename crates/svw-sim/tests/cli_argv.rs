@@ -394,3 +394,65 @@ fn malformed_argv_is_an_error_with_exit_2() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn flags_a_command_ignores_are_rejected() {
+    let dir = workdir("ignored");
+    let d = dir.as_path();
+    assert_ok(d, "capture --workload gcc --trace-len 400 --out g.svwt");
+    assert_ok(d, "sweep --figure fig8 --trace-len 400 --events e.jsonl");
+    let coordinate =
+        "coordinate c0.jsonl --figure fig8 --ci-target 25 --plan-out p.jsonl --out m.jsonl";
+    for line in [
+        "capture --workload gcc --out g2.svwt --seeds 5 --jobs 3",
+        "inspect g.svwt --trace-len 7 --seeds 9 --jobs 2 --no-cache --cache-dir /nonexist --verbose",
+        "run --trace g.svwt --trace-len 9 --seed 77 --jobs 2 --no-cache",
+        "experiments list --trace-len 9 --seeds 4 --jobs 3",
+        "profile e.jsonl --jobs 3 --seeds 3",
+        "cache stats --result-cache rc --trace-len 5 --jobs 3 --verbose --no-cache",
+        &format!("{coordinate} --verbose --no-cache --cache-dir /x"),
+        "sweep --plan p.plan.jsonl --out x.jsonl --model-version 1",
+        &format!("{coordinate} --jobs 0"),
+    ] {
+        let err = assert_rejected(d, line);
+        assert!(err.contains(" does not apply to "), "`svwsim {line}`: {err}");
+    }
+    assert!(
+        !dir.join("g2.svwt").exists(),
+        "a rejected capture writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn hostile_argv_is_an_error_not_a_panic_or_an_abort() {
+    use std::os::unix::ffi::OsStrExt;
+    let dir = workdir("hostile");
+    let d = dir.as_path();
+    let out = command(d)
+        .arg("inspect")
+        .arg(std::ffi::OsStr::from_bytes(b"trace-\xff.svwt"))
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "non-UTF-8 argument: {err}");
+    assert!(
+        err.starts_with("error: argument \"trace-\\xFF.svwt\" is not valid UTF-8"),
+        "{err}"
+    );
+    // 2^50 instructions or seeds would abort on allocation, and 2^64 - 1
+    // instructions would wrap the generator's capacity and run without bound.
+    for line in [
+        "capture --workload gcc --trace-len 1125899906842624 --out g.svwt",
+        "sweep --figure fig8 --trace-len 18446744073709551615",
+        "fig8 1125899906842624",
+        "sweep --figure fig8 --seeds 1125899906842624",
+        "run --workload gcc --seeds 1125899906842624",
+        "sweep --figure fig8 --seed 18446744073709551615 --seeds 2",
+        "sweep --figure fig8 --json --json",
+    ] {
+        assert_rejected(d, line);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -482,7 +482,10 @@ impl<'p> Generator<'p> {
     /// Emits approximately `num_insts` dynamic instructions.
     pub fn generate(mut self, num_insts: usize) -> Program {
         let mut oracle = ArchState::new();
-        let mut trace: Vec<DynInst> = Vec::with_capacity(num_insts + 64);
+        let capacity = num_insts
+            .checked_add(64)
+            .expect("num_insts leaves no room for the generator's epilogue");
+        let mut trace: Vec<DynInst> = Vec::with_capacity(capacity);
         let mut seq: u64 = 0;
 
         let push = |oracle: &mut ArchState,
