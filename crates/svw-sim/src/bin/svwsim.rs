@@ -119,6 +119,10 @@ SWEEP:
     spec by name and renders byte-identically to `--figure NAME`. Every builtin
     artifact is itself defined as such a spec (`svwsim experiments show NAME`).
 
+    Observability: --verbose, --stats, --stats-json, --events, --progress and
+    --metrics-out never change an artifact; every report and JSONL stream stays
+    byte-identical with them on or off.
+
 EXPERIMENTS:
     svwsim experiments list [--json]
     svwsim experiments show <NAME>

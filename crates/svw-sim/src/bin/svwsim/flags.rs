@@ -6,26 +6,26 @@
 use svw_sim::{DEFAULT_SEED, DEFAULT_TRACE_LEN, LATEST_MODEL_VERSION};
 
 /// The longest `--trace-len`: about 720 MB of generated instructions.
-pub const MAX_TRACE_LEN: u64 = 10_000_000;
+const MAX_TRACE_LEN: u64 = 10_000_000;
 /// The most seeds `--seeds`, `--min-seeds` and `--max-seeds` accept.
-pub const MAX_SEEDS: u64 = 1_000;
+const MAX_SEEDS: u64 = 1_000;
 
 // Where a flag applies: one bit per command, or per mode of a command that a
 // flag or subcommand selects.
-pub const CAPTURE: u16 = 1;
-pub const INSPECT: u16 = 1 << 1;
-pub const RUN_TRACE: u16 = 1 << 2;
-pub const RUN_WORKLOAD: u16 = 1 << 3;
-pub const SWEEP: u16 = 1 << 4;
-pub const SHORTCUT: u16 = 1 << 5;
-pub const PLAN: u16 = 1 << 6;
-pub const MERGE: u16 = 1 << 7;
-pub const COORDINATE: u16 = 1 << 8;
-pub const PROFILE: u16 = 1 << 9;
-pub const EXPERIMENTS_LIST: u16 = 1 << 10;
-pub const EXPERIMENTS: u16 = 1 << 11;
-pub const CACHE: u16 = 1 << 12;
-pub const CACHE_GC: u16 = 1 << 13;
+const CAPTURE: u16 = 1;
+const INSPECT: u16 = 1 << 1;
+const RUN_TRACE: u16 = 1 << 2;
+const RUN_WORKLOAD: u16 = 1 << 3;
+const SWEEP: u16 = 1 << 4;
+const SHORTCUT: u16 = 1 << 5;
+const PLAN: u16 = 1 << 6;
+const MERGE: u16 = 1 << 7;
+const COORDINATE: u16 = 1 << 8;
+const PROFILE: u16 = 1 << 9;
+const EXPERIMENTS_LIST: u16 = 1 << 10;
+const EXPERIMENTS: u16 = 1 << 11;
+const CACHE: u16 = 1 << 12;
+const CACHE_GC: u16 = 1 << 13;
 /// Artifact renders: `sweep --figure|--spec`, `fig5`..`fig8` and `tables`.
 const ARTIFACT: u16 = SWEEP | SHORTCUT;
 /// Everything that runs cells on the scheduler.
