@@ -13,13 +13,12 @@
 use std::process::ExitCode;
 
 use svw_cpu::Cpu;
-use svw_sim::events::kind as event_kind;
+use svw_sim::registry::AdaptiveDefaults;
 use svw_sim::{
-    artifact_trace_keys, expected_cells, json, merge_shards, presets, profile_events, registry,
-    render_artifact, render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId,
-    DifferentialChecker, EventSink, ExperimentCtx, FigureReport, JsonlSink, MergeInput,
-    OracleOptions, Progress, ResultCache, RunOptions, Shard, Stat, StatsCollector, SweepMetrics,
-    SweepObserver, SweepResult, LATEST_MODEL_VERSION,
+    json, presets, profile_events, registry, render_resolved, resolved_trace_keys, run_cells,
+    AdaptiveOpts, CacheMode, CellId, DifferentialChecker, EventSink, ExperimentCtx, ExperimentSpec,
+    FigureReport, JsonlSink, OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat,
+    StatsCollector, SweepMetrics, SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
 use svw_trace::{TraceCache, TraceReader};
 use svw_workloads::{ArenaPin, TraceArenas, WorkloadProfile};
@@ -42,15 +41,11 @@ COMMANDS:
     capture    generate a workload and write a .svwt trace file
     inspect    print a .svwt file's header and instruction-mix statistics
     run        simulate one machine configuration over a trace file or workload
-    sweep      reproduce a paper artifact (figure/table) over its config matrix,
-               or drain a coordinator-issued *.plan.jsonl file (--plan)
+    sweep      reproduce a paper artifact (figure/table) over its config matrix
     fig5 fig6 fig7 fig8
                shortcuts for `sweep --figure figN`, accepting the historical
                positional [trace_len] [seed] arguments
     tables     the three table artifacts (ssn-width, spec-ssbf, summary)
-    merge      validate and stitch sharded sweep JSONL files into one result set
-    coordinate two-phase distributed-adaptive driver: merge shard streams, apply
-               the CI-target stopping rule globally, requeue work as plan files
     profile    aggregate --events journals into phase breakdowns, slowest
                cells, and per-worker utilization
     experiments
@@ -82,37 +77,22 @@ SWEEP:
     svwsim sweep --figure <fig5|fig6|fig7|fig8|ssn-width|spec-ssbf|substrate-ssbf|summary|
                            adversarial-ssbf|adversarial-svw>
                  [--trace-len N] [--seed N] [--seeds K] [--jobs N]
-                 [--out results.jsonl] [--shard I/N|auto] [--ci-target PCT]
-                 [--substrate] [--json]
+                 [--out results.jsonl] [--ci-target PCT] [--substrate] [--json]
     svwsim sweep --spec (FILE.toml | builtin:NAME) [same options]
-    svwsim sweep --plan ROUND.plan.jsonl --shard I/N [--out shardI.jsonl]
     Every (workload, configuration, seed) cell is an independent unit of work
     drained from a shared queue by the worker threads, so wide matrices saturate
     all cores. With `--out`, each finished cell is appended to the JSONL file
     immediately; re-running the same sweep with the same file *resumes*, skipping
-    the cells already present (failed cells are re-tried).
-
-    Distributed: `--shard I/N` (I is 0-based) runs only every N-th cell, so N
-    processes or machines — each with its own `--out` file — cover the sweep
-    disjointly; `svwsim merge` stitches the files back together, and re-running
-    the sweep with `--out merged.jsonl` re-renders the full artifact from the
-    merged results without simulating anything. `--shard auto` derives I/N from
-    cluster environment variables (SLURM_ARRAY_TASK_ID/_COUNT for job arrays,
-    SLURM_PROCID/SLURM_NTASKS, OMPI_COMM_WORLD_RANK/_SIZE,
-    PBS_ARRAY_INDEX/PBS_ARRAY_COUNT; 0-based array ranges).
+    the cells already present (failed cells are re-tried); a complete file
+    re-renders the artifact without simulating anything.
 
     Adaptive: `--ci-target PCT` replaces the fixed `--seeds K` with sequential
     sampling — every workload starts at `--min-seeds` seeds and keeps receiving
     extra seeds (across all of its configurations, keeping seed-paired speedups
     paired) until the 95% CI of IPC is within PCT% of the mean for every
-    configuration, or `--max-seeds` is reached. Incompatible with --shard and
-    --seeds in one process; to distribute an adaptive sweep, drive the shards
-    through `svwsim coordinate` (see below).
-
-    Plan mode: `--plan FILE` executes a coordinator-issued requeue plan instead
-    of a full artifact; `--shard I/N` slices the plan's cells by position. The
-    run streams results to `--out` and prints no artifact report (the final
-    render happens from the coordinator's merged file).
+    configuration, or `--max-seeds` is reached. The spec's [adaptive] block
+    sets the --min-seeds/--max-seeds defaults; the flags override it.
+    Incompatible with --seeds.
 
     Spec mode: `--spec FILE.toml` sweeps a user-defined experiment spec (see
     docs/EXPERIMENTS.md for the schema); `--spec builtin:NAME` sweeps a builtin
@@ -133,34 +113,9 @@ EXPERIMENTS:
     spec files, or every builtin spec when run without arguments, and exits 1 on
     the first invalid spec (errors carry file:line positions).
 
-COORDINATE:
-    svwsim coordinate SHARD.jsonl... --figure ART --ci-target PCT
-                      [--trace-len N] [--seed N] [--min-seeds K] [--max-seeds K]
-                      --plan-out ROUND.plan.jsonl --out merged.jsonl
-    Makes --ci-target compose with --shard I/N. The coordinator is stateless:
-    each invocation re-reads the shard JSONL streams (missing files read as
-    empty), validates them exactly like `merge` (fingerprints, byte-identical
-    duplicates, no strays), re-derives the adaptive decision sequence, and
-    either (exit 3) writes the next round's cells to --plan-out for the shards
-    to drain with `sweep --plan ... --shard I/N --out shardI.jsonl`, or (exit 0)
-    writes the complete merged result set to --out. Render the artifact from it
-    with `sweep --figure ART --ci-target ... --out merged.jsonl` — byte-identical
-    to a single-process adaptive run. Exit 1 on validation errors.
-
-MERGE:
-    svwsim merge SHARD.jsonl... --figure ART[,ART...] --out merged.jsonl
-                 [--trace-len N] [--seed N] [--seeds K]
-    Validates that the shard files exactly cover the named sweep — every line's
-    workload fingerprint must match this binary's workload definitions, duplicate
-    cells must be byte-identical, and the union must be gap-free — then writes
-    the complete result set in canonical order to --out. `--figure tables` is
-    shorthand for ssn-width,spec-ssbf,summary. Exits 1 on a gapped, conflicting,
-    or fingerprint-mismatched shard set. Validation errors name the offending
-    file and line (`shard0.jsonl:17: ...`).
-
 PROFILE:
     svwsim profile EVENTS.jsonl... [--top N] [--json]
-    Reads one or more --events journals (e.g. each shard's) and reports phase
+    Reads one or more --events journals (e.g. one per run) and reports phase
     breakdowns (trace-acquire / decode / simulate / write) in aggregate and per
     workload, the --top N slowest cells, and per-worker busy time
     and utilization. Each input file is treated as one process's timeline.
@@ -203,7 +158,9 @@ fn oracle_options(args: &Args) -> Option<OracleOptions> {
 }
 
 /// The adaptive sampling policy, when `--ci-target` was given (validated).
-fn adaptive(args: &Args) -> Option<AdaptiveOpts> {
+/// `--min-seeds` and `--max-seeds` default to the spec's `[adaptive]` block, and
+/// to the flag table's defaults when the spec has none.
+fn adaptive(args: &Args, spec: Option<&AdaptiveDefaults>) -> Option<AdaptiveOpts> {
     let Some(ci_target_pct) = args.float("--ci-target") else {
         if args.has("--min-seeds") || args.has("--max-seeds") {
             fail("--min-seeds/--max-seeds require --ci-target (they bound adaptive sampling; use --seeds for a fixed count)");
@@ -213,28 +170,24 @@ fn adaptive(args: &Args) -> Option<AdaptiveOpts> {
     if args.num::<u64>("--seeds") != 1 {
         fail("--seeds and --ci-target are mutually exclusive (adaptive sampling picks the seed count; bound it with --min-seeds/--max-seeds)");
     }
-    if args.has("--shard") {
-        fail("--ci-target and --shard are mutually exclusive: adaptive sampling needs every configuration's results to decide when to stop");
-    }
+    let bound = |name: &str, from_spec: Option<u64>| -> usize {
+        args.num_or(name, from_spec)
+            .unwrap_or_else(|e| fail(&format!("spec [adaptive]: {e}")))
+    };
     let opts = AdaptiveOpts {
         ci_target_pct,
-        min_seeds: args.num("--min-seeds"),
-        max_seeds: args.num("--max-seeds"),
+        min_seeds: bound("--min-seeds", spec.map(|d| d.min_seeds)),
+        max_seeds: bound("--max-seeds", spec.map(|d| d.max_seeds)),
     };
     opts.validate().unwrap_or_else(|e| fail(&e));
+    if args
+        .num::<u64>("--seed")
+        .checked_add(opts.max_seeds as u64 - 1)
+        .is_none()
+    {
+        fail("--seed is too large: its replication seeds overflow 64 bits");
+    }
     Some(opts)
-}
-
-/// The `--shard` slice, when given; `auto` reads it from cluster variables.
-fn shard(args: &Args) -> Option<Shard> {
-    args.text("--shard").map(|raw| {
-        let shard = if raw == "auto" {
-            Shard::from_env()
-        } else {
-            Shard::parse(raw)
-        };
-        shard.unwrap_or_else(|e| fail(&e))
-    })
 }
 
 fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCache>) {
@@ -327,9 +280,6 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
         .unwrap_or_else(|e| fail(&format!("cannot write --stats-json {path}: {e}")));
 }
 
-/// Builds the `--events`/`--progress`/`--metrics-out` observer bundle for
-/// scheduler commands; `None` when no instrumentation flag was given, so the
-/// hot path pays nothing.
 /// One executor session: the trace cache, result cache, `--out` sink, stats
 /// collector, observer and decode arenas a scheduler command runs under, and
 /// the epilogues that close them.
@@ -341,8 +291,8 @@ struct Session<'a> {
     collector: Option<StatsCollector>,
     observer: Option<SweepObserver>,
     /// One decode-once arena registry per invocation: the matrices of a
-    /// multi-table artifact, the artifacts of one render and the plans of one
-    /// requeue round share each decoded trace instead of re-decoding it.
+    /// multi-table artifact, the artifacts of one render and the rounds of an
+    /// adaptive sweep share each decoded trace instead of re-decoding it.
     arenas: TraceArenas,
 }
 
@@ -374,14 +324,13 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The executor options of this session, running the `shard` slice.
-    fn options(&self, shard: Option<Shard>) -> RunOptions<'_> {
+    /// The executor options of this session.
+    fn options(&self) -> RunOptions<'_> {
         RunOptions {
             cache: self.cache.as_ref(),
             verbose: self.args.has("--verbose"),
             jobs: self.args.num("--jobs"),
             sink: self.sink.as_ref(),
-            shard,
             stats: self.collector.as_ref(),
             obs: self.observer.as_ref(),
             arenas: Some(&self.arenas),
@@ -425,7 +374,7 @@ impl<'a> Session<'a> {
             }
         }
         // `misses` counts exactly the cells that went on to real simulation
-        // (restored and out-of-shard cells never consult the cache), so a fully
+        // (restored cells never consult the cache), so a fully
         // warm run reads `... 0 simulated, 0 stored` — the line CI greps for.
         if let Some(rc) = result_cache {
             let c = rc.counters();
@@ -702,7 +651,7 @@ fn cmd_run(args: &Args) {
                 args.num("--trace-len"),
                 &seeds,
                 0,
-                &session.options(None),
+                &session.options(),
             );
             result.emit_warnings();
             session.finish();
@@ -893,21 +842,54 @@ fn print_replicated(args: &Args, workload: &str, config_name: &str, result: &Swe
 
 // --------------------------------------------------------------------- sweep
 
-/// Runs `render` under one executor session for a `--figure`/`--spec` sweep or
-/// a shortcut, prints the reports (text or `--json`), and exits 1 if `--oracle`
-/// failed any cell.
-fn render_reports(args: &Args, render: impl FnOnce(&ExperimentCtx<'_>) -> Vec<FigureReport>) {
-    let (shard, adaptive) = (shard(args), adaptive(args));
+/// Renders `specs` under one executor session, prints the reports (text or
+/// `--json`), and exits 1 if `--oracle` failed any cell.
+fn render_specs(args: &Args, specs: &[ResolvedSpec]) {
+    // Resolved before the session opens any file, so a bad bound writes nothing.
+    let adaptive: Vec<Option<AdaptiveOpts>> = specs
+        .iter()
+        .map(|resolved| adaptive(args, resolved.spec.adaptive.as_ref()))
+        .collect();
     let session = Session::open(args);
     let ctx = ExperimentCtx {
         trace_len: args.num("--trace-len"),
         seeds: seed_list(args),
-        adaptive,
+        adaptive: None,
         substrate: args.has("--substrate"),
         model_version: args.num("--model-version"),
-        opts: session.options(shard),
+        opts: session.options(),
     };
-    let reports = render(&ctx);
+    // Pin every spec's trace keys for the whole render: `tables` (three
+    // artifacts over the same workloads) decodes each trace once instead of
+    // once per artifact. Dropping the pin frees the arenas.
+    let pin = ArenaPin::new(
+        &session.arenas,
+        specs
+            .iter()
+            .flat_map(|resolved| resolved_trace_keys(resolved, ctx.trace_len, &ctx.seeds))
+            .collect(),
+    );
+    let reports: Vec<FigureReport> = specs
+        .iter()
+        .zip(adaptive)
+        .map(|(resolved, adaptive)| {
+            let start = std::time::Instant::now();
+            let ctx = ExperimentCtx {
+                adaptive,
+                ..ctx.clone()
+            };
+            let report = render_resolved(&ctx, resolved).unwrap_or_else(|e| fail(&e));
+            if args.has("--verbose") {
+                eprintln!(
+                    "[svwsim] {} finished in {:.2}s",
+                    resolved.spec.name,
+                    start.elapsed().as_secs_f64()
+                );
+            }
+            report
+        })
+        .collect();
+    drop(pin);
     if args.has("--json") {
         println!("{}", json::array(reports.iter().map(|r| r.to_json())));
     } else {
@@ -925,403 +907,54 @@ fn render_reports(args: &Args, render: impl FnOnce(&ExperimentCtx<'_>) -> Vec<Fi
     }
 }
 
+/// The builtin spec `name`; `what` names it in the error for an unknown name.
+fn builtin_spec(name: &str, what: &str) -> &'static ExperimentSpec {
+    registry::spec_by_name(name).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown {what} {name:?}{} (expected one of: {})",
+            registry::did_you_mean(name, registry::builtin_names()),
+            registry::builtin_names().join(", ")
+        ))
+    })
+}
+
+/// `spec` resolved at `--model-version`.
+fn resolve(args: &Args, spec: &ExperimentSpec) -> ResolvedSpec {
+    registry::resolve_spec(spec, args.num("--model-version")).unwrap_or_else(|e| fail(&e))
+}
+
+/// `svwsim sweep --figure ART`, the figure shortcuts and `tables`.
 fn run_artifacts(args: &Args, names: &[&str]) {
-    render_reports(args, |ctx| {
-        // Pin every artifact's trace keys for the whole render: `tables` (three
-        // artifacts over the same workloads) decodes each trace once instead of
-        // once per artifact. The pin drops with the closure, freeing the arenas.
-        let _pin = ctx.opts.arenas.map(|arenas| {
-            let keys = names
-                .iter()
-                .flat_map(|name| artifact_trace_keys(name, ctx.trace_len, &ctx.seeds))
-                .collect();
-            ArenaPin::new(arenas, keys)
-        });
-        names
-            .iter()
-            .map(|name| {
-                let start = std::time::Instant::now();
-                let report = render_artifact(ctx, name).unwrap_or_else(|e| fail(&e));
-                if args.has("--verbose") {
-                    eprintln!(
-                        "[svwsim] {name} finished in {:.2}s",
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-                report
-            })
-            .collect()
-    });
+    let specs: Vec<ResolvedSpec> = names
+        .iter()
+        .map(|name| resolve(args, builtin_spec(name, "artifact")))
+        .collect();
+    render_specs(args, &specs);
 }
 
 /// `svwsim sweep --spec (FILE.toml | builtin:NAME)`: sweep an experiment spec —
 /// a user-authored TOML file, or a builtin by name (byte-identical to the
 /// corresponding `--figure`).
 fn run_spec(args: &Args, spec_arg: &str) {
-    let spec = if let Some(name) = spec_arg.strip_prefix("builtin:") {
-        registry::spec_by_name(name)
-            .unwrap_or_else(|| {
-                fail(&format!(
-                    "unknown builtin spec {name:?}{} (expected one of: {})",
-                    registry::did_you_mean(name, registry::builtin_names()),
-                    registry::builtin_names().join(", ")
-                ))
-            })
-            .clone()
-    } else {
-        let content = std::fs::read_to_string(spec_arg)
-            .unwrap_or_else(|e| fail(&format!("cannot read --spec {spec_arg}: {e}")));
-        registry::parse_spec(&content, spec_arg).unwrap_or_else(|e| fail(&e.to_string()))
+    let spec = match spec_arg.strip_prefix("builtin:") {
+        Some(name) => builtin_spec(name, "builtin spec").clone(),
+        None => {
+            let content = std::fs::read_to_string(spec_arg)
+                .unwrap_or_else(|e| fail(&format!("cannot read --spec {spec_arg}: {e}")));
+            registry::parse_spec(&content, spec_arg).unwrap_or_else(|e| fail(&e.to_string()))
+        }
     };
-    let resolved =
-        registry::resolve_spec(&spec, args.num("--model-version")).unwrap_or_else(|e| fail(&e));
-    render_reports(args, |ctx| {
-        vec![render_resolved(ctx, &resolved).unwrap_or_else(|e| fail(&e))]
-    });
-}
-
-// --------------------------------------------------------------------- merge
-
-/// `svwsim merge SHARD.jsonl... --figure ART[,ART] --out merged.jsonl`: validates
-/// that the shard files exactly cover the named sweep (fingerprints, no gaps, no
-/// conflicting duplicates) and writes the complete result set in canonical order.
-fn cmd_merge(args: &Args) {
-    let figure = args
-        .text("--figure")
-        .unwrap_or_else(|| fail("merge needs --figure <artifact[,artifact...]> to know which cells the sweep must cover"));
-    let out = args
-        .text("--out")
-        .unwrap_or_else(|| fail("merge needs --out FILE for the merged result set"));
-    if args.positionals.is_empty() {
-        fail("merge needs at least one shard JSONL file");
-    }
-
-    let artifacts = expand_artifacts(figure);
-    let expected = expected_cells(
-        &artifacts,
-        args.num("--trace-len"),
-        &seed_list(args),
-        args.num("--model-version"),
-    )
-    .unwrap_or_else(|e| fail(&e.to_string()));
-    let inputs: Vec<MergeInput> = args
-        .positionals
-        .iter()
-        .map(|path| MergeInput {
-            name: path.clone(),
-            content: std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}"))),
-        })
-        .collect();
-
-    match merge_shards(&expected, &inputs) {
-        Ok(report) => {
-            std::fs::write(out, &report.merged)
-                .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-            if let Some(path) = args.text("--events") {
-                let sink = EventSink::open(path)
-                    .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")));
-                sink.emit(
-                    event_kind::MERGE_SUMMARY,
-                    [
-                        ("files", json::uint(inputs.len() as u64)),
-                        ("cells", json::uint(report.cells as u64)),
-                        (
-                            "duplicates_dropped",
-                            json::uint(report.duplicates_dropped as u64),
-                        ),
-                        (
-                            "failed_lines_dropped",
-                            json::uint(report.failed_lines_dropped as u64),
-                        ),
-                        ("malformed_lines", json::uint(report.malformed_lines as u64)),
-                    ],
-                );
-            }
-            eprintln!(
-                "[svwsim] merged {} cell(s) from {} file(s) into {out}{}{}{}",
-                report.cells,
-                inputs.len(),
-                plural_note(report.duplicates_dropped, "identical duplicate line"),
-                plural_note(report.failed_lines_dropped, "superseded failure line"),
-                plural_note(report.malformed_lines, "malformed line"),
-            );
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `", dropping N <what>(s)"` when N > 0, empty otherwise.
-fn plural_note(n: usize, what: &str) -> String {
-    if n == 0 {
-        String::new()
-    } else {
-        format!(", dropping {n} {what}(s)")
-    }
-}
-
-/// Expands a `--figure` comma list, with `tables` standing for its three
-/// artifacts, into an order-preserving deduplicated artifact list (a repeated
-/// artifact would, e.g., break merge's gap accounting by duplicating expected
-/// cells).
-fn expand_artifacts(figure: &str) -> Vec<String> {
-    let mut artifacts: Vec<String> = Vec::new();
-    for name in figure.split(',').filter(|s| !s.is_empty()) {
-        if name == "tables" {
-            artifacts.extend(["ssn-width", "spec-ssbf", "summary"].map(String::from));
-        } else {
-            artifacts.push(name.to_string());
-        }
-    }
-    let mut seen = std::collections::HashSet::new();
-    artifacts.retain(|a| seen.insert(a.clone()));
-    artifacts
+    render_specs(args, &[resolve(args, &spec)]);
 }
 
 fn cmd_sweep(args: &Args) {
-    match (
-        args.text("--figure"),
-        args.text("--spec"),
-        args.text("--plan"),
-    ) {
-        (Some(figure), None, None) => run_artifacts(args, &[figure]),
-        (None, Some(spec), None) => run_spec(args, spec),
-        (None, None, Some(plan)) => run_plan(args, plan),
+    match (args.text("--figure"), args.text("--spec")) {
+        (Some(figure), None) => run_artifacts(args, &[figure]),
+        (None, Some(spec)) => run_spec(args, spec),
         _ => fail(
-            "sweep needs exactly one of --figure <artifact>, --spec <FILE.toml|builtin:NAME>, \
-             or --plan <FILE.plan.jsonl>",
+            "sweep needs exactly one of --figure <artifact> or --spec <FILE.toml|builtin:NAME>",
         ),
     }
-}
-
-/// `svwsim sweep --plan FILE [--shard I/N] [--out shardI.jsonl]`: drain a
-/// coordinator-issued requeue plan through the ordinary executor. No artifact is
-/// rendered — the results stream to `--out` for the coordinator to collect.
-fn run_plan(args: &Args, path: &str) {
-    if !args.has("--out") {
-        fail("--plan runs need --out FILE: a plan's results exist only as the JSONL stream the coordinator collects — without it the simulation work would be discarded");
-    }
-    let content = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read --plan {path}: {e}")));
-    let plan_file = svw_sim::parse_plan_file(&content)
-        .unwrap_or_else(|e| fail(&format!("invalid plan file {path}: {e}")));
-    let plans = svw_sim::resolve_plan(&plan_file, shard(args))
-        .unwrap_or_else(|e| fail(&format!("cannot resolve plan file {path}: {e}")));
-
-    let session = Session::open(args);
-    // The plan already carries the shard assignment (applied by position across
-    // the whole file); the executor must not re-slice.
-    let opts = session.options(None);
-    let (mut simulated, mut restored, mut skipped, mut cached, mut failed) =
-        (0usize, 0usize, 0usize, 0usize, 0usize);
-    for plan in &plans {
-        let result = svw_sim::execute_plan(plan, &opts);
-        result.emit_warnings();
-        simulated += result.cells.len() - result.restored - result.skipped - result.cached;
-        restored += result.restored;
-        skipped += result.skipped;
-        cached += result.cached;
-        failed += result.failures().count();
-    }
-    session.finish();
-    eprintln!(
-        "[svwsim] plan {path} (round {}): {simulated} cell(s) simulated, {restored} restored, \
-         {skipped} belong to other shards{}{}",
-        plan_file.round,
-        if cached > 0 {
-            format!(", {cached} from the result cache")
-        } else {
-            String::new()
-        },
-        if failed > 0 {
-            format!(", {failed} FAILED")
-        } else {
-            String::new()
-        }
-    );
-    if failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-// --------------------------------------------------------------- coordinate
-
-/// `svwsim coordinate SHARD.jsonl... --figure ART --ci-target PCT --plan-out FILE
-/// --out merged.jsonl`: one stateless round of the two-phase distributed-adaptive
-/// protocol. Exit 0 = converged (merged written), 3 = plan emitted, 1 = error.
-fn cmd_coordinate(args: &Args) -> ExitCode {
-    let figure = args.text("--figure").unwrap_or_else(|| {
-        fail("coordinate needs --figure <artifact> (one artifact per coordination)")
-    });
-    if figure.contains(',') || figure == "tables" {
-        fail("coordinate drives one artifact at a time; run one coordination per artifact");
-    }
-    let plan_out = args
-        .text("--plan-out")
-        .unwrap_or_else(|| fail("coordinate needs --plan-out FILE for requeue plans"));
-    let out = args
-        .text("--out")
-        .unwrap_or_else(|| fail("coordinate needs --out FILE for the merged result set"));
-    if args.positionals.is_empty() {
-        fail("coordinate needs the shard JSONL files (they may not exist yet on round 0)");
-    }
-    let adaptive = adaptive(args).unwrap_or_else(|| {
-        fail("coordinate needs --ci-target PCT (it exists to distribute adaptive sweeps; use `merge` for fixed --seeds sweeps)")
-    });
-    let (trace_len, seed, model_version) = (
-        args.num("--trace-len"),
-        args.num("--seed"),
-        args.num("--model-version"),
-    );
-
-    // Shard files that do not exist yet (round 0) read as empty streams; any
-    // other read error (permissions, I/O) is fatal — treating it as empty would
-    // make the driver loop requeue the same cells forever.
-    let inputs: Vec<MergeInput> = args
-        .positionals
-        .iter()
-        .map(|path| {
-            let content = match std::fs::read_to_string(path) {
-                Ok(content) => content,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => fail(&format!("cannot read shard file {path}: {e}")),
-            };
-            MergeInput {
-                name: path.clone(),
-                content,
-            }
-        })
-        .collect();
-    // With a result cache, missing cells may already exist as published results
-    // from earlier sweeps: iterate the (stateless, cheap) decision procedure,
-    // injecting every cache hit for a pending cell as a synthetic shard stream,
-    // until the round converges or no pending cell is cached. Only cells the
-    // decision procedure actually requested are injected — anything else would
-    // be rejected as a stray — and injected lines are the canonical JSONL
-    // bytes, so overlapping a real shard line is a byte-identical duplicate.
-    let result_cache = open_result_cache(args);
-    let mut cache_lines: Vec<String> = Vec::new();
-    let mut cache_cells = 0usize;
-    let outcome = loop {
-        let mut round_inputs = inputs.clone();
-        if !cache_lines.is_empty() {
-            round_inputs.push(MergeInput {
-                name: "<result-cache>".to_string(),
-                content: cache_lines.concat(),
-            });
-        }
-        let request = svw_sim::CoordinateRequest {
-            artifact: figure.to_string(),
-            trace_len,
-            start_seed: seed,
-            adaptive,
-            model_version,
-            inputs: &round_inputs,
-        };
-        let outcome = svw_sim::coordinate_round(&request);
-        if let (Some(rc), Ok(svw_sim::CoordinateOutcome::Pending { plan, .. })) =
-            (result_cache.as_ref(), &outcome)
-        {
-            let mut new_hits = 0usize;
-            for id in &plan.cells {
-                if let Some(line) = rc.lookup_line(id) {
-                    cache_lines.push(format!("{line}\n"));
-                    new_hits += 1;
-                }
-            }
-            if new_hits > 0 {
-                cache_cells += new_hits;
-                continue;
-            }
-        }
-        break outcome;
-    };
-    if cache_cells > 0 {
-        eprintln!("[svwsim] coordinate {figure}: result cache satisfied {cache_cells} cell(s)");
-    }
-    match outcome {
-        Ok(svw_sim::CoordinateOutcome::Converged {
-            merged,
-            cells,
-            duplicates_dropped,
-            failed_lines_dropped,
-            malformed_lines,
-            notes,
-        }) => {
-            std::fs::write(out, &merged)
-                .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-            emit_round_summary(args, figure, "converged", None, cells as u64);
-            eprintln!(
-                "[svwsim] coordinate {figure}: converged — {cells} cell(s) merged into {out}{}{}{}",
-                plural_note(duplicates_dropped, "identical duplicate line"),
-                plural_note(failed_lines_dropped, "superseded failure line"),
-                plural_note(malformed_lines, "malformed line"),
-            );
-            for note in &notes {
-                eprintln!("[svwsim]   {note}");
-            }
-            eprintln!(
-                "[svwsim] render with: svwsim sweep --figure {figure} --trace-len {} --seed {} \
-                 --ci-target {} --min-seeds {} --max-seeds {} --out {out}",
-                trace_len, seed, adaptive.ci_target_pct, adaptive.min_seeds, adaptive.max_seeds
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(svw_sim::CoordinateOutcome::Pending {
-            plan,
-            rounds_complete,
-            missing,
-        }) => {
-            std::fs::write(plan_out, svw_sim::write_plan_file(&plan))
-                .unwrap_or_else(|e| fail(&format!("cannot write {plan_out}: {e}")));
-            emit_round_summary(
-                args,
-                figure,
-                "pending",
-                Some(rounds_complete),
-                missing as u64,
-            );
-            eprintln!(
-                "[svwsim] coordinate {figure}: {rounds_complete} round(s) complete, {missing} \
-                 cell(s) requeued into {plan_out} — drain with `svwsim sweep --plan {plan_out} \
-                 --shard I/N --out shardI.jsonl`, then re-run coordinate"
-            );
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-/// Appends a `round_summary` event to the `--events` journal, when given —
-/// so a whole coordinated run (shard journals plus the coordinator's own)
-/// concatenates into one analyzable timeline.
-fn emit_round_summary(
-    args: &Args,
-    artifact: &str,
-    outcome: &str,
-    rounds_complete: Option<u64>,
-    cells: u64,
-) {
-    let Some(path) = args.text("--events") else {
-        return;
-    };
-    let sink = EventSink::open(path)
-        .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")));
-    let mut fields = vec![
-        ("artifact", json::string(artifact)),
-        ("outcome", json::string(outcome)),
-    ];
-    if let Some(rounds) = rounds_complete {
-        fields.push(("rounds", json::uint(rounds)));
-    }
-    fields.push(("cells", json::uint(cells)));
-    sink.emit(event_kind::ROUND_SUMMARY, fields);
 }
 
 // ------------------------------------------------------------------- profile
@@ -1393,13 +1026,7 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             let [name] = rest else {
                 fail("experiments show needs exactly one builtin spec name");
             };
-            let spec = registry::spec_by_name(name).unwrap_or_else(|| {
-                fail(&format!(
-                    "unknown builtin spec {name:?}{} (expected one of: {})",
-                    registry::did_you_mean(name, registry::builtin_names()),
-                    registry::builtin_names().join(", ")
-                ))
-            });
+            let spec = builtin_spec(name, "builtin spec");
             println!(
                 "fingerprint = \"{:016x}\"",
                 registry::spec_fingerprint(spec)
@@ -1579,8 +1206,6 @@ fn main() -> ExitCode {
         "inspect" => cmd_inspect(&args),
         "run" => cmd_run(&args),
         "sweep" => cmd_sweep(&args),
-        "merge" => cmd_merge(&args),
-        "coordinate" => return cmd_coordinate(&args),
         "profile" => cmd_profile(&args),
         "experiments" => return cmd_experiments(&args),
         "cache" => cmd_cache(&args),

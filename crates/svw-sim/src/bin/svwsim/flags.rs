@@ -18,34 +18,27 @@ const RUN_TRACE: u16 = 1 << 2;
 const RUN_WORKLOAD: u16 = 1 << 3;
 const SWEEP: u16 = 1 << 4;
 const SHORTCUT: u16 = 1 << 5;
-const PLAN: u16 = 1 << 6;
-const MERGE: u16 = 1 << 7;
-const COORDINATE: u16 = 1 << 8;
-const PROFILE: u16 = 1 << 9;
-const EXPERIMENTS_LIST: u16 = 1 << 10;
-const EXPERIMENTS: u16 = 1 << 11;
-const CACHE: u16 = 1 << 12;
-const CACHE_GC: u16 = 1 << 13;
+const PROFILE: u16 = 1 << 6;
+const EXPERIMENTS_LIST: u16 = 1 << 7;
+const EXPERIMENTS: u16 = 1 << 8;
+const CACHE: u16 = 1 << 9;
+const CACHE_GC: u16 = 1 << 10;
 /// Artifact renders: `sweep --figure|--spec`, `fig5`..`fig8` and `tables`.
 const ARTIFACT: u16 = SWEEP | SHORTCUT;
-/// Everything that runs cells on the scheduler.
-const SCHEDULER: u16 = RUN_WORKLOAD | ARTIFACT | PLAN;
+/// Everything that runs cells on the scheduler, and so reads or writes the
+/// result cache.
+const SCHEDULER: u16 = RUN_WORKLOAD | ARTIFACT;
 /// Everything that simulates.
 const SIMULATE: u16 = RUN_TRACE | SCHEDULER;
-/// Everything that reads or writes the result cache.
-const RESULT_CACHE: u16 = SCHEDULER | COORDINATE;
 
 /// The scope bits in help order, with their names.
-const SCOPE_NAMES: [(u16, &str); 14] = [
+const SCOPE_NAMES: [(u16, &str); 11] = [
     (CAPTURE, "capture"),
     (INSPECT, "inspect"),
     (RUN_TRACE, "run --trace"),
     (RUN_WORKLOAD, "run --workload"),
     (SWEEP, "sweep"),
     (SHORTCUT, "fig5-fig8/tables"),
-    (PLAN, "sweep --plan"),
-    (MERGE, "merge"),
-    (COORDINATE, "coordinate"),
     (PROFILE, "profile"),
     (EXPERIMENTS_LIST, "experiments list"),
     (EXPERIMENTS, "experiments show|validate"),
@@ -90,7 +83,7 @@ const TEXT: Kind = Text { default: None };
 const ANY: u64 = u64::MAX;
 
 #[rustfmt::skip]
-pub const FLAGS: [Flag; 35] = [
+pub const FLAGS: [Flag; 32] = [
     // What to simulate.
     Flag { name: "--workload", value: "NAME", kind: TEXT, scope: CAPTURE | RUN_WORKLOAD,
            help: "workload to generate (capture also takes `all`)" },
@@ -99,45 +92,41 @@ pub const FLAGS: [Flag; 35] = [
     Flag { name: "--config", value: "NAME", kind: Text { default: Some("nlq-svw") },
            scope: RUN_TRACE | RUN_WORKLOAD,
            help: "machine configuration (`--config list` prints the names)" },
-    Flag { name: "--figure", value: "ART", kind: TEXT, scope: SWEEP | MERGE | COORDINATE,
-           help: "artifact to sweep or coordinate; merge takes a comma list, where\n\
-                  `tables` stands for ssn-width,spec-ssbf,summary" },
+    Flag { name: "--figure", value: "ART", kind: TEXT, scope: SWEEP,
+           help: "artifact to sweep" },
     Flag { name: "--spec", value: "SPEC", kind: TEXT, scope: SWEEP,
            help: "experiment spec to sweep: FILE.toml or builtin:NAME" },
-    Flag { name: "--plan", value: "FILE", kind: TEXT, scope: PLAN,
-           help: "execute a coordinator requeue plan instead of an artifact" },
     Flag { name: "--trace-len", value: "N",
            kind: int(1, MAX_TRACE_LEN, Some(DEFAULT_TRACE_LEN as u64)),
-           scope: CAPTURE | RUN_WORKLOAD | ARTIFACT | MERGE | COORDINATE,
+           scope: CAPTURE | RUN_WORKLOAD | ARTIFACT,
            help: "per-workload dynamic instructions" },
     Flag { name: "--seed", value: "N", kind: int(0, ANY, Some(DEFAULT_SEED)),
-           scope: CAPTURE | RUN_WORKLOAD | ARTIFACT | MERGE | COORDINATE,
+           scope: CAPTURE | RUN_WORKLOAD | ARTIFACT,
            help: "first workload-generation seed" },
     Flag { name: "--seeds", value: "K", kind: int(1, MAX_SEEDS, Some(1)),
-           scope: RUN_WORKLOAD | ARTIFACT | MERGE,
+           scope: RUN_WORKLOAD | ARTIFACT,
            help: "replication: run seeds seed..seed+K; reports aggregate to\n\
                   mean ± 95% CI per cell" },
-    Flag { name: "--ci-target", value: "PCT", kind: Float, scope: ARTIFACT | COORDINATE,
+    Flag { name: "--ci-target", value: "PCT", kind: Float, scope: ARTIFACT,
            help: "adaptive replication to a 95% CI of IPC within PCT% of the mean" },
     Flag { name: "--min-seeds", value: "K", kind: int(2, MAX_SEEDS, Some(3)),
-           scope: ARTIFACT | COORDINATE,
-           help: "adaptive: seeds before the first CI check" },
+           scope: ARTIFACT,
+           help: "adaptive: seeds before the first CI check; the spec's\n\
+                  [adaptive] min_seeds when it has one, else the default" },
     Flag { name: "--max-seeds", value: "K", kind: int(2, MAX_SEEDS, Some(10)),
-           scope: ARTIFACT | COORDINATE,
-           help: "adaptive: hard per-workload seed ceiling" },
+           scope: ARTIFACT,
+           help: "adaptive: hard per-workload seed ceiling; the spec's\n\
+                  [adaptive] max_seeds when it has one, else the default" },
     Flag { name: "--model-version", value: "N",
            kind: int(1, LATEST_MODEL_VERSION as u64, Some(1)),
-           scope: RUN_TRACE | RUN_WORKLOAD | ARTIFACT | MERGE | COORDINATE,
+           scope: RUN_TRACE | RUN_WORKLOAD | ARTIFACT,
            help: "simulator model version: v1 is the byte-identical baseline, v2\n\
                   fixes the issue-stage FP-budget quirk; results record it in\n\
-                  their lineage and merge/coordinate reject other versions" },
+                  their lineage, so resume and the result cache never mix versions" },
     Flag { name: "--substrate", value: "", kind: Switch, scope: ARTIFACT,
            help: "append substrate-level tables (SSBF lookup/update traffic, L2\n\
                   miss rate) to every artifact report, text and JSON" },
     // How to run it.
-    Flag { name: "--shard", value: "I/N|auto", kind: TEXT, scope: ARTIFACT | PLAN,
-           help: "run only shard I (0-based) of N; `auto` reads cluster env vars\n\
-                  (see SWEEP)" },
     Flag { name: "--jobs", value: "N", kind: int(0, ANY, Some(0)), scope: SCHEDULER,
            help: "worker threads; 0 means all available parallelism" },
     Flag { name: "--oracle", value: "", kind: Switch, scope: SIMULATE,
@@ -155,26 +144,24 @@ pub const FLAGS: [Flag; 35] = [
            help: "trace cache root (default $SVW_TRACE_CACHE, else\n\
                   ~/.cache/svw/traces)" },
     Flag { name: "--result-cache", value: "DIR", kind: TEXT,
-           scope: RESULT_CACHE | CACHE | CACHE_GC,
+           scope: SCHEDULER | CACHE | CACHE_GC,
            help: "content-addressed result cache: a cell found by its full\n\
                   identity skips acquisition, decode and simulation, and every\n\
                   fresh cell is published back; renders stay byte-identical\n\
                   (default $SVW_RESULT_CACHE; see docs/CACHING.md)" },
-    Flag { name: "--no-result-cache", value: "", kind: Switch, scope: RESULT_CACHE,
+    Flag { name: "--no-result-cache", value: "", kind: Switch, scope: SCHEDULER,
            help: "ignore --result-cache and $SVW_RESULT_CACHE (A/B check)" },
     Flag { name: "--result-cache-mode", value: "rw|ro|wo", kind: Text { default: Some("rw") },
-           scope: RESULT_CACHE,
+           scope: SCHEDULER,
            help: "rw reads and publishes; ro never writes (a read-only shared\n\
                   store); wo never reads (re-simulate but still warm the store)" },
     // Where results go.
     Flag { name: "--out", value: "FILE", kind: TEXT,
-           scope: CAPTURE | RUN_TRACE | SCHEDULER | MERGE | COORDINATE,
+           scope: CAPTURE | RUN_TRACE | SCHEDULER,
            help: "stream per-cell results to FILE as JSONL and resume from it;\n\
-                  capture writes the trace there, merge/coordinate the merged set" },
+                  capture writes the trace there" },
     Flag { name: "--out-dir", value: "DIR", kind: TEXT, scope: CAPTURE,
            help: "capture each workload into DIR/NAME.svwt" },
-    Flag { name: "--plan-out", value: "FILE", kind: TEXT, scope: COORDINATE,
-           help: "where coordinate writes the next requeue plan" },
     Flag { name: "--json", value: "", kind: Switch,
            scope: INSPECT | RUN_TRACE | RUN_WORKLOAD | ARTIFACT | PROFILE
                | EXPERIMENTS_LIST | CACHE | CACHE_GC,
@@ -192,10 +179,9 @@ pub const FLAGS: [Flag; 35] = [
                   to stderr" },
     Flag { name: "--stats-json", value: "FILE", kind: TEXT, scope: SCHEDULER,
            help: "write the --stats counters to FILE as one JSON object" },
-    Flag { name: "--events", value: "FILE", kind: TEXT, scope: SCHEDULER | MERGE | COORDINATE,
-           help: "append a kill-tolerant per-cell lifecycle event journal to FILE\n\
-                  (merge and coordinate append summary events); analyze it with\n\
-                  `svwsim profile`" },
+    Flag { name: "--events", value: "FILE", kind: TEXT, scope: SCHEDULER,
+           help: "append a kill-tolerant per-cell lifecycle event journal to FILE;\n\
+                  analyze it with `svwsim profile`" },
     Flag { name: "--progress", value: "", kind: Switch, scope: SCHEDULER,
            help: "live progress lines on stderr (cells done/total, cells/s, ETA;\n\
                   adaptive runs add the worst per-workload relative CI)" },
@@ -241,13 +227,10 @@ pub fn scope_of(
         "inspect" => scope(INSPECT, command, usize::MAX),
         "run" if given("--trace") => scope(RUN_TRACE, "run --trace", 0),
         "run" => scope(RUN_WORKLOAD, "run --workload", 0),
-        "sweep" if given("--plan") => scope(PLAN, "sweep --plan", 0),
         "sweep" => scope(SWEEP, command, 0),
         // The figure shortcuts take the historical positional [trace_len] [seed].
         "fig5" | "fig6" | "fig7" | "fig8" => scope(SHORTCUT, command, 2),
         "tables" => scope(SHORTCUT, command, 0),
-        "merge" => scope(MERGE, command, usize::MAX),
-        "coordinate" => scope(COORDINATE, command, usize::MAX),
         "profile" => scope(PROFILE, command, usize::MAX),
         "experiments" if sub == Some("list") => scope(EXPERIMENTS_LIST, "experiments list", 1),
         "experiments" => scope(EXPERIMENTS, &with_sub(command), usize::MAX),
@@ -377,6 +360,23 @@ impl Args {
         self.int(name)
             .and_then(|n| T::try_from(n).ok())
             .unwrap_or_else(|| panic!("{name} has no default that fits its type"))
+    }
+
+    /// An integer flag's value if given, else `fallback` if set, else the
+    /// flag's default. `fallback` comes from outside the command line (a spec
+    /// file), so it is checked against the flag's range like a given value.
+    pub fn num_or<T: TryFrom<u64>>(&self, name: &str, fallback: Option<u64>) -> Result<T, String> {
+        let i = index(name);
+        match (fallback, &FLAGS[i].kind) {
+            (Some(n), Int { min, max, .. }) if !self.has(name) => {
+                if !(min..=max).contains(&&n) {
+                    return Err(format!("{n} is outside the range of {name}, {min}..={max}"));
+                }
+                Ok(T::try_from(n)
+                    .unwrap_or_else(|_| panic!("{name}'s range does not fit its type")))
+            }
+            _ => Ok(self.num(name)),
+        }
     }
 
     pub fn float(&self, name: &str) -> Option<f64> {

@@ -9,18 +9,17 @@
 //! identity selects a fanout directory and entry file under the cache root, the
 //! entry holds the canonical line plus an integrity checksum, and a lookup
 //! re-parses the stored line back into lossless [`CpuStats`]. A cell simulated
-//! once — by any sweep, any shard, any user sharing the directory — is never
-//! simulated again.
+//! once — by any sweep, any user sharing the directory — is never simulated
+//! again.
 //!
 //! Layering (cheapest first):
 //!
-//! 1. **Sharded in-process index** — a fixed set of mutex-striped maps, so the
+//! 1. **Striped in-process index** — a fixed set of mutex-striped maps, so the
 //!    rounds of an adaptive sweep or the matrices of a multi-table artifact pay
 //!    the disk read once per process;
 //! 2. **On-disk fanout store** — `ROOT/xx/<hash>.svwr` entries written via
-//!    tmp+rename, so concurrent sweeps (and shards of a distributed sweep) can
-//!    share one directory with no locking protocol: a reader sees either the
-//!    complete entry or nothing.
+//!    tmp+rename, so concurrent sweeps can share one directory with no
+//!    locking protocol: a reader sees either the complete entry or nothing.
 //!
 //! Safety properties:
 //!
@@ -59,7 +58,7 @@ const ENTRY_MAGIC: &str = "svwr1";
 const ENTRY_EXT: &str = "svwr";
 
 /// Mutex stripes of the in-process index.
-const INDEX_SHARDS: usize = 16;
+const INDEX_STRIPES: usize = 16;
 
 /// FNV-1a offset basis (the same parameters the spec registry and trace keys
 /// use; kept private per module so each hash domain is self-contained).
@@ -200,7 +199,7 @@ impl ResultCache {
         Ok(ResultCache {
             root,
             mode,
-            index: (0..INDEX_SHARDS)
+            index: (0..INDEX_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             hits: AtomicU64::new(0),
@@ -257,8 +256,8 @@ impl ResultCache {
             .join(format!("{key:016x}.{ENTRY_EXT}"))
     }
 
-    fn index_shard(&self, id: &CellId) -> &Mutex<HashMap<CellId, CpuStats>> {
-        &self.index[(Self::cache_key(id) as usize) % INDEX_SHARDS]
+    fn index_stripe(&self, id: &CellId) -> &Mutex<HashMap<CellId, CpuStats>> {
+        &self.index[(Self::cache_key(id) as usize) % INDEX_STRIPES]
     }
 
     /// Looks up `id`, consulting the in-process index first and the on-disk
@@ -271,11 +270,11 @@ impl ResultCache {
             return None;
         }
         {
-            let shard = self
-                .index_shard(id)
+            let stripe = self
+                .index_stripe(id)
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(stats) = shard.get(id) {
+            if let Some(stats) = stripe.get(id) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(stats.clone());
             }
@@ -283,7 +282,7 @@ impl ResultCache {
         match read_entry(&self.entry_path(Self::cache_key(id)), id) {
             Some(stats) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.index_shard(id)
+                self.index_stripe(id)
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .insert(id.clone(), stats.clone());
@@ -294,12 +293,6 @@ impl ResultCache {
                 None
             }
         }
-    }
-
-    /// Looks up `id` and returns its canonical JSONL line (no trailing
-    /// newline) — what `coordinate` splices into shard streams.
-    pub fn lookup_line(&self, id: &CellId) -> Option<String> {
-        self.lookup(id).map(|stats| cell_line(id, &Ok(stats)))
     }
 
     /// Publishes one successfully simulated cell: atomically (tmp+rename)
@@ -313,14 +306,14 @@ impl ResultCache {
             return Ok(());
         }
         {
-            let mut shard = self
-                .index_shard(id)
+            let mut stripe = self
+                .index_stripe(id)
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if shard.get(id).is_some() {
+            if stripe.get(id).is_some() {
                 return Ok(());
             }
-            shard.insert(id.clone(), stats.clone());
+            stripe.insert(id.clone(), stats.clone());
         }
         let payload = cell_line(id, &Ok(stats.clone()));
         let entry = format!(
@@ -726,17 +719,6 @@ mod tests {
         for seed in 0..48 {
             assert!(cache.lookup(&sample_id(seed)).is_some(), "seed {seed} hits");
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lookup_line_returns_the_canonical_serialization() {
-        let dir = test_dir("line");
-        let cache = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-        let (id, stats) = (sample_id(5), sample_stats(5));
-        cache.store(&id, &stats).unwrap();
-        let line = cache.lookup_line(&id).expect("hit");
-        assert_eq!(line, cell_line(&id, &Ok(stats)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -7,10 +7,10 @@
 //!         → simulated(cycles, dur) → written(dur)
 //! ```
 //!
-//! with `restored` / `skipped` / `failed` replacing the simulate chain on those
-//! paths, and `sweep_started` / `sweep_finished` / `merge_summary` /
-//! `round_summary` bracketing whole phases so a multi-round distributed run
-//! concatenates into one mergeable timeline. Each line carries the worker id
+//! with `restored` / `cell_cached` / `failed` replacing the simulate chain on
+//! those paths, and `sweep_started` / `sweep_finished` bracketing each plan
+//! execution, so the rounds of an adaptive sweep or the matrices of a
+//! multi-table artifact append to one timeline. Each line carries the worker id
 //! that processed the cell and a monotonic `ts_us` timestamp (microseconds
 //! since the journal was opened by this process).
 //!
@@ -53,16 +53,10 @@ pub mod kind {
     /// The cell was served by the content-addressed result cache
     /// (`--result-cache`) instead of being simulated.
     pub const CACHED: &str = "cell_cached";
-    /// The cell belongs to another shard and was not simulated here.
-    pub const SKIPPED: &str = "skipped";
     /// A plan execution began (`cells`, `jobs`).
     pub const SWEEP_STARTED: &str = "sweep_started";
     /// A plan execution finished.
     pub const SWEEP_FINISHED: &str = "sweep_finished";
-    /// A `merge` run combined shard outputs.
-    pub const MERGE_SUMMARY: &str = "merge_summary";
-    /// A `coordinate` round decided to converge or emit another plan.
-    pub const ROUND_SUMMARY: &str = "round_summary";
 }
 
 /// Append-only, kill-tolerant writer for the event journal.
@@ -190,7 +184,7 @@ pub struct Event {
     /// How a `failed` cell failed: `"panic"` (the simulation panicked) or
     /// `"oracle"` (the differential golden model recorded a divergence).
     pub phase: Option<String>,
-    /// Cell count (sweep/merge/round summary events).
+    /// Cell count (`sweep_started` / `sweep_finished` events).
     pub cells: Option<u64>,
 }
 

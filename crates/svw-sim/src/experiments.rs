@@ -227,13 +227,7 @@ pub struct AdaptiveSweep {
 
 /// The relative 95% CI of one sample set, in percent of the mean — infinite when
 /// fewer than two samples exist or the mean is zero (no CI can be formed).
-///
-/// This is the *single* definition of the adaptive stopping criterion's per-cell
-/// precision: both the in-process engine ([`run_cells_adaptive`]) and the
-/// distributed coordinator ([`crate::coordinate`]) evaluate it, and they must
-/// never drift apart — the coordinator's byte-identical-convergence guarantee
-/// depends on replaying exactly these decisions.
-pub(crate) fn relative_ci_pct(samples: &[f64]) -> f64 {
+fn relative_ci_pct(samples: &[f64]) -> f64 {
     let stat = Stat::from_samples(samples);
     if stat.n < 2 || stat.mean.abs() == 0.0 {
         f64::INFINITY
@@ -269,9 +263,7 @@ fn worst_relative_ipc_ci(row: &[Vec<ExperimentCell>]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the policy is invalid (see [`AdaptiveOpts::validate`]) or if `opts`
-/// carries a shard — adaptivity needs the full matrix in one process, because the
-/// CI decisions are made from every configuration's results.
+/// Panics if the policy is invalid (see [`AdaptiveOpts::validate`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_cells_adaptive(
     matrix: &str,
@@ -286,10 +278,6 @@ pub fn run_cells_adaptive(
     adaptive
         .validate()
         .unwrap_or_else(|e| panic!("invalid adaptive policy: {e}"));
-    assert!(
-        opts.shard.is_none(),
-        "adaptive sampling and sharding are mutually exclusive"
-    );
     let (nw, nc) = (workloads.len(), configs.len());
     let base_seeds: Vec<u64> = (0..adaptive.min_seeds as u64)
         .map(|i| start_seed + i)
@@ -389,8 +377,6 @@ struct Matrix {
     replicated: bool,
     /// Adaptive per-workload seed-count notes (empty for fixed-seed sweeps).
     adaptive_notes: Vec<String>,
-    /// Cells outside this process's shard (aggregates are partial when nonzero).
-    skipped: usize,
 }
 
 impl Matrix {
@@ -415,7 +401,6 @@ impl Matrix {
             warnings: result.warnings,
             replicated,
             adaptive_notes: Vec::new(),
-            skipped: result.skipped,
         }
     }
 
@@ -455,7 +440,6 @@ impl Matrix {
             warnings: sweep.warnings,
             replicated: true,
             adaptive_notes,
-            skipped: 0,
         }
     }
 
@@ -501,8 +485,8 @@ impl Matrix {
         Stat::from_samples(&samples)
     }
 
-    /// Sweep-level notes: failed cells, shard partiality, adaptive seed counts, and
-    /// aggregated warnings, if any.
+    /// Sweep-level notes: failed cells, adaptive seed counts, and aggregated
+    /// warnings, if any.
     fn notes(&self) -> Vec<String> {
         let mut notes = Vec::new();
         let failures: Vec<&ExperimentCell> = self
@@ -520,13 +504,6 @@ impl Matrix {
                 first.config,
                 first.seed,
                 first.error().unwrap_or("unknown")
-            ));
-        }
-        if self.skipped > 0 {
-            notes.push(format!(
-                "shard run: {} cell(s) belong to other shards — the aggregates above are \
-                 partial; merge the shard JSONL files and re-render for the full artifact",
-                self.skipped
             ));
         }
         notes.extend(self.adaptive_notes.iter().cloned());
@@ -785,8 +762,7 @@ pub fn artifact_trace_keys(name: &str, trace_len: usize, seeds: &[u64]) -> Vec<T
 
 /// The exact (matrix label, workloads, configurations) matrices an artifact runs,
 /// in order, derived from the artifact's builtin spec at model version 1. This is
-/// the legacy shape of [`artifact_resolved`]; `svwsim merge` and the coordinator
-/// resolve the spec directly so they can carry its lineage.
+/// the legacy shape of [`artifact_resolved`], which carries the spec's lineage.
 #[allow(clippy::type_complexity)]
 pub fn artifact_matrices(
     name: &str,

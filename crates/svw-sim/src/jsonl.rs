@@ -17,10 +17,8 @@
 //! simply re-simulated.
 //!
 //! Each line also records the workload profile's parameter *fingerprint*, making the
-//! stream safe to move between machines and to stitch together from distributed
-//! shards: resume refuses to restore a cell whose workload definition has changed,
-//! and [`crate::merge`] cross-checks every shard against the sweep's expected
-//! fingerprints.
+//! stream safe to move between machines: resume refuses to restore a cell whose
+//! workload definition has changed.
 //!
 //! Since result schema 2, every line additionally carries its *lineage*: the
 //! result `schema` version, the behavioural `model_version` the cell was
@@ -220,12 +218,12 @@ pub struct CellId {
     /// The workload profile's parameter fingerprint
     /// ([`svw_workloads::WorkloadProfile::fingerprint`]). Part of the identity:
     /// results produced by a *different* workload definition (an edited profile, an
-    /// older binary) never restore on resume, and `svwsim merge` rejects shards whose
-    /// fingerprints disagree with the sweep's expected workloads.
+    /// older binary) never restore on resume or hit in the result cache.
     pub fingerprint: u64,
     /// Behavioural model version the cell was simulated under
     /// ([`svw_cpu::MachineConfig::model_version`]). Part of the identity: results
-    /// from different model versions are never mixed on resume or merge.
+    /// from different model versions are never mixed on resume or in the result
+    /// cache.
     pub model_version: u32,
     /// Fingerprint of the experiment spec's canonical form
     /// ([`crate::registry::spec_fingerprint`]); `0` for ad-hoc cells that were not

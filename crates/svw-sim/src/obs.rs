@@ -28,8 +28,6 @@ pub struct SweepMetrics {
     pub cells_simulated: Arc<Counter>,
     /// Cells restored from an existing results file instead of simulated.
     pub cells_restored: Arc<Counter>,
-    /// Cells skipped because they belong to another shard.
-    pub cells_skipped: Arc<Counter>,
     /// Cells served by the content-addressed result cache instead of simulated.
     pub cells_cached: Arc<Counter>,
     /// Cells whose simulation panicked.
@@ -81,10 +79,6 @@ impl SweepMetrics {
         let cells_restored = registry.counter(
             "svw_cells_restored_total",
             "Cells restored from an existing results file",
-        );
-        let cells_skipped = registry.counter(
-            "svw_cells_skipped_total",
-            "Cells skipped as belonging to another shard",
         );
         let cells_cached = registry.counter(
             "svw_cells_cached_total",
@@ -158,7 +152,6 @@ impl SweepMetrics {
             registry,
             cells_simulated,
             cells_restored,
-            cells_skipped,
             cells_cached,
             cells_failed,
             traces_generated,
@@ -201,8 +194,6 @@ pub enum CellProgress {
     /// Restored from an existing results file — effectively instant, so it is
     /// excluded from the rate and the ETA's remaining-work estimate.
     Restored,
-    /// Out of this process's shard — also instant, also excluded.
-    OutOfShard,
     /// Served by the content-addressed result cache — a disk read, not a
     /// simulation, so excluded from the rate and ETA like restored cells.
     Cached,
@@ -215,16 +206,15 @@ pub enum CellProgress {
 /// current worst per-workload relative CI.
 ///
 /// The rate and ETA deliberately count only *simulated* cells: restored and
-/// out-of-shard cells complete in microseconds, so folding them into the rate
-/// would make a resumed or sharded run report a wildly optimistic ETA for the
-/// cells that still need real simulation.
+/// cache-served cells complete in microseconds, so folding them into the rate
+/// would make a resumed or warm-cache run report a wildly optimistic ETA for
+/// the cells that still need real simulation.
 #[derive(Debug)]
 pub struct Progress {
     start: Instant,
     total: AtomicUsize,
     simulated: AtomicUsize,
     restored: AtomicUsize,
-    out_of_shard: AtomicUsize,
     cached: AtomicUsize,
     failed: AtomicUsize,
     last_report: Mutex<Option<Instant>>,
@@ -242,7 +232,6 @@ impl Progress {
             total: AtomicUsize::new(0),
             simulated: AtomicUsize::new(0),
             restored: AtomicUsize::new(0),
-            out_of_shard: AtomicUsize::new(0),
             cached: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
             last_report: Mutex::new(None),
@@ -261,7 +250,6 @@ impl Progress {
         match outcome {
             CellProgress::Simulated => self.simulated.fetch_add(1, Ordering::Relaxed),
             CellProgress::Restored => self.restored.fetch_add(1, Ordering::Relaxed),
-            CellProgress::OutOfShard => self.out_of_shard.fetch_add(1, Ordering::Relaxed),
             CellProgress::Cached => self.cached.fetch_add(1, Ordering::Relaxed),
             CellProgress::Failed => self.failed.fetch_add(1, Ordering::Relaxed),
         };
@@ -274,26 +262,22 @@ impl Progress {
         *slot = Some((workload.to_string(), ci_pct));
     }
 
-    fn counts(&self) -> (usize, usize, usize, usize, usize, usize) {
+    fn counts(&self) -> (usize, usize, usize, usize, usize) {
         let simulated = self.simulated.load(Ordering::Relaxed);
         let restored = self.restored.load(Ordering::Relaxed);
-        let out_of_shard = self.out_of_shard.load(Ordering::Relaxed);
         let cached = self.cached.load(Ordering::Relaxed);
         let failed = self.failed.load(Ordering::Relaxed);
         let total = self.total.load(Ordering::Relaxed);
-        (total, simulated, restored, out_of_shard, cached, failed)
+        (total, simulated, restored, cached, failed)
     }
 
     fn render_line(&self) -> String {
-        let (total, simulated, restored, out_of_shard, cached, failed) = self.counts();
-        let done = simulated + restored + out_of_shard + cached + failed;
+        let (total, simulated, restored, cached, failed) = self.counts();
+        let done = simulated + restored + cached + failed;
         let mut line = format!("[svwsim] progress: {done}/{total} cells");
         let mut parts = Vec::new();
         if restored > 0 {
             parts.push(format!("{restored} restored"));
-        }
-        if out_of_shard > 0 {
-            parts.push(format!("{out_of_shard} other-shard"));
         }
         if cached > 0 {
             parts.push(format!("{cached} cached"));
@@ -308,7 +292,7 @@ impl Progress {
         if simulated > 0 && elapsed > 0.0 {
             let rate = simulated as f64 / elapsed;
             line.push_str(&format!(" | {rate:.1} cells/s"));
-            // Restored/out-of-shard cells drain in microseconds; the cells
+            // Restored/cached cells drain in microseconds; the cells
             // still owed real work are the not-yet-done ones, so the rate of
             // *simulated* cells is the honest divisor.
             let remaining = total.saturating_sub(done);
@@ -403,14 +387,12 @@ mod tests {
         progress.add_planned(10);
         progress.record(CellProgress::Simulated);
         progress.record(CellProgress::Restored);
-        progress.record(CellProgress::OutOfShard);
         progress.record(CellProgress::Cached);
         progress.note_worst_ci("gcc", 2.5);
         let line = progress.render_line();
-        assert!(line.contains("4/10 cells"), "line: {line}");
+        assert!(line.contains("3/10 cells"), "line: {line}");
         assert!(line.contains("1 simulated"), "line: {line}");
         assert!(line.contains("1 restored"), "line: {line}");
-        assert!(line.contains("1 other-shard"), "line: {line}");
         assert!(line.contains("1 cached"), "line: {line}");
         assert!(line.contains("worst CI gcc"), "line: {line}");
         assert!(line.contains("ETA"), "line: {line}");

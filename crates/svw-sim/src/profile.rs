@@ -7,9 +7,10 @@
 //! utilization table. This is the measurement tool that decides perf work —
 //! e.g. whether trace decode really dominates warm sweeps.
 //!
-//! Multiple journals (one per shard of a distributed run) can be profiled
-//! together; per-cell timestamps are deltas within one journal, so mixing
-//! files from different processes stays meaningful.
+//! Multiple journals (one per process) can be profiled together; per-cell
+//! timestamps are deltas within one journal, so mixing files from different
+//! processes stays meaningful. Event kinds this binary does not emit are
+//! ignored, so journals written by older binaries still profile.
 
 use crate::events::{kind, read_events, Event};
 use crate::json;
@@ -99,17 +100,11 @@ pub struct ProfileReport {
     pub simulated: usize,
     /// Cells restored from results files.
     pub restored: usize,
-    /// Cells skipped as out-of-shard.
-    pub skipped: usize,
     /// Cells served by the content-addressed result cache (`cell_cached`) —
     /// counted separately, never folded into `simulated` or `restored`.
     pub cached: usize,
     /// Cells that failed.
     pub failed: usize,
-    /// `merge_summary` events seen.
-    pub merges: usize,
-    /// `round_summary` events seen.
-    pub rounds: usize,
     /// Aggregate phase totals across all cells.
     pub totals: PhaseTotals,
     /// Sum of per-cell wall times (`planned` → last event).
@@ -145,8 +140,6 @@ pub fn profile_events(files: &[(String, String)], top_n: usize) -> ProfileReport
             min_ts = min_ts.min(ev.ts_us);
             max_ts = max_ts.max(ev.ts_us);
             match ev.ev.as_str() {
-                kind::MERGE_SUMMARY => report.merges += 1,
-                kind::ROUND_SUMMARY => report.rounds += 1,
                 kind::PLANNED => {
                     let (Some(m), Some(w), Some(c), Some(s)) =
                         (&ev.matrix, &ev.workload, &ev.config, ev.seed)
@@ -173,13 +166,11 @@ pub fn profile_events(files: &[(String, String)], top_n: usize) -> ProfileReport
                 | kind::WRITTEN
                 | kind::RESTORED
                 | kind::CACHED
-                | kind::SKIPPED
                 | kind::FAILED => {
                     match ev.ev.as_str() {
                         kind::SIMULATED => report.simulated += 1,
                         kind::RESTORED => report.restored += 1,
                         kind::CACHED => report.cached += 1,
-                        kind::SKIPPED => report.skipped += 1,
                         kind::FAILED => report.failed += 1,
                         _ => {}
                     }
@@ -286,22 +277,15 @@ impl ProfileReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "profile: {} simulated, {} restored, {} other-shard, {} cached, {} failed \
+            "profile: {} simulated, {} restored, {} cached, {} failed \
              ({} journal file(s), {} malformed line(s))\n",
             self.simulated,
             self.restored,
-            self.skipped,
             self.cached,
             self.failed,
             self.files,
             self.malformed_lines,
         ));
-        if self.merges + self.rounds > 0 {
-            out.push_str(&format!(
-                "timeline: {} coordinate round(s), {} merge(s)\n",
-                self.rounds, self.merges
-            ));
-        }
 
         out.push_str("\nphase breakdown (aggregate):\n");
         let sum = self.totals.sum_us();
@@ -420,11 +404,8 @@ impl ProfileReport {
             ("malformed_lines", json::uint(self.malformed_lines as u64)),
             ("simulated", json::uint(self.simulated as u64)),
             ("restored", json::uint(self.restored as u64)),
-            ("skipped", json::uint(self.skipped as u64)),
             ("cached", json::uint(self.cached as u64)),
             ("failed", json::uint(self.failed as u64)),
-            ("rounds", json::uint(self.rounds as u64)),
-            ("merges", json::uint(self.merges as u64)),
             ("phases", phases_json(&self.totals)),
             ("cell_wall_us", json::number(self.cell_wall_us)),
             ("span_us", json::number(self.span_us)),

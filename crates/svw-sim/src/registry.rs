@@ -14,9 +14,9 @@
 //! [`canonical_toml`] re-emits a spec with fixed key order, quoting, and
 //! whitespace, so two specs with the same meaning serialize to the same
 //! bytes. [`spec_fingerprint`] is the FNV-1a 64 hash of that canonical form;
-//! it is the `spec_fingerprint` carried as lineage by every plan file, JSONL
-//! cell line, merge, and coordinate round, letting reconciliation distinguish
-//! "same experiment definition" from "definition drifted". A spec may pin its
+//! it is the `spec_fingerprint` carried as lineage by every JSONL cell line and
+//! result-cache entry, letting resume and the cache distinguish "same
+//! experiment definition" from "definition drifted". A spec may pin its
 //! own fingerprint (`fingerprint = "…"`); parsing fails if the pinned value
 //! no longer matches the canonical content.
 //!
@@ -866,7 +866,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 hash of the spec's canonical TOML form — the `spec_fingerprint`
-/// lineage field carried by plans, JSONL cell lines, merges, and coordination.
+/// lineage field carried by JSONL cell lines and result-cache entries.
 pub fn spec_fingerprint(spec: &ExperimentSpec) -> u64 {
     fnv1a(canonical_toml(spec).as_bytes())
 }

@@ -3,13 +3,12 @@
 //! The unit of work is one *cell* — a `(workload, configuration, seed)` triple — and
 //! a sweep is a shared queue of cells drained by N worker threads (N = available
 //! parallelism, overridable via [`RunOptions::jobs`]). What to run arrives as a
-//! typed [`SweepPlan`] (see [`crate::planner`]): [`execute_plan`] simulates the
-//! plan's in-shard cells, restores/skips the rest, and collects results in plan
-//! order. [`run_cells`] is the canonical-full-matrix convenience wrapper (it
-//! enumerates the plan, applies [`RunOptions::shard`], and executes); coordinator
-//! requeue rounds and `--plan` files route through the same executor, so every
-//! sweep path — static, sharded, adaptive, distributed-adaptive — behaves
-//! identically per cell.
+//! typed [`SweepPlan`] (see [`crate::planner`]): [`execute_plan`] restores, serves
+//! from the result cache, or simulates every planned cell and collects the results
+//! in plan order. [`run_cells`] is the canonical-full-matrix convenience wrapper (it
+//! enumerates the plan and executes it); fixed-seed sweeps and the rounds of an
+//! adaptive sweep both route through it, so every sweep behaves identically per
+//! cell.
 //!
 //! Robustness properties:
 //!
@@ -23,19 +22,14 @@
 //!
 //! Scheduling is deterministic in its *results*: cells are simulated independently
 //! and collected into a canonical (workload-major, configuration, seed) order, so the
-//! output is byte-identical regardless of the number of jobs.
-//!
-//! A sweep also scales *across* processes and machines: [`Shard`] deterministically
-//! partitions the cell list into N disjoint interleaved slices, each shard streams
-//! its slice into its own JSONL file, and `svwsim merge` ([`crate::merge`]) stitches
-//! the files back into the complete result set — which any renderer then consumes
-//! through the ordinary resume path without re-simulating a single cell. Per-worker
+//! output is byte-identical regardless of the number of jobs. Per-worker
 //! [`WorkerStats`] (collected into a [`StatsCollector`]) make scheduler imbalance
-//! within each process visible.
+//! visible.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use svw_cpu::{Cpu, CpuStats, MachineConfig, SimArena};
 use svw_isa::Program;
@@ -44,9 +38,9 @@ use svw_trace::TraceCache;
 use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
 
 use crate::cache::ResultCache;
-use crate::events::kind as event_kind;
+use crate::events::{kind as event_kind, EventSink};
 use crate::json;
-use crate::jsonl::JsonlSink;
+use crate::jsonl::{CellId, JsonlSink};
 use crate::obs::{CellProgress, SweepObserver};
 use crate::planner::SweepPlan;
 
@@ -63,7 +57,8 @@ pub const DEFAULT_SEED: u64 = 1;
 /// How one cell's simulation ended.
 #[derive(Clone, Debug)]
 pub enum CellOutcome {
-    /// The simulation ran to completion.
+    /// The simulation ran to completion (here, or in the run that wrote the
+    /// resume file the cell was restored from).
     Ok(Box<CpuStats>),
     /// The cell was served by the content-addressed result cache
     /// ([`RunOptions::result_cache`]) — trace acquisition, decode, and
@@ -76,140 +71,6 @@ pub enum CellOutcome {
     /// oracle found a divergence; the payload records the panic message or
     /// divergence report. The rest of the sweep is unaffected.
     Failed(String),
-    /// The cell belongs to a different shard (see [`Shard`]) and was neither
-    /// simulated nor found in the resume file. Skipped cells are excluded from every
-    /// aggregate, exactly like failed cells, but are not failures.
-    Skipped,
-}
-
-/// A deterministic `index`-of-`count` partition of the cell list, for running one
-/// sweep as N independent processes (or machines).
-///
-/// Cell `k` (in the canonical workload-major, configuration, seed order) belongs to
-/// shard `k % count`, so the shards are a complete, disjoint, interleaved cover of
-/// the matrix — interleaving balances the shards even when workloads differ wildly
-/// in cost. Every shard drains its own cells into its own `--out` JSONL stream;
-/// `svwsim merge` stitches the streams back into the full result set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Shard {
-    /// This process's shard, `0 <= index < count`.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-impl Shard {
-    /// Parses the CLI syntax `I/N` (e.g. `0/3`), validating `I < N` and `N > 0`.
-    pub fn parse(s: &str) -> Result<Shard, String> {
-        let (i, n) = s
-            .split_once('/')
-            .ok_or_else(|| format!("invalid shard {s:?} (expected I/N, e.g. 0/3)"))?;
-        let index: usize = i
-            .parse()
-            .map_err(|_| format!("invalid shard index {i:?} in {s:?}"))?;
-        let count: usize = n
-            .parse()
-            .map_err(|_| format!("invalid shard count {n:?} in {s:?}"))?;
-        if count == 0 {
-            return Err("shard count must be positive".to_string());
-        }
-        if index >= count {
-            return Err(format!(
-                "shard index {index} out of range (shards are 0-based: 0..{count})"
-            ));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// Whether the cell at canonical position `cell_index` belongs to this shard.
-    pub fn contains(&self, cell_index: usize) -> bool {
-        cell_index % self.count == self.index
-    }
-
-    /// The `(rank, size)` environment-variable pairs `--shard auto` recognises, in
-    /// precedence order: SLURM job arrays, SLURM `srun` tasks, Open MPI, PBS job
-    /// arrays. Job-array pairs come before `SLURM_PROCID` because an array task
-    /// also sees `SLURM_PROCID=0`/`SLURM_NTASKS=1` — matching those first would
-    /// silently run every array task unsharded. Array ranges must be 0-based
-    /// (`--array=0-7`, `#PBS -J 0-7`); SLURM and Open MPI export both halves
-    /// natively, while PBS exports only the index, so a PBS job script must
-    /// `export PBS_ARRAY_COUNT=N` itself — the half-pair error below points this
-    /// out.
-    pub const ENV_PAIRS: &'static [(&'static str, &'static str)] = &[
-        ("SLURM_ARRAY_TASK_ID", "SLURM_ARRAY_TASK_COUNT"),
-        ("SLURM_PROCID", "SLURM_NTASKS"),
-        ("OMPI_COMM_WORLD_RANK", "OMPI_COMM_WORLD_SIZE"),
-        ("PBS_ARRAY_INDEX", "PBS_ARRAY_COUNT"),
-    ];
-
-    /// Derives `I/N` from cluster environment variables (`--shard auto`): the first
-    /// of [`Shard::ENV_PAIRS`] whose *rank* variable is set wins. A pair with only
-    /// one variable set (or an unparsable/out-of-range value) is an error naming
-    /// the offending variable — silently running unsharded on a cluster would
-    /// duplicate every cell N times.
-    pub fn from_env() -> Result<Shard, String> {
-        Self::from_env_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`Shard::from_env`] over an injectable environment (tests).
-    pub fn from_env_with(lookup: impl Fn(&str) -> Option<String>) -> Result<Shard, String> {
-        for &(rank_var, size_var) in Self::ENV_PAIRS {
-            let (rank, size) = (lookup(rank_var), lookup(size_var));
-            match (rank, size) {
-                (None, None) => continue,
-                (Some(rank), Some(size)) => {
-                    let parse = |name: &str, value: &str| -> Result<usize, String> {
-                        value.parse().map_err(|_| {
-                            format!("--shard auto: {name}={value:?} is not an unsigned integer")
-                        })
-                    };
-                    let index = parse(rank_var, &rank)?;
-                    let count = parse(size_var, &size)?;
-                    if count == 0 {
-                        return Err(format!("--shard auto: {size_var} must be positive"));
-                    }
-                    if index >= count {
-                        let array_hint = if rank_var.contains("ARRAY") {
-                            " — use a 0-based array range (e.g. --array=0-7, #PBS -J 0-7)"
-                        } else {
-                            ""
-                        };
-                        return Err(format!(
-                            "--shard auto: {rank_var}={index} out of range for {size_var}={count} \
-                             (ranks are 0-based){array_hint}"
-                        ));
-                    }
-                    return Ok(Shard { index, count });
-                }
-                (Some(_), None) => {
-                    let pbs_hint = if rank_var == "PBS_ARRAY_INDEX" {
-                        " (PBS does not export a count natively: `export PBS_ARRAY_COUNT=N` in \
-                         the job script and use a 0-based array range, `#PBS -J 0-N-1`)"
-                    } else {
-                        ""
-                    };
-                    return Err(format!(
-                        "--shard auto: {rank_var} is set but {size_var} is not — both halves of \
-                         the pair are needed to derive I/N{pbs_hint}"
-                    ));
-                }
-                (None, Some(_)) => {
-                    return Err(format!(
-                        "--shard auto: {size_var} is set but {rank_var} is not — both halves of \
-                         the pair are needed to derive I/N"
-                    ));
-                }
-            }
-        }
-        Err(format!(
-            "--shard auto: no cluster environment detected (looked for {})",
-            Self::ENV_PAIRS
-                .iter()
-                .map(|(r, s)| format!("{r}/{s}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    }
 }
 
 /// The result of simulating one workload under one machine configuration with one
@@ -231,21 +92,16 @@ impl ExperimentCell {
     pub fn stats(&self) -> Option<&CpuStats> {
         match &self.outcome {
             CellOutcome::Ok(stats) | CellOutcome::Cached(stats) => Some(stats.as_ref()),
-            CellOutcome::Failed(_) | CellOutcome::Skipped => None,
+            CellOutcome::Failed(_) => None,
         }
     }
 
     /// The failure message, if the cell panicked.
     pub fn error(&self) -> Option<&str> {
         match &self.outcome {
-            CellOutcome::Ok(_) | CellOutcome::Cached(_) | CellOutcome::Skipped => None,
+            CellOutcome::Ok(_) | CellOutcome::Cached(_) => None,
             CellOutcome::Failed(msg) => Some(msg),
         }
-    }
-
-    /// Whether the cell was skipped because it belongs to another shard.
-    pub fn is_skipped(&self) -> bool {
-        matches!(self.outcome, CellOutcome::Skipped)
     }
 
     /// Whether the cell was served by the content-addressed result cache.
@@ -267,11 +123,6 @@ pub struct RunOptions<'c> {
     /// Stream every finished cell to this JSONL sink, and skip cells the sink
     /// already holds (resume).
     pub sink: Option<&'c JsonlSink>,
-    /// Run only this shard's slice of the cell list; the other cells are recorded as
-    /// [`CellOutcome::Skipped`] (unless the resume file already holds them). `None`
-    /// runs everything. Applied by [`run_cells`] when it builds the plan;
-    /// [`execute_plan`] honours the plan's own per-cell assignment instead.
-    pub shard: Option<Shard>,
     /// Accumulate per-worker scheduler statistics (cells drained, resets vs
     /// rebuilds, slab high-water marks) into this collector.
     pub stats: Option<&'c StatsCollector>,
@@ -283,9 +134,8 @@ pub struct RunOptions<'c> {
     /// Share decoded trace arenas across sweeps through this registry: a trace
     /// decoded by one plan is reused (not re-decoded) by every later plan whose
     /// registration overlaps — the matrices of a multi-table artifact, adaptive
-    /// re-rounds, coordinator requeue rounds. Results are byte-identical with or
-    /// without it (the decode-sharing tests compare both against a per-cell
-    /// reference).
+    /// re-rounds. Results are byte-identical with or without it (the
+    /// decode-sharing tests compare both against a per-cell reference).
     pub arenas: Option<&'c TraceArenas>,
     /// Cross-check every simulated cell against the in-order golden model
     /// (`--oracle`): the pipeline runs under a [`DifferentialChecker`] and a
@@ -445,8 +295,6 @@ pub struct SweepResult {
     pub warnings: Vec<String>,
     /// How many cells were restored from the resume file instead of simulated.
     pub restored: usize,
-    /// How many cells were skipped because they belong to another shard.
-    pub skipped: usize,
     /// How many cells were served by the content-addressed result cache.
     pub cached: usize,
 }
@@ -473,20 +321,27 @@ fn effective_jobs(jobs: usize, total_cells: usize) -> usize {
     n.clamp(1, total_cells.max(1))
 }
 
-/// One acquired workload trace plus where it came from and any issue worth
-/// aggregating into a sweep-level warning. The cache never changes results — a
-/// cache error regenerates the identical trace.
-struct Acquired {
-    program: Program,
+/// Where one acquired trace came from and what acquiring it cost, for the
+/// event journal and the metrics.
+#[derive(Clone, Copy)]
+struct AcquireMeter {
     source: TraceSource,
-    /// A cache read/write error (the trace was regenerated directly).
-    cache_error: Option<String>,
     /// Bytes read from disk (the cache file); 0 when generated.
     bytes: u64,
     /// Total acquisition wall time, fallbacks included.
-    acquire: std::time::Duration,
+    acquire: Duration,
     /// Portion of `acquire` spent decoding an on-disk representation.
-    decode: std::time::Duration,
+    decode: Duration,
+}
+
+/// One acquired workload trace plus any issue worth aggregating into a
+/// sweep-level warning. The cache never changes results — a cache error
+/// regenerates the identical trace.
+struct Acquired {
+    program: Program,
+    meter: AcquireMeter,
+    /// A cache read/write error (the trace was regenerated directly).
+    cache_error: Option<String>,
 }
 
 /// Acquires one workload trace: from the cache when one is open, else the generator.
@@ -496,7 +351,7 @@ fn acquire_program(
     seed: u64,
     opts: &RunOptions<'_>,
 ) -> Acquired {
-    let acquire_start = std::time::Instant::now();
+    let acquire_start = Instant::now();
     let (program, source, cache_error, bytes, decode) = match opts.cache {
         Some(cache) => match cache.get_or_generate_metered(profile, trace_len, seed) {
             Ok((program, outcome, meter)) => {
@@ -523,7 +378,7 @@ fn acquire_program(
                 TraceSource::Generated,
                 Some(format!("{}:{trace_len}:{seed}: {e}", profile.name)),
                 0,
-                std::time::Duration::ZERO,
+                Duration::ZERO,
             ),
         },
         None => {
@@ -538,27 +393,20 @@ fn acquire_program(
                 TraceSource::Generated,
                 None,
                 0,
-                std::time::Duration::ZERO,
+                Duration::ZERO,
             )
         }
     };
     Acquired {
         program,
-        source,
+        meter: AcquireMeter {
+            source,
+            bytes,
+            acquire: acquire_start.elapsed(),
+            decode,
+        },
         cache_error,
-        bytes,
-        acquire: acquire_start.elapsed(),
-        decode,
     }
-}
-
-/// One `(workload, seed)` trace shared by that pair's cells. The program is
-/// generated lazily by the first worker that needs it and dropped as soon as the
-/// last of the pair's cells finishes, so sweep memory is bounded by the traces in
-/// active use, not by the whole matrix.
-struct ProgramSlot {
-    program: Option<Arc<Program>>,
-    remaining: usize,
 }
 
 /// Runs the full `(workload × configuration × seed)` matrix as independent cells on
@@ -567,9 +415,9 @@ struct ProgramSlot {
 /// not collide on resume.
 ///
 /// This is the canonical-plan wrapper over [`execute_plan`]: it enumerates the
-/// matrix with [`SweepPlan::enumerate`], applies [`RunOptions::shard`], and
-/// executes. The returned cells are in canonical order — workload-major, then
-/// configuration, then seed, matching the input orders — regardless of `opts.jobs`.
+/// matrix with [`SweepPlan::enumerate`] and executes it. The returned cells are in
+/// canonical order — workload-major, then configuration, then seed, matching the
+/// input orders — regardless of `opts.jobs`.
 ///
 /// # Panics
 ///
@@ -586,7 +434,7 @@ pub fn run_cells(
     opts: &RunOptions<'_>,
 ) -> SweepResult {
     assert!(!seeds.is_empty(), "a sweep needs at least one seed");
-    let mut plan = SweepPlan::enumerate(
+    let plan = SweepPlan::enumerate(
         matrix,
         workloads,
         configs,
@@ -594,116 +442,219 @@ pub fn run_cells(
         seeds,
         spec_fingerprint,
     );
-    if let Some(shard) = opts.shard {
-        plan.apply_shard(shard);
-    }
     execute_plan(&plan, opts)
 }
 
-/// Executes any [`SweepPlan`] — canonical, sharded, or a coordinator-issued requeue
-/// round — returning one [`ExperimentCell`] per planned cell, in plan order.
+/// Executes any [`SweepPlan`], returning one [`ExperimentCell`] per planned cell,
+/// in plan order.
 ///
-/// The executor makes no policy decisions of its own: which cells exist and which
-/// belong to this process were decided when the plan was built. Per cell it (1)
-/// restores from the resume sink when possible, (2) skips out-of-shard cells, (3)
-/// otherwise simulates, sharing each `(workload, seed)` trace between the cells
-/// that need it and freeing it after the last one. Cells sharing a trace are
-/// scheduled back-to-back (trace-key first-appearance order) so sweep memory is
-/// bounded by the traces in active use.
+/// The executor makes no policy decisions of its own: which cells exist was
+/// decided when the plan was built. It runs in four phases:
+///
+/// 1. `lookup_cached` — resolve result-cache hits up front;
+/// 2. `TraceSlots::group` — group the remaining cells by trace key, so cells
+///    sharing a `(workload, seed)` trace are scheduled back-to-back
+///    (first-appearance order) and sweep memory is bounded by the traces in
+///    active use;
+/// 3. `drain` — the workers take each cell through restore → cached →
+///    simulate, and `publish` it as soon as it finishes (sink append, cache
+///    store, events), so an interrupted sweep loses nothing it finished;
+/// 4. `collect` — order the cells and aggregate the errors into warnings.
 pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
-    let total = plan.cells.len();
+    let cached = lookup_cached(plan, opts);
+    let slots = TraceSlots::group(plan, &cached, opts.arenas);
+    let drained = drain(plan, &cached, &slots, opts);
+    collect(plan, drained, opts)
+}
 
-    // Resolve result-cache hits up front — before the trace slots are built —
-    // so a hit never participates in trace grouping at all: a fully-cached
-    // (workload, seed) group creates no program slot and registers no arena
-    // use, and its cells skip acquisition, decode, and simulation entirely.
-    // Out-of-shard cells keep their skip semantics, and a cell the resume sink
-    // already holds is restored from the sink (never double-counted as cached).
-    let resolved: Vec<Option<CpuStats>> = match opts.result_cache {
-        Some(rc) => plan
-            .cells
-            .iter()
-            .map(|cell| {
-                if !cell.in_shard
-                    || opts
-                        .sink
-                        .is_some_and(|sink| sink.lookup(&cell.id).is_some())
-                {
-                    return None;
-                }
-                let lookup_start = std::time::Instant::now();
-                let hit = rc.lookup(&cell.id);
-                if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
-                    metrics.result_cache_seconds.record(lookup_start.elapsed());
-                    if hit.is_some() {
-                        metrics.result_cache_hits.inc();
-                    } else {
-                        metrics.result_cache_misses.inc();
-                    }
-                }
-                hit
-            })
-            .collect(),
-        None => vec![None; total],
+/// Phase 1: the result-cache hit of every cell, resolved before the trace slots
+/// are built so a hit never participates in trace grouping at all — a
+/// fully-cached `(workload, seed)` group creates no program slot and registers
+/// no arena use, and its cells skip acquisition, decode, and simulation
+/// entirely. A cell the resume sink already holds is restored from the sink
+/// instead (never double-counted as cached).
+fn lookup_cached(plan: &SweepPlan, opts: &RunOptions<'_>) -> Vec<Option<CpuStats>> {
+    let Some(rc) = opts.result_cache else {
+        return vec![None; plan.cells.len()];
     };
-
-    // Group cell indices by trace key — (workload, seed) — in first-appearance
-    // order; the task queue drains slot by slot so a trace's cells run together.
-    let mut slot_of: HashMap<(usize, u64), usize> = HashMap::new();
-    let mut slot_cells: Vec<Vec<usize>> = Vec::new();
-    let mut slot_keys: Vec<TraceKey> = Vec::new();
-    let mut slot_index: Vec<Option<usize>> = Vec::with_capacity(total);
-    for (k, cell) in plan.cells.iter().enumerate() {
-        if resolved[k].is_some() {
-            slot_index.push(None);
-            continue;
-        }
-        let slot = *slot_of
-            .entry((cell.workload, cell.id.seed))
-            .or_insert_with(|| {
-                slot_cells.push(Vec::new());
-                slot_keys.push(TraceKey::of(
-                    &plan.workloads[cell.workload],
-                    plan.trace_len,
-                    cell.id.seed,
-                ));
-                slot_cells.len() - 1
-            });
-        slot_cells[slot].push(k);
-        slot_index.push(Some(slot));
-    }
-    // Cache-served cells drain first (they are instant), then the trace groups.
-    let mut tasks: Vec<usize> = (0..total).filter(|&k| resolved[k].is_some()).collect();
-    tasks.extend(slot_cells.iter().flatten().copied());
-    let programs: Vec<Mutex<ProgramSlot>> = slot_cells
+    plan.cells
         .iter()
-        .map(|cells| {
-            Mutex::new(ProgramSlot {
-                program: None,
-                remaining: cells.len(),
-            })
+        .map(|cell| {
+            if opts
+                .sink
+                .is_some_and(|sink| sink.lookup(&cell.id).is_some())
+            {
+                return None;
+            }
+            let lookup_start = Instant::now();
+            let hit = rc.lookup(&cell.id);
+            if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
+                metrics.result_cache_seconds.record(lookup_start.elapsed());
+                if hit.is_some() {
+                    metrics.result_cache_hits.inc();
+                } else {
+                    metrics.result_cache_misses.inc();
+                }
+            }
+            hit
         })
-        .collect();
+        .collect()
+}
 
-    // Register this plan's use of each trace arena up front so the registry keeps
-    // a decoded arena warm exactly while plans (or an artifact-level pin) still
-    // need it; the use is released when the slot's last cell finishes, whatever
-    // its outcome.
-    if let Some(a) = opts.arenas {
-        for key in &slot_keys {
-            a.register(key, 1);
+/// One `(workload, seed)` trace shared by that pair's cells. The program is
+/// generated lazily by the first worker that needs it and dropped as soon as the
+/// last of the pair's cells finishes, so sweep memory is bounded by the traces in
+/// active use, not by the whole matrix.
+struct ProgramSlot {
+    program: Option<Arc<Program>>,
+    remaining: usize,
+}
+
+/// Phase 2: the plan's cells that need a trace, grouped by trace key, and the
+/// order the workers drain every cell in.
+struct TraceSlots {
+    /// Cell indices in drain order: cache-served cells first (they are
+    /// instant), then each slot's cells in first-appearance order.
+    tasks: Vec<usize>,
+    /// The slot of each cell; `None` for a cache-served cell.
+    slot_of: Vec<Option<usize>>,
+    keys: Vec<TraceKey>,
+    programs: Vec<Mutex<ProgramSlot>>,
+}
+
+impl TraceSlots {
+    /// Groups the cells `cached` does not serve by `(workload, seed)`, and
+    /// registers this plan's use of each trace arena up front, so the registry
+    /// keeps a decoded arena warm exactly while plans (or an artifact-level pin)
+    /// still need it. [`TraceSlots::finish`] releases the use when the slot's
+    /// last cell finishes, whatever its outcome.
+    fn group(
+        plan: &SweepPlan,
+        cached: &[Option<CpuStats>],
+        arenas: Option<&TraceArenas>,
+    ) -> TraceSlots {
+        let mut index: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut slot_cells: Vec<Vec<usize>> = Vec::new();
+        let mut keys: Vec<TraceKey> = Vec::new();
+        let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(plan.cells.len());
+        for (k, cell) in plan.cells.iter().enumerate() {
+            if cached[k].is_some() {
+                slot_of.push(None);
+                continue;
+            }
+            let slot = *index
+                .entry((cell.workload, cell.id.seed))
+                .or_insert_with(|| {
+                    slot_cells.push(Vec::new());
+                    keys.push(TraceKey::of(
+                        &plan.workloads[cell.workload],
+                        plan.trace_len,
+                        cell.id.seed,
+                    ));
+                    slot_cells.len() - 1
+                });
+            slot_cells[slot].push(k);
+            slot_of.push(Some(slot));
+        }
+        let mut tasks: Vec<usize> = (0..plan.cells.len())
+            .filter(|&k| cached[k].is_some())
+            .collect();
+        tasks.extend(slot_cells.iter().flatten().copied());
+        let programs = slot_cells
+            .iter()
+            .map(|cells| {
+                Mutex::new(ProgramSlot {
+                    program: None,
+                    remaining: cells.len(),
+                })
+            })
+            .collect();
+        if let Some(a) = arenas {
+            for key in &keys {
+                a.register(key, 1);
+            }
+        }
+        TraceSlots {
+            tasks,
+            slot_of,
+            keys,
+            programs,
         }
     }
 
-    let next_task = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<ExperimentCell>>> = Mutex::new(vec![None; total]);
-    let cache_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let stream_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let restored_count = AtomicUsize::new(0);
-    let skipped_count = AtomicUsize::new(0);
-    let cached_count = AtomicUsize::new(0);
+    /// The slot's shared program, filled by `acquire` for the first cell that
+    /// needs it. The slot's lock is held only while the slot is filled, never
+    /// during a simulation.
+    fn program(
+        &self,
+        slot: usize,
+        acquire: impl FnOnce(&TraceKey) -> Arc<Program>,
+    ) -> Arc<Program> {
+        let mut guard = self.programs[slot]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        Arc::clone(
+            guard
+                .program
+                .get_or_insert_with(|| acquire(&self.keys[slot])),
+        )
+    }
 
+    /// Whether simulated, restored, or failed, cell `k`'s `(workload, seed)` pair
+    /// has one fewer cell outstanding; frees the trace after the last one — and
+    /// releases the plan's use of the shared arena, so registry memory stays
+    /// bounded by the traces still registered (an artifact-level pin, a
+    /// concurrent plan), never by the whole matrix. Cache-served cells have no
+    /// slot: they never joined a trace group in the first place.
+    fn finish(&self, k: usize, arenas: Option<&TraceArenas>) {
+        let Some(slot) = self.slot_of[k] else {
+            return;
+        };
+        let mut guard = self.programs[slot]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        guard.remaining -= 1;
+        if guard.remaining == 0 {
+            guard.program = None;
+            if let Some(a) = arenas {
+                a.release(&self.keys[slot], 1);
+            }
+        }
+    }
+}
+
+/// What the workers of one plan execution share besides the plan: the restored
+/// count and the errors that become sweep-level warnings.
+#[derive(Default)]
+struct Tally {
+    restored: AtomicUsize,
+    trace_cache_errors: Mutex<Vec<String>>,
+    stream_errors: Mutex<Vec<String>>,
+    store_errors: Mutex<Vec<String>>,
+}
+
+/// Appends one error to a [`Tally`] list.
+fn push_error(list: &Mutex<Vec<String>>, error: String) {
+    list.lock().unwrap_or_else(|e| e.into_inner()).push(error);
+}
+
+/// What phase 3 hands to [`collect`]: every cell with its plan index, in
+/// completion order, and the shared tally.
+struct Drained {
+    cells: Vec<(usize, ExperimentCell)>,
+    tally: Tally,
+}
+
+/// Phase 3: N workers drain the task queue; each owns one simulation arena
+/// reused across every cell it simulates, so cell startup clears the previous
+/// cell's pipeline in place instead of rebuilding it.
+fn drain(
+    plan: &SweepPlan,
+    cached: &[Option<CpuStats>],
+    slots: &TraceSlots,
+    opts: &RunOptions<'_>,
+) -> Drained {
+    let total = plan.cells.len();
     let jobs = effective_jobs(opts.jobs, total);
     if let Some(o) = opts.obs {
         if let Some(progress) = &o.progress {
@@ -723,398 +674,369 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
             );
         }
     }
-    std::thread::scope(|scope| {
-        // The workers need their 0-based index (for the stats collector), so the
-        // closures are `move`; reborrow the shared state so only references move.
-        let (tasks, programs, results, resolved) = (&tasks, &programs, &results, &resolved);
-        let (slot_index, slot_keys, plan) = (&slot_index, &slot_keys, &plan);
-        let (next_task, restored_count, skipped_count, cached_count) =
-            (&next_task, &restored_count, &skipped_count, &cached_count);
-        let (cache_errors, stream_errors, store_errors) =
-            (&cache_errors, &stream_errors, &store_errors);
-        for worker in 0..jobs {
-            scope.spawn(move || {
-                // Each worker owns one simulation arena reused across every cell it
-                // drains: cell startup clears the previous cell's pipeline in place
-                // instead of rebuilding it, and the hot loop never allocates.
-                let mut arena = SimArena::new();
-                let mut wstats = WorkerStats::default();
-                loop {
-                    let t = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some(&k) = tasks.get(t) else {
-                        break;
-                    };
-                    let planned = &plan.cells[k];
-                    let id = planned.id.clone();
-                    let in_shard = planned.in_shard;
-                    let mut was_cached = false;
-
-                    if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                        events.emit_cell(event_kind::PLANNED, &id, worker, []);
+    let tally = Tally::default();
+    let next_task = AtomicUsize::new(0);
+    let cells = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|worker| {
+                let (tally, next_task) = (&tally, &next_task);
+                scope.spawn(move || {
+                    let mut arena = SimArena::new();
+                    let mut wstats = WorkerStats::default();
+                    let mut done = Vec::new();
+                    while let Some(&k) = slots.tasks.get(next_task.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let id = &plan.cells[k].id;
+                        if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
+                            events.emit_cell(event_kind::PLANNED, id, worker, []);
+                        }
+                        let resolution = match opts.sink.and_then(|sink| sink.lookup(id)) {
+                            Some(stats) => {
+                                tally.restored.fetch_add(1, Ordering::Relaxed);
+                                wstats.cells_restored += 1;
+                                Resolution::Restored(stats)
+                            }
+                            None => match &cached[k] {
+                                Some(stats) => {
+                                    wstats.cells_cached += 1;
+                                    Resolution::Cached(stats.clone())
+                                }
+                                None => Resolution::Simulated(simulate(
+                                    plan,
+                                    k,
+                                    slots,
+                                    &mut arena,
+                                    &mut wstats,
+                                    tally,
+                                    opts,
+                                )),
+                            },
+                        };
+                        let outcome = publish(id, resolution, worker, tally, opts);
+                        slots.finish(k, opts.arenas);
+                        done.push((
+                            k,
+                            ExperimentCell {
+                                workload: id.workload.clone(),
+                                config: id.config.clone(),
+                                seed: id.seed,
+                                outcome,
+                            },
+                        ));
                     }
-                    let restored = opts.sink.and_then(|sink| sink.lookup(&id));
-                    let outcome = match restored {
-                        // A cell already in the resume file is restored even when it
-                        // belongs to another shard — that is what makes re-rendering
-                        // from a merged file work without re-simulating anything.
-                        Some(stats) => {
-                            restored_count.fetch_add(1, Ordering::Relaxed);
-                            wstats.cells_restored += 1;
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::RESTORED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_restored.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::Restored);
-                                }
-                            }
-                            Some(Ok(stats))
-                        }
-                        // Pre-resolved result-cache hit: no trace, no decode,
-                        // no simulation. The cell is still appended to the
-                        // sink (it was not restored from there), so shard
-                        // streams stay complete for merge and coordinate.
-                        None if resolved[k].is_some() => {
-                            let stats = resolved[k].clone().expect("pre-resolved cache hit");
-                            was_cached = true;
-                            cached_count.fetch_add(1, Ordering::Relaxed);
-                            wstats.cells_cached += 1;
-                            if let Some(sink) = opts.sink {
-                                if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
-                                    stream_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
-                                }
-                            }
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::CACHED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_cached.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::Cached);
-                                }
-                            }
-                            Some(Ok(stats))
-                        }
-                        None if !in_shard => {
-                            skipped_count.fetch_add(1, Ordering::Relaxed);
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::SKIPPED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_skipped.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::OutOfShard);
-                                }
-                            }
-                            None
-                        }
-                        None => {
-                            let slot_ix =
-                                slot_index[k].expect("non-cached cells have a trace slot");
-                            if !arena.is_warm() {
-                                wstats.rebuilds += 1;
-                            } else {
-                                wstats.resets += 1;
-                            }
-                            // Acquisition metering for the event journal: filled in
-                            // only by the worker that actually acquires the shared
-                            // trace (the pair's other cells reuse it for free).
-                            let mut acq: Option<(
-                                TraceSource,
-                                u64,
-                                std::time::Duration,
-                                std::time::Duration,
-                            )> = None;
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    // The slot's lock is held only while the slot
-                                    // is filled, never during the simulation.
-                                    let program = {
-                                        let mut slot = programs[slot_ix]
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner());
-                                        let key = &slot_keys[slot_ix];
-                                        let program = slot.program.get_or_insert_with(|| {
-                                            // First consumer of this plan's slot: try
-                                            // the cross-plan arena registry before
-                                            // acquiring the trace.
-                                            if let Some(p) = opts.arenas.and_then(|a| a.lookup(key))
-                                            {
-                                                return p;
-                                            }
-                                            let acquired = acquire_program(
-                                                &plan.workloads[planned.workload],
-                                                plan.trace_len,
-                                                id.seed,
-                                                opts,
-                                            );
-                                            if let Some(err) = acquired.cache_error {
-                                                cache_errors
-                                                    .lock()
-                                                    .unwrap_or_else(|e| e.into_inner())
-                                                    .push(err);
-                                            }
-                                            if let Some(collector) = opts.stats {
-                                                collector.record_trace(acquired.source);
-                                            }
-                                            acq = Some((
-                                                acquired.source,
-                                                acquired.bytes,
-                                                acquired.acquire,
-                                                acquired.decode,
-                                            ));
-                                            let p = Arc::new(acquired.program);
-                                            if let Some(a) = opts.arenas {
-                                                a.publish(key, p.clone());
-                                            }
-                                            p
-                                        });
-                                        Arc::clone(program)
-                                    };
-                                    let config = &plan.configs[planned.config];
-                                    let sim_start = std::time::Instant::now();
-                                    if let Some(oracle_opts) = opts.oracle {
-                                        // Differential mode: the golden-model
-                                        // checker observes every commit; a recorded
-                                        // divergence fails the cell without
-                                        // panicking (so it stays distinguishable
-                                        // from a simulator panic).
-                                        let mut checker = DifferentialChecker::new(
-                                            program.instructions(),
-                                            oracle_opts,
-                                        );
-                                        let stats = Cpu::recycle(&mut arena, config, &program)
-                                            .run_observed(&mut checker);
-                                        match checker.divergence() {
-                                            Some(d) => Err(format!("oracle divergence: {d}")),
-                                            None => Ok((stats, sim_start.elapsed())),
-                                        }
-                                    } else {
-                                        let stats =
-                                            Cpu::recycle(&mut arena, config, &program).run();
-                                        Ok((stats, sim_start.elapsed()))
-                                    }
-                                }));
-                            if run.is_err() {
-                                // A panicking cell may leave the arena's pipeline in an
-                                // inconsistent mid-cycle state: discard it so the next
-                                // cell rebuilds from scratch.
-                                arena = SimArena::new();
-                            }
-                            wstats.cells_simulated += 1;
-                            wstats.slab_high_water =
-                                wstats.slab_high_water.max(arena.rename_slab_len() as u64);
-                            // A cell that did not acquire the trace itself was
-                            // served an already-decoded shared arena.
-                            if acq.is_none() {
-                                if let Some(collector) = opts.stats {
-                                    collector.record_shared_decode();
-                                }
-                            }
-                            // `phase` tells a journal reader *how* the cell failed:
-                            // "oracle" (golden-model divergence) vs "panic".
-                            let (result, sim_dur, phase) = match run {
-                                Ok(Ok((stats, dur))) => (Ok(stats), Some(dur), ""),
-                                Ok(Err(divergence)) => (Err(divergence), None, "oracle"),
-                                Err(payload) => (
-                                    Err(payload
-                                        .downcast_ref::<String>()
-                                        .map(String::as_str)
-                                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                                        .unwrap_or("simulation panicked")
-                                        .to_string()),
-                                    None,
-                                    "panic",
-                                ),
-                            };
-                            if result.is_err() {
-                                wstats.cells_failed += 1;
-                            }
-                            // Publish the freshly simulated cell back to the
-                            // result cache (successes only — failed cells
-                            // re-run, exactly like on resume). A store error
-                            // degrades to one aggregated warning; the sweep
-                            // never aborts on cache I/O.
-                            if let (Some(rc), Ok(stats)) = (opts.result_cache, &result) {
-                                let store_start = std::time::Instant::now();
-                                let stored = rc.store(&id, stats);
-                                if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
-                                    metrics.result_cache_seconds.record(store_start.elapsed());
-                                    if stored.is_ok() {
-                                        metrics.result_cache_stores.inc();
-                                    }
-                                }
-                                if let Err(e) = stored {
-                                    store_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
-                                }
-                            }
-                            if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                                if let Some((source, bytes, acquire, decode)) = &acq {
-                                    events.emit_cell(
-                                        event_kind::TRACE_ACQUIRED,
-                                        &id,
-                                        worker,
-                                        [
-                                            ("source", json::string(source.label())),
-                                            ("bytes", json::uint(*bytes)),
-                                            ("dur_us", json::number(acquire.as_secs_f64() * 1e6)),
-                                        ],
-                                    );
-                                    events.emit_cell(
-                                        event_kind::DECODED,
-                                        &id,
-                                        worker,
-                                        [("dur_us", json::number(decode.as_secs_f64() * 1e6))],
-                                    );
-                                }
-                                match (&result, sim_dur) {
-                                    (Ok(stats), Some(dur)) => events.emit_cell(
-                                        event_kind::SIMULATED,
-                                        &id,
-                                        worker,
-                                        [
-                                            ("cycles", json::uint(stats.cycles)),
-                                            ("dur_us", json::number(dur.as_secs_f64() * 1e6)),
-                                        ],
-                                    ),
-                                    _ => events.emit_cell(
-                                        event_kind::FAILED,
-                                        &id,
-                                        worker,
-                                        [
-                                            (
-                                                "error",
-                                                json::string(
-                                                    result
-                                                        .as_ref()
-                                                        .err()
-                                                        .map_or("", String::as_str),
-                                                ),
-                                            ),
-                                            ("phase", json::string(phase)),
-                                        ],
-                                    ),
-                                }
-                            }
-                            let mut write_dur = None;
-                            if let Some(sink) = opts.sink {
-                                let write_start = std::time::Instant::now();
-                                if let Err(e) = sink.append(&id, &result) {
-                                    stream_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
-                                }
-                                write_dur = Some(write_start.elapsed());
-                                if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                                    events.emit_cell(
-                                        event_kind::WRITTEN,
-                                        &id,
-                                        worker,
-                                        [(
-                                            "dur_us",
-                                            json::number(write_dur.unwrap().as_secs_f64() * 1e6),
-                                        )],
-                                    );
-                                }
-                            }
-                            if let Some(o) = opts.obs {
-                                if let Some(metrics) = &o.metrics {
-                                    if let Some((source, bytes, acquire, decode)) = &acq {
-                                        match source {
-                                            TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
-                                            TraceSource::Generated => {
-                                                metrics.traces_generated.inc()
-                                            }
-                                        }
-                                        metrics.trace_bytes_read.add(*bytes);
-                                        metrics.trace_acquire_seconds.record(*acquire);
-                                        metrics.decode_seconds.record(*decode);
-                                    }
-                                    match &result {
-                                        Ok(stats) => {
-                                            metrics.cells_simulated.inc();
-                                            metrics.sim_cycles.add(stats.cycles);
-                                            metrics
-                                                .fwd_buffer_lookups
-                                                .add(stats.fwd_buffer_lookups);
-                                            metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
-                                            metrics
-                                                .store_set_squashes
-                                                .add(stats.store_set_squashes);
-                                        }
-                                        Err(_) => metrics.cells_failed.inc(),
-                                    }
-                                    if let Some(dur) = sim_dur {
-                                        metrics.simulate_seconds.record(dur);
-                                    }
-                                    if let Some(dur) = write_dur {
-                                        metrics.write_seconds.record(dur);
-                                    }
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(if result.is_ok() {
-                                        CellProgress::Simulated
-                                    } else {
-                                        CellProgress::Failed
-                                    });
-                                }
-                            }
-                            Some(result)
-                        }
-                    };
-
-                    // Whether simulated, restored, skipped, or failed, this
-                    // (workload, seed) pair has one fewer cell outstanding; free the
-                    // trace after the last one — and release the plan's use of the
-                    // shared arena, so registry memory stays bounded by the traces
-                    // still registered (an artifact-level pin, a concurrent plan),
-                    // never by the whole matrix. Cache-served cells have no slot:
-                    // they never joined a trace group in the first place.
-                    if let Some(slot_ix) = slot_index[k] {
-                        let mut slot = programs[slot_ix].lock().unwrap_or_else(|e| e.into_inner());
-                        slot.remaining -= 1;
-                        if slot.remaining == 0 {
-                            slot.program = None;
-                            if let Some(a) = opts.arenas {
-                                a.release(&slot_keys[slot_ix], 1);
-                            }
-                        }
+                    if let Some(collector) = opts.stats {
+                        collector.record_worker(worker, &wstats);
                     }
-
-                    let cell = ExperimentCell {
-                        workload: id.workload,
-                        config: id.config,
-                        seed: id.seed,
-                        outcome: match outcome {
-                            Some(Ok(stats)) if was_cached => CellOutcome::Cached(Box::new(stats)),
-                            Some(Ok(stats)) => CellOutcome::Ok(Box::new(stats)),
-                            Some(Err(msg)) => CellOutcome::Failed(msg),
-                            None => CellOutcome::Skipped,
-                        },
-                    };
-                    results.lock().unwrap_or_else(|e| e.into_inner())[k] = Some(cell);
-                }
-                if let Some(collector) = opts.stats {
-                    collector.record_worker(worker, &wstats);
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a sweep worker panicked outside a cell"))
+            .collect()
     });
+    Drained { cells, tally }
+}
 
+/// How a worker resolved one cell, before it is published.
+enum Resolution {
+    /// Found in the resume sink.
+    Restored(CpuStats),
+    /// Served by the result cache in phase 1.
+    Cached(CpuStats),
+    /// Simulated by this worker.
+    Simulated(Simulation),
+}
+
+/// One cell simulated by a worker.
+struct Simulation {
+    result: Result<CpuStats, String>,
+    /// Simulation wall time; `None` when the cell failed.
+    duration: Option<Duration>,
+    /// How the cell failed, for a journal reader: "oracle" (golden-model
+    /// divergence) or "panic"; empty on success.
+    phase: &'static str,
+    /// Set only for the cell whose worker acquired the shared trace (the
+    /// pair's other cells reuse it for free).
+    meter: Option<AcquireMeter>,
+}
+
+/// Acquires (or shares) cell `k`'s trace and simulates the cell on the worker's
+/// `arena`. A panic anywhere in acquisition or simulation fails only this cell.
+fn simulate(
+    plan: &SweepPlan,
+    k: usize,
+    slots: &TraceSlots,
+    arena: &mut SimArena,
+    wstats: &mut WorkerStats,
+    tally: &Tally,
+    opts: &RunOptions<'_>,
+) -> Simulation {
+    let planned = &plan.cells[k];
+    let slot = slots.slot_of[k].expect("non-cached cells have a trace slot");
+    if !arena.is_warm() {
+        wstats.rebuilds += 1;
+    } else {
+        wstats.resets += 1;
+    }
+    let mut meter: Option<AcquireMeter> = None;
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let program = slots.program(slot, |key| {
+            // First consumer of this plan's slot: try the cross-plan arena
+            // registry before acquiring the trace.
+            if let Some(p) = opts.arenas.and_then(|a| a.lookup(key)) {
+                return p;
+            }
+            let acquired = acquire_program(
+                &plan.workloads[planned.workload],
+                plan.trace_len,
+                planned.id.seed,
+                opts,
+            );
+            if let Some(err) = acquired.cache_error {
+                push_error(&tally.trace_cache_errors, err);
+            }
+            if let Some(collector) = opts.stats {
+                collector.record_trace(acquired.meter.source);
+            }
+            meter = Some(acquired.meter);
+            let p = Arc::new(acquired.program);
+            if let Some(a) = opts.arenas {
+                a.publish(key, p.clone());
+            }
+            p
+        });
+        let config = &plan.configs[planned.config];
+        let sim_start = Instant::now();
+        if let Some(oracle_opts) = opts.oracle {
+            // Differential mode: the golden-model checker observes every
+            // commit; a recorded divergence fails the cell without panicking
+            // (so it stays distinguishable from a simulator panic).
+            let mut checker = DifferentialChecker::new(program.instructions(), oracle_opts);
+            let stats = Cpu::recycle(arena, config, &program).run_observed(&mut checker);
+            match checker.divergence() {
+                Some(d) => Err(format!("oracle divergence: {d}")),
+                None => Ok((stats, sim_start.elapsed())),
+            }
+        } else {
+            let stats = Cpu::recycle(arena, config, &program).run();
+            Ok((stats, sim_start.elapsed()))
+        }
+    }));
+    if run.is_err() {
+        // A panicking cell may leave the arena's pipeline in an inconsistent
+        // mid-cycle state: discard it so the next cell rebuilds from scratch.
+        *arena = SimArena::new();
+    }
+    wstats.cells_simulated += 1;
+    wstats.slab_high_water = wstats.slab_high_water.max(arena.rename_slab_len() as u64);
+    // A cell that did not acquire the trace itself was served an
+    // already-decoded shared arena.
+    if meter.is_none() {
+        if let Some(collector) = opts.stats {
+            collector.record_shared_decode();
+        }
+    }
+    let (result, duration, phase) = match run {
+        Ok(Ok((stats, dur))) => (Ok(stats), Some(dur), ""),
+        Ok(Err(divergence)) => (Err(divergence), None, "oracle"),
+        Err(payload) => (
+            Err(payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("simulation panicked")
+                .to_string()),
+            None,
+            "panic",
+        ),
+    };
+    if result.is_err() {
+        wstats.cells_failed += 1;
+    }
+    Simulation {
+        result,
+        duration,
+        phase,
+        meter,
+    }
+}
+
+/// Phase 4, per cell: publishes one finished cell the moment its worker
+/// resolves it — the `--out` sink append, the result-cache store, the journal
+/// events, the metrics and the progress line — and returns its outcome.
+/// Errors go to the tally; publishing never aborts the sweep.
+fn publish(
+    id: &CellId,
+    resolution: Resolution,
+    worker: usize,
+    tally: &Tally,
+    opts: &RunOptions<'_>,
+) -> CellOutcome {
+    let obs = opts.obs;
+    let events = obs.and_then(|o| o.events.as_ref());
+    let metrics = obs.and_then(|o| o.metrics.as_ref());
+    let progress = obs.and_then(|o| o.progress.as_ref());
+    let sim = match resolution {
+        Resolution::Restored(stats) => {
+            if let Some(events) = events {
+                events.emit_cell(event_kind::RESTORED, id, worker, []);
+            }
+            if let Some(metrics) = metrics {
+                metrics.cells_restored.inc();
+            }
+            if let Some(progress) = progress {
+                progress.record(CellProgress::Restored);
+            }
+            return CellOutcome::Ok(Box::new(stats));
+        }
+        // The cell is still appended to the sink: it was not restored from
+        // there, and the stream must hold every finished cell.
+        Resolution::Cached(stats) => {
+            if let Some(sink) = opts.sink {
+                if let Err(e) = sink.append(id, &Ok(stats.clone())) {
+                    push_error(&tally.stream_errors, e.to_string());
+                }
+            }
+            if let Some(events) = events {
+                events.emit_cell(event_kind::CACHED, id, worker, []);
+            }
+            if let Some(metrics) = metrics {
+                metrics.cells_cached.inc();
+            }
+            if let Some(progress) = progress {
+                progress.record(CellProgress::Cached);
+            }
+            return CellOutcome::Cached(Box::new(stats));
+        }
+        Resolution::Simulated(sim) => sim,
+    };
+    // Publish the freshly simulated cell back to the result cache (successes
+    // only — failed cells re-run, exactly like on resume).
+    if let (Some(rc), Ok(stats)) = (opts.result_cache, &sim.result) {
+        let store_start = Instant::now();
+        let stored = rc.store(id, stats);
+        if let Some(metrics) = metrics {
+            metrics.result_cache_seconds.record(store_start.elapsed());
+            if stored.is_ok() {
+                metrics.result_cache_stores.inc();
+            }
+        }
+        if let Err(e) = stored {
+            push_error(&tally.store_errors, e.to_string());
+        }
+    }
+    if let Some(events) = events {
+        emit_simulated(events, id, worker, &sim);
+    }
+    let mut write_dur = None;
+    if let Some(sink) = opts.sink {
+        let write_start = Instant::now();
+        if let Err(e) = sink.append(id, &sim.result) {
+            push_error(&tally.stream_errors, e.to_string());
+        }
+        let dur = write_start.elapsed();
+        write_dur = Some(dur);
+        if let Some(events) = events {
+            events.emit_cell(
+                event_kind::WRITTEN,
+                id,
+                worker,
+                [("dur_us", json::number(dur.as_secs_f64() * 1e6))],
+            );
+        }
+    }
+    if let Some(metrics) = metrics {
+        if let Some(meter) = &sim.meter {
+            match meter.source {
+                TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
+                TraceSource::Generated => metrics.traces_generated.inc(),
+            }
+            metrics.trace_bytes_read.add(meter.bytes);
+            metrics.trace_acquire_seconds.record(meter.acquire);
+            metrics.decode_seconds.record(meter.decode);
+        }
+        match &sim.result {
+            Ok(stats) => {
+                metrics.cells_simulated.inc();
+                metrics.sim_cycles.add(stats.cycles);
+                metrics.fwd_buffer_lookups.add(stats.fwd_buffer_lookups);
+                metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
+                metrics.store_set_squashes.add(stats.store_set_squashes);
+            }
+            Err(_) => metrics.cells_failed.inc(),
+        }
+        if let Some(dur) = sim.duration {
+            metrics.simulate_seconds.record(dur);
+        }
+        if let Some(dur) = write_dur {
+            metrics.write_seconds.record(dur);
+        }
+    }
+    if let Some(progress) = progress {
+        progress.record(if sim.result.is_ok() {
+            CellProgress::Simulated
+        } else {
+            CellProgress::Failed
+        });
+    }
+    match sim.result {
+        Ok(stats) => CellOutcome::Ok(Box::new(stats)),
+        Err(msg) => CellOutcome::Failed(msg),
+    }
+}
+
+/// The journal events of one simulated cell: `trace_acquired` and `decoded`
+/// when this cell acquired the trace, then `simulated` or `failed`.
+fn emit_simulated(events: &EventSink, id: &CellId, worker: usize, sim: &Simulation) {
+    if let Some(meter) = &sim.meter {
+        events.emit_cell(
+            event_kind::TRACE_ACQUIRED,
+            id,
+            worker,
+            [
+                ("source", json::string(meter.source.label())),
+                ("bytes", json::uint(meter.bytes)),
+                ("dur_us", json::number(meter.acquire.as_secs_f64() * 1e6)),
+            ],
+        );
+        events.emit_cell(
+            event_kind::DECODED,
+            id,
+            worker,
+            [("dur_us", json::number(meter.decode.as_secs_f64() * 1e6))],
+        );
+    }
+    match (&sim.result, sim.duration) {
+        (Ok(stats), Some(dur)) => events.emit_cell(
+            event_kind::SIMULATED,
+            id,
+            worker,
+            [
+                ("cycles", json::uint(stats.cycles)),
+                ("dur_us", json::number(dur.as_secs_f64() * 1e6)),
+            ],
+        ),
+        _ => events.emit_cell(
+            event_kind::FAILED,
+            id,
+            worker,
+            [
+                (
+                    "error",
+                    json::string(sim.result.as_ref().err().map_or("", String::as_str)),
+                ),
+                ("phase", json::string(sim.phase)),
+            ],
+        ),
+    }
+}
+
+/// Phase 4, per sweep: closes the journal's sweep bracket, puts the cells back
+/// in plan order, and aggregates each error list into at most one warning.
+fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepResult {
+    let total = plan.cells.len();
     if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
         events.emit(
             event_kind::SWEEP_FINISHED,
@@ -1124,53 +1046,47 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
             ],
         );
     }
-    let cells: Vec<ExperimentCell> = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|c| c.expect("every scheduled cell produced a result"))
-        .collect();
+    let Drained { mut cells, tally } = drained;
+    cells.sort_unstable_by_key(|&(k, _)| k);
+    assert_eq!(cells.len(), total, "every planned cell produced a result");
+    let cells: Vec<ExperimentCell> = cells.into_iter().map(|(_, cell)| cell).collect();
 
     // Workers push errors in completion order; sort so the aggregated warning (which
     // flows into report notes) is deterministic regardless of `jobs`.
-    let mut cache_errors = cache_errors.into_inner().unwrap_or_else(|e| e.into_inner());
-    cache_errors.sort_unstable();
-    let mut stream_errors = stream_errors
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    stream_errors.sort_unstable();
-    let mut store_errors = store_errors.into_inner().unwrap_or_else(|e| e.into_inner());
-    store_errors.sort_unstable();
+    let sorted = |list: Mutex<Vec<String>>| {
+        let mut list = list.into_inner().unwrap_or_else(|e| e.into_inner());
+        list.sort_unstable();
+        list
+    };
+    let cache_errors = sorted(tally.trace_cache_errors);
+    let stream_errors = sorted(tally.stream_errors);
+    let store_errors = sorted(tally.store_errors);
     let mut warnings = Vec::new();
-    if !cache_errors.is_empty() {
+    if let Some(first) = cache_errors.first() {
         warnings.push(format!(
-            "trace cache errored for {} trace(s); regenerated directly (first: {})",
-            cache_errors.len(),
-            cache_errors[0]
+            "trace cache errored for {} trace(s); regenerated directly (first: {first})",
+            cache_errors.len()
         ));
     }
-    if !stream_errors.is_empty() {
+    if let Some(first) = stream_errors.first() {
         warnings.push(format!(
-            "failed to append {} result line(s) to the JSONL stream (first: {})",
-            stream_errors.len(),
-            stream_errors[0]
+            "failed to append {} result line(s) to the JSONL stream (first: {first})",
+            stream_errors.len()
         ));
     }
-    if !store_errors.is_empty() {
+    if let Some(first) = store_errors.first() {
         warnings.push(format!(
             "result cache could not store {} cell(s); they were simulated but not shared \
-             (first: {})",
-            store_errors.len(),
-            store_errors[0]
+             (first: {first})",
+            store_errors.len()
         ));
     }
     SweepResult {
+        cached: cells.iter().filter(|c| c.is_cached()).count(),
         cells,
         cache_fallbacks: cache_errors.len(),
         warnings,
-        restored: restored_count.into_inner(),
-        skipped: skipped_count.into_inner(),
-        cached: cached_count.into_inner(),
+        restored: tally.restored.into_inner(),
     }
 }
 

@@ -1,16 +1,12 @@
-//! Integration tests for the distributed + adaptive sweep engine: shard
-//! partitioning (complete disjoint cover, any N), the shard → merge → resume
-//! pipeline, artifact/merge cell-set consistency, and adaptive CI-targeted
-//! sampling (stops at the target, never exceeds `--max-seeds`).
+//! Integration tests for the adaptive sweep engine: CI-targeted sampling stops
+//! at the target, never exceeds `--max-seeds`, and resumes losslessly — plus
+//! the planner's artifact cell sets agreeing with what the artifacts stream.
 
 use std::fs;
 use std::path::PathBuf;
 
 use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
-use svw_sim::{
-    expected_cells, merge_shards, run_cells, run_cells_adaptive, AdaptiveOpts, CellId, JsonlSink,
-    MergeInput, RunOptions, Shard,
-};
+use svw_sim::{artifact_plans, run_cells_adaptive, AdaptiveOpts, CellId, JsonlSink, RunOptions};
 use svw_workloads::WorkloadProfile;
 
 const LEN: usize = 1_500;
@@ -43,156 +39,15 @@ fn configs() -> Vec<MachineConfig> {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svw-shard-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("svw-adaptive-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-/// For every shard count, the shards must form a complete disjoint cover of the
-/// cell list — each cell simulated by exactly one shard — and the union must be
-/// byte-identical to the unsharded sweep.
-#[test]
-fn shard_partition_is_a_complete_disjoint_cover() {
-    let workloads = workloads();
-    let configs = configs();
-    let seeds = [5u64, 6];
-    let total = workloads.len() * configs.len() * seeds.len();
-
-    let full = run_cells(
-        "cover",
-        &workloads,
-        &configs,
-        LEN,
-        &seeds,
-        0,
-        &RunOptions::default(),
-    );
-    assert_eq!(full.skipped, 0);
-
-    // Shard counts below, at, and above the cell count (an over-provisioned fleet
-    // leaves some shards with nothing to do, which must also be correct).
-    for n in [1usize, 2, 3, 5, total, total + 3] {
-        let shards: Vec<_> = (0..n)
-            .map(|index| {
-                let opts = RunOptions {
-                    shard: Some(Shard { index, count: n }),
-                    ..RunOptions::default()
-                };
-                run_cells("cover", &workloads, &configs, LEN, &seeds, 0, &opts)
-            })
-            .collect();
-        for (k, reference) in full.cells.iter().enumerate() {
-            let owners: Vec<usize> = (0..n)
-                .filter(|&i| !shards[i].cells[k].is_skipped())
-                .collect();
-            assert_eq!(
-                owners.len(),
-                1,
-                "cell {k} must belong to exactly one of {n} shards, owners: {owners:?}"
-            );
-            let owned = &shards[owners[0]].cells[k];
-            assert_eq!(
-                format!("{:?}", owned.stats().unwrap()),
-                format!("{:?}", reference.stats().unwrap()),
-                "cell {k} of shard {}/{n} diverged from the unsharded sweep",
-                owners[0]
-            );
-        }
-        let skipped_total: usize = shards.iter().map(|s| s.skipped).sum();
-        assert_eq!(
-            skipped_total,
-            total * (n - 1),
-            "each of the {n} shards skips every cell it does not own"
-        );
-    }
-}
-
-/// The full distributed pipeline at library level: shards stream disjoint JSONL
-/// files, `merge_shards` validates and stitches them, and a sweep resumed from the
-/// merged file restores every cell without simulating anything.
-#[test]
-fn sharded_streams_merge_into_a_resume_complete_file() {
-    let dir = temp_dir("pipeline");
-    let workloads = workloads();
-    let configs = configs();
-    let seeds = [1u64, 2];
-    let total = workloads.len() * configs.len() * seeds.len();
-
-    let mut expected: Vec<CellId> = Vec::new();
-    for w in &workloads {
-        for c in &configs {
-            for &seed in &seeds {
-                expected.push(CellId {
-                    matrix: "pipe".to_string(),
-                    workload: w.name.clone(),
-                    config: c.name.clone(),
-                    seed,
-                    trace_len: LEN as u64,
-                    fingerprint: w.fingerprint(),
-                    model_version: 1,
-                    spec_fingerprint: 0,
-                });
-            }
-        }
-    }
-
-    let n = 3usize;
-    let inputs: Vec<MergeInput> = (0..n)
-        .map(|index| {
-            let path = dir.join(format!("shard{index}.jsonl"));
-            let sink = JsonlSink::open(&path).unwrap();
-            let opts = RunOptions {
-                shard: Some(Shard { index, count: n }),
-                sink: Some(&sink),
-                ..RunOptions::default()
-            };
-            let result = run_cells("pipe", &workloads, &configs, LEN, &seeds, 0, &opts);
-            assert_eq!(result.restored, 0);
-            drop(sink);
-            MergeInput {
-                name: format!("shard{index}.jsonl"),
-                content: fs::read_to_string(&path).unwrap(),
-            }
-        })
-        .collect();
-
-    let report = merge_shards(&expected, &inputs).expect("complete shard set merges");
-    assert_eq!(report.cells, total);
-    let merged_path = dir.join("merged.jsonl");
-    fs::write(&merged_path, &report.merged).unwrap();
-
-    let sink = JsonlSink::open(&merged_path).unwrap();
-    assert_eq!(sink.restored_count(), total);
-    let opts = RunOptions {
-        sink: Some(&sink),
-        ..RunOptions::default()
-    };
-    let resumed = run_cells("pipe", &workloads, &configs, LEN, &seeds, 0, &opts);
-    assert_eq!(resumed.restored, total, "nothing is re-simulated");
-
-    // The restored cells are byte-identical to a direct run.
-    let direct = run_cells(
-        "pipe",
-        &workloads,
-        &configs,
-        LEN,
-        &seeds,
-        0,
-        &RunOptions::default(),
-    );
-    for (a, b) in resumed.cells.iter().zip(direct.cells.iter()) {
-        assert_eq!(
-            format!("{:?}", a.stats().unwrap()),
-            format!("{:?}", b.stats().unwrap())
-        );
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The static sweep definitions `merge` validates against must agree with the cells
-/// the artifact functions actually stream — otherwise merge would reject (or
-/// under-check) real shard sets. Pinned here for fig8; the CI smoke covers fig5
+/// The planner's artifact plans must agree with the cells the artifact renderers
+/// actually stream — otherwise a complete `--out` file would not re-render the
+/// artifact without simulating. Pinned here for fig8; the CI smoke covers fig5
 /// end-to-end through the real binary.
 #[test]
 fn artifact_matrices_match_what_the_artifact_streams() {
@@ -214,7 +69,11 @@ fn artifact_matrices_match_what_the_artifact_streams() {
     let _ = svw_sim::render_artifact(&ctx, "fig8").unwrap();
     drop(sink);
 
-    let expected = expected_cells(&["fig8".to_string()], trace_len as u64, &[1], 1).unwrap();
+    let expected: Vec<CellId> = artifact_plans("fig8", trace_len, &[1], 1)
+        .unwrap()
+        .iter()
+        .flat_map(|plan| plan.cell_ids().cloned())
+        .collect();
     let streamed: Vec<CellId> = fs::read_to_string(&path)
         .unwrap()
         .lines()

@@ -5,6 +5,7 @@
 //! - Every invocation shape the CI workflow and the benchmark harness use is
 //!   accepted and exits 0.
 //! - Malformed argv is an `error: …` with exit 2 — never a run with defaults.
+//!   So is every shape of the removed multi-process sweep path.
 //!
 //! Every invocation runs with `$SVW_RESULT_CACHE` removed, its own trace cache,
 //! and a per-test working directory, so relative file names stay inside it.
@@ -105,68 +106,27 @@ fn stdout_equals_the_golden_render_corpus() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Drives the distributed-adaptive protocol to convergence: coordinate until
-/// it exits 0, draining each requeue plan over two shards.
-fn coordinate_to_convergence(dir: &Path, args: &str) {
-    for _ in 0..20 {
-        let out = svwsim(
-            dir,
-            &format!(
-                "coordinate cs0.jsonl cs1.jsonl {args} \
-                 --plan-out round.plan.jsonl --out cmerged.jsonl"
-            ),
-        );
-        match out.status.code() {
-            Some(0) => return,
-            Some(3) => {
-                for i in 0..2 {
-                    assert_ok(
-                        dir,
-                        &format!("sweep --plan round.plan.jsonl --shard {i}/2 --out cs{i}.jsonl"),
-                    );
-                }
-            }
-            code => panic!("coordinate exited {code:?}: {}", stderr(&out)),
-        }
-    }
-    panic!("coordinate did not converge");
-}
-
 #[test]
 fn every_ci_and_benchmark_invocation_shape_is_accepted() {
     let dir = workdir("accepted");
     let d = dir.as_path();
     const N: &str = "--trace-len 400";
-    // CI: cold + warm trace cache; multi-seed JSONL stream and resume.
+    // CI: cold + warm trace cache; multi-seed JSONL stream, resume, and
+    // re-renders from the complete file.
     assert_ok(d, &format!("sweep --figure fig8 {N} --verbose"));
     assert_ok(
         d,
         &format!("sweep --figure fig8 {N} --seeds 2 --out r.jsonl"),
     );
-    // CI: sharded sweep, merge, re-render from the merged file.
-    for i in 0..3 {
-        assert_ok(
-            d,
-            &format!("sweep --figure fig8 {N} --shard {i}/3 --out shard{i}.jsonl"),
-        );
-    }
     assert_ok(
         d,
-        &format!(
-            "merge shard0.jsonl shard1.jsonl shard2.jsonl --figure fig8 {N} --out merged.jsonl"
-        ),
+        &format!("sweep --figure fig8 {N} --seeds 2 --out r.jsonl --json"),
     );
-    assert_ok(d, &format!("sweep --figure fig8 {N} --out merged.jsonl"));
-    assert_ok(
-        d,
-        &format!("sweep --figure fig8 {N} --out merged.jsonl --json"),
-    );
-    // CI: adaptive sampling and the coordinated equivalent.
+    // CI: adaptive sampling, and its re-render from the complete file.
     let adaptive = format!("--figure fig8 {N} --ci-target 25 --min-seeds 2 --max-seeds 4");
     assert_ok(d, &format!("sweep {adaptive} --stats"));
-    coordinate_to_convergence(d, &adaptive);
-    assert_ok(d, &format!("sweep {adaptive} --out cmerged.jsonl"));
-    assert_ok(d, &format!("sweep {adaptive} --out cmerged.jsonl --json"));
+    assert_ok(d, &format!("sweep {adaptive} --out a.jsonl"));
+    assert_ok(d, &format!("sweep {adaptive} --out a.jsonl --json"));
     // CI: observability.
     assert_ok(
         d,
@@ -285,7 +245,6 @@ fn malformed_argv_is_an_error_with_exit_2() {
         "sweep --figure fig8 --model-version 0",
         "sweep --figure fig8 --model-version 3",
         "sweep --figure fig8 --ci-target 0",
-        "sweep --figure fig8 --shard 3/2",
         "sweep --figure fig8 --result-cache rc --result-cache-mode bogus",
         // Unknown names and modes.
         "sweep --figure nosuch --trace-len 400",
@@ -296,20 +255,11 @@ fn malformed_argv_is_an_error_with_exit_2() {
         "sweep --figure fig8 --inject-fault 3",
         "sweep --figure fig8 --min-seeds 2",
         "sweep --figure fig8 --seeds 2 --ci-target 5",
-        "sweep --figure fig8 --ci-target 5 --shard 0/2",
         "sweep --figure fig8 --result-cache-mode rw",
-        // Plan mode.
-        "sweep --plan p.plan.jsonl --seeds 2 --out x.jsonl",
-        "sweep --plan p.plan.jsonl --json --out x.jsonl",
-        "sweep --plan p.plan.jsonl --ci-target 5 --out x.jsonl",
-        "sweep --plan p.plan.jsonl --model-version 2 --out x.jsonl",
-        "sweep --plan p.plan.jsonl",
-        "sweep --plan missing.plan.jsonl --out x.jsonl",
         // run.
         "run",
         "run --workload nosuch",
         "run --workload gcc --config nosuch",
-        "run --workload gcc --shard 0/2",
         "run --workload gcc --ci-target 5",
         "run --workload gcc --substrate",
         "run --trace g.svwt --seeds 3",
@@ -332,13 +282,6 @@ fn malformed_argv_is_an_error_with_exit_2() {
         "inspect g.svwt g.svwt",
         "inspect missing.svwt",
         "inspect g.svwt --result-cache rc",
-        "inspect g.svwt --shard 0/2",
-        // merge.
-        "merge s.jsonl --out m.jsonl",
-        "merge s.jsonl --figure fig8",
-        "merge --figure fig8 --out m.jsonl",
-        "merge s.jsonl --figure fig8 --out m.jsonl --result-cache rc",
-        "merge s.jsonl --figure fig8 --out m.jsonl --stats",
         // profile.
         "profile",
         "profile e.jsonl --result-cache rc",
@@ -371,27 +314,136 @@ fn malformed_argv_is_an_error_with_exit_2() {
     ] {
         assert_rejected(d, line);
     }
-    let coordinate =
-        "coordinate c0.jsonl --figure fig8 --ci-target 25 --plan-out p.jsonl --out m.jsonl";
-    for extra in [
-        "--shard 0/2",
-        "--seeds 2",
-        "--jobs 2",
-        "--json",
-        "--oracle",
-        "--bogus",
-    ] {
-        assert_rejected(d, &format!("{coordinate} {extra}"));
-    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The multi-process sweep path (`merge`, `coordinate`, `--shard`, `--plan`,
+/// `--plan-out`) no longer exists. Every shape that drove it is an error with
+/// exit 2, so a cluster job script that still passes `--shard auto` fails
+/// instead of silently running the full matrix in every task.
+#[test]
+fn removed_distributed_sweep_surface_fails_loudly() {
+    let dir = workdir("removed");
+    let d = dir.as_path();
+    assert_ok(d, "capture --workload gcc --trace-len 400 --out g.svwt");
     for line in [
-        "coordinate c0.jsonl --figure fig8 --plan-out p.jsonl --out m.jsonl",
-        "coordinate c0.jsonl --figure tables --ci-target 25 --plan-out p.jsonl --out m.jsonl",
-        "coordinate c0.jsonl --figure fig8 --ci-target 25 --out m.jsonl",
-        "coordinate c0.jsonl --figure fig8 --ci-target 25 --plan-out p.jsonl",
-        "coordinate --figure fig8 --ci-target 25 --plan-out p.jsonl --out m.jsonl",
+        "merge s.jsonl --figure fig8 --out m.jsonl",
+        "merge shard0.jsonl shard1.jsonl shard2.jsonl --figure fig8 --trace-len 400 --out merged.jsonl",
+        "merge s.jsonl --figure fig8 --out m.jsonl --result-cache rc",
+        "coordinate c0.jsonl --figure fig8 --ci-target 25 --plan-out p.jsonl --out m.jsonl",
+        "coordinate cs0.jsonl cs1.jsonl --figure fig8 --trace-len 400 --ci-target 25 \
+         --min-seeds 2 --max-seeds 4 --plan-out round.plan.jsonl --out cmerged.jsonl",
+        "sweep --figure fig8 --shard 0/2",
+        "sweep --figure fig8 --trace-len 400 --shard 0/3 --out shard0.jsonl",
+        "sweep --figure fig8 --trace-len 400 --shard auto --out auto.jsonl",
+        "sweep --figure fig8 --ci-target 5 --shard 0/2",
+        "sweep --plan p.plan.jsonl",
+        "sweep --plan round.plan.jsonl --shard 0/2 --out cs0.jsonl",
+        "sweep --figure fig8 --trace-len 400 --plan-out p.plan.jsonl",
+        "run --workload gcc --shard 0/2",
+        "inspect g.svwt --shard 0/2",
     ] {
-        assert_rejected(d, line);
+        let line: String = line.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert_rejected(d, &line);
     }
+    let slurm = command(d)
+        .env("SLURM_PROCID", "0")
+        .env("SLURM_NTASKS", "2")
+        .args([
+            "sweep",
+            "--figure",
+            "fig8",
+            "--trace-len",
+            "400",
+            "--shard",
+            "auto",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(slurm.status.code(), Some(2), "{}", stderr(&slurm));
+    assert!(
+        slurm.stdout.is_empty(),
+        "a --shard auto task rendered the artifact"
+    );
+    for file in [
+        "m.jsonl",
+        "merged.jsonl",
+        "cmerged.jsonl",
+        "shard0.jsonl",
+        "auto.jsonl",
+        "cs0.jsonl",
+    ] {
+        assert!(
+            !dir.join(file).exists(),
+            "a rejected invocation wrote {file}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The distinct seeds of the cells in a `--out` JSONL stream.
+fn streamed_seeds(path: &Path) -> Vec<u64> {
+    let mut seeds: Vec<u64> = std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            svw_sim::jsonl::parse_cell_line(line)
+                .expect("a cell line")
+                .0
+                .seed
+        })
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    seeds
+}
+
+/// A spec's `[adaptive]` block sets the `--ci-target` seed bounds, and an
+/// explicit `--min-seeds`/`--max-seeds` still wins over it.
+#[test]
+fn a_specs_adaptive_block_bounds_ci_target_sampling() {
+    let dir = workdir("spec-adaptive");
+    let d = dir.as_path();
+    let shown = String::from_utf8(assert_ok(d, "experiments show fig8").stdout).unwrap();
+    assert!(shown.contains("min_seeds = 3\nmax_seeds = 10\n"), "{shown}");
+    // Dropping the pinned fingerprint keeps the edited spec valid.
+    let edited = |min: u64, max: u64| -> String {
+        shown
+            .lines()
+            .filter(|line| !line.starts_with("fingerprint = "))
+            .map(|line| match line {
+                "min_seeds = 3" => format!("min_seeds = {min}"),
+                "max_seeds = 10" => format!("max_seeds = {max}"),
+                _ => line.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    std::fs::write(dir.join("f.toml"), edited(2, 4)).unwrap();
+    let sweep = "sweep --spec f.toml --trace-len 400 --ci-target 0.01";
+    // An unreachable target runs every workload to the spec's max_seeds.
+    assert_ok(d, &format!("{sweep} --out a.jsonl"));
+    assert_eq!(streamed_seeds(&dir.join("a.jsonl")), [1, 2, 3, 4]);
+    // The flag overrides the spec's max_seeds; its min_seeds still holds, so
+    // one round of extra seeds runs past the base round of two.
+    let capped = assert_ok(d, &format!("{sweep} --max-seeds 3 --out b.jsonl"));
+    assert_eq!(streamed_seeds(&dir.join("b.jsonl")), [1, 2, 3]);
+    let cells = std::fs::read_to_string(dir.join("b.jsonl"))
+        .unwrap()
+        .lines()
+        .count();
+    assert!(
+        String::from_utf8_lossy(&capped.stdout).contains(&format!(
+            "adaptive sampling ({} extra seed-cell(s))",
+            cells / 3
+        )),
+        "{}",
+        String::from_utf8_lossy(&capped.stdout)
+    );
+    // Spec bounds outside the flags' ranges are errors, not huge allocations.
+    std::fs::write(dir.join("huge.toml"), edited(2, 5000)).unwrap();
+    let err = assert_rejected(d, "sweep --spec huge.toml --trace-len 400 --ci-target 1");
+    assert!(err.contains("--max-seeds"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -401,8 +453,6 @@ fn flags_a_command_ignores_are_rejected() {
     let d = dir.as_path();
     assert_ok(d, "capture --workload gcc --trace-len 400 --out g.svwt");
     assert_ok(d, "sweep --figure fig8 --trace-len 400 --events e.jsonl");
-    let coordinate =
-        "coordinate c0.jsonl --figure fig8 --ci-target 25 --plan-out p.jsonl --out m.jsonl";
     for line in [
         "capture --workload gcc --out g2.svwt --seeds 5 --jobs 3",
         "inspect g.svwt --trace-len 7 --seeds 9 --jobs 2 --no-cache --cache-dir /nonexist --verbose",
@@ -410,9 +460,6 @@ fn flags_a_command_ignores_are_rejected() {
         "experiments list --trace-len 9 --seeds 4 --jobs 3",
         "profile e.jsonl --jobs 3 --seeds 3",
         "cache stats --result-cache rc --trace-len 5 --jobs 3 --verbose --no-cache",
-        &format!("{coordinate} --verbose --no-cache --cache-dir /x"),
-        "sweep --plan p.plan.jsonl --out x.jsonl --model-version 1",
-        &format!("{coordinate} --jobs 0"),
     ] {
         let err = assert_rejected(d, line);
         assert!(err.contains(" does not apply to "), "`svwsim {line}`: {err}");

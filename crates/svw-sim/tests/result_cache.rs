@@ -1,17 +1,14 @@
 //! Integration tests for the content-addressed result cache: warm-cache
 //! byte-identity at every job count across every builtin artifact, lineage
-//! mismatches that must miss, concurrent sweeps sharing one cache directory,
-//! and the shard → merge → coordinate round-trip where a warm second pass
-//! simulates nothing at all.
+//! mismatches that must miss, and concurrent sweeps sharing one cache
+//! directory.
 
 use std::fs;
 use std::path::PathBuf;
 
 use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
 use svw_sim::{
-    coordinate_round, render_artifact, resolve_plan, run_cells, AdaptiveOpts, CacheMode,
-    CoordinateOutcome, CoordinateRequest, ExperimentCtx, JsonlSink, MergeInput, ResultCache,
-    RunOptions, ARTIFACT_NAMES,
+    render_artifact, run_cells, CacheMode, ExperimentCtx, ResultCache, RunOptions, ARTIFACT_NAMES,
 };
 use svw_workloads::WorkloadProfile;
 
@@ -244,107 +241,5 @@ fn concurrent_sweeps_share_one_cache_directory() {
     );
     assert_eq!(result.cached, result.cells.len());
     assert_eq!(rc.counters().misses, 0);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// Drives a full shard → merge → coordinate loop the way the CLI does; when
-/// `rc` is given, pending plan cells are first satisfied from the cache and
-/// only the remainder is executed.
-fn coordinate_to_convergence(
-    artifact: &str,
-    rc: Option<&ResultCache>,
-    simulated: &mut usize,
-) -> String {
-    let adaptive = AdaptiveOpts {
-        ci_target_pct: 4.0,
-        min_seeds: 2,
-        max_seeds: 4,
-    };
-    let mut shard_lines: Vec<String> = vec![String::new(), String::new()];
-    let mut cache_lines = String::new();
-    for _round in 0..32 {
-        let mut inputs: Vec<MergeInput> = shard_lines
-            .iter()
-            .enumerate()
-            .map(|(i, content)| MergeInput {
-                name: format!("shard{i}.jsonl"),
-                content: content.clone(),
-            })
-            .collect();
-        if !cache_lines.is_empty() {
-            inputs.push(MergeInput {
-                name: "<result-cache>".to_string(),
-                content: cache_lines.clone(),
-            });
-        }
-        let request = CoordinateRequest {
-            artifact: artifact.to_string(),
-            trace_len: 600,
-            start_seed: 1,
-            adaptive,
-            model_version: 1,
-            inputs: &inputs,
-        };
-        match coordinate_round(&request).unwrap() {
-            CoordinateOutcome::Converged { merged, .. } => return merged,
-            CoordinateOutcome::Pending { plan, .. } => {
-                if let Some(rc) = rc {
-                    let mut new_hits = 0usize;
-                    for id in &plan.cells {
-                        if let Some(line) = rc.lookup_line(id) {
-                            cache_lines.push_str(&line);
-                            cache_lines.push('\n');
-                            new_hits += 1;
-                        }
-                    }
-                    if new_hits > 0 {
-                        continue;
-                    }
-                }
-                for (index, lines) in shard_lines.iter_mut().enumerate() {
-                    let shard = svw_sim::Shard { index, count: 2 };
-                    let dir = temp_dir(&format!("coord-shard{index}"));
-                    let out = dir.join("out.jsonl");
-                    let sink = JsonlSink::open(&out).unwrap();
-                    let opts = RunOptions {
-                        sink: Some(&sink),
-                        result_cache: rc,
-                        ..RunOptions::default()
-                    };
-                    for sweep in resolve_plan(&plan, Some(shard)).unwrap() {
-                        let result = svw_sim::execute_plan(&sweep, &opts);
-                        *simulated +=
-                            result.cells.len() - result.restored - result.skipped - result.cached;
-                    }
-                    drop(sink);
-                    lines.push_str(&fs::read_to_string(&out).unwrap());
-                    let _ = fs::remove_dir_all(&dir);
-                }
-            }
-        }
-    }
-    panic!("{artifact}: coordination did not converge");
-}
-
-#[test]
-fn coordinate_round_trip_simulates_nothing_on_a_warm_cache() {
-    let dir = temp_dir("coord");
-    let rc = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-
-    let mut cold_simulated = 0usize;
-    let cold = coordinate_to_convergence("fig8", Some(&rc), &mut cold_simulated);
-    assert!(cold_simulated > 0, "the cold pass did the real work");
-
-    // Round 2: fresh shard streams, same cache — the coordinator's decision
-    // sequence is satisfied entirely by cache injection.
-    let mut warm_simulated = 0usize;
-    let warm = coordinate_to_convergence("fig8", Some(&rc), &mut warm_simulated);
-    assert_eq!(warm_simulated, 0, "a warm coordination simulates nothing");
-    assert_eq!(warm, cold, "merged result sets are byte-identical");
-
-    // And the cache changes nothing about the converged bytes.
-    let mut uncached_simulated = 0usize;
-    let uncached = coordinate_to_convergence("fig8", None, &mut uncached_simulated);
-    assert_eq!(uncached, cold);
     let _ = fs::remove_dir_all(&dir);
 }

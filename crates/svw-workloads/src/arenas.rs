@@ -4,9 +4,9 @@
 //! an [`Arc<Program>`] keyed by [`TraceKey`] — shared by every simulation cell
 //! that consumes that trace. The sweep engine already shares a trace between the
 //! cells of one plan; [`TraceArenas`] extends the sharing *across* plans (the
-//! matrices of a multi-table artifact, adaptive re-rounds, coordinator requeue
-//! rounds), so each `(workload fingerprint, trace_len, seed)` stream is decoded
-//! exactly once per process however many sweeps consume it.
+//! matrices of a multi-table artifact, adaptive re-rounds), so each
+//! `(workload fingerprint, trace_len, seed)` stream is decoded exactly once per
+//! process however many sweeps consume it.
 //!
 //! Lifetime is reference-counted by *registered uses*, not by `Arc` clones:
 //! every holder that wants an arena kept warm registers a use up front
