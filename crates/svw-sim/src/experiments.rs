@@ -751,15 +751,6 @@ pub fn resolved_trace_keys(
     keys
 }
 
-/// Every distinct trace key a builtin artifact will consume (see
-/// [`resolved_trace_keys`]); empty for unknown artifact names — rendering will
-/// report those itself.
-pub fn artifact_trace_keys(name: &str, trace_len: usize, seeds: &[u64]) -> Vec<TraceKey> {
-    artifact_resolved(name, 1)
-        .map(|resolved| resolved_trace_keys(&resolved, trace_len, seeds))
-        .unwrap_or_default()
-}
-
 /// The exact (matrix label, workloads, configurations) matrices an artifact runs,
 /// in order, derived from the artifact's builtin spec at model version 1. This is
 /// the legacy shape of [`artifact_resolved`], which carries the spec's lineage.

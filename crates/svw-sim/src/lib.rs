@@ -91,9 +91,9 @@ pub mod runner;
 pub use cache::{CacheCounters, CacheMode, GcReport, ResultCache, StoreStats, VerifyReport};
 pub use events::{parse_event_line, read_events, Event, EventSink};
 pub use experiments::{
-    artifact_matrices, artifact_resolved, artifact_trace_keys, render_artifact, render_resolved,
-    resolved_trace_keys, run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep,
-    ExperimentCtx, Stat, ARTIFACT_NAMES,
+    artifact_matrices, artifact_resolved, render_artifact, render_resolved, resolved_trace_keys,
+    run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep, ExperimentCtx, Stat,
+    ARTIFACT_NAMES,
 };
 pub use jsonl::{CellId, JsonlSink};
 pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver};
