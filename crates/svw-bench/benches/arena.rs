@@ -2,7 +2,7 @@
 //! per-worker `SimArena`.
 //!
 //! The trace is deliberately short so that per-cell startup (allocating or
-//! resetting the predictor tables, caches, queues, ROB ring, and rename slab)
+//! resetting the predictor tables, caches, queues, ROB ring, and event wheels)
 //! is a visible share of each iteration — exactly the cost profile of a dense
 //! sweep with many small cells. The two variants must produce identical
 //! statistics (asserted each iteration); only their startup strategy differs.

@@ -1,14 +1,12 @@
 //! The cycle-level pipeline model.
 //!
-//! All growable machine state (ROB ring, rename slab, queues, predictor and cache
+//! All growable machine state (ROB ring, event wheels, queues, predictor and cache
 //! tables, SSBF, …) lives in a [`Pipeline`] owned by a [`SimArena`]. A sweep worker
 //! keeps one arena and calls [`Cpu::recycle`] per cell: the pipeline is cleared *in
 //! place* with every heap allocation retained, so cell startup is a reset rather than
 //! a rebuild and the steady-state simulation loop performs no allocation at all.
 //! [`Cpu::new`] remains the one-shot entry point (it boxes a private pipeline).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use svw_core::{SsbfUpdate, Ssn, SvwConfig, SvwFilter, SvwUpdatePolicy, VulnWindow};
@@ -53,7 +51,9 @@ struct RobEntry {
     /// had not completed at dispatch, plus one for an unresolved store-set store.
     /// The entry is in the ready set exactly while it is unissued and this is 0.
     pending: u8,
-    has_dst: bool,
+    /// The renamed destination and the binding it replaced, restored if this entry
+    /// is squashed.
+    rename_undo: Option<(ArchReg, RegBinding)>,
     issued: bool,
     completed: bool,
     complete_cycle: u64,
@@ -84,85 +84,32 @@ impl HasSeq for RobEntry {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct RegBinding {
     producer: Option<InstSeq>,
     version: u64,
 }
 
-/// One saved rename binding in the history slab, linked towards older bindings of
-/// the same architectural register.
-#[derive(Clone, Copy, Debug)]
-struct HistNode {
-    producer: InstSeq,
-    saved: RegBinding,
-    /// Slab index of the next-older binding of the same register, or [`NO_NODE`].
-    prev: u32,
-}
-
-const NO_NODE: u32 = u32::MAX;
-
 /// The register rename state: per architectural register, the current producer and a
 /// monotonically increasing version number (the "physical register" identity used by
-/// register integration), plus enough history to roll back across flushes.
-///
-/// History is a single slab of [`HistNode`]s shared by every register, each register
-/// holding the head of its own linked chain (youngest first). Freed nodes go on a
-/// free list, so in steady state `bind` and `rollback` recycle slab slots and never
-/// allocate; across [`RenameMap::reset`] the slab's capacity is retained too.
+/// register integration). Undo state lives in the ROB: each entry that renames a
+/// destination keeps the binding it replaced, and [`Pipeline::flush_from`] restores
+/// those youngest-first as it pops the squashed entries.
 #[derive(Clone, Debug)]
 struct RenameMap {
-    current: Vec<RegBinding>,
-    /// Per-register head of the history chain ([`NO_NODE`] = empty).
-    heads: Vec<u32>,
-    /// Per-register chain length.
-    counts: Vec<u32>,
-    /// Per-register chain length at which the next trim walk triggers.
-    next_trim: Vec<u32>,
-    slab: Vec<HistNode>,
-    free: Vec<u32>,
+    current: [RegBinding; NUM_ARCH_REGS],
     next_version: u64,
 }
 
 impl RenameMap {
-    /// Chain length that arms the first trim attempt for a register.
-    const TRIM_THRESHOLD: u32 = 1024;
-
     fn new() -> Self {
         RenameMap {
-            current: Self::initial_bindings(),
-            heads: vec![NO_NODE; NUM_ARCH_REGS],
-            counts: vec![0; NUM_ARCH_REGS],
-            next_trim: vec![Self::TRIM_THRESHOLD; NUM_ARCH_REGS],
-            slab: Vec::new(),
-            free: Vec::new(),
+            current: std::array::from_fn(|i| RegBinding {
+                producer: None,
+                version: i as u64,
+            }),
             next_version: NUM_ARCH_REGS as u64,
         }
-    }
-
-    fn initial_bindings() -> Vec<RegBinding> {
-        (0..NUM_ARCH_REGS)
-            .map(|i| RegBinding {
-                producer: None,
-                version: i as u64,
-            })
-            .collect()
-    }
-
-    /// Restores the initial rename state, retaining the slab's capacity.
-    fn reset(&mut self) {
-        for (i, b) in self.current.iter_mut().enumerate() {
-            *b = RegBinding {
-                producer: None,
-                version: i as u64,
-            };
-        }
-        self.heads.fill(NO_NODE);
-        self.counts.fill(0);
-        self.next_trim.fill(Self::TRIM_THRESHOLD);
-        self.slab.clear();
-        self.free.clear();
-        self.next_version = NUM_ARCH_REGS as u64;
     }
 
     fn producer(&self, r: ArchReg) -> Option<InstSeq> {
@@ -173,96 +120,79 @@ impl RenameMap {
         self.current[r.index()].version
     }
 
-    /// History chain length of `r` (test instrumentation).
-    #[cfg(test)]
-    fn history_len(&self, r: ArchReg) -> usize {
-        self.counts[r.index()] as usize
-    }
-
-    /// Binds `r` to `producer`. `oldest_inflight` is the sequence number of the
-    /// oldest instruction still in the ROB (or `producer` itself when the ROB is
-    /// empty): every flush target is at least that old, so history entries made by
-    /// earlier producers can never be restored by [`RenameMap::rollback`] and are safe
-    /// to trim. Trimming a fixed "ancient half" instead would discard bindings still
-    /// live for in-flight producers under large-ROB configurations and corrupt
-    /// rollback.
-    fn bind(&mut self, r: ArchReg, producer: InstSeq, oldest_inflight: InstSeq) {
-        let idx = r.index();
-        let node = HistNode {
-            producer,
-            saved: self.current[idx],
-            prev: self.heads[idx],
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = node;
-                s
-            }
-            None => {
-                let s = self.slab.len() as u32;
-                self.slab.push(node);
-                s
-            }
-        };
-        self.heads[idx] = slot;
-        self.counts[idx] += 1;
-        if self.counts[idx] >= self.next_trim[idx] {
-            self.trim(idx, oldest_inflight);
-        }
-        self.current[idx] = RegBinding {
-            producer: Some(producer),
-            version: self.next_version,
-        };
+    /// Binds `r` to `producer` and returns the binding it replaces.
+    fn bind(&mut self, r: ArchReg, producer: InstSeq) -> RegBinding {
+        let old = std::mem::replace(
+            &mut self.current[r.index()],
+            RegBinding {
+                producer: Some(producer),
+                version: self.next_version,
+            },
+        );
         self.next_version += 1;
+        old
+    }
+}
+
+/// Completion events bucketed by due cycle: a timing wheel with a power-of-two
+/// number of buckets, sized at reset to cover every latency the configuration can
+/// produce. An event is a sequence number in its cycle's bucket; a bucket drains in
+/// push order.
+#[derive(Debug, Default)]
+struct EventWheel {
+    buckets: Vec<Vec<InstSeq>>,
+    /// The cycle the next [`EventWheel::take`] drains. Every queued event is due in
+    /// `[next, next + buckets.len())`.
+    next: u64,
+}
+
+impl EventWheel {
+    /// Empties the wheel, keeping bucket capacity, and sizes it for events up to
+    /// `horizon` cycles after the cycle being drained.
+    fn reset(&mut self, horizon: u64) {
+        let slots = (horizon + 1).next_power_of_two() as usize;
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.buckets.resize_with(slots, Vec::new);
+        self.next = 0;
     }
 
-    /// Frees every history node of register `idx` made by a producer older than
-    /// `oldest_inflight` (the dead suffix of the chain — producers are bound in
-    /// increasing sequence order, so dead nodes are exactly the oldest ones). The
-    /// walk costs O(live chain), so the re-arm threshold backs off with the surviving
-    /// length, keeping the amortized cost per `bind` constant.
-    fn trim(&mut self, idx: usize, oldest_inflight: InstSeq) {
-        let mut prev_live = NO_NODE;
-        let mut cur = self.heads[idx];
-        let mut live = 0u32;
-        while cur != NO_NODE && self.slab[cur as usize].producer >= oldest_inflight {
-            prev_live = cur;
-            cur = self.slab[cur as usize].prev;
-            live += 1;
-        }
-        if cur != NO_NODE {
-            // Detach and free the dead suffix.
-            if prev_live == NO_NODE {
-                self.heads[idx] = NO_NODE;
-            } else {
-                self.slab[prev_live as usize].prev = NO_NODE;
-            }
-            while cur != NO_NODE {
-                self.free.push(cur);
-                cur = self.slab[cur as usize].prev;
-            }
-            self.counts[idx] = live;
-        }
-        self.next_trim[idx] = self.counts[idx] + Self::TRIM_THRESHOLD.max(self.counts[idx]);
+    fn push(&mut self, cycle: u64, seq: InstSeq) {
+        let slots = self.buckets.len() as u64;
+        assert!(
+            cycle >= self.next && cycle - self.next < slots,
+            "completion event for seq {seq} at cycle {cycle} is outside the event wheel \
+             ({slots} cycles from cycle {})",
+            self.next
+        );
+        self.buckets[(cycle & (slots - 1)) as usize].push(seq);
     }
 
-    /// Rolls back every binding made by instructions with `seq >= flush_seq`.
-    fn rollback(&mut self, flush_seq: InstSeq) {
-        for idx in 0..NUM_ARCH_REGS {
-            let mut head = self.heads[idx];
-            while head != NO_NODE {
-                let node = self.slab[head as usize];
-                if node.producer < flush_seq {
-                    break;
-                }
-                self.current[idx] = node.saved;
-                self.free.push(head);
-                head = node.prev;
-                self.counts[idx] -= 1;
-            }
-            self.heads[idx] = head;
-        }
+    /// Removes the events due at `cycle`, the next undrained cycle, in push order.
+    /// Hand the list back with [`EventWheel::put_back`] to keep its capacity.
+    fn take(&mut self, cycle: u64) -> Vec<InstSeq> {
+        debug_assert_eq!(cycle, self.next, "the wheel drains every cycle in order");
+        self.next = cycle + 1;
+        let slot = (cycle & (self.buckets.len() as u64 - 1)) as usize;
+        std::mem::take(&mut self.buckets[slot])
     }
+
+    fn put_back(&mut self, cycle: u64, mut events: Vec<InstSeq>) {
+        events.clear();
+        let slot = (cycle & (self.buckets.len() as u64 - 1)) as usize;
+        self.buckets[slot] = events;
+    }
+}
+
+/// The longest latency of any completion event under `config`, in cycles after the
+/// cycle that schedules it: a load that misses to memory behind the slowest
+/// organisation, or an RLE re-execution's two register-file cycles on top of one.
+fn event_horizon(config: &MachineConfig) -> u64 {
+    let h = &config.hierarchy;
+    let slowest_op = OpClass::IntMul
+        .exec_latency()
+        .max(OpClass::FpAlu.exec_latency());
+    let miss = h.l1d.hit_latency + h.l2.hit_latency + h.memory_latency;
+    config.issue_to_execute + slowest_op.max(miss) + config.lsq.extra_load_latency() + 2
 }
 
 /// The SVW configuration the machine actually runs with: the configured one, or — for
@@ -277,7 +207,7 @@ fn effective_svw_config(config: &MachineConfig) -> SvwConfig {
 }
 
 /// Every piece of mutable machine state — substrates, queues, the ROB ring, the
-/// rename slab, and the per-run scalars. Owned by a [`SimArena`] (recycled across
+/// event wheels, and the per-run scalars. Owned by a [`SimArena`] (recycled across
 /// cells) or privately by a one-shot [`Cpu`].
 struct Pipeline {
     // Substrates.
@@ -313,14 +243,16 @@ struct Pipeline {
     now: u64,
     stats: CpuStats,
 
-    // Completion event queues: instead of scanning the whole ROB every cycle for
-    // entries whose latency has elapsed, `complete` pops exactly the due events.
-    // Events are `(cycle, seq)` min-ordered, so same-cycle completions fire in age
-    // order — identical to the scan they replace. Events stranded by a squash are
-    // detected (the entry's state no longer matches) and dropped on pop.
-    exec_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
+    // Completion events: instead of scanning the whole ROB every cycle for entries
+    // whose latency has elapsed, `complete` visits exactly the due events. A cycle's
+    // events fire in push order, not age order; every completion effect (pending
+    // counts and ready bits, `rex_inflight`, and the fetch unblock of the one
+    // unresolved mispredicted branch — fetch stops behind it) is order-independent.
+    // Events stranded by a squash are detected (the entry's state no longer
+    // matches) and dropped.
+    exec_events: EventWheel,
     /// Pending re-execution cache-access completions, same discipline.
-    rex_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
+    rex_events: EventWheel,
 
     // Wakeup-driven issue: a consumer registers on its in-flight producers at
     // dispatch, and each producer wakes it (on completion, or for a store-set wait,
@@ -340,6 +272,11 @@ struct Pipeline {
     rex_probes: Vec<(Addr, u64, VulnWindow)>,
     rex_decisions: Vec<bool>,
     rex_stores: Vec<SsbfUpdate>,
+
+    /// Test-only reference for flush recovery: per ROB slot, the rename map as it
+    /// stood just before that slot's instruction renamed its destination.
+    #[cfg(test)]
+    rename_snapshots: Vec<[RegBinding; NUM_ARCH_REGS]>,
 }
 
 impl Pipeline {
@@ -375,13 +312,15 @@ impl Pipeline {
             rex_inflight: 0,
             now: 0,
             stats: CpuStats::default(),
-            exec_events: BinaryHeap::new(),
-            rex_events: BinaryHeap::new(),
+            exec_events: EventWheel::default(),
+            rex_events: EventWheel::default(),
             consumers: Vec::new(),
             ready: Vec::new(),
             rex_probes: Vec::new(),
             rex_decisions: Vec::new(),
             rex_stores: Vec::new(),
+            #[cfg(test)]
+            rename_snapshots: Vec::new(),
         };
         p.reset(config);
         p
@@ -389,7 +328,7 @@ impl Pipeline {
 
     /// Restores the initial state for `config` in place. Observationally identical to
     /// [`Pipeline::new`] — a unit test and the scheduler determinism tests enforce
-    /// byte-identical simulation results — but every table, queue, slab, and ring
+    /// byte-identical simulation results — but every table, queue, wheel, and ring
     /// keeps its heap allocation, so per-cell startup cost is a memset-shaped reset
     /// instead of a rebuild.
     fn reset(&mut self, config: &MachineConfig) {
@@ -432,7 +371,7 @@ impl Pipeline {
         self.exec_ports.reset(2, 64);
         self.dcache_rw_port.reset();
         self.rob.reset(config.rob_size);
-        self.rename.reset();
+        self.rename = RenameMap::new();
         self.iq_count = 0;
         self.inflight_dsts = 0;
         self.fetch_index = 0;
@@ -443,8 +382,9 @@ impl Pipeline {
         self.rex_inflight = 0;
         self.now = 0;
         self.stats = CpuStats::default();
-        self.exec_events.clear();
-        self.rex_events.clear();
+        let horizon = event_horizon(config);
+        self.exec_events.reset(horizon);
+        self.rex_events.reset(horizon);
         self.consumers.resize_with(config.rob_size, Vec::new);
         self.consumers.iter_mut().for_each(Vec::clear);
         self.ready.clear();
@@ -452,6 +392,12 @@ impl Pipeline {
         self.rex_probes.clear();
         self.rex_decisions.clear();
         self.rex_stores.clear();
+        #[cfg(test)]
+        {
+            let initial = RenameMap::new().current;
+            self.rename_snapshots.clear();
+            self.rename_snapshots.resize(config.rob_size, initial);
+        }
     }
 
     /// Advances the machine by one cycle.
@@ -577,6 +523,21 @@ impl Pipeline {
         );
     }
 
+    /// Test-only reference check, run after every flush: the rename map must be
+    /// exactly what it was before `flush_seq` dispatched.
+    #[cfg(test)]
+    fn check_rename_restored(&self, flush_seq: InstSeq) {
+        let before = &self.rename_snapshots[self.rob.slot(flush_seq)];
+        for (i, (now, then)) in self.rename.current.iter().zip(before).enumerate() {
+            assert_eq!(
+                now, then,
+                "cycle {}: after the flush from seq {flush_seq}, r{i} is bound to {now:?} \
+                 but was {then:?} before seq {flush_seq} dispatched",
+                self.now
+            );
+        }
+    }
+
     /// Describes where the machine is stuck, for the forward-progress failure: the
     /// ROB head — its state and everything it waits on — or, with an empty ROB,
     /// the front end.
@@ -662,7 +623,7 @@ impl Pipeline {
             }
             // Copy the scalar fields commit needs; the entry itself stays in place (a
             // full `RobEntry` clone here dominated the commit path).
-            let (seq, pc, cls, has_dst) = (head.seq, head.pc, head.cls, head.has_dst);
+            let (seq, pc, cls, has_dst) = (head.seq, head.pc, head.cls, head.rename_undo.is_some());
             let (addr, width, exec_value, oracle_value) =
                 (head.addr, head.width, head.exec_value, head.oracle_value);
             let (marked, ssn, used_fsq) = (head.marked, head.ssn, head.used_fsq);
@@ -1016,7 +977,7 @@ impl Pipeline {
                     let e = self.rob.get_mut(seq).expect("entry is in the ROB");
                     e.rex = RexState::InFlight(done);
                     e.rex_used_cache = true;
-                    self.rex_events.push(Reverse((done, seq)));
+                    self.rex_events.push(done, seq);
                     self.rex_inflight += 1;
                     mem_ops_processed += 1;
                     self.rex_next_seq += 1;
@@ -1038,15 +999,12 @@ impl Pipeline {
         // entry's recorded state and is dropped.
         let now = self.now;
         let mut unblock_branch: Option<InstSeq> = None;
-        while let Some(&Reverse((cycle, seq))) = self.exec_events.peek() {
-            if cycle > now {
-                break;
-            }
-            self.exec_events.pop();
+        let due = self.exec_events.take(now);
+        for &seq in &due {
             let Some(e) = self.rob.get_mut(seq) else {
                 continue;
             };
-            if e.issued && !e.completed && e.complete_cycle == cycle {
+            if e.issued && !e.completed && e.complete_cycle == now {
                 e.completed = true;
                 if e.cls == OpClass::Branch && e.mispredicted {
                     unblock_branch = Some(e.seq);
@@ -1054,13 +1012,11 @@ impl Pipeline {
                 self.wake_consumers(seq);
             }
         }
-        while let Some(&Reverse((cycle, seq))) = self.rex_events.peek() {
-            if cycle > now {
-                break;
-            }
-            self.rex_events.pop();
+        self.exec_events.put_back(now, due);
+        let due = self.rex_events.take(now);
+        for &seq in &due {
             if let Some(e) = self.rob.get_mut(seq) {
-                if e.rex == RexState::InFlight(cycle) {
+                if e.rex == RexState::InFlight(now) {
                     e.rex = if e.exec_value == e.oracle_value {
                         RexState::Done
                     } else {
@@ -1070,6 +1026,7 @@ impl Pipeline {
                 }
             }
         }
+        self.rex_events.put_back(now, due);
         if let Some(seq) = unblock_branch {
             if self.fetch_blocked_on_branch == Some(seq) {
                 self.fetch_blocked_on_branch = None;
@@ -1184,7 +1141,7 @@ impl Pipeline {
             .expect("issuing an instruction that is in the ROB");
         e.issued = true;
         e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
+        self.exec_events.push(done, seq);
         self.leave_iq(seq);
     }
 
@@ -1228,7 +1185,7 @@ impl Pipeline {
         let e = self.rob.get_mut(seq).expect("store is in the ROB");
         e.issued = true;
         e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
+        self.exec_events.push(done, seq);
         self.leave_iq(seq);
 
         // The conventional LQ's associative ordering search (removed in the NLQ and
@@ -1260,6 +1217,21 @@ impl Pipeline {
         let inst = &source[seq as usize];
         let acc = *inst.mem_access();
         let bytes = acc.width;
+
+        // Cache bank structural port (address-interleaved execution ports). A load
+        // whose bank is taken cannot issue whatever it would observe, and a
+        // forwarding replay never takes the bank, so fail it before the search. The
+        // forwarding-buffer probe still counts, as when the search came first.
+        if !self.exec_ports.is_free(acc.addr, self.now) {
+            if config.lsq.is_ssq() && !uses_fsq {
+                let buf = self
+                    .fwd_buf
+                    .as_mut()
+                    .expect("SSQ configuration has forwarding buffers");
+                buf.lookup(seq, acc.addr, bytes);
+            }
+            return false;
+        }
 
         // Determine the value the load observes and where it comes from. A forwarding
         // source is either an in-flight queue entry (whose SSN can only shrink the
@@ -1314,10 +1286,8 @@ impl Pipeline {
             // The youngest older matching store cannot forward yet: retry next cycle.
             return false;
         }
-        // Cache bank structural port (address-interleaved execution ports).
-        if !self.exec_ports.try_use(acc.addr, self.now) {
-            return false;
-        }
+        let bank_taken = self.exec_ports.try_use(acc.addr, self.now);
+        debug_assert!(bank_taken, "the bank was free before the search");
 
         // Under NLQ, loads issuing past unresolved older store addresses are marked by
         // the scheduler for re-execution.
@@ -1351,7 +1321,7 @@ impl Pipeline {
         let e = self.rob.get_mut(seq).expect("load is in the ROB");
         e.issued = true;
         e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
+        self.exec_events.push(done, seq);
         e.exec_value = Some(exec_value);
         e.window = svw_window;
         e.used_fsq = uses_fsq;
@@ -1396,14 +1366,14 @@ impl Pipeline {
             let cls = inst.class();
             let is_load = cls == OpClass::Load;
             let is_store = cls == OpClass::Store;
-            let has_dst = inst.dst().is_some();
+            let dst = inst.dst();
 
             // Structural resources.
             if self.rob.len() >= config.rob_size
                 || self.iq_count >= config.iq_size
                 || (is_load && !self.lq.has_space())
                 || (is_store && !self.sq.has_space())
-                || (has_dst && self.inflight_dsts >= config.phys_regs)
+                || (dst.is_some() && self.inflight_dsts >= config.phys_regs)
             {
                 break;
             }
@@ -1425,7 +1395,7 @@ impl Pipeline {
                 #[cfg(test)]
                 src_producers,
                 pending: 0,
-                has_dst,
+                rename_undo: None,
                 issued: false,
                 completed: false,
                 complete_cycle: u64::MAX,
@@ -1560,11 +1530,16 @@ impl Pipeline {
                 _ => {}
             }
 
-            // Rename the destination. Rename history is trimmed against the oldest
-            // in-flight sequence number: nothing older can ever be a flush target.
-            if let Some(dst) = inst.dst() {
-                let oldest_inflight = self.rob.front().map_or(seq, |e| e.seq);
-                self.rename.bind(dst, seq, oldest_inflight);
+            // Rename the destination. Nothing breaks out of this iteration between
+            // here and `push_back`, so every binding belongs to an entry in the ROB
+            // and a flush can undo it from there.
+            #[cfg(test)]
+            {
+                let slot = self.rob.slot(seq);
+                self.rename_snapshots[slot] = self.rename.current;
+            }
+            if let Some(dst) = dst {
+                entry.rename_undo = Some((dst, self.rename.bind(dst, seq)));
                 self.inflight_dsts += 1;
             }
 
@@ -1595,7 +1570,7 @@ impl Pipeline {
                 self.set_ready(seq);
             }
             if let Some(done) = exec_event {
-                self.exec_events.push(Reverse((done, seq)));
+                self.exec_events.push(done, seq);
             }
             self.fetch_index += 1;
             dispatched += 1;
@@ -1612,10 +1587,13 @@ impl Pipeline {
     fn flush_from(&mut self, flush_seq: InstSeq, penalty: u64) {
         while matches!(self.rob.back(), Some(e) if e.seq >= flush_seq) {
             let e = self.rob.back().expect("checked non-empty");
-            let (seq, has_dst, eliminated, issued, rex) =
-                (e.seq, e.has_dst, e.eliminated, e.issued, e.rex);
+            let (seq, rename_undo, eliminated, issued, rex) =
+                (e.seq, e.rename_undo, e.eliminated, e.issued, e.rex);
             self.rob.pop_back();
-            if has_dst {
+            // Youngest first, so each register ends at the binding it had before
+            // its oldest squashed writer dispatched.
+            if let Some((dst, old)) = rename_undo {
+                self.rename.current[dst.index()] = old;
                 self.inflight_dsts -= 1;
             }
             if eliminated.is_none() && !issued {
@@ -1653,7 +1631,8 @@ impl Pipeline {
         }
         self.store_sets.flush_inflight();
         self.svw.flush(surviving_ssn);
-        self.rename.rollback(flush_seq);
+        #[cfg(test)]
+        self.check_rename_restored(flush_seq);
         self.rex_next_seq = self.rex_next_seq.min(flush_seq);
         self.fetch_index = flush_seq as usize;
         self.fetch_stall_until = self.now + penalty;
@@ -1670,7 +1649,7 @@ impl Pipeline {
 
 /// A reusable simulation arena: owns one pipeline and hands it to successive
 /// [`Cpu::recycle`] calls. The first cell builds the pipeline; every later cell
-/// clears it in place with all heap allocations (ROB ring, rename slab, predictor
+/// clears it in place with all heap allocations (ROB ring, event wheels, predictor
 /// and cache tables, queues, SSBF) retained, making cell startup a reset instead of
 /// a rebuild and the steady-state loop allocation-free.
 ///
@@ -1692,15 +1671,6 @@ impl SimArena {
     /// report their reset-vs-rebuild counts.
     pub fn is_warm(&self) -> bool {
         self.pipeline.is_some()
-    }
-
-    /// Current length (in entries) of the rename-history slab of the held pipeline,
-    /// or 0 for a cold arena. A recycle clears the slab (capacity retained), so this
-    /// reflects the cell simulated most recently; sweep workers sample it after each
-    /// cell and keep the maximum as their slab high-water mark — a cheap proxy for
-    /// how rename-hungry the worker's share of the matrix was.
-    pub fn rename_slab_len(&self) -> usize {
-        self.pipeline.as_ref().map_or(0, |p| p.rename.slab.len())
     }
 }
 
@@ -2014,67 +1984,6 @@ mod tests {
         assert!(stats.wrap_drains > 0);
     }
 
-    /// Regression test for the rename-history trimming bug: the old code dropped the
-    /// "ancient half" of a register's history once it exceeded a threshold, which
-    /// discarded bindings still live for in-flight producers (any producer at or above
-    /// the oldest in-flight sequence number can still be a flush target) and corrupted
-    /// `rollback` under large-ROB configurations. The slab implementation must keep
-    /// the same guarantees: live bindings are never trimmed, and the chain stays
-    /// bounded when the in-flight window advances.
-    #[test]
-    fn rename_history_trim_never_discards_inflight_bindings() {
-        let r = svw_isa::ArchReg::new(3);
-
-        // Scenario 1: a very large window — every producer stays in flight (the
-        // oldest in-flight seq never advances). Rolling back to a very old producer
-        // must still restore the exact binding, no matter how deep the history grew.
-        let mut rm = RenameMap::new();
-        for producer in 0..2_000u64 {
-            rm.bind(r, producer, 0);
-        }
-        rm.rollback(10);
-        assert_eq!(
-            rm.producer(r),
-            Some(9),
-            "rollback must restore the binding made by producer 9"
-        );
-
-        // Scenario 2: the window advances normally — trimming must still bound the
-        // history, and rollback within the live window must stay exact.
-        let mut rm = RenameMap::new();
-        for producer in 0..50_000u64 {
-            rm.bind(r, producer, producer.saturating_sub(100));
-        }
-        assert!(
-            rm.history_len(r) <= 2_200,
-            "history must stay bounded when the in-flight window advances (len {})",
-            rm.history_len(r)
-        );
-        rm.rollback(49_950);
-        assert_eq!(rm.producer(r), Some(49_949));
-    }
-
-    /// The slab's free list must actually recycle nodes: after rollback or trimming,
-    /// new binds reuse freed slots instead of growing the slab.
-    #[test]
-    fn rename_slab_reuses_freed_nodes() {
-        let r = svw_isa::ArchReg::new(5);
-        let mut rm = RenameMap::new();
-        for producer in 0..100u64 {
-            rm.bind(r, producer, producer);
-        }
-        let high_water = rm.slab.len();
-        rm.rollback(0); // frees all 100 nodes
-        for producer in 0..100u64 {
-            rm.bind(r, producer, producer);
-        }
-        assert_eq!(
-            rm.slab.len(),
-            high_water,
-            "rebinding after rollback must reuse freed slab nodes, not allocate"
-        );
-    }
-
     #[test]
     fn deterministic_across_identical_runs() {
         let program = small_program(4_000, 8);
@@ -2097,8 +2006,9 @@ mod tests {
     /// The configuration families whose issue-stage special cases the wakeup
     /// proptest covers: conventional LQ (ordering flushes), NLQ (store-set waits,
     /// re-execution flushes), SSQ (the single FSQ port, forwarding replays), RLE
-    /// (pre-issued eliminated loads), 8-bit SSNs (wrap drains), and a narrow-issue
-    /// machine at both model versions (the FP-budget early exit).
+    /// (pre-issued eliminated loads), 8-bit SSNs (wrap drains), a narrow-issue
+    /// machine at both model versions (the FP-budget early exit), and a
+    /// 1,500-cycle memory whose event wheel is eight times the default's.
     fn wakeup_family(i: usize) -> MachineConfig {
         let nlq = LsqOrganization::Nlq {
             store_exec_bandwidth: 2,
@@ -2138,11 +2048,25 @@ mod tests {
             )
             .with_rle(ItConfig::paper_default()),
             7 => narrow(1),
-            _ => narrow(2),
+            8 => narrow(2),
+            _ => {
+                let mut cfg = MachineConfig::eight_wide("ssq-svw-slow-memory", ssq, svw);
+                cfg.hierarchy.memory_latency = 1_500;
+                cfg
+            }
         }
     }
 
-    const WAKEUP_FAMILIES: usize = 9;
+    const WAKEUP_FAMILIES: usize = 10;
+
+    #[test]
+    #[should_panic(expected = "completion event for seq 7 at cycle 16 is outside the event wheel")]
+    fn event_past_the_wheel_horizon_panics() {
+        let mut wheel = EventWheel::default();
+        wheel.reset(10); // 16 buckets: cycles 0..16
+        wheel.push(15, 6);
+        wheel.push(16, 7);
+    }
 
     fn wakeup_workload(i: usize) -> WorkloadProfile {
         match i {

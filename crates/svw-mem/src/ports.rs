@@ -54,6 +54,12 @@ impl BankedPorts {
         ((addr / self.line_bytes) as usize) & (self.banks - 1)
     }
 
+    /// Whether the bank for `addr` is still free during `cycle`. Side-effect free.
+    #[inline]
+    pub fn is_free(&self, addr: Addr, cycle: u64) -> bool {
+        self.last_used[self.bank_of(addr)] != cycle
+    }
+
     /// Attempts to use the bank for `addr` during `cycle`. Returns `true` (and marks
     /// the bank busy for that cycle) if it was free.
     pub fn try_use(&mut self, addr: Addr, cycle: u64) -> bool {
@@ -132,8 +138,12 @@ mod tests {
         assert_ne!(p.bank_of(0x000), p.bank_of(0x040));
         assert!(p.try_use(0x000, 1));
         assert!(p.try_use(0x040, 1));
-        // Same bank again in the same cycle: rejected.
+        // Same bank again in the same cycle: rejected, and `is_free` agrees
+        // without taking anything.
+        assert!(!p.is_free(0x080, 1));
         assert!(!p.try_use(0x080, 1));
+        assert!(p.is_free(0x080, 2));
+        assert!(p.is_free(0x080, 2), "is_free takes nothing");
         // Next cycle it frees up.
         assert!(p.try_use(0x080, 2));
     }

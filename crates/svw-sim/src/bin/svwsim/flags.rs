@@ -175,8 +175,7 @@ pub const FLAGS: [Flag; 32] = [
            help: "log trace-cache, result-cache and timing activity to stderr" },
     Flag { name: "--stats", value: "", kind: Switch, scope: SCHEDULER,
            help: "dump per-worker scheduler statistics (cells drained, resets vs\n\
-                  rebuilds, slab high-water marks) and trace-acquisition counters\n\
-                  to stderr" },
+                  rebuilds) and trace-acquisition counters to stderr" },
     Flag { name: "--stats-json", value: "FILE", kind: TEXT, scope: SCHEDULER,
            help: "write the --stats counters to FILE as one JSON object" },
     Flag { name: "--events", value: "FILE", kind: TEXT, scope: SCHEDULER,

@@ -129,3 +129,28 @@ fn damaged_traces_fail_with_a_clean_error_before_simulating() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bytes_after_the_trailer_are_rejected_by_inspect_and_replay() {
+    let (dir, trace) = capture("trailing");
+    let mut bytes = std::fs::read(&trace).unwrap();
+    bytes.extend_from_slice(b"GARBAGE");
+    let path = dir.join("trailing.svwt");
+    std::fs::write(&path, bytes).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["inspect", path],
+        vec!["run", "--trace", path, "--json"],
+    ] {
+        let out = svwsim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(
+            err.contains("7 trailing bytes after the trailer"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is printed");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

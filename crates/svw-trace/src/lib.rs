@@ -32,6 +32,8 @@
 //!   checksum         u64       FNV-1a over every record byte
 //! ```
 //!
+//! The file ends at the trailer: a reader rejects any byte after it.
+//!
 //! Opcodes (tag bits 0..=3) and their operand fields:
 //!
 //! | opcode | kind      | flags (bits 4..=7)           | operand fields |

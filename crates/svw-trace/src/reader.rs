@@ -135,11 +135,7 @@ impl<R: Read> TraceReader<R> {
 
     fn verify_trailer(&mut self) -> Result<(), TraceError> {
         if !self.verified {
-            let computed = self.input.checksum;
-            let stored = u64::from_le_bytes(read_array(&mut self.input.inner)?);
-            if computed != stored {
-                return Err(TraceError::ChecksumMismatch { computed, stored });
-            }
+            check_trailer(&mut self.input.inner, self.input.checksum)?;
             self.verified = true;
         }
         Ok(())
@@ -148,17 +144,43 @@ impl<R: Read> TraceReader<R> {
     /// Materializes every remaining record into a [`Program`] (verifying the
     /// checksum).
     ///
-    /// The header's record count is untrusted: at most 2^20 records are reserved up
+    /// The rest of the input is read into memory once and decoded from there, so
+    /// memory is bounded by the file. The header's record count is untrusted: at
+    /// most 2^20 records (and no more than the input has bytes) are reserved up
     /// front and the vector grows from there, so a hostile `count` fails on the
     /// missing records instead of aborting the allocation.
     pub fn read_program(mut self) -> Result<Program, TraceError> {
-        let remaining = self.header.count - self.next_seq;
-        let mut trace = Vec::with_capacity(remaining.min(MAX_PREALLOC) as usize);
-        while let Some(inst) = self.next_record()? {
-            trace.push(inst);
+        let mut trace = Vec::new();
+        if !self.verified {
+            let mut bytes = Vec::new();
+            self.input.inner.read_to_end(&mut bytes)?;
+            let remaining = self.header.count - self.next_seq;
+            trace.reserve(remaining.min(MAX_PREALLOC).min(bytes.len() as u64) as usize);
+            let mut rest = bytes.as_slice();
+            for seq in self.next_seq..self.header.count {
+                trace.push(decode_inst(&mut rest, &mut self.state, seq)?);
+            }
+            let records = &bytes[..bytes.len() - rest.len()];
+            check_trailer(&mut rest, fnv1a(self.input.checksum, records))?;
         }
         Ok(Program::new(self.header.name.clone(), trace))
     }
+}
+
+/// Reads the stored checksum that follows the records, compares it with the one
+/// `computed` over them, and requires the input to end there.
+fn check_trailer(rest: &mut impl Read, computed: u64) -> Result<(), TraceError> {
+    let stored = u64::from_le_bytes(read_array(rest)?);
+    if computed != stored {
+        return Err(TraceError::ChecksumMismatch { computed, stored });
+    }
+    let trailing = std::io::copy(rest, &mut std::io::sink())?;
+    if trailing > 0 {
+        return Err(TraceError::Corrupt(format!(
+            "{trailing} trailing bytes after the trailer"
+        )));
+    }
+    Ok(())
 }
 
 fn read_exact(input: &mut impl Read, buf: &mut [u8]) -> Result<(), TraceError> {
@@ -274,6 +296,26 @@ mod tests {
             .unwrap()
             .read_program()
             .is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_trailer_are_corrupt() {
+        let (mut bytes, program) = sample_bytes();
+        bytes.extend_from_slice(b"GARBAGE");
+        let err = TraceReader::new(bytes.as_slice())
+            .unwrap()
+            .read_program()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "corrupt trace: 7 trailing bytes after the trailer"
+        );
+        // The streaming path checks the same when it returns the final record.
+        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
+        for _ in 1..program.len() {
+            reader.next_record().unwrap();
+        }
+        assert!(matches!(reader.next_record(), Err(TraceError::Corrupt(_))));
     }
 
     #[test]
