@@ -382,6 +382,41 @@ mod tests {
     }
 
     #[test]
+    fn metrics_render_every_metric_once_in_a_fixed_order() {
+        let text = SweepMetrics::new().render_prometheus();
+        let types: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            types,
+            [
+                "svw_cells_simulated_total counter",
+                "svw_cells_restored_total counter",
+                "svw_cells_cached_total counter",
+                "svw_cells_failed_total counter",
+                "svw_traces_generated_total counter",
+                "svw_trace_cache_hits_total counter",
+                "svw_trace_bytes_read_total counter",
+                "svw_sim_cycles_total counter",
+                "svw_fwd_buffer_lookups_total counter",
+                "svw_fwd_buffer_hits_total counter",
+                "svw_store_set_squashes_total counter",
+                "svw_workers gauge",
+                "svw_phase_trace_acquire_seconds histogram",
+                "svw_phase_decode_seconds histogram",
+                "svw_phase_simulate_seconds histogram",
+                "svw_phase_write_seconds histogram",
+                "svw_result_cache_hits_total counter",
+                "svw_result_cache_misses_total counter",
+                "svw_result_cache_stores_total counter",
+                "svw_result_cache_evictions_total counter",
+                "svw_phase_result_cache_seconds histogram",
+            ]
+        );
+    }
+
+    #[test]
     fn progress_line_reflects_mix_of_outcomes() {
         let progress = Progress::new();
         progress.add_planned(10);

@@ -222,6 +222,21 @@ fn every_ci_and_benchmark_invocation_shape_is_accepted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The sweep counterpart of the `run` negative control: every cell of the
+/// sweep fails the oracle, and the exit code and message count them.
+#[test]
+fn a_sweep_that_fails_the_oracle_exits_1() {
+    let dir = workdir("oracle-sweep-fault");
+    let out = svwsim(
+        &dir,
+        "sweep --figure fig8 --trace-len 400 --oracle --inject-fault 3",
+    );
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cell(s) failed verification"), "stderr: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn malformed_argv_is_an_error_with_exit_2() {
     let dir = workdir("rejected");
