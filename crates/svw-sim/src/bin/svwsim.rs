@@ -18,7 +18,7 @@ use svw_sim::{
     json, presets, profile_events, registry, render_resolved, resolved_trace_keys, run_cells,
     AdaptiveOpts, CacheMode, CellId, DifferentialChecker, EventSink, ExperimentCtx, ExperimentSpec,
     FigureReport, JsonlSink, OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat,
-    StatsCollector, SweepMetrics, SweepObserver, SweepResult, LATEST_MODEL_VERSION,
+    SweepMetrics, SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
 use svw_trace::{TraceCache, TraceReader};
 use svw_workloads::{ArenaPin, TraceArenas, WorkloadProfile};
@@ -190,8 +190,8 @@ fn adaptive(args: &Args, spec: Option<&AdaptiveDefaults>) -> Option<AdaptiveOpts
     Some(opts)
 }
 
-fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCache>) {
-    let workers = collector.workers();
+fn dump_worker_stats(metrics: &SweepMetrics, result_cache: Option<&ResultCache>) {
+    let workers = metrics.workers();
     eprintln!("[svwsim] per-worker scheduler statistics:");
     eprintln!("  worker  simulated  restored  cached  failed  resets  rebuilds");
     for (i, w) in workers.iter().enumerate() {
@@ -217,22 +217,24 @@ fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCac
             c.store_errors,
         );
     }
-    let (generated, cache_hits) = collector.trace_counts();
-    eprintln!("  trace acquisition: {generated} generated, {cache_hits} cache hit(s)");
+    eprintln!(
+        "  trace acquisition: {} generated, {} cache hit(s)",
+        metrics.traces_generated.get(),
+        metrics.trace_cache_hits.get()
+    );
     eprintln!(
         "  shared decode: {} cell(s) served an already-decoded trace arena",
-        collector.cells_shared_decode()
+        metrics.cells_shared_decode.get()
     );
-    let extra = collector.adaptive_extra_cells();
+    let extra = metrics.adaptive_extra_cells.get();
     if extra > 0 {
         eprintln!("  adaptive sampling scheduled {extra} extra seed-cell(s) beyond --min-seeds");
     }
 }
 
 /// `--stats-json FILE`: the machine-readable twin of [`dump_worker_stats`].
-fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option<&ResultCache>) {
-    let workers = collector.workers();
-    let (generated, cache_hits) = collector.trace_counts();
+fn write_stats_json(path: &str, metrics: &SweepMetrics, result_cache: Option<&ResultCache>) {
+    let workers = metrics.workers();
     let mut fields = vec![
         (
             "workers",
@@ -248,15 +250,21 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
                 ])
             })),
         ),
-        ("traces_generated", json::uint(generated as u64)),
-        ("trace_cache_hits", json::uint(cache_hits as u64)),
+        (
+            "traces_generated",
+            json::uint(metrics.traces_generated.get()),
+        ),
+        (
+            "trace_cache_hits",
+            json::uint(metrics.trace_cache_hits.get()),
+        ),
         (
             "cells_shared_decode",
-            json::uint(collector.cells_shared_decode() as u64),
+            json::uint(metrics.cells_shared_decode.get()),
         ),
         (
             "adaptive_extra_cells",
-            json::uint(collector.adaptive_extra_cells() as u64),
+            json::uint(metrics.adaptive_extra_cells.get()),
         ),
     ];
     if let Some(rc) = result_cache {
@@ -278,15 +286,14 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
         .unwrap_or_else(|e| fail(&format!("cannot write --stats-json {path}: {e}")));
 }
 
-/// One executor session: the trace cache, result cache, `--out` sink, stats
-/// collector, observer and decode arenas a scheduler command runs under, and
-/// the epilogues that close them.
+/// One executor session: the trace cache, result cache, `--out` sink, observer
+/// and decode arenas a scheduler command runs under, and the epilogues that
+/// close them.
 struct Session<'a> {
     args: &'a Args,
     cache: Option<TraceCache>,
     result_cache: Option<ResultCache>,
     sink: Option<JsonlSink>,
-    collector: Option<StatsCollector>,
     observer: Option<SweepObserver>,
     /// One decode-once arena registry per invocation: the matrices of a
     /// multi-table artifact, the artifacts of one render and the rounds of an
@@ -301,10 +308,6 @@ impl<'a> Session<'a> {
             cache: open_cache(args),
             result_cache: open_result_cache(args),
             sink: open_sink(args),
-            // --oracle forces the collector even without --stats: its per-worker
-            // failed counters are how `finish` counts divergences.
-            collector: (args.has("--stats") || args.has("--stats-json") || args.has("--oracle"))
-                .then(StatsCollector::new),
             // `None` when no instrumentation flag was given, so the hot path
             // pays nothing.
             observer: {
@@ -313,7 +316,12 @@ impl<'a> Session<'a> {
                         EventSink::open(path)
                             .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")))
                     }),
-                    metrics: args.has("--metrics-out").then(SweepMetrics::new),
+                    // --oracle needs the counters even without a stats flag:
+                    // their failed cells are how `finish` counts divergences.
+                    metrics: ["--stats", "--stats-json", "--metrics-out", "--oracle"]
+                        .into_iter()
+                        .any(|flag| args.has(flag))
+                        .then(SweepMetrics::new),
                     progress: args.has("--progress").then(Progress::new),
                 };
                 (!observer.is_empty()).then_some(observer)
@@ -329,7 +337,6 @@ impl<'a> Session<'a> {
             verbose: self.args.has("--verbose"),
             jobs: self.args.num("--jobs"),
             sink: self.sink.as_ref(),
-            stats: self.collector.as_ref(),
             obs: self.observer.as_ref(),
             arenas: Some(&self.arenas),
             oracle: oracle_options(self.args),
@@ -340,18 +347,14 @@ impl<'a> Session<'a> {
     /// The end-of-run epilogues: the final progress line, the `--metrics-out`
     /// snapshot, a warning if any journal append failed, the `--stats` and
     /// `--stats-json` dumps, and the result-cache summary. Returns the number
-    /// of cells that failed (counted when `--oracle` or a stats flag is given).
+    /// of cells that failed (counted when `--oracle`, `--metrics-out` or a stats
+    /// flag is given).
     fn finish(self) -> u64 {
         let result_cache = self.result_cache.as_ref();
+        let metrics = self.observer.as_ref().and_then(|o| o.metrics.as_ref());
         if let Some(observer) = &self.observer {
             if let Some(progress) = &observer.progress {
                 progress.finish();
-            }
-            if let (Some(path), Some(metrics)) =
-                (self.args.text("--metrics-out"), &observer.metrics)
-            {
-                std::fs::write(path, metrics.render_prometheus())
-                    .unwrap_or_else(|e| fail(&format!("cannot write --metrics-out {path}: {e}")));
             }
             if let Some(events) = &observer.events {
                 if events.write_errors() > 0 {
@@ -363,12 +366,16 @@ impl<'a> Session<'a> {
                 }
             }
         }
-        if let Some(collector) = &self.collector {
+        if let Some(metrics) = metrics {
+            if let Some(path) = self.args.text("--metrics-out") {
+                std::fs::write(path, metrics.render_prometheus())
+                    .unwrap_or_else(|e| fail(&format!("cannot write --metrics-out {path}: {e}")));
+            }
             if self.args.has("--stats") {
-                dump_worker_stats(collector, result_cache);
+                dump_worker_stats(metrics, result_cache);
             }
             if let Some(path) = self.args.text("--stats-json") {
-                write_stats_json(path, collector, result_cache);
+                write_stats_json(path, metrics, result_cache);
             }
         }
         // `misses` counts exactly the cells that went on to real simulation
@@ -390,8 +397,7 @@ impl<'a> Session<'a> {
                 c.stores,
             );
         }
-        self.collector
-            .map_or(0, |c| c.workers().iter().map(|w| w.cells_failed).sum())
+        metrics.map_or(0, |m| m.totals().cells_failed)
     }
 }
 

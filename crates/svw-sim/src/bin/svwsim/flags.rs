@@ -174,8 +174,9 @@ pub const FLAGS: [Flag; 32] = [
     Flag { name: "--verbose", value: "", kind: Switch, scope: SIMULATE,
            help: "log trace-cache, result-cache and timing activity to stderr" },
     Flag { name: "--stats", value: "", kind: Switch, scope: SCHEDULER,
-           help: "dump per-worker scheduler statistics (cells drained, resets vs\n\
-                  rebuilds) and trace-acquisition counters to stderr" },
+           help: "dump per-worker scheduler statistics (cells simulated, restored,\n\
+                  cached and failed; resets vs rebuilds) and trace-acquisition\n\
+                  counters to stderr" },
     Flag { name: "--stats-json", value: "FILE", kind: TEXT, scope: SCHEDULER,
            help: "write the --stats counters to FILE as one JSON object" },
     Flag { name: "--events", value: "FILE", kind: TEXT, scope: SCHEDULER,

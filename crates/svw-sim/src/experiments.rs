@@ -339,8 +339,8 @@ pub fn run_cells_adaptive(
         }
         extra_cells += pool.len() * nc;
     }
-    if let Some(collector) = opts.stats {
-        collector.record_adaptive_extra(extra_cells);
+    if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
+        metrics.adaptive_extra_cells.add(extra_cells as u64);
     }
 
     let reports = workloads

@@ -62,6 +62,8 @@
 //! completion/rate/ETA on stderr, `--metrics-out FILE` writes an end-of-run
 //! metrics snapshot in Prometheus text format, and `svwsim profile` turns
 //! journals into phase breakdowns, slowest-cell lists, and worker utilization.
+//! One counter set, [`SweepMetrics`], backs `--stats`, `--stats-json`,
+//! `--metrics-out` and the `--oracle` failure count.
 //! Every artifact stays byte-identical with instrumentation on or off.
 //!
 //! Results carry **lineage**: every JSONL cell line and result-cache entry
@@ -96,7 +98,7 @@ pub use experiments::{
     ARTIFACT_NAMES,
 };
 pub use jsonl::{CellId, JsonlSink};
-pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver};
+pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver, WorkerStats};
 pub use planner::{artifact_plans, PlannedCell, SweepPlan};
 pub use profile::{profile_events, CellProfile, PhaseTotals, ProfileReport};
 pub use registry::{
@@ -105,8 +107,7 @@ pub use registry::{
 };
 pub use report::{FigureReport, SeriesTable};
 pub use runner::{
-    execute_plan, run_cells, run_matrix, run_matrix_cached, CellOutcome, ExperimentCell,
-    RunOptions, StatsCollector, SweepResult, TraceSource, WorkerStats, DEFAULT_SEED,
-    DEFAULT_TRACE_LEN,
+    execute_plan, run_cells, CellOutcome, ExperimentCell, RunOptions, SweepResult, TraceSource,
+    DEFAULT_SEED, DEFAULT_TRACE_LEN,
 };
 pub use svw_oracle::{DifferentialChecker, Divergence, DivergenceKind, OracleOptions};

@@ -23,8 +23,8 @@
 //! Scheduling is deterministic in its *results*: cells are simulated independently
 //! and collected into a canonical (workload-major, configuration, seed) order, so the
 //! output is byte-identical regardless of the number of jobs. Per-worker
-//! [`WorkerStats`] (collected into a [`StatsCollector`]) make scheduler imbalance
-//! visible.
+//! [`WorkerStats`] rows (merged into [`crate::obs::SweepMetrics`]) make scheduler
+//! imbalance visible.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,7 +41,7 @@ use crate::cache::ResultCache;
 use crate::events::{kind as event_kind, EventSink};
 use crate::json;
 use crate::jsonl::{CellId, JsonlSink};
-use crate::obs::{CellProgress, SweepObserver};
+use crate::obs::{CellProgress, SweepObserver, WorkerStats};
 use crate::planner::SweepPlan;
 
 /// Default per-workload dynamic trace length used by the `svwsim` CLI. The paper
@@ -123,13 +123,11 @@ pub struct RunOptions<'c> {
     /// Stream every finished cell to this JSONL sink, and skip cells the sink
     /// already holds (resume).
     pub sink: Option<&'c JsonlSink>,
-    /// Accumulate per-worker scheduler statistics (cells drained, resets vs
-    /// rebuilds) into this collector.
-    pub stats: Option<&'c StatsCollector>,
-    /// Observability instrumentation (`--events` journal, `--metrics-out`
-    /// registry, `--progress` reporter). Purely additive: instrumentation
-    /// measures timing and emits to its own outputs, never touching results —
-    /// every artifact is byte-identical with `obs` present or `None`.
+    /// Observability instrumentation (`--events` journal, the
+    /// [`crate::obs::SweepMetrics`] counter set, `--progress` reporter). Purely
+    /// additive: instrumentation measures timing and emits to its own outputs,
+    /// never touching results — every artifact is byte-identical with `obs`
+    /// present or `None`.
     pub obs: Option<&'c SweepObserver>,
     /// Share decoded trace arenas across sweeps through this registry: a trace
     /// decoded by one plan is reused (not re-decoded) by every later plan whose
@@ -154,7 +152,7 @@ pub struct RunOptions<'c> {
 }
 
 /// Where one workload trace came from, for the acquisition counters surfaced by
-/// `svwsim --stats`.
+/// `svwsim --stats` and the `trace_acquired` journal events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceSource {
     /// Read back from the on-disk trace cache.
@@ -170,112 +168,6 @@ impl TraceSource {
             TraceSource::CacheHit => "cache",
             TraceSource::Generated => "generated",
         }
-    }
-}
-
-/// What one worker thread did during a sweep. Sampled per worker and accumulated
-/// into a [`StatsCollector`] so scheduler imbalance is visible (`svwsim --stats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Cells this worker actually simulated.
-    pub cells_simulated: u64,
-    /// Cells this worker satisfied from the resume file instead of simulating.
-    pub cells_restored: u64,
-    /// Cells this worker served from the content-addressed result cache.
-    pub cells_cached: u64,
-    /// Simulated cells that panicked.
-    pub cells_failed: u64,
-    /// Cell startups that reused the worker's arena (in-place pipeline reset).
-    pub resets: u64,
-    /// Cell startups that built a pipeline from scratch (the worker's first cell,
-    /// or the cell after a panic discarded the arena).
-    pub rebuilds: u64,
-}
-
-impl WorkerStats {
-    /// Folds another sample into this one (counters add).
-    fn merge(&mut self, other: &WorkerStats) {
-        self.cells_simulated += other.cells_simulated;
-        self.cells_restored += other.cells_restored;
-        self.cells_cached += other.cells_cached;
-        self.cells_failed += other.cells_failed;
-        self.resets += other.resets;
-        self.rebuilds += other.rebuilds;
-    }
-}
-
-/// Accumulates [`WorkerStats`] across every [`run_cells`] call that shares it (a
-/// multi-matrix artifact like `tables`, or the rounds of an adaptive sweep): worker
-/// slot `i` aggregates the i-th worker thread of each call, so a persistent
-/// imbalance shows up even though the threads themselves are per-call.
-#[derive(Debug, Default)]
-pub struct StatsCollector {
-    slots: Mutex<Vec<WorkerStats>>,
-    adaptive_extra_cells: AtomicUsize,
-    traces_generated: AtomicUsize,
-    traces_cache_hits: AtomicUsize,
-    cells_shared_decode: AtomicUsize,
-}
-
-impl StatsCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        StatsCollector::default()
-    }
-
-    /// Merges one worker thread's per-sweep sample into its slot.
-    fn record_worker(&self, worker: usize, sample: &WorkerStats) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if slots.len() <= worker {
-            slots.resize(worker + 1, WorkerStats::default());
-        }
-        slots[worker].merge(sample);
-    }
-
-    /// Counts cells scheduled *beyond* the minimum seed count by adaptive
-    /// CI-targeted sampling (recorded by the adaptive engine, not the workers).
-    pub fn record_adaptive_extra(&self, cells: usize) {
-        self.adaptive_extra_cells
-            .fetch_add(cells, Ordering::Relaxed);
-    }
-
-    /// Records where one workload trace came from (cache or generator).
-    pub fn record_trace(&self, source: TraceSource) {
-        let counter = match source {
-            TraceSource::CacheHit => &self.traces_cache_hits,
-            TraceSource::Generated => &self.traces_generated,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the per-worker aggregates, one entry per worker slot.
-    pub fn workers(&self) -> Vec<WorkerStats> {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Total extra seed-cells scheduled by adaptive sampling.
-    pub fn adaptive_extra_cells(&self) -> usize {
-        self.adaptive_extra_cells.load(Ordering::Relaxed)
-    }
-
-    /// Records one simulated cell that reused an already-decoded trace arena
-    /// (from its plan's `(workload, seed)` slot or the cross-plan registry)
-    /// instead of acquiring and decoding the trace itself.
-    pub fn record_shared_decode(&self) {
-        self.cells_shared_decode.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Simulated cells that were served a shared decoded arena.
-    pub fn cells_shared_decode(&self) -> usize {
-        self.cells_shared_decode.load(Ordering::Relaxed)
-    }
-
-    /// Trace-acquisition counters: `(generated, cache hits)`.
-    pub fn trace_counts(&self) -> (usize, usize) {
-        (
-            self.traces_generated.load(Ordering::Relaxed),
-            self.traces_cache_hits.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -620,11 +512,10 @@ impl TraceSlots {
     }
 }
 
-/// What the workers of one plan execution share besides the plan: the restored
-/// count and the errors that become sweep-level warnings.
+/// What the workers of one plan execution share besides the plan: the errors
+/// that become sweep-level warnings.
 #[derive(Default)]
 struct Tally {
-    restored: AtomicUsize,
     trace_cache_errors: Mutex<Vec<String>>,
     stream_errors: Mutex<Vec<String>>,
     store_errors: Mutex<Vec<String>>,
@@ -636,15 +527,18 @@ fn push_error(list: &Mutex<Vec<String>>, error: String) {
 }
 
 /// What phase 3 hands to [`collect`]: every cell with its plan index, in
-/// completion order, and the shared tally.
+/// completion order, the shared tally, and the restored-cell count.
 struct Drained {
     cells: Vec<(usize, ExperimentCell)>,
     tally: Tally,
+    restored: u64,
 }
 
 /// Phase 3: N workers drain the task queue; each owns one simulation arena
 /// reused across every cell it simulates, so cell startup clears the previous
-/// cell's pipeline in place instead of rebuilding it.
+/// cell's pipeline in place instead of rebuilding it. Each worker counts its
+/// cells in its own [`WorkerStats`] row — the only count of cell outcomes —
+/// which is merged into the metrics when the worker exits.
 fn drain(
     plan: &SweepPlan,
     cached: &[Option<CpuStats>],
@@ -656,9 +550,6 @@ fn drain(
     if let Some(o) = opts.obs {
         if let Some(progress) = &o.progress {
             progress.add_planned(total);
-        }
-        if let Some(metrics) = &o.metrics {
-            metrics.workers.record_max(jobs as u64);
         }
         if let Some(events) = &o.events {
             events.emit(
@@ -673,7 +564,7 @@ fn drain(
     }
     let tally = Tally::default();
     let next_task = AtomicUsize::new(0);
-    let cells = std::thread::scope(|scope| {
+    let rows: Vec<(Vec<(usize, ExperimentCell)>, WorkerStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
                 let (tally, next_task) = (&tally, &next_task);
@@ -689,7 +580,6 @@ fn drain(
                         }
                         let resolution = match opts.sink.and_then(|sink| sink.lookup(id)) {
                             Some(stats) => {
-                                tally.restored.fetch_add(1, Ordering::Relaxed);
                                 wstats.cells_restored += 1;
                                 Resolution::Restored(stats)
                             }
@@ -721,19 +611,28 @@ fn drain(
                             },
                         ));
                     }
-                    if let Some(collector) = opts.stats {
-                        collector.record_worker(worker, &wstats);
-                    }
-                    done
+                    (done, wstats)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("a sweep worker panicked outside a cell"))
+            .map(|h| h.join().expect("a sweep worker panicked outside a cell"))
             .collect()
     });
-    Drained { cells, tally }
+    let mut drained = Drained {
+        cells: Vec::with_capacity(total),
+        tally,
+        restored: 0,
+    };
+    for (worker, (done, row)) in rows.into_iter().enumerate() {
+        if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
+            metrics.record_worker(worker, &row);
+        }
+        drained.restored += row.cells_restored;
+        drained.cells.extend(done);
+    }
+    drained
 }
 
 /// How a worker resolved one cell, before it is published.
@@ -794,9 +693,6 @@ fn simulate(
             if let Some(err) = acquired.cache_error {
                 push_error(&tally.trace_cache_errors, err);
             }
-            if let Some(collector) = opts.stats {
-                collector.record_trace(acquired.meter.source);
-            }
             meter = Some(acquired.meter);
             let p = Arc::new(acquired.program);
             if let Some(a) = opts.arenas {
@@ -826,14 +722,6 @@ fn simulate(
         // mid-cycle state: discard it so the next cell rebuilds from scratch.
         *arena = SimArena::new();
     }
-    wstats.cells_simulated += 1;
-    // A cell that did not acquire the trace itself was served an
-    // already-decoded shared arena.
-    if meter.is_none() {
-        if let Some(collector) = opts.stats {
-            collector.record_shared_decode();
-        }
-    }
     let (result, duration, phase) = match run {
         Ok(Ok((stats, dur))) => (Ok(stats), Some(dur), ""),
         Ok(Err(divergence)) => (Err(divergence), None, "oracle"),
@@ -848,7 +736,9 @@ fn simulate(
             "panic",
         ),
     };
-    if result.is_err() {
+    if result.is_ok() {
+        wstats.cells_simulated += 1;
+    } else {
         wstats.cells_failed += 1;
     }
     Simulation {
@@ -879,9 +769,6 @@ fn publish(
             if let Some(events) = events {
                 events.emit_cell(event_kind::RESTORED, id, worker, []);
             }
-            if let Some(metrics) = metrics {
-                metrics.cells_restored.inc();
-            }
             if let Some(progress) = progress {
                 progress.record(CellProgress::Restored);
             }
@@ -897,9 +784,6 @@ fn publish(
             }
             if let Some(events) = events {
                 events.emit_cell(event_kind::CACHED, id, worker, []);
-            }
-            if let Some(metrics) = metrics {
-                metrics.cells_cached.inc();
             }
             if let Some(progress) = progress {
                 progress.record(CellProgress::Cached);
@@ -944,24 +828,25 @@ fn publish(
         }
     }
     if let Some(metrics) = metrics {
-        if let Some(meter) = &sim.meter {
-            match meter.source {
-                TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
-                TraceSource::Generated => metrics.traces_generated.inc(),
+        match &sim.meter {
+            Some(meter) => {
+                match meter.source {
+                    TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
+                    TraceSource::Generated => metrics.traces_generated.inc(),
+                }
+                metrics.trace_bytes_read.add(meter.bytes);
+                metrics.trace_acquire_seconds.record(meter.acquire);
+                metrics.decode_seconds.record(meter.decode);
             }
-            metrics.trace_bytes_read.add(meter.bytes);
-            metrics.trace_acquire_seconds.record(meter.acquire);
-            metrics.decode_seconds.record(meter.decode);
+            // A cell that did not acquire the trace itself was served an
+            // already-decoded shared arena.
+            None => metrics.cells_shared_decode.inc(),
         }
-        match &sim.result {
-            Ok(stats) => {
-                metrics.cells_simulated.inc();
-                metrics.sim_cycles.add(stats.cycles);
-                metrics.fwd_buffer_lookups.add(stats.fwd_buffer_lookups);
-                metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
-                metrics.store_set_squashes.add(stats.store_set_squashes);
-            }
-            Err(_) => metrics.cells_failed.inc(),
+        if let Ok(stats) = &sim.result {
+            metrics.sim_cycles.add(stats.cycles);
+            metrics.fwd_buffer_lookups.add(stats.fwd_buffer_lookups);
+            metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
+            metrics.store_set_squashes.add(stats.store_set_squashes);
         }
         if let Some(dur) = sim.duration {
             metrics.simulate_seconds.record(dur);
@@ -1042,7 +927,11 @@ fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepRe
             ],
         );
     }
-    let Drained { mut cells, tally } = drained;
+    let Drained {
+        mut cells,
+        tally,
+        restored,
+    } = drained;
     cells.sort_unstable_by_key(|&(k, _)| k);
     assert_eq!(cells.len(), total, "every planned cell produced a result");
     let cells: Vec<ExperimentCell> = cells.into_iter().map(|(_, cell)| cell).collect();
@@ -1082,33 +971,8 @@ fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepRe
         cells,
         cache_fallbacks: cache_errors.len(),
         warnings,
-        restored: tally.restored.into_inner(),
+        restored: restored as usize,
     }
-}
-
-/// Single-seed compatibility wrapper over [`run_cells`]: runs every configuration
-/// over every workload, emitting any aggregated warnings to stderr, and returns the
-/// cells in workload-major, configuration-minor order.
-pub fn run_matrix_cached(
-    workloads: &[WorkloadProfile],
-    configs: &[MachineConfig],
-    trace_len: usize,
-    seed: u64,
-    opts: &RunOptions<'_>,
-) -> Vec<ExperimentCell> {
-    let result = run_cells("matrix", workloads, configs, trace_len, &[seed], 0, opts);
-    result.emit_warnings();
-    result.cells
-}
-
-/// [`run_matrix_cached`] without a cache: every workload is generated afresh.
-pub fn run_matrix(
-    workloads: &[WorkloadProfile],
-    configs: &[MachineConfig],
-    trace_len: usize,
-    seed: u64,
-) -> Vec<ExperimentCell> {
-    run_matrix_cached(workloads, configs, trace_len, seed, &RunOptions::default())
 }
 
 #[cfg(test)]
@@ -1142,7 +1006,16 @@ mod tests {
             WorkloadProfile::quicktest(),
             WorkloadProfile::by_name("gzip").unwrap(),
         ];
-        let cells = run_matrix(&workloads, &two_configs(), 3_000, 7);
+        let cells = run_cells(
+            "test",
+            &workloads,
+            &two_configs(),
+            3_000,
+            &[7],
+            0,
+            &RunOptions::default(),
+        )
+        .cells;
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].workload, "quicktest");
         assert_eq!(cells[0].config, "a");
@@ -1207,9 +1080,14 @@ mod tests {
             cache: Some(&cache),
             ..RunOptions::default()
         };
-        let cold = run_matrix_cached(&workloads, &configs, 2_000, 9, &opts);
-        let warm = run_matrix_cached(&workloads, &configs, 2_000, 9, &opts);
-        let direct = run_matrix(&workloads, &configs, 2_000, 9);
+        let run = |opts: &RunOptions<'_>| {
+            let result = run_cells("test", &workloads, &configs, 2_000, &[9], 0, opts);
+            assert!(result.warnings.is_empty(), "{:?}", result.warnings);
+            result.cells
+        };
+        let cold = run(&opts);
+        let warm = run(&opts);
+        let direct = run(&RunOptions::default());
         assert_eq!(
             format!("{:?}", cold[0].stats().unwrap()),
             format!("{:?}", warm[0].stats().unwrap())
@@ -1268,10 +1146,13 @@ mod tests {
             result_cache: Some(&rc),
             ..RunOptions::default()
         };
-        let collector = StatsCollector::new();
+        let observer = SweepObserver {
+            metrics: Some(crate::obs::SweepMetrics::new()),
+            ..SweepObserver::default()
+        };
         let warm_opts = RunOptions {
             result_cache: Some(&rc),
-            stats: Some(&collector),
+            obs: Some(&observer),
             ..RunOptions::default()
         };
         let cold = run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &opts);
@@ -1280,9 +1161,8 @@ mod tests {
         let warm = run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &warm_opts);
         assert_eq!(warm.cached, 4, "every cell is served from the cache");
         assert!(warm.cells.iter().all(ExperimentCell::is_cached));
-        let simulated: u64 = collector.workers().iter().map(|w| w.cells_simulated).sum();
-        let cached: u64 = collector.workers().iter().map(|w| w.cells_cached).sum();
-        assert_eq!((simulated, cached), (0, 4));
+        let totals = observer.metrics.as_ref().unwrap().totals();
+        assert_eq!((totals.cells_simulated, totals.cells_cached), (0, 4));
         // Byte-identical stats: the cache round-trip is lossless.
         for (c, w) in cold.cells.iter().zip(&warm.cells) {
             assert_eq!(

@@ -1,7 +1,8 @@
 //! Integration tests for the observability layer: the `--events` journal is
 //! kill-tolerant and phase-consistent, `svwsim profile` agrees with the
-//! scheduler's own statistics, and — the hard invariant — every artifact
-//! rendering is byte-identical with instrumentation on or off.
+//! scheduler's own statistics (also when every cell fails), and — the hard
+//! invariant — every artifact rendering is byte-identical with instrumentation
+//! on or off.
 
 use std::fs;
 use std::io::Write as _;
@@ -11,14 +12,17 @@ use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
 use svw_sim::events::kind;
 use svw_sim::{
     profile_events, read_events, render_artifact, run_cells, EventSink, ExperimentCtx, JsonlSink,
-    Progress, RunOptions, StatsCollector, SweepMetrics, SweepObserver,
+    OracleOptions, Progress, RunOptions, SweepMetrics, SweepObserver,
 };
 use svw_workloads::WorkloadProfile;
 
 const LEN: usize = 1_500;
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svw-obs-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "svw-sim-observability-{tag}-{}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
@@ -161,17 +165,16 @@ fn phase_durations_are_positive_and_sum_within_cell_wall_time() {
 fn profile_and_metrics_agree_with_scheduler_statistics() {
     let dir = temp_dir("profile");
     let events_path = dir.join("events.jsonl");
-    let collector = StatsCollector::new();
     let observer = full_observer(&events_path);
     let opts = RunOptions {
-        stats: Some(&collector),
         obs: Some(&observer),
         ..RunOptions::default()
     };
     let result = run_cells("obs", &workloads(), &configs(), LEN, &[1], 0, &opts);
     assert_eq!(result.failures().count(), 0);
 
-    let scheduled: u64 = collector.workers().iter().map(|w| w.cells_simulated).sum();
+    let metrics = observer.metrics.as_ref().unwrap();
+    let scheduled: u64 = metrics.workers().iter().map(|w| w.cells_simulated).sum();
     assert_eq!(scheduled, result.cells.len() as u64);
 
     // The profile reconstructed from the journal sees the same cell counts.
@@ -187,13 +190,47 @@ fn profile_and_metrics_agree_with_scheduler_statistics() {
         "{rendered}"
     );
 
-    // And so does the metrics registry.
-    let metrics = observer.metrics.as_ref().unwrap();
-    assert_eq!(metrics.cells_simulated.get(), scheduled);
-    assert_eq!(metrics.cells_failed.get(), 0);
+    // And so does the metrics snapshot.
     let prom = metrics.render_prometheus();
     assert!(prom.contains(&format!("svw_cells_simulated_total {scheduled}")));
+    assert!(prom.contains("svw_cells_failed_total 0\n"));
     assert!(prom.contains("# TYPE svw_phase_simulate_seconds histogram"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// When every cell fails, every output counts each cell once, as failed: the
+/// per-worker rows, the metrics snapshot and the journal's profile agree.
+#[test]
+fn totals_agree_when_every_cell_fails() {
+    let dir = temp_dir("all-fail");
+    let events_path = dir.join("events.jsonl");
+    let observer = full_observer(&events_path);
+    let opts = RunOptions {
+        obs: Some(&observer),
+        oracle: Some(OracleOptions {
+            inject_fault: Some(3),
+        }),
+        ..RunOptions::default()
+    };
+    let result = run_cells("obs", &workloads(), &configs(), LEN, &[1, 2], 0, &opts);
+    let cells = result.cells.len() as u64;
+    assert_eq!(result.failures().count() as u64, cells, "every cell fails");
+
+    let metrics = observer.metrics.as_ref().unwrap();
+    let workers = metrics.workers();
+    let failed: u64 = workers.iter().map(|w| w.cells_failed).sum();
+    let simulated: u64 = workers.iter().map(|w| w.cells_simulated).sum();
+    assert_eq!((simulated, failed), (0, cells));
+    let prom = metrics.render_prometheus();
+    assert!(prom.contains("svw_cells_simulated_total 0\n"), "{prom}");
+    assert!(
+        prom.contains(&format!("svw_cells_failed_total {cells}\n")),
+        "{prom}"
+    );
+
+    let content = fs::read_to_string(&events_path).unwrap();
+    let report = profile_events(&[("events.jsonl".to_string(), content)], 3);
+    assert_eq!((report.simulated as u64, report.failed as u64), (0, cells));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -227,6 +264,6 @@ fn artifacts_are_byte_identical_with_and_without_instrumentation() {
         "JSON rendering must not change"
     );
     // The instrumented run did observe something.
-    assert!(observer.metrics.as_ref().unwrap().cells_simulated.get() > 0);
+    assert!(observer.metrics.as_ref().unwrap().totals().cells_simulated > 0);
     let _ = fs::remove_dir_all(&dir);
 }

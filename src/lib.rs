@@ -17,9 +17,9 @@
 //! * [`rle`] — register integration (redundant load elimination);
 //! * [`cpu`] — the cycle-level out-of-order core with the re-execution pipeline;
 //! * [`trace`] — `.svwt` trace capture/replay and the on-disk trace cache;
-//! * [`obs`] — atomic metrics registry and timing spans for sweep observability;
 //! * [`sim`] — per-figure machine presets, the cache-aware experiment runner,
-//!   report tables, and the unified `svwsim` CLI.
+//!   its sweep metrics and event journal, report tables, and the unified
+//!   `svwsim` CLI.
 //!
 //! # Quick start
 //!
@@ -50,8 +50,6 @@ pub use svw_isa as isa;
 pub use svw_lsq as lsq;
 /// Memory hierarchy, cache ports, and committed-memory image.
 pub use svw_mem as mem;
-/// Metrics registry, duration histograms, and monotonic timing spans.
-pub use svw_obs as obs;
 /// Branch, memory-dependence, and steering predictors.
 pub use svw_predictors as predictors;
 /// Redundant load elimination via register integration.
