@@ -3,7 +3,9 @@
 //! `tests/golden/renders/` holds the text and `--json` render of all ten
 //! builtin artifacts at `--trace-len 2000 --seeds 2`, at model versions 1 and 2
 //! — exactly what `svwsim sweep --figure ART --trace-len 2000 --seeds 2
-//! [--model-version 2] [--json]` prints on stdout. This test renders each
+//! [--model-version 2] [--json]` prints on stdout — plus fig6 and fig8 with
+//! `--substrate` (`ART-substrate.vN.*`), whose tables pin the SSBF lookup and
+//! update traffic per 1k committed instructions. This test renders each
 //! artifact once per model version through the default execution path (shared
 //! decode arenas, recycled worker arenas, more than one job) and compares both
 //! formats byte for byte, so any change to simulated behaviour, aggregation or
@@ -22,6 +24,8 @@ use svw_workloads::TraceArenas;
 const TRACE_LEN: usize = 2_000;
 const SEEDS: [u64; 2] = [1, 2];
 const MODEL_VERSIONS: [u32; 2] = [1, 2];
+/// Artifacts additionally pinned with the substrate-level tables appended.
+const SUBSTRATE_ARTIFACTS: [&str; 2] = ["fig6", "fig8"];
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/renders")
@@ -43,11 +47,23 @@ fn render_corpus() -> Vec<(String, String)> {
             },
             ..ExperimentCtx::new(TRACE_LEN, SEEDS[0])
         };
-        for &(name, _) in ARTIFACT_NAMES {
-            let report = render_artifact(&ctx, name).unwrap_or_else(|e| panic!("{name}: {e}"));
-            out.push((format!("{name}.v{version}.txt"), format!("{report}\n")));
+        let substrate_ctx = ExperimentCtx {
+            substrate: true,
+            ..ctx.clone()
+        };
+        let renders = ARTIFACT_NAMES
+            .iter()
+            .map(|&(name, _)| (&ctx, name, name.to_string()))
+            .chain(
+                SUBSTRATE_ARTIFACTS
+                    .iter()
+                    .map(|&name| (&substrate_ctx, name, format!("{name}-substrate"))),
+            );
+        for (ctx, name, stem) in renders {
+            let report = render_artifact(ctx, name).unwrap_or_else(|e| panic!("{stem}: {e}"));
+            out.push((format!("{stem}.v{version}.txt"), format!("{report}\n")));
             out.push((
-                format!("{name}.v{version}.json"),
+                format!("{stem}.v{version}.json"),
                 format!("{}\n", json::array([report.to_json()])),
             ));
         }
