@@ -175,14 +175,6 @@ impl SvwFilter {
         self.ssbf.update_store(addr, bytes, ssn);
     }
 
-    /// A whole issue group of stores passes the SVW stage in one batched SSBF
-    /// update. Observationally identical to calling [`SvwFilter::store_svw_stage`]
-    /// once per element in order, statistics included.
-    pub fn store_svw_stage_batch(&mut self, stores: &[crate::SsbfUpdate]) {
-        self.stats.ssbf_store_updates += stores.len() as u64;
-        self.ssbf.update_batch(stores);
-    }
-
     /// A coherence invalidation updates every word of the invalidated line with
     /// `SSN_rename + 1` so that every in-flight load is (conservatively) vulnerable.
     pub fn invalidation_svw_stage(&mut self, line_addr: Addr, line_bytes: u64) {
@@ -217,37 +209,8 @@ impl SvwFilter {
     }
 
     /// Raw filter test without statistics side-effects (`SSBF[addr] > window`).
-    pub fn must_reexecute(&mut self, addr: Addr, bytes: u64, window: VulnWindow) -> bool {
+    pub fn must_reexecute(&self, addr: Addr, bytes: u64, window: VulnWindow) -> bool {
         self.ssbf.must_reexecute(addr, bytes, window.boundary())
-    }
-
-    /// Pure batched SVW-stage probe for a whole issue group of marked loads:
-    /// clears `out` and pushes one re-execute decision per probe, without touching
-    /// any counter or statistic. Probes never mutate the filter, so results are
-    /// identical to probing one load at a time; the caller commits each decision it
-    /// actually *consumes* via [`SvwFilter::commit_marked_load`] — a pipeline that
-    /// stops mid-group (e.g. on a cache-port conflict) then keeps its statistics
-    /// identical to the scalar [`SvwFilter::filter_marked_load`] path.
-    pub fn peek_marked_loads(&self, probes: &[(Addr, u64, VulnWindow)], out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(
-            probes
-                .iter()
-                .map(|&(addr, bytes, window)| self.ssbf.probe(addr, bytes) > window.boundary()),
-        );
-    }
-
-    /// Commits the statistics for one consumed decision of a batch produced by
-    /// [`SvwFilter::peek_marked_loads`]: exactly the counter side effects one
-    /// scalar [`SvwFilter::filter_marked_load`] call would have had.
-    pub fn commit_marked_load(&mut self, reexec: bool) {
-        self.stats.marked_loads += 1;
-        self.ssbf.note_lookups(1);
-        if reexec {
-            self.stats.reexecuted_loads += 1;
-        } else {
-            self.stats.filtered_loads += 1;
-        }
     }
 
     /// Records a value mismatch detected by an actual re-execution (a true

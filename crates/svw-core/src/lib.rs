@@ -55,7 +55,7 @@ mod stats;
 mod window;
 
 pub use filter::{SvwConfig, SvwFilter, SvwUpdatePolicy};
-pub use ssbf::{Ssbf, SsbfConfig, SsbfOrganization, SsbfProbe, SsbfUpdate};
+pub use ssbf::{Ssbf, SsbfConfig, SsbfOrganization};
 pub use ssn::{Ssn, SsnClock, SsnWidth};
 pub use stats::SvwStats;
 pub use window::VulnWindow;

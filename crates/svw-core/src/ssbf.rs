@@ -136,12 +136,6 @@ impl Default for SsbfConfig {
     }
 }
 
-/// One probe of the filter: an access of `bytes` bytes at `addr`.
-pub type SsbfProbe = (Addr, u64);
-
-/// One store update of the filter: `bytes` bytes at `addr` stamped with an [`Ssn`].
-pub type SsbfUpdate = (Addr, u64, Ssn);
-
 /// The store sequence Bloom filter.
 ///
 /// The tables are flat arrays of *raw* SSN lanes (one `u64` per entry) rather than
@@ -158,9 +152,6 @@ pub struct Ssbf {
     mask: u64,
     /// `entries.trailing_zeros()`, the second filter's index shift.
     shift2: u32,
-    updates: u64,
-    lookups: u64,
-    clears: u64,
 }
 
 impl Ssbf {
@@ -178,9 +169,6 @@ impl Ssbf {
             exact: HashMap::default(),
             mask: 0,
             shift2: 0,
-            updates: 0,
-            lookups: 0,
-            clears: 0,
         };
         ssbf.reset(config);
         ssbf
@@ -214,30 +202,12 @@ impl Ssbf {
         } else {
             0
         };
-        self.updates = 0;
-        self.lookups = 0;
-        self.clears = 0;
         self.config = config;
     }
 
     /// The configuration this filter was built with.
     pub fn config(&self) -> &SsbfConfig {
         &self.config
-    }
-
-    /// Number of store/invalidation updates performed.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Number of load lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Number of flash clears performed (wrap-around drains).
-    pub fn clears(&self) -> u64 {
-        self.clears
     }
 
     /// The inclusive `(first, last)` granule span touched by an access of `bytes`
@@ -285,38 +255,23 @@ impl Ssbf {
     /// Entries only ever increase; an older (wrong-path or replayed) store can never
     /// lower an entry, which is what makes speculative SSBF updates safe.
     pub fn update_store(&mut self, addr: Addr, bytes: u64, ssn: Ssn) {
-        self.updates += 1;
         let (first, last) = self.granule_span(addr, bytes);
         self.write_span(first, last, ssn);
-    }
-
-    /// Applies a batch of store updates — one issue group's worth — in a single
-    /// call. Observationally identical to calling [`Ssbf::update_store`] once per
-    /// element in order (counters included); batching exists so the caller pays the
-    /// call and dispatch overhead once per group instead of once per store.
-    pub fn update_batch(&mut self, updates: &[SsbfUpdate]) {
-        self.updates += updates.len() as u64;
-        for &(addr, bytes, ssn) in updates {
-            let (first, last) = self.granule_span(addr, bytes);
-            self.write_span(first, last, ssn);
-        }
     }
 
     /// Records a cache-line invalidation from another thread (the NLQ_SM case): every
     /// granule of the `line_bytes`-byte line containing `line_addr` is stamped with
     /// `ssn` (the paper uses `SSN_rename + 1` so every in-flight load is vulnerable).
     pub fn update_invalidation(&mut self, line_addr: Addr, line_bytes: u64, ssn: Ssn) {
-        self.updates += 1;
         let base = line_addr & !(line_bytes - 1);
         let (first, last) = self.granule_span(base, line_bytes);
         self.write_span(first, last, ssn);
     }
 
-    /// Pure read of the youngest possibly-conflicting SSN for an access of `bytes`
-    /// bytes at `addr` — no counter side effects (see [`Ssbf::last_conflicting_ssn`]
-    /// for the counted form). Both hash lanes of a double-Bloom granule are read in
-    /// the same pass.
-    pub fn probe(&self, addr: Addr, bytes: u64) -> Ssn {
+    /// Returns the SSN of the youngest retired store that (possibly, due to aliasing)
+    /// conflicts with an access of `bytes` bytes at `addr`. Both hash lanes of a
+    /// double-Bloom granule are read in the same pass.
+    pub fn last_conflicting_ssn(&self, addr: Addr, bytes: u64) -> Ssn {
         let (first, last) = self.granule_span(addr, bytes);
         let mut worst = 0u64;
         match self.config.organization {
@@ -344,41 +299,16 @@ impl Ssbf {
         Ssn::new(worst)
     }
 
-    /// Returns the SSN of the youngest retired store that (possibly, due to aliasing)
-    /// conflicts with an access of `bytes` bytes at `addr`.
-    pub fn last_conflicting_ssn(&mut self, addr: Addr, bytes: u64) -> Ssn {
-        self.lookups += 1;
-        self.probe(addr, bytes)
-    }
-
-    /// Probes a batch of accesses — one issue group's worth — in a single call,
-    /// clearing `out` and pushing one conflicting SSN per probe. Observationally
-    /// identical to calling [`Ssbf::last_conflicting_ssn`] once per element in
-    /// order, counters included.
-    pub fn probe_batch(&mut self, probes: &[SsbfProbe], out: &mut Vec<Ssn>) {
-        self.lookups += probes.len() as u64;
-        out.clear();
-        out.extend(probes.iter().map(|&(addr, bytes)| self.probe(addr, bytes)));
-    }
-
-    /// Accounts for `n` lookups whose reads were performed via the uncounted
-    /// [`Ssbf::probe`] path (the pipeline's batched probe commits its counters only
-    /// for the probes it actually consumes).
-    pub(crate) fn note_lookups(&mut self, n: u64) {
-        self.lookups += n;
-    }
-
     /// The re-execution filter test: `SSBF[ld.addr] > ld.SVW`.
     ///
     /// Returns `true` if the load must re-execute (a store it is vulnerable to may have
     /// written a conflicting address), `false` if re-execution can be skipped.
-    pub fn must_reexecute(&mut self, addr: Addr, bytes: u64, load_svw: Ssn) -> bool {
+    pub fn must_reexecute(&self, addr: Addr, bytes: u64, load_svw: Ssn) -> bool {
         self.last_conflicting_ssn(addr, bytes) > load_svw
     }
 
     /// Flash-clears the filter (the SSN wrap-around policy).
     pub fn flash_clear(&mut self) {
-        self.clears += 1;
         self.table.fill(0);
         self.table2.fill(0);
         self.exact.clear();
@@ -395,7 +325,7 @@ mod tests {
 
     #[test]
     fn empty_filter_never_demands_reexecution() {
-        let mut f = Ssbf::new(SsbfConfig::paper_default());
+        let f = Ssbf::new(SsbfConfig::paper_default());
         assert!(!f.must_reexecute(0x1234_5678, 8, Ssn::ZERO));
         assert_eq!(f.last_conflicting_ssn(0x1000, 8), Ssn::ZERO);
     }
@@ -498,7 +428,6 @@ mod tests {
         f.update_store(0x6000, 8, ssn(12));
         f.flash_clear();
         assert!(!f.must_reexecute(0x6000, 8, Ssn::ZERO));
-        assert_eq!(f.clears(), 1);
 
         let mut e = Ssbf::new(SsbfConfig::infinite());
         e.update_store(0x6000, 8, ssn(12));
@@ -531,71 +460,5 @@ mod tests {
             granularity: 16,
             ..SsbfConfig::paper_default()
         });
-    }
-
-    #[test]
-    fn update_batch_matches_sequential_updates() {
-        for config in [
-            SsbfConfig::paper_default(),
-            SsbfConfig::double_bloom(),
-            SsbfConfig::word_granularity(),
-            SsbfConfig::infinite(),
-        ] {
-            let updates: Vec<(Addr, u64, Ssn)> = (1..40u64)
-                .map(|i| ((i * 12) % 600, if i % 2 == 0 { 4 } else { 8 }, ssn(i)))
-                .collect();
-            let mut scalar = Ssbf::new(config);
-            for &(a, b, s) in &updates {
-                scalar.update_store(a, b, s);
-            }
-            let mut batched = Ssbf::new(config);
-            batched.update_batch(&updates);
-            assert_eq!(batched.updates(), scalar.updates());
-            for probe in 0..700u64 {
-                assert_eq!(
-                    batched.probe(probe, 8),
-                    scalar.probe(probe, 8),
-                    "organisation {:?} diverged at {probe:#x}",
-                    config.organization
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_batch_matches_sequential_probes() {
-        let mut f = Ssbf::new(SsbfConfig::double_bloom());
-        for i in 1..30u64 {
-            f.update_store(i * 16, 8, ssn(i));
-        }
-        let probes: Vec<(Addr, u64)> = (0..40u64).map(|i| (i * 8, 8)).collect();
-        let mut scalar = f.clone();
-        let expected: Vec<Ssn> = probes
-            .iter()
-            .map(|&(a, b)| scalar.last_conflicting_ssn(a, b))
-            .collect();
-        let mut out = vec![ssn(999)]; // stale contents must be cleared
-        f.probe_batch(&probes, &mut out);
-        assert_eq!(out, expected);
-        assert_eq!(f.lookups(), scalar.lookups());
-    }
-
-    #[test]
-    fn probe_is_pure_and_uncounted() {
-        let mut f = Ssbf::new(SsbfConfig::paper_default());
-        f.update_store(0x1000, 8, ssn(5));
-        let before = format!("{f:?}");
-        assert_eq!(f.probe(0x1000, 8), ssn(5));
-        assert_eq!(format!("{f:?}"), before, "probe must not mutate the filter");
-    }
-
-    #[test]
-    fn counters_track_activity() {
-        let mut f = Ssbf::new(SsbfConfig::paper_default());
-        f.update_store(0x1000, 8, ssn(1));
-        f.update_invalidation(0x2000, 64, ssn(2));
-        let _ = f.must_reexecute(0x1000, 8, Ssn::ZERO);
-        assert_eq!(f.updates(), 2);
-        assert_eq!(f.lookups(), 1);
     }
 }

@@ -87,7 +87,7 @@ proptest! {
                 Event::Probe { addr, bytes, window_idx } => {
                     let window = Ssn::new(window_idx.min(next_ssn));
                     let exact_says = exact.must_reexecute(addr, bytes, window);
-                    for f in &mut filters {
+                    for f in &filters {
                         let approx_says = f.must_reexecute(addr, bytes, window);
                         prop_assert!(
                             approx_says || !exact_says,
@@ -97,60 +97,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    /// Batched probes and updates are semantically identical to their sequential scalar
-    /// counterparts for every SSBF organisation — including double-bloom and
-    /// word-granularity tables — and leave the activity counters in the same state.
-    /// This is the contract the batched re-execution stage relies on.
-    #[test]
-    fn batched_apis_match_scalar(events in proptest::collection::vec(event_strategy(), 1..200)) {
-        for config in all_finite_configs().into_iter().chain([SsbfConfig::infinite()]) {
-            let mut scalar = Ssbf::new(config);
-            let mut batched = Ssbf::new(config);
-            let mut next_ssn = 0u64;
-            // Apply events in small groups so the batched filter exercises
-            // multi-element update_batch/probe_batch calls.
-            for group in events.chunks(7) {
-                let mut updates: Vec<svw_core::SsbfUpdate> = Vec::new();
-                let mut probes: Vec<svw_core::SsbfProbe> = Vec::new();
-                let mut windows: Vec<Ssn> = Vec::new();
-                for ev in group {
-                    match *ev {
-                        Event::Store { addr, bytes } => {
-                            next_ssn += 1;
-                            let ssn = Ssn::new(next_ssn);
-                            scalar.update_store(addr, bytes, ssn);
-                            updates.push((addr, bytes, ssn));
-                        }
-                        Event::Invalidate { .. } => {}
-                        Event::Probe { addr, bytes, window_idx } => {
-                            probes.push((addr, bytes));
-                            windows.push(Ssn::new(window_idx.min(next_ssn)));
-                        }
-                    }
-                }
-                batched.update_batch(&updates);
-                // Scalar lookups must run after the group's stores, mirroring the
-                // batched filter which applied all of the group's updates first.
-                let scalar_says: Vec<bool> = probes
-                    .iter()
-                    .zip(&windows)
-                    .map(|(&(addr, bytes), &w)| scalar.must_reexecute(addr, bytes, w))
-                    .collect();
-                let mut out = Vec::new();
-                batched.probe_batch(&probes, &mut out);
-                for (i, (conflict, &w)) in out.iter().zip(&windows).enumerate() {
-                    prop_assert!(
-                        scalar_says[i] == (*conflict > w),
-                        "organisation {:?} diverged on probe {}",
-                        config.organization,
-                        i
-                    );
-                }
-            }
-            prop_assert_eq!(format!("{scalar:?}"), format!("{batched:?}"));
         }
     }
 

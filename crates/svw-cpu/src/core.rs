@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use svw_core::{SsbfUpdate, Ssn, SvwConfig, SvwFilter, SvwUpdatePolicy, VulnWindow};
+use svw_core::{Ssn, SvwConfig, SvwFilter, SvwUpdatePolicy, VulnWindow};
 use svw_isa::{
     Addr, ArchReg, DynInst, InstSeq, MemWidth, OpClass, Pc, Program, Value, NUM_ARCH_REGS,
 };
@@ -265,14 +265,6 @@ struct Pipeline {
     /// unissued IQ entry with nothing pending. Walked oldest-first from the head.
     ready: Vec<u64>,
 
-    // Reusable scratch for the re-execution stage's batched SSBF calls (one probe
-    // batch per run of marked loads, one update batch per run of stores). Contents
-    // are only meaningful within a single `reexecute` call; keeping the buffers on
-    // the pipeline preserves the allocation-free steady state.
-    rex_probes: Vec<(Addr, u64, VulnWindow)>,
-    rex_decisions: Vec<bool>,
-    rex_stores: Vec<SsbfUpdate>,
-
     /// Test-only reference for flush recovery: per ROB slot, the rename map as it
     /// stood just before that slot's instruction renamed its destination.
     #[cfg(test)]
@@ -316,9 +308,6 @@ impl Pipeline {
             rex_events: EventWheel::default(),
             consumers: Vec::new(),
             ready: Vec::new(),
-            rex_probes: Vec::new(),
-            rex_decisions: Vec::new(),
-            rex_stores: Vec::new(),
             #[cfg(test)]
             rename_snapshots: Vec::new(),
         };
@@ -389,9 +378,6 @@ impl Pipeline {
         self.consumers.iter_mut().for_each(Vec::clear);
         self.ready.clear();
         self.ready.resize(config.rob_size.div_ceil(64), 0);
-        self.rex_probes.clear();
-        self.rex_decisions.clear();
-        self.rex_stores.clear();
         #[cfg(test)]
         {
             let initial = RenameMap::new().current;
@@ -814,13 +800,6 @@ impl Pipeline {
         let mut mem_ops_processed = 0usize;
         let mut entries_scanned = 0usize;
         let mut cache_access_started = false;
-        // The current batch of precomputed SSBF decisions covers the marked loads at
-        // sequence numbers [batch_base, batch_base + batch_len). Probes are pure, so
-        // precomputing a run's decisions in one pass cannot change any result; the
-        // per-load statistics are committed only when a decision is consumed, so an
-        // early break (port conflict) leaves counters identical to the scalar path.
-        let mut batch_base: InstSeq = 0;
-        let mut batch_len: usize = 0;
         while mem_ops_processed < config.commit_width && entries_scanned < 4 * config.commit_width {
             entries_scanned += 1;
             let Some(e) = self.rob.get(self.rex_next_seq) else {
@@ -843,37 +822,11 @@ impl Pipeline {
                             // until every older re-execution has finished.
                             break;
                         }
-                        // Gather the run of consecutive completed stores and apply them
-                        // to the SSBF in one batched pass. The run is bounded by exactly
-                        // the entries the scalar loop would have consumed this cycle, so
-                        // every counter and the filter contents stay byte-identical.
-                        let max_run = (config.commit_width - mem_ops_processed)
-                            .min(4 * config.commit_width - entries_scanned + 1);
-                        self.rex_stores.clear();
-                        self.rex_stores.push((
+                        self.svw.store_svw_stage(
                             addr.expect("completed store has an address"),
                             width.expect("completed store has a width").bytes(),
                             ssn.expect("store has an SSN"),
-                        ));
-                        let mut look = self.rex_next_seq + 1;
-                        while self.rex_stores.len() < max_run {
-                            let Some(e) = self.rob.get(look) else { break };
-                            if e.cls != OpClass::Store || !e.completed {
-                                break;
-                            }
-                            self.rex_stores.push((
-                                e.addr.expect("completed store has an address"),
-                                e.width.expect("completed store has a width").bytes(),
-                                e.ssn.expect("store has an SSN"),
-                            ));
-                            look += 1;
-                        }
-                        let run = self.rex_stores.len();
-                        self.svw.store_svw_stage_batch(&self.rex_stores);
-                        mem_ops_processed += run;
-                        entries_scanned += run - 1;
-                        self.rex_next_seq += run as InstSeq;
-                        continue;
+                        );
                     }
                     mem_ops_processed += 1;
                     self.rex_next_seq += 1;
@@ -911,41 +864,7 @@ impl Pipeline {
                                 self.svw.stats_mut().reexecuted_loads += 1;
                                 true
                             } else {
-                                let seq = self.rex_next_seq;
-                                if seq < batch_base || seq >= batch_base + batch_len as InstSeq {
-                                    // Probe the whole run of consecutive probe-able
-                                    // marked loads in one pass. Stores cannot interleave
-                                    // with the run, so the batched decisions match the
-                                    // scalar ones exactly.
-                                    self.rex_probes.clear();
-                                    self.rex_probes.push((addr, bytes, window));
-                                    let mut look = seq + 1;
-                                    while self.rex_probes.len() < config.commit_width {
-                                        let Some(e) = self.rob.get(look) else { break };
-                                        if e.cls != OpClass::Load
-                                            || !e.completed
-                                            || !e.marked
-                                            || e.elim_squash
-                                        {
-                                            break;
-                                        }
-                                        self.rex_probes.push((
-                                            e.addr.expect("completed load has an address"),
-                                            e.width.expect("completed load has a width").bytes(),
-                                            e.window,
-                                        ));
-                                        look += 1;
-                                    }
-                                    self.svw.peek_marked_loads(
-                                        &self.rex_probes,
-                                        &mut self.rex_decisions,
-                                    );
-                                    batch_base = seq;
-                                    batch_len = self.rex_decisions.len();
-                                }
-                                let decision = self.rex_decisions[(seq - batch_base) as usize];
-                                self.svw.commit_marked_load(decision);
-                                decision
+                                self.svw.filter_marked_load(addr, bytes, window)
                             }
                         }
                         ReexecMode::None => unreachable!("verifies() checked above"),
@@ -2100,6 +2019,8 @@ mod tests {
         /// readiness reference (`Pipeline::check_ready_set`, active in every test
         /// build after every issue stage) comparing the wakeup state cycle by cycle:
         /// a lost, duplicated, or early wakeup panics naming the cycle and entry.
+        /// Every marked load is also counted exactly once, as filtered or as
+        /// re-executed.
         #[test]
         fn wakeup_ready_set_matches_brute_force_readiness(
             seed in 0u64..1_000_000,
@@ -2109,6 +2030,11 @@ mod tests {
             let program = wakeup_workload(workload).generate(1_500, seed);
             let stats = Cpu::new(wakeup_family(family), &program).run();
             proptest::prop_assert_eq!(stats.committed, program.len() as u64);
+            let svw = &stats.svw;
+            proptest::prop_assert_eq!(
+                svw.marked_loads,
+                svw.filtered_loads + svw.reexecuted_loads
+            );
         }
     }
 

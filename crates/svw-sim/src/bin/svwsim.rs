@@ -10,6 +10,8 @@
 //!
 //! Run `svwsim help` for the full usage.
 
+use std::fs::File;
+use std::io::Write;
 use std::process::ExitCode;
 
 use svw_cpu::Cpu;
@@ -233,7 +235,7 @@ fn dump_worker_stats(metrics: &SweepMetrics, result_cache: Option<&ResultCache>)
 }
 
 /// `--stats-json FILE`: the machine-readable twin of [`dump_worker_stats`].
-fn write_stats_json(path: &str, metrics: &SweepMetrics, result_cache: Option<&ResultCache>) {
+fn stats_json(metrics: &SweepMetrics, result_cache: Option<&ResultCache>) -> String {
     let workers = metrics.workers();
     let mut fields = vec![
         (
@@ -281,9 +283,26 @@ fn write_stats_json(path: &str, metrics: &SweepMetrics, result_cache: Option<&Re
             ]),
         ));
     }
-    let payload = json::object(fields);
-    std::fs::write(path, format!("{payload}\n"))
-        .unwrap_or_else(|e| fail(&format!("cannot write --stats-json {path}: {e}")));
+    format!("{}\n", json::object(fields))
+}
+
+/// An output file a flag names, created when the session opens: `(path, file)`.
+type Output<'a> = Option<(&'a str, File)>;
+
+/// Creates the file `flag` names, so a path that cannot be written fails before
+/// any cell runs instead of after the whole sweep.
+fn create_output<'a>(args: &'a Args, flag: &str) -> Output<'a> {
+    args.text(flag).map(|path| {
+        let file = File::create(path)
+            .unwrap_or_else(|e| fail(&format!("cannot write {flag} {path}: {e}")));
+        (path, file)
+    })
+}
+
+/// Writes `contents` to a file [`create_output`] opened.
+fn write_output(flag: &str, (path, mut file): (&str, File), contents: &str) {
+    file.write_all(contents.as_bytes())
+        .unwrap_or_else(|e| fail(&format!("cannot write {flag} {path}: {e}")));
 }
 
 /// One executor session: the trace cache, result cache, `--out` sink, observer
@@ -294,6 +313,8 @@ struct Session<'a> {
     cache: Option<TraceCache>,
     result_cache: Option<ResultCache>,
     sink: Option<JsonlSink>,
+    metrics_out: Output<'a>,
+    stats_json: Output<'a>,
     observer: Option<SweepObserver>,
     /// One decode-once arena registry per invocation: the matrices of a
     /// multi-table artifact, the artifacts of one render and the rounds of an
@@ -308,6 +329,8 @@ impl<'a> Session<'a> {
             cache: open_cache(args),
             result_cache: open_result_cache(args),
             sink: open_sink(args),
+            metrics_out: create_output(args, "--metrics-out"),
+            stats_json: create_output(args, "--stats-json"),
             // `None` when no instrumentation flag was given, so the hot path
             // pays nothing.
             observer: {
@@ -349,7 +372,7 @@ impl<'a> Session<'a> {
     /// `--stats-json` dumps, and the result-cache summary. Returns the number
     /// of cells that failed (counted when `--oracle`, `--metrics-out` or a stats
     /// flag is given).
-    fn finish(self) -> u64 {
+    fn finish(mut self) -> u64 {
         let result_cache = self.result_cache.as_ref();
         let metrics = self.observer.as_ref().and_then(|o| o.metrics.as_ref());
         if let Some(observer) = &self.observer {
@@ -367,15 +390,14 @@ impl<'a> Session<'a> {
             }
         }
         if let Some(metrics) = metrics {
-            if let Some(path) = self.args.text("--metrics-out") {
-                std::fs::write(path, metrics.render_prometheus())
-                    .unwrap_or_else(|e| fail(&format!("cannot write --metrics-out {path}: {e}")));
+            if let Some(output) = self.metrics_out.take() {
+                write_output("--metrics-out", output, &metrics.render_prometheus());
             }
             if self.args.has("--stats") {
                 dump_worker_stats(metrics, result_cache);
             }
-            if let Some(path) = self.args.text("--stats-json") {
-                write_stats_json(path, metrics, result_cache);
+            if let Some(output) = self.stats_json.take() {
+                write_output("--stats-json", output, &stats_json(metrics, result_cache));
             }
         }
         // `misses` counts exactly the cells that went on to real simulation

@@ -237,6 +237,24 @@ fn a_sweep_that_fails_the_oracle_exits_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An output file that cannot be created fails the call before any cell runs,
+/// not after the whole sweep: the `--out` stream of the same call stays empty.
+#[test]
+fn an_unwritable_output_path_fails_before_any_cell_runs() {
+    let dir = workdir("unwritable-output");
+    for flag in ["--metrics-out", "--stats-json"] {
+        let line = format!("sweep --figure fig8 --trace-len 400 --out r.jsonl {flag} missing/m");
+        let err = assert_rejected(&dir, &line);
+        assert!(
+            err.contains(&format!("cannot write {flag}")),
+            "`svwsim {line}` stderr: {err}"
+        );
+        let streamed = std::fs::read_to_string(dir.join("r.jsonl")).unwrap_or_default();
+        assert_eq!(streamed.lines().count(), 0, "`svwsim {line}` ran cells");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn malformed_argv_is_an_error_with_exit_2() {
     let dir = workdir("rejected");
