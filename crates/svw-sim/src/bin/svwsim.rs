@@ -17,13 +17,13 @@ use std::process::ExitCode;
 use svw_cpu::Cpu;
 use svw_sim::registry::AdaptiveDefaults;
 use svw_sim::{
-    json, presets, profile_events, registry, render_resolved, resolved_trace_keys, run_cells,
+    json, presets, profile_events, registry, render_resolved, render_specs, run_cells,
     AdaptiveOpts, CacheMode, CellId, DifferentialChecker, EventSink, ExperimentCtx, ExperimentSpec,
     FigureReport, JsonlSink, OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat,
     SweepMetrics, SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
 use svw_trace::{TraceCache, TraceReader};
-use svw_workloads::{ArenaPin, TraceArenas, WorkloadProfile};
+use svw_workloads::WorkloadProfile;
 
 #[path = "svwsim/flags.rs"]
 mod flags;
@@ -225,7 +225,7 @@ fn dump_worker_stats(metrics: &SweepMetrics, result_cache: Option<&ResultCache>)
         metrics.trace_cache_hits.get()
     );
     eprintln!(
-        "  shared decode: {} cell(s) served an already-decoded trace arena",
+        "  shared decode: {} cell(s) served a trace another cell of the plan acquired",
         metrics.cells_shared_decode.get()
     );
     let extra = metrics.adaptive_extra_cells.get();
@@ -305,9 +305,8 @@ fn write_output(flag: &str, (path, mut file): (&str, File), contents: &str) {
         .unwrap_or_else(|e| fail(&format!("cannot write {flag} {path}: {e}")));
 }
 
-/// One executor session: the trace cache, result cache, `--out` sink, observer
-/// and decode arenas a scheduler command runs under, and the epilogues that
-/// close them.
+/// One executor session: the trace cache, result cache, `--out` sink and
+/// observer a scheduler command runs under, and the epilogues that close them.
 struct Session<'a> {
     args: &'a Args,
     cache: Option<TraceCache>,
@@ -316,10 +315,6 @@ struct Session<'a> {
     metrics_out: Output<'a>,
     stats_json: Output<'a>,
     observer: Option<SweepObserver>,
-    /// One decode-once arena registry per invocation: the matrices of a
-    /// multi-table artifact, the artifacts of one render and the rounds of an
-    /// adaptive sweep share each decoded trace instead of re-decoding it.
-    arenas: TraceArenas,
 }
 
 impl<'a> Session<'a> {
@@ -349,7 +344,6 @@ impl<'a> Session<'a> {
                 };
                 (!observer.is_empty()).then_some(observer)
             },
-            arenas: TraceArenas::new(),
         }
     }
 
@@ -361,7 +355,6 @@ impl<'a> Session<'a> {
             jobs: self.args.num("--jobs"),
             sink: self.sink.as_ref(),
             obs: self.observer.as_ref(),
-            arenas: Some(&self.arenas),
             oracle: oracle_options(self.args),
             result_cache: self.result_cache.as_ref(),
         }
@@ -870,7 +863,7 @@ fn print_replicated(args: &Args, workload: &str, config_name: &str, result: &Swe
 
 /// Renders `specs` under one executor session, prints the reports (text or
 /// `--json`), and exits 1 if `--oracle` failed any cell.
-fn render_specs(args: &Args, specs: &[ResolvedSpec]) {
+fn run_render(args: &Args, specs: &[ResolvedSpec]) {
     // Resolved before the session opens any file, so a bad bound writes nothing.
     let adaptive: Vec<Option<AdaptiveOpts>> = specs
         .iter()
@@ -885,37 +878,34 @@ fn render_specs(args: &Args, specs: &[ResolvedSpec]) {
         model_version: args.num("--model-version"),
         opts: session.options(),
     };
-    // Pin every spec's trace keys for the whole render: `tables` (three
-    // artifacts over the same workloads) decodes each trace once instead of
-    // once per artifact. Dropping the pin frees the arenas.
-    let pin = ArenaPin::new(
-        &session.arenas,
+    let start = std::time::Instant::now();
+    let reports: Vec<FigureReport> = if adaptive.iter().all(Option::is_none) {
+        // One plan for the whole render: `tables` (three artifacts over the
+        // same workloads) acquires each trace once and frees it after its
+        // last cell.
+        render_specs(&ctx, specs).unwrap_or_else(|e| fail(&e))
+    } else {
+        // Each spec's [adaptive] block bounds its own seeds.
         specs
             .iter()
-            .flat_map(|resolved| resolved_trace_keys(resolved, ctx.trace_len, &ctx.seeds))
-            .collect(),
-    );
-    let reports: Vec<FigureReport> = specs
-        .iter()
-        .zip(adaptive)
-        .map(|(resolved, adaptive)| {
-            let start = std::time::Instant::now();
-            let ctx = ExperimentCtx {
-                adaptive,
-                ..ctx.clone()
-            };
-            let report = render_resolved(&ctx, resolved).unwrap_or_else(|e| fail(&e));
-            if args.has("--verbose") {
-                eprintln!(
-                    "[svwsim] {} finished in {:.2}s",
-                    resolved.spec.name,
-                    start.elapsed().as_secs_f64()
-                );
-            }
-            report
-        })
-        .collect();
-    drop(pin);
+            .zip(adaptive)
+            .map(|(resolved, adaptive)| {
+                let ctx = ExperimentCtx {
+                    adaptive,
+                    ..ctx.clone()
+                };
+                render_resolved(&ctx, resolved).unwrap_or_else(|e| fail(&e))
+            })
+            .collect()
+    };
+    if args.has("--verbose") {
+        let names: Vec<&str> = specs.iter().map(|r| r.spec.name.as_str()).collect();
+        eprintln!(
+            "[svwsim] {} finished in {:.2}s",
+            names.join("+"),
+            start.elapsed().as_secs_f64()
+        );
+    }
     if args.has("--json") {
         println!("{}", json::array(reports.iter().map(|r| r.to_json())));
     } else {
@@ -955,7 +945,7 @@ fn run_artifacts(args: &Args, names: &[&str]) {
         .iter()
         .map(|name| resolve(args, builtin_spec(name, "artifact")))
         .collect();
-    render_specs(args, &specs);
+    run_render(args, &specs);
 }
 
 /// `svwsim sweep --spec (FILE.toml | builtin:NAME)`: sweep an experiment spec —
@@ -970,7 +960,7 @@ fn run_spec(args: &Args, spec_arg: &str) {
             registry::parse_spec(&content, spec_arg).unwrap_or_else(|e| fail(&e.to_string()))
         }
     };
-    render_specs(args, &[resolve(args, &spec)]);
+    run_render(args, &[resolve(args, &spec)]);
 }
 
 fn cmd_sweep(args: &Args) {

@@ -1,19 +1,27 @@
 //! Spec-driven artifact rendering: every paper artifact is resolved from its
-//! declarative [`crate::registry`] spec, runs its (workload × configuration ×
-//! seed) matrices on the cell-parallel scheduler, and is packaged as a
-//! [`FigureReport`] with the same series the paper plots by the renderer the
-//! spec names. Under multi-seed replication every plotted value is a mean over
-//! seeds and carries a 95% confidence half-interval; failed cells are excluded
-//! from the aggregates and surfaced as report notes. Renders at model versions
-//! above 1 append a lineage note recording why they diverge from the
-//! byte-identical v1 baseline.
+//! declarative [`crate::registry`] spec, and a render runs in two steps.
+//!
+//! 1. **Execute.** The (workload × configuration × seed) matrices of every spec
+//!    in the render run as one [`crate::planner::render_plan`] on the
+//!    cell-parallel scheduler, so a trace several matrices replay is acquired
+//!    once. Adaptive (`--ci-target`) renders run each matrix on its own, one
+//!    plan per round.
+//! 2. **Render.** The renderer the spec names turns the executed matrices into
+//!    a [`FigureReport`] with the same series the paper plots.
+//!
+//! Under multi-seed replication every plotted value is a mean over seeds and
+//! carries a 95% confidence half-interval; failed cells are excluded from the
+//! aggregates and surfaced as report notes. Renders at model versions above 1
+//! append a lineage note recording why they diverge from the byte-identical v1
+//! baseline.
 
 use svw_cpu::CpuStats;
-use svw_workloads::{ArenaPin, TraceKey, WorkloadProfile};
+use svw_workloads::WorkloadProfile;
 
+use crate::planner::render_plan;
 use crate::registry::{self, ResolvedMatrix, ResolvedSpec};
 use crate::report::{FigureReport, SeriesTable};
-use crate::runner::{run_cells, ExperimentCell, RunOptions};
+use crate::runner::{execute_plan, run_cells, ExperimentCell, RunOptions};
 
 /// Everything an experiment needs beyond its configuration matrix: trace length,
 /// replication seeds, and how to acquire workload traces and schedule cells.
@@ -60,36 +68,63 @@ impl ExperimentCtx<'_> {
         self.seeds.len() > 1 || self.adaptive.is_some()
     }
 
-    fn run(&self, m: &ResolvedMatrix, spec_fingerprint: u64) -> Matrix {
-        let (workloads, configs) = (&m.workloads[..], &m.configs[..]);
-        match &self.adaptive {
-            None => {
-                let ns = self.seeds.len();
-                let result = run_cells(
-                    &m.label,
-                    workloads,
-                    configs,
-                    self.trace_len,
-                    &self.seeds,
-                    spec_fingerprint,
-                    &self.opts,
-                );
-                Matrix::from_uniform(workloads, configs, result, ns, self.multi_seed())
-            }
-            Some(adaptive) => {
-                let sweep = run_cells_adaptive(
-                    &m.label,
-                    workloads,
-                    configs,
-                    self.trace_len,
-                    self.seeds[0],
-                    spec_fingerprint,
-                    adaptive,
-                    &self.opts,
-                );
-                Matrix::from_adaptive(workloads, configs, sweep)
-            }
+    /// Step 1 of a render: runs every matrix of `specs` and returns them
+    /// executed, per spec, in spec and matrix order. A fixed-seed render is one
+    /// plan; its sweep-level warnings go to the first matrix of each spec, so
+    /// every report notes them once.
+    fn execute(&self, specs: &[ResolvedSpec]) -> Vec<Vec<Matrix>> {
+        if let Some(adaptive) = &self.adaptive {
+            return specs
+                .iter()
+                .map(|resolved| {
+                    resolved
+                        .matrices
+                        .iter()
+                        .map(|m| {
+                            let sweep = run_cells_adaptive(
+                                &m.label,
+                                &m.workloads,
+                                &m.configs,
+                                self.trace_len,
+                                self.seeds[0],
+                                resolved.fingerprint,
+                                adaptive,
+                                &self.opts,
+                            );
+                            Matrix::from_adaptive(m, sweep)
+                        })
+                        .collect()
+                })
+                .collect();
         }
+        let plan = render_plan(specs, self.trace_len, &self.seeds);
+        let result = execute_plan(&plan, &self.opts);
+        let ns = self.seeds.len();
+        let mut cells = result.cells.into_iter();
+        specs
+            .iter()
+            .map(|resolved| {
+                resolved
+                    .matrices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        let n = m.workloads.len() * m.configs.len() * ns;
+                        Matrix::from_uniform(
+                            m,
+                            cells.by_ref().take(n).collect(),
+                            if i == 0 {
+                                result.warnings.clone()
+                            } else {
+                                Vec::new()
+                            },
+                            ns,
+                            self.multi_seed(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -380,25 +415,26 @@ struct Matrix {
 }
 
 impl Matrix {
-    /// Builds a matrix from a fixed-seed [`run_cells`] sweep (canonical
-    /// workload-major, configuration, seed cell order; `ns` seeds per pair).
+    /// Builds a matrix from its fixed-seed cells (canonical workload-major,
+    /// configuration, seed order; `ns` seeds per pair).
     fn from_uniform(
-        workloads: &[WorkloadProfile],
-        configs: &[svw_cpu::MachineConfig],
-        result: crate::runner::SweepResult,
+        m: &ResolvedMatrix,
+        cells: Vec<ExperimentCell>,
+        warnings: Vec<String>,
         ns: usize,
         replicated: bool,
     ) -> Matrix {
-        let nc = configs.len();
-        let mut groups: Vec<Vec<Vec<ExperimentCell>>> = vec![vec![Vec::new(); nc]; workloads.len()];
-        for (i, cell) in result.cells.into_iter().enumerate() {
+        let nc = m.configs.len();
+        let mut groups: Vec<Vec<Vec<ExperimentCell>>> =
+            vec![vec![Vec::new(); nc]; m.workloads.len()];
+        for (i, cell) in cells.into_iter().enumerate() {
             groups[i / (nc * ns)][(i / ns) % nc].push(cell);
         }
         Matrix {
             groups,
-            workload_names: workloads.iter().map(|w| w.name.clone()).collect(),
-            config_names: configs.iter().map(|c| c.name.clone()).collect(),
-            warnings: result.warnings,
+            workload_names: m.workloads.iter().map(|w| w.name.clone()).collect(),
+            config_names: m.configs.iter().map(|c| c.name.clone()).collect(),
+            warnings,
             replicated,
             adaptive_notes: Vec::new(),
         }
@@ -406,11 +442,7 @@ impl Matrix {
 
     /// Builds a matrix from an adaptive sweep, turning the per-workload outcomes
     /// into report notes (seed counts and achieved precision).
-    fn from_adaptive(
-        workloads: &[WorkloadProfile],
-        configs: &[svw_cpu::MachineConfig],
-        sweep: AdaptiveSweep,
-    ) -> Matrix {
+    fn from_adaptive(m: &ResolvedMatrix, sweep: AdaptiveSweep) -> Matrix {
         let per_workload: Vec<String> = sweep
             .reports
             .iter()
@@ -435,8 +467,8 @@ impl Matrix {
         )];
         Matrix {
             groups: sweep.groups,
-            workload_names: workloads.iter().map(|w| w.name.clone()).collect(),
-            config_names: configs.iter().map(|c| c.name.clone()).collect(),
+            workload_names: m.workloads.iter().map(|w| w.name.clone()).collect(),
+            config_names: m.configs.iter().map(|c| c.name.clone()).collect(),
             warnings: sweep.warnings,
             replicated: true,
             adaptive_notes,
@@ -533,13 +565,6 @@ impl Matrix {
     /// configuration. These counters ride in every JSONL cell record since the
     /// lossless-resume work, so surfacing them costs no extra simulation.
     fn substrate_tables(&self, label: &str) -> Vec<SeriesTable> {
-        fn ssbf_lookups(s: &CpuStats) -> f64 {
-            1000.0 * s.svw.marked_loads as f64 / s.committed.max(1) as f64
-        }
-        fn ssbf_updates(s: &CpuStats) -> f64 {
-            1000.0 * (s.svw.ssbf_store_updates + s.svw.ssbf_invalidation_updates) as f64
-                / s.committed.max(1) as f64
-        }
         fn l2_miss_rate(s: &CpuStats) -> f64 {
             let accesses = s.hierarchy.l2.reads + s.hierarchy.l2.writes;
             if accesses == 0 {
@@ -564,12 +589,12 @@ impl Matrix {
             (
                 "SSBF lookup traffic",
                 "lookups per 1k committed",
-                ssbf_lookups,
+                ssbf_lookups_per_1k,
             ),
             (
                 "SSBF update traffic",
                 "updates per 1k committed",
-                ssbf_updates,
+                ssbf_updates_per_1k,
             ),
             ("L2 miss rate", "% of L2 accesses", l2_miss_rate),
             (
@@ -598,6 +623,19 @@ impl Matrix {
             })
             .collect()
     }
+}
+
+/// SSBF lookup traffic: every marked load probes the filter once, per 1k
+/// committed instructions.
+fn ssbf_lookups_per_1k(s: &CpuStats) -> f64 {
+    1000.0 * s.svw.marked_loads as f64 / s.committed.max(1) as f64
+}
+
+/// SSBF update traffic: store updates plus invalidation updates, per 1k
+/// committed instructions.
+fn ssbf_updates_per_1k(s: &CpuStats) -> f64 {
+    1000.0 * (s.svw.ssbf_store_updates + s.svw.ssbf_invalidation_updates) as f64
+        / s.committed.max(1) as f64
 }
 
 /// Pushes a row of aggregates, with CIs when replicated.
@@ -650,23 +688,27 @@ pub const ARTIFACT_NAMES: &[(&str, &str)] = &[
     ),
 ];
 
-/// A figure renderer: turns a context plus a resolved spec into a report, or a
-/// diagnostic when the spec does not fit the renderer's shape.
-type Renderer = fn(&ExperimentCtx<'_>, &ResolvedSpec) -> Result<FigureReport, String>;
+/// Checks that a spec fits a renderer's shape, before anything runs.
+type Check = fn(&ResolvedSpec) -> Result<(), String>;
 
-fn renderer_by_name(name: &str) -> Option<Renderer> {
-    Some(match name {
-        "fig5" => fig5_nlq,
-        "fig6" => fig6_ssq,
-        "fig7" => fig7_rle,
-        "fig8" => fig8_ssbf,
-        "ssn-width" => tab_ssn_width,
-        "spec-ssbf" => tab_spec_ssbf,
-        "substrate-ssbf" => tab_substrate_ssbf,
-        "summary" => tab_summary,
-        "adversarial" => tab_adversarial,
+/// Turns a spec's executed matrices (one per `[[matrix]]`, in spec order) into
+/// a report.
+type Render = fn(&ExperimentCtx<'_>, &ResolvedSpec, &[Matrix]) -> FigureReport;
+
+fn renderer_by_name(name: &str) -> Option<(Check, Render)> {
+    let renderer: (Check, Render) = match name {
+        "fig5" => (|r| one_matrix(r, 2), fig5_nlq),
+        "fig6" => (|r| one_matrix(r, 2), fig6_ssq),
+        "fig7" => (|r| one_matrix(r, 2), fig7_rle),
+        "fig8" => (|r| one_matrix(r, 1), fig8_ssbf),
+        "ssn-width" => (|r| one_matrix(r, 2), tab_ssn_width),
+        "spec-ssbf" => (|r| one_matrix(r, 1), tab_spec_ssbf),
+        "substrate-ssbf" => (|r| one_matrix(r, 2), tab_substrate_ssbf),
+        "summary" => (check_summary, tab_summary),
+        "adversarial" => (|r| one_matrix(r, 1), tab_adversarial),
         _ => return None,
-    })
+    };
+    Some(renderer)
 }
 
 /// Resolves a builtin artifact's spec at `model_version`, or `None` for an
@@ -684,39 +726,55 @@ pub fn artifact_resolved(name: &str, model_version: u32) -> Option<ResolvedSpec>
     )
 }
 
-/// Renders a resolved spec: dispatches to the renderer the spec names, validates
-/// that the spec fits the renderer's shape, and — for model versions above 1 —
-/// appends a lineage note recording why the render diverges from the
+/// Renders `specs` as one render. Every spec is checked against the renderer it
+/// names before anything runs; then all of their matrices execute together
+/// (one plan, unless the context is adaptive) and each spec's renderer turns
+/// its matrices into a report, in spec order. For model versions above 1 each
+/// report carries a lineage note recording why it diverges from the
 /// byte-identical v1 baseline.
+pub fn render_specs(
+    ctx: &ExperimentCtx<'_>,
+    specs: &[ResolvedSpec],
+) -> Result<Vec<FigureReport>, String> {
+    let renders = specs
+        .iter()
+        .map(|resolved| {
+            let (check, render) = renderer_by_name(&resolved.spec.renderer).ok_or_else(|| {
+                format!(
+                    "spec {:?} names unknown renderer {:?}",
+                    resolved.spec.name, resolved.spec.renderer
+                )
+            })?;
+            check(resolved)?;
+            Ok(render)
+        })
+        .collect::<Result<Vec<Render>, String>>()?;
+    let executed = ctx.execute(specs);
+    Ok(specs
+        .iter()
+        .zip(renders)
+        .zip(executed)
+        .map(|((resolved, render), matrices)| {
+            let mut report = render(ctx, resolved, &matrices);
+            if let Some(reason) = registry::model_divergence(resolved.model_version) {
+                report.notes.push(format!(
+                    "lineage: model v{} (spec {:016x}) diverges from the byte-identical v1 \
+                     baseline — {reason}",
+                    resolved.model_version, resolved.fingerprint
+                ));
+            }
+            report
+        })
+        .collect())
+}
+
+/// Renders one resolved spec: [`render_specs`] over just `resolved`.
 pub fn render_resolved(
     ctx: &ExperimentCtx<'_>,
     resolved: &ResolvedSpec,
 ) -> Result<FigureReport, String> {
-    let renderer = renderer_by_name(&resolved.spec.renderer).ok_or_else(|| {
-        format!(
-            "spec {:?} names unknown renderer {:?}",
-            resolved.spec.name, resolved.spec.renderer
-        )
-    })?;
-    // Pin the spec's trace arenas for the duration of the render: a
-    // multi-matrix artifact decodes each `(workload, seed)` trace once and the
-    // later matrices reuse it; the pin's drop releases everything, so memory
-    // stays bounded by one artifact's distinct traces.
-    let _pin = ctx.opts.arenas.map(|arenas| {
-        ArenaPin::new(
-            arenas,
-            resolved_trace_keys(resolved, ctx.trace_len, &ctx.seeds),
-        )
-    });
-    let mut report = renderer(ctx, resolved)?;
-    if let Some(reason) = registry::model_divergence(resolved.model_version) {
-        report.notes.push(format!(
-            "lineage: model v{} (spec {:016x}) diverges from the byte-identical v1 \
-             baseline — {reason}",
-            resolved.model_version, resolved.fingerprint
-        ));
-    }
-    Ok(report)
+    let mut reports = render_specs(ctx, std::slice::from_ref(resolved))?;
+    Ok(reports.remove(0))
 }
 
 /// Renders a builtin artifact by name at the context's model version. Unknown
@@ -731,24 +789,6 @@ pub fn render_artifact(ctx: &ExperimentCtx<'_>, name: &str) -> Result<FigureRepo
         )
     })?;
     render_resolved(ctx, &resolved)
-}
-
-/// Every distinct trace key a resolved spec's matrices will consume at the given
-/// base seeds (adaptive extra seeds are scheduled later and managed per plan).
-pub fn resolved_trace_keys(
-    resolved: &ResolvedSpec,
-    trace_len: usize,
-    seeds: &[u64],
-) -> Vec<TraceKey> {
-    let mut keys: Vec<TraceKey> = resolved
-        .matrices
-        .iter()
-        .flat_map(|m| m.workloads.iter())
-        .flat_map(|w| seeds.iter().map(|&seed| TraceKey::of(w, trace_len, seed)))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
 }
 
 /// The exact (matrix label, workloads, configurations) matrices an artifact runs,
@@ -812,7 +852,7 @@ fn two_panel_figure(figure: &str, matrix: &Matrix, mut notes: Vec<String>) -> Fi
 
 /// Checks that a spec resolves to exactly one matrix with at least
 /// `min_configs` configurations — the shape every single-matrix renderer needs.
-fn single_matrix(resolved: &ResolvedSpec, min_configs: usize) -> Result<&ResolvedMatrix, String> {
+fn one_matrix(resolved: &ResolvedSpec, min_configs: usize) -> Result<(), String> {
     if resolved.matrices.len() != 1 {
         return Err(format!(
             "renderer {:?} renders exactly one [[matrix]]; spec {:?} defines {}",
@@ -831,16 +871,15 @@ fn single_matrix(resolved: &ResolvedSpec, min_configs: usize) -> Result<&Resolve
             m.configs.len()
         ));
     }
-    Ok(m)
+    Ok(())
 }
 
 /// Figure 5: SVW's impact on the non-associative load queue (NLQ_LS).
-fn fig5_nlq(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 2)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn fig5_nlq(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let mut report = two_panel_figure(
         "Figure 5 (NLQ_LS)",
-        &matrix,
+        matrix,
         vec![
             "paper: NLQ re-executes ~7.4% of loads on average; SVW-UPD cuts it to ~2.0% and \
              SVW+UPD to ~0.6%; speedups are small (~1.3% with SVW, 1.4% perfect)"
@@ -852,16 +891,15 @@ fn fig5_nlq(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureRe
             .tables
             .extend(matrix.substrate_tables("Figure 5 (NLQ_LS)"));
     }
-    Ok(report)
+    report
 }
 
 /// Figure 6: SVW's impact on the speculative store queue (SSQ).
-fn fig6_ssq(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 2)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn fig6_ssq(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let mut report = two_panel_figure(
         "Figure 6 (SSQ)",
-        &matrix,
+        matrix,
         vec![
             "paper: SSQ without SVW re-executes 100% of loads and loses 16% on average \
              (vortex −83%); with SVW re-execution drops to ~13-15% and SSQ gains ~1.2% \
@@ -891,16 +929,15 @@ fn fig6_ssq(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureRe
             .tables
             .extend(matrix.substrate_tables("Figure 6 (SSQ)"));
     }
-    Ok(report)
+    report
 }
 
 /// Figure 7: SVW's impact on redundant load elimination (RLE).
-fn fig7_rle(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 2)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn fig7_rle(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let mut report = two_panel_figure(
         "Figure 7 (RLE)",
-        &matrix,
+        matrix,
         vec![
             "paper: RLE eliminates ~28% of loads (all of which re-execute), gaining 2.6%; \
              SVW cuts re-execution to ~6.3% and raises the gain to 5.7%; disabling squash \
@@ -922,14 +959,13 @@ fn fig7_rle(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureRe
             .tables
             .extend(matrix.substrate_tables("Figure 7 (RLE)"));
     }
-    Ok(report)
+    report
 }
 
 /// Figure 8: SSBF organisation sensitivity on the SSQ machine over the paper's
 /// five-workload subset.
-fn fig8_ssbf(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 1)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn fig8_ssbf(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let mut rate = SeriesTable::new(
         "Figure 8: SSBF organisation vs. SSQ re-execution rate",
         "% of retired loads",
@@ -948,17 +984,16 @@ fn fig8_ssbf(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureR
     if ctx.substrate {
         tables.extend(matrix.substrate_tables("Figure 8"));
     }
-    Ok(FigureReport {
+    FigureReport {
         figure: "Figure 8 (SSBF sensitivity)".to_string(),
         tables,
         notes,
-    })
+    }
 }
 
 /// §3.6: SSN width sensitivity (wrap-around drains) on the SSQ machine.
-fn tab_ssn_width(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 2)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn tab_ssn_width(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let infinite = matrix.config_names.last().expect("non-empty").clone();
     let mut slowdown = SeriesTable::new(
         "SSN width: IPC loss vs. infinite-width SSNs",
@@ -993,17 +1028,16 @@ fn tab_ssn_width(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<Fig
     if ctx.substrate {
         tables.extend(matrix.substrate_tables("SSN width"));
     }
-    Ok(FigureReport {
+    FigureReport {
         figure: "Table: SSN width sensitivity (§3.6)".to_string(),
         tables,
         notes,
-    })
+    }
 }
 
 /// §3.6: speculative vs. atomic SSBF updates.
-fn tab_spec_ssbf(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 1)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+fn tab_spec_ssbf(ctx: &ExperimentCtx<'_>, _: &ResolvedSpec, matrices: &[Matrix]) -> FigureReport {
+    let matrix = &matrices[0];
     let mut rate = SeriesTable::new(
         "SSBF update policy: re-execution rate",
         "% of retired loads",
@@ -1028,32 +1062,25 @@ fn tab_spec_ssbf(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<Fig
     if ctx.substrate {
         tables.extend(matrix.substrate_tables("SSBF update policy"));
     }
-    Ok(FigureReport {
+    FigureReport {
         figure: "Table: speculative vs. atomic SSBF updates (§3.6)".to_string(),
         tables,
         notes,
-    })
+    }
 }
 
 /// Substrate phase 2: the SSBF organisation comparison seen from the filter
 /// substrate — accuracy (re-execution rate) next to the lookup/update traffic
-/// each organisation pushes through the batched SSBF hot path. Every marked
+/// each organisation's SSBF sees. Every marked
 /// load probes and every store updates, so traffic differs across
 /// organisations only through timing feedback, making the accuracy spread
 /// attributable to aliasing.
 fn tab_substrate_ssbf(
     ctx: &ExperimentCtx<'_>,
-    resolved: &ResolvedSpec,
-) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 2)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
-    fn lookups_per_1k(s: &CpuStats) -> f64 {
-        1000.0 * s.svw.marked_loads as f64 / s.committed.max(1) as f64
-    }
-    fn updates_per_1k(s: &CpuStats) -> f64 {
-        1000.0 * (s.svw.ssbf_store_updates + s.svw.ssbf_invalidation_updates) as f64
-            / s.committed.max(1) as f64
-    }
+    _: &ResolvedSpec,
+    matrices: &[Matrix],
+) -> FigureReport {
+    let matrix = &matrices[0];
     let mut rate = SeriesTable::new(
         "SSBF organisation: re-execution rate",
         "% of retired loads",
@@ -1071,8 +1098,8 @@ fn tab_substrate_ssbf(
     );
     for cfg in &matrix.config_names {
         matrix.push_metric_series(&mut rate, cfg, CpuStats::reexec_rate);
-        matrix.push_metric_series(&mut lookups, cfg, lookups_per_1k);
-        matrix.push_metric_series(&mut updates, cfg, updates_per_1k);
+        matrix.push_metric_series(&mut lookups, cfg, ssbf_lookups_per_1k);
+        matrix.push_metric_series(&mut updates, cfg, ssbf_updates_per_1k);
     }
     let mut notes = vec![
         "substrate counters ride in every cell record, so this table costs no extra \
@@ -1086,11 +1113,11 @@ fn tab_substrate_ssbf(
     if ctx.substrate {
         tables.extend(matrix.substrate_tables("SSBF organisation"));
     }
-    Ok(FigureReport {
+    FigureReport {
         figure: "Table: SSBF organisation substrate comparison".to_string(),
         tables,
         notes,
-    })
+    }
 }
 
 /// Adversarial stress tables: the `adv.*` generator family next to a SPECint
@@ -1104,9 +1131,9 @@ fn tab_substrate_ssbf(
 fn tab_adversarial(
     ctx: &ExperimentCtx<'_>,
     resolved: &ResolvedSpec,
-) -> Result<FigureReport, String> {
-    let m = single_matrix(resolved, 1)?;
-    let matrix = ctx.run(m, resolved.fingerprint);
+    matrices: &[Matrix],
+) -> FigureReport {
+    let matrix = &matrices[0];
     fn false_positive_rate(s: &CpuStats) -> f64 {
         if s.loads_retired == 0 {
             0.0
@@ -1114,13 +1141,6 @@ fn tab_adversarial(
             100.0 * s.loads_reexecuted.saturating_sub(s.svw.reexec_mismatches) as f64
                 / s.loads_retired as f64
         }
-    }
-    fn lookups_per_1k(s: &CpuStats) -> f64 {
-        1000.0 * s.svw.marked_loads as f64 / s.committed.max(1) as f64
-    }
-    fn updates_per_1k(s: &CpuStats) -> f64 {
-        1000.0 * (s.svw.ssbf_store_updates + s.svw.ssbf_invalidation_updates) as f64
-            / s.committed.max(1) as f64
     }
     let mut rate = SeriesTable::new(
         "Adversarial stress: re-execution rate",
@@ -1145,8 +1165,8 @@ fn tab_adversarial(
     for cfg in &matrix.config_names {
         matrix.push_metric_series(&mut rate, cfg, CpuStats::reexec_rate);
         matrix.push_metric_series(&mut false_pos, cfg, false_positive_rate);
-        matrix.push_metric_series(&mut lookups, cfg, lookups_per_1k);
-        matrix.push_metric_series(&mut updates, cfg, updates_per_1k);
+        matrix.push_metric_series(&mut lookups, cfg, ssbf_lookups_per_1k);
+        matrix.push_metric_series(&mut updates, cfg, ssbf_updates_per_1k);
     }
     let mut notes = vec![
         "adv.* columns are generator stressors (dependence chains, same-granule \
@@ -1163,23 +1183,24 @@ fn tab_adversarial(
     if ctx.substrate {
         tables.extend(matrix.substrate_tables("Adversarial stress"));
     }
-    Ok(FigureReport {
+    FigureReport {
         figure: format!("Adversarial stress table ({})", resolved.spec.name),
         tables,
         notes,
-    })
+    }
 }
 
-/// §6 headline: aggregate re-execution reduction across the three optimizations.
-fn tab_summary(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<FigureReport, String> {
+/// The shape [`tab_summary`] needs: at least one matrix, every matrix over the
+/// same workloads, and each naming its unfiltered and SVW configurations.
+fn check_summary(resolved: &ResolvedSpec) -> Result<(), String> {
     let first = resolved
         .matrices
         .first()
         .ok_or_else(|| "renderer \"summary\" needs at least one [[matrix]]".to_string())?;
-    let wnames: Vec<String> = first.workloads.iter().map(|w| w.name.clone()).collect();
+    let wnames: Vec<&str> = first.workloads.iter().map(|w| w.name.as_str()).collect();
     for m in &resolved.matrices[1..] {
         let names: Vec<&str> = m.workloads.iter().map(|w| w.name.as_str()).collect();
-        if names != wnames.iter().map(String::as_str).collect::<Vec<_>>() {
+        if names != wnames {
             return Err(format!(
                 "renderer \"summary\" needs every [[matrix]] to sweep the same workloads; \
                  matrix {:?} differs from {:?}",
@@ -1187,6 +1208,27 @@ fn tab_summary(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<Figur
             ));
         }
     }
+    match resolved
+        .matrices
+        .iter()
+        .find(|m| m.unfiltered_idx.is_none() || m.svw_idx.is_none())
+    {
+        Some(m) => Err(format!(
+            "renderer \"summary\" needs unfiltered_idx and svw_idx on every [[matrix]] \
+             (matrix {:?} lacks them)",
+            m.label
+        )),
+        None => Ok(()),
+    }
+}
+
+/// §6 headline: aggregate re-execution reduction across the three optimizations.
+fn tab_summary(
+    ctx: &ExperimentCtx<'_>,
+    resolved: &ResolvedSpec,
+    matrices: &[Matrix],
+) -> FigureReport {
+    let wnames = matrices[0].workload_names.clone();
     let mut table = SeriesTable::new(
         "Re-execution reduction from SVW (unfiltered vs. filtered)",
         "% reduction in re-executed loads",
@@ -1195,23 +1237,15 @@ fn tab_summary(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<Figur
     let mut notes = Vec::new();
     let mut reductions = Vec::new();
     let mut substrate_tables = Vec::new();
-    for m in &resolved.matrices {
-        let (Some(unfiltered_idx), Some(svw_idx)) = (m.unfiltered_idx, m.svw_idx) else {
-            return Err(format!(
-                "renderer \"summary\" needs unfiltered_idx and svw_idx on every [[matrix]] \
-                 (matrix {:?} lacks them)",
-                m.label
-            ));
-        };
+    for (m, matrix) in resolved.matrices.iter().zip(matrices) {
         // Matrix labels namespace the artifact ("summary/NLQ_LS"); series rows
         // use the short suffix the paper's table names.
         let label = m.label.rsplit('/').next().unwrap_or(&m.label);
-        let matrix = ctx.run(m, resolved.fingerprint);
         if ctx.substrate {
             substrate_tables.extend(matrix.substrate_tables(&m.label));
         }
-        let unfiltered = &matrix.config_names[unfiltered_idx];
-        let svw = &matrix.config_names[svw_idx];
+        let unfiltered = &matrix.config_names[m.unfiltered_idx.expect("checked by check_summary")];
+        let svw = &matrix.config_names[m.svw_idx.expect("checked by check_summary")];
         // Pair the reduction by seed, then aggregate (a seed where the unfiltered
         // machine re-executes nothing contributes a 0% reduction).
         let stats: Vec<Stat> = wnames
@@ -1252,11 +1286,11 @@ fn tab_summary(ctx: &ExperimentCtx<'_>, resolved: &ResolvedSpec) -> Result<Figur
     all_notes.extend(notes);
     let mut tables = vec![table];
     tables.extend(substrate_tables);
-    Ok(FigureReport {
+    FigureReport {
         figure: "Summary: SVW re-execution reduction".to_string(),
         tables,
         notes: all_notes,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ pub mod runner;
 pub use cache::{CacheCounters, CacheMode, GcReport, ResultCache, StoreStats, VerifyReport};
 pub use events::{parse_event_line, read_events, Event, EventSink};
 pub use experiments::{
-    artifact_matrices, artifact_resolved, render_artifact, render_resolved, resolved_trace_keys,
+    artifact_matrices, artifact_resolved, render_artifact, render_resolved, render_specs,
     run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep, ExperimentCtx, Stat,
     ARTIFACT_NAMES,
 };

@@ -155,8 +155,8 @@ pub struct SweepMetrics {
     pub trace_cache_hits: Counter,
     /// Bytes read from disk while acquiring traces.
     pub trace_bytes_read: Counter,
-    /// Simulated cells served an already-decoded shared trace arena instead of
-    /// acquiring the trace themselves.
+    /// Simulated cells served the trace another cell of their plan acquired,
+    /// instead of acquiring it themselves.
     pub cells_shared_decode: Counter,
     /// Cells scheduled beyond the minimum seed count by adaptive sampling.
     pub adaptive_extra_cells: Counter,

@@ -1,13 +1,17 @@
 //! The sweep planner: turn "what should run" into a typed plan.
 //!
 //! A [`SweepPlan`] is the explicit middle layer of the Plan → Execute → Collect
-//! architecture: it enumerates one matrix's `(workload, configuration, seed)` cells
-//! in the canonical order every downstream consumer assumes (workload-major, then
-//! configuration, then seed) and carries each cell's full [`CellId`] (including the
-//! workload fingerprint and the `(model_version, spec_fingerprint)` lineage).
-//! Fixed `--seeds K` lists and adaptive requeue rounds are both plan
-//! *constructions*; [`crate::runner::execute_plan`] then executes any plan the
-//! same way.
+//! architecture: it enumerates each matrix's `(workload, configuration, seed)`
+//! cells in the canonical order every downstream consumer assumes (workload-major,
+//! then configuration, then seed) and carries each cell's full [`CellId`]
+//! (including the workload fingerprint and the `(model_version, spec_fingerprint)`
+//! lineage).
+//!
+//! A non-adaptive render is one plan: [`render_plan`] lays the matrices of every
+//! spec it renders end to end, so [`crate::runner::execute_plan`] sees every cell
+//! that replays a trace and acquires each trace once for all of them, whichever
+//! matrix asks. Adaptive requeue rounds build one plan per matrix per round with
+//! [`SweepPlan::enumerate`]; the executor runs any plan the same way.
 
 use std::sync::Arc;
 
@@ -16,6 +20,7 @@ use svw_workloads::{TraceKey, WorkloadProfile};
 
 use crate::experiments::artifact_resolved;
 use crate::jsonl::CellId;
+use crate::registry::ResolvedSpec;
 
 /// One cell of a [`SweepPlan`]: its identity plus resolved workload/configuration
 /// indices.
@@ -40,12 +45,15 @@ impl PlannedCell {
     }
 }
 
-/// An executable sweep plan over one matrix: the workload and configuration tables
-/// plus the ordered cell list. Construct with [`SweepPlan::enumerate`] and hand to
+/// An executable sweep plan over one or more matrices: the workload and
+/// configuration tables plus the ordered cell list. Construct with
+/// [`SweepPlan::enumerate`] or [`render_plan`] and hand to
 /// [`crate::runner::execute_plan`].
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
-    /// Matrix label (artifact name) stamped into every cell's identity.
+    /// The plan's label in the event journal: the matrix label of a one-matrix
+    /// plan, the rendered spec names joined by `+` for a [`render_plan`]. Each
+    /// cell carries its own matrix label in its identity.
     pub matrix: String,
     /// The workloads cells reference by index.
     pub workloads: Vec<WorkloadProfile>,
@@ -71,36 +79,58 @@ impl SweepPlan {
         seeds: &[u64],
         spec_fingerprint: u64,
     ) -> SweepPlan {
-        let shared: Vec<Arc<MachineConfig>> = configs.iter().map(|c| Arc::new(c.clone())).collect();
-        let mut cells = Vec::with_capacity(workloads.len() * configs.len() * seeds.len());
+        let mut plan = SweepPlan::empty(matrix, trace_len);
+        plan.push_matrix(matrix, workloads, configs, seeds, spec_fingerprint);
+        plan
+    }
+
+    fn empty(matrix: &str, trace_len: usize) -> SweepPlan {
+        SweepPlan {
+            matrix: matrix.to_string(),
+            workloads: Vec::new(),
+            configs: Vec::new(),
+            trace_len,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Appends one matrix's cells, in canonical order, after the cells already
+    /// planned; its workloads and configurations join the plan's tables.
+    fn push_matrix(
+        &mut self,
+        label: &str,
+        workloads: &[WorkloadProfile],
+        configs: &[MachineConfig],
+        seeds: &[u64],
+        spec_fingerprint: u64,
+    ) {
+        let (w0, c0) = (self.workloads.len(), self.configs.len());
+        self.cells
+            .reserve(workloads.len() * configs.len() * seeds.len());
         for (w, workload) in workloads.iter().enumerate() {
             let fingerprint = workload.fingerprint();
             for (c, config) in configs.iter().enumerate() {
                 for &seed in seeds {
-                    cells.push(PlannedCell {
+                    self.cells.push(PlannedCell {
                         id: CellId {
-                            matrix: matrix.to_string(),
+                            matrix: label.to_string(),
                             workload: workload.name.clone(),
                             config: config.name.clone(),
                             seed,
-                            trace_len: trace_len as u64,
+                            trace_len: self.trace_len as u64,
                             fingerprint,
                             model_version: config.model_version,
                             spec_fingerprint,
                         },
-                        workload: w,
-                        config: c,
+                        workload: w0 + w,
+                        config: c0 + c,
                     });
                 }
             }
         }
-        SweepPlan {
-            matrix: matrix.to_string(),
-            workloads: workloads.to_vec(),
-            configs: shared,
-            trace_len,
-            cells,
-        }
+        self.workloads.extend_from_slice(workloads);
+        self.configs
+            .extend(configs.iter().map(|c| Arc::new(c.clone())));
     }
 
     /// The cell identities, in plan order.
@@ -136,6 +166,26 @@ pub fn artifact_plans(
             })
             .collect(),
     )
+}
+
+/// The one plan of a render: every matrix of every spec in `specs`, in order,
+/// each enumerated as [`SweepPlan::enumerate`] would, so the executed cells
+/// split back into the specs' matrices by position.
+pub fn render_plan(specs: &[ResolvedSpec], trace_len: usize, seeds: &[u64]) -> SweepPlan {
+    let names: Vec<&str> = specs.iter().map(|r| r.spec.name.as_str()).collect();
+    let mut plan = SweepPlan::empty(&names.join("+"), trace_len);
+    for resolved in specs {
+        for m in &resolved.matrices {
+            plan.push_matrix(
+                &m.label,
+                &m.workloads,
+                &m.configs,
+                seeds,
+                resolved.fingerprint,
+            );
+        }
+    }
+    plan
 }
 
 #[cfg(test)]
@@ -211,6 +261,34 @@ mod tests {
                 .flat_map(|p| p.cell_ids().cloned())
                 .collect();
             assert_eq!(planned, legacy, "{name}: plan enumeration drifted");
+        }
+    }
+
+    /// A render plan is its specs' matrix plans laid end to end: the same cell
+    /// identities in the same order, with indices that resolve to the same
+    /// workload and configuration.
+    #[test]
+    fn render_plan_concatenates_the_specs_matrix_plans() {
+        let names = ["ssn-width", "spec-ssbf", "summary"];
+        let specs: Vec<ResolvedSpec> = names
+            .iter()
+            .map(|n| artifact_resolved(n, 1).unwrap())
+            .collect();
+        let plan = render_plan(&specs, 1_000, &[2, 3]);
+        assert_eq!(plan.matrix, "ssn-width+spec-ssbf+summary");
+        let parts: Vec<SweepPlan> = names
+            .iter()
+            .flat_map(|n| artifact_plans(n, 1_000, &[2, 3], 1).unwrap())
+            .collect();
+        let expected: Vec<&CellId> = parts.iter().flat_map(|p| p.cell_ids()).collect();
+        assert_eq!(plan.cell_ids().collect::<Vec<_>>(), expected);
+        for cell in &plan.cells {
+            assert_eq!(plan.workloads[cell.workload].name, cell.id.workload);
+            assert_eq!(plan.configs[cell.config].name, cell.id.config);
+            assert_eq!(
+                plan.workloads[cell.workload].fingerprint(),
+                cell.id.fingerprint
+            );
         }
     }
 

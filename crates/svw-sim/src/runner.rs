@@ -6,9 +6,14 @@
 //! typed [`SweepPlan`] (see [`crate::planner`]): [`execute_plan`] restores, serves
 //! from the result cache, or simulates every planned cell and collects the results
 //! in plan order. [`run_cells`] is the canonical-full-matrix convenience wrapper (it
-//! enumerates the plan and executes it); fixed-seed sweeps and the rounds of an
-//! adaptive sweep both route through it, so every sweep behaves identically per
-//! cell.
+//! enumerates the plan and executes it); the rounds of an adaptive sweep route
+//! through it, while a fixed-seed render executes one plan covering all of its
+//! matrices, so every sweep behaves identically per cell.
+//!
+//! The plan is the only place traces are shared: its cells are grouped into trace
+//! slots by [`TraceKey`], each slot's trace is acquired once by the first cell that
+//! needs it and freed after the slot's last cell, whichever matrix the cells
+//! belong to. At `--jobs 1` at most one trace is held at a time.
 //!
 //! Robustness properties:
 //!
@@ -35,7 +40,7 @@ use svw_cpu::{Cpu, CpuStats, MachineConfig, SimArena};
 use svw_isa::Program;
 use svw_oracle::{DifferentialChecker, OracleOptions};
 use svw_trace::TraceCache;
-use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
+use svw_workloads::{TraceKey, WorkloadProfile};
 
 use crate::cache::ResultCache;
 use crate::events::{kind as event_kind, EventSink};
@@ -129,12 +134,6 @@ pub struct RunOptions<'c> {
     /// never touching results — every artifact is byte-identical with `obs`
     /// present or `None`.
     pub obs: Option<&'c SweepObserver>,
-    /// Share decoded trace arenas across sweeps through this registry: a trace
-    /// decoded by one plan is reused (not re-decoded) by every later plan whose
-    /// registration overlaps — the matrices of a multi-table artifact, adaptive
-    /// re-rounds. Results are byte-identical with or without it (the
-    /// decode-sharing tests compare both against a per-cell reference).
-    pub arenas: Option<&'c TraceArenas>,
     /// Cross-check every simulated cell against the in-order golden model
     /// (`--oracle`): the pipeline runs under a [`DifferentialChecker`] and a
     /// divergence turns the cell into [`CellOutcome::Failed`] carrying the
@@ -144,10 +143,10 @@ pub struct RunOptions<'c> {
     /// Consult (and publish to) this content-addressed result cache
     /// (`--result-cache DIR`): cells the cache already holds become
     /// [`CellOutcome::Cached`] — no trace acquisition, no decode, no
-    /// simulation, and no arena registration for fully-cached trace groups —
-    /// and every freshly simulated successful cell is published back. Served
-    /// results are byte-identical to re-simulating (the `--no-result-cache`
-    /// A/B flag and the determinism suite compare both paths).
+    /// simulation, and no trace slot for fully-cached trace groups — and every
+    /// freshly simulated successful cell is published back. Served results
+    /// are byte-identical to re-simulating (the `--no-result-cache` A/B flag
+    /// and the determinism suite compare both paths).
     pub result_cache: Option<&'c ResultCache>,
 }
 
@@ -341,27 +340,27 @@ pub fn run_cells(
 /// decided when the plan was built. It runs in four phases:
 ///
 /// 1. `lookup_cached` — resolve result-cache hits up front;
-/// 2. `TraceSlots::group` — group the remaining cells by trace key, so cells
-///    sharing a `(workload, seed)` trace are scheduled back-to-back
-///    (first-appearance order) and sweep memory is bounded by the traces in
-///    active use;
+/// 2. `TraceSlots::group` — group the remaining cells by [`TraceKey`], so
+///    cells sharing a trace — from any matrix of the plan — are scheduled
+///    back-to-back (first-appearance order) and sweep memory is bounded by the
+///    traces in active use;
 /// 3. `drain` — the workers take each cell through restore → cached →
 ///    simulate, and `publish` it as soon as it finishes (sink append, cache
 ///    store, events), so an interrupted sweep loses nothing it finished;
 /// 4. `collect` — order the cells and aggregate the errors into warnings.
 pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     let cached = lookup_cached(plan, opts);
-    let slots = TraceSlots::group(plan, &cached, opts.arenas);
+    let slots = TraceSlots::group(plan, &cached);
     let drained = drain(plan, &cached, &slots, opts);
     collect(plan, drained, opts)
 }
 
 /// Phase 1: the result-cache hit of every cell, resolved before the trace slots
 /// are built so a hit never participates in trace grouping at all — a
-/// fully-cached `(workload, seed)` group creates no program slot and registers
-/// no arena use, and its cells skip acquisition, decode, and simulation
-/// entirely. A cell the resume sink already holds is restored from the sink
-/// instead (never double-counted as cached).
+/// fully-cached trace group creates no program slot, and its cells skip
+/// acquisition, decode, and simulation entirely. A cell the resume sink
+/// already holds is restored from the sink instead (never double-counted as
+/// cached).
 fn lookup_cached(plan: &SweepPlan, opts: &RunOptions<'_>) -> Vec<Option<CpuStats>> {
     let Some(rc) = opts.result_cache else {
         return vec![None; plan.cells.len()];
@@ -390,10 +389,10 @@ fn lookup_cached(plan: &SweepPlan, opts: &RunOptions<'_>) -> Vec<Option<CpuStats
         .collect()
 }
 
-/// One `(workload, seed)` trace shared by that pair's cells. The program is
-/// generated lazily by the first worker that needs it and dropped as soon as the
-/// last of the pair's cells finishes, so sweep memory is bounded by the traces in
-/// active use, not by the whole matrix.
+/// One trace shared by the cells that replay it. The program is generated
+/// lazily by the first worker that needs it and dropped as soon as the last of
+/// those cells finishes, so sweep memory is bounded by the traces in active
+/// use, not by the whole plan.
 struct ProgramSlot {
     program: Option<Arc<Program>>,
     remaining: usize,
@@ -407,41 +406,24 @@ struct TraceSlots {
     tasks: Vec<usize>,
     /// The slot of each cell; `None` for a cache-served cell.
     slot_of: Vec<Option<usize>>,
-    keys: Vec<TraceKey>,
     programs: Vec<Mutex<ProgramSlot>>,
 }
 
 impl TraceSlots {
-    /// Groups the cells `cached` does not serve by `(workload, seed)`, and
-    /// registers this plan's use of each trace arena up front, so the registry
-    /// keeps a decoded arena warm exactly while plans (or an artifact-level pin)
-    /// still need it. [`TraceSlots::finish`] releases the use when the slot's
-    /// last cell finishes, whatever its outcome.
-    fn group(
-        plan: &SweepPlan,
-        cached: &[Option<CpuStats>],
-        arenas: Option<&TraceArenas>,
-    ) -> TraceSlots {
-        let mut index: HashMap<(usize, u64), usize> = HashMap::new();
+    /// Groups the cells `cached` does not serve by [`TraceKey`].
+    fn group(plan: &SweepPlan, cached: &[Option<CpuStats>]) -> TraceSlots {
+        let mut index: HashMap<TraceKey, usize> = HashMap::new();
         let mut slot_cells: Vec<Vec<usize>> = Vec::new();
-        let mut keys: Vec<TraceKey> = Vec::new();
         let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(plan.cells.len());
         for (k, cell) in plan.cells.iter().enumerate() {
             if cached[k].is_some() {
                 slot_of.push(None);
                 continue;
             }
-            let slot = *index
-                .entry((cell.workload, cell.id.seed))
-                .or_insert_with(|| {
-                    slot_cells.push(Vec::new());
-                    keys.push(TraceKey::of(
-                        &plan.workloads[cell.workload],
-                        plan.trace_len,
-                        cell.id.seed,
-                    ));
-                    slot_cells.len() - 1
-                });
+            let slot = *index.entry(cell.trace_key()).or_insert_with(|| {
+                slot_cells.push(Vec::new());
+                slot_cells.len() - 1
+            });
             slot_cells[slot].push(k);
             slot_of.push(Some(slot));
         }
@@ -458,15 +440,9 @@ impl TraceSlots {
                 })
             })
             .collect();
-        if let Some(a) = arenas {
-            for key in &keys {
-                a.register(key, 1);
-            }
-        }
         TraceSlots {
             tasks,
             slot_of,
-            keys,
             programs,
         }
     }
@@ -474,28 +450,17 @@ impl TraceSlots {
     /// The slot's shared program, filled by `acquire` for the first cell that
     /// needs it. The slot's lock is held only while the slot is filled, never
     /// during a simulation.
-    fn program(
-        &self,
-        slot: usize,
-        acquire: impl FnOnce(&TraceKey) -> Arc<Program>,
-    ) -> Arc<Program> {
+    fn program(&self, slot: usize, acquire: impl FnOnce() -> Arc<Program>) -> Arc<Program> {
         let mut guard = self.programs[slot]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            guard
-                .program
-                .get_or_insert_with(|| acquire(&self.keys[slot])),
-        )
+        Arc::clone(guard.program.get_or_insert_with(acquire))
     }
 
-    /// Whether simulated, restored, or failed, cell `k`'s `(workload, seed)` pair
-    /// has one fewer cell outstanding; frees the trace after the last one — and
-    /// releases the plan's use of the shared arena, so registry memory stays
-    /// bounded by the traces still registered (an artifact-level pin, a
-    /// concurrent plan), never by the whole matrix. Cache-served cells have no
-    /// slot: they never joined a trace group in the first place.
-    fn finish(&self, k: usize, arenas: Option<&TraceArenas>) {
+    /// Whether simulated, restored, or failed, cell `k`'s trace has one fewer
+    /// cell outstanding; frees the trace after the last one. Cache-served
+    /// cells have no slot: they never joined a trace group in the first place.
+    fn finish(&self, k: usize) {
         let Some(slot) = self.slot_of[k] else {
             return;
         };
@@ -505,9 +470,6 @@ impl TraceSlots {
         guard.remaining -= 1;
         if guard.remaining == 0 {
             guard.program = None;
-            if let Some(a) = arenas {
-                a.release(&self.keys[slot], 1);
-            }
         }
     }
 }
@@ -600,7 +562,7 @@ fn drain(
                             },
                         };
                         let outcome = publish(id, resolution, worker, tally, opts);
-                        slots.finish(k, opts.arenas);
+                        slots.finish(k);
                         done.push((
                             k,
                             ExperimentCell {
@@ -654,7 +616,7 @@ struct Simulation {
     /// divergence) or "panic"; empty on success.
     phase: &'static str,
     /// Set only for the cell whose worker acquired the shared trace (the
-    /// pair's other cells reuse it for free).
+    /// slot's other cells reuse it for free).
     meter: Option<AcquireMeter>,
 }
 
@@ -678,12 +640,7 @@ fn simulate(
     }
     let mut meter: Option<AcquireMeter> = None;
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let program = slots.program(slot, |key| {
-            // First consumer of this plan's slot: try the cross-plan arena
-            // registry before acquiring the trace.
-            if let Some(p) = opts.arenas.and_then(|a| a.lookup(key)) {
-                return p;
-            }
+        let program = slots.program(slot, || {
             let acquired = acquire_program(
                 &plan.workloads[planned.workload],
                 plan.trace_len,
@@ -694,11 +651,7 @@ fn simulate(
                 push_error(&tally.trace_cache_errors, err);
             }
             meter = Some(acquired.meter);
-            let p = Arc::new(acquired.program);
-            if let Some(a) = opts.arenas {
-                a.publish(key, p.clone());
-            }
-            p
+            Arc::new(acquired.program)
         });
         let config = &plan.configs[planned.config];
         let sim_start = Instant::now();
@@ -838,8 +791,8 @@ fn publish(
                 metrics.trace_acquire_seconds.record(meter.acquire);
                 metrics.decode_seconds.record(meter.decode);
             }
-            // A cell that did not acquire the trace itself was served an
-            // already-decoded shared arena.
+            // A cell that did not acquire the trace itself shared the one its
+            // slot already holds.
             None => metrics.cells_shared_decode.inc(),
         }
         if let Ok(stats) = &sim.result {

@@ -1,14 +1,17 @@
-//! Integration tests for the decode-once shared trace arenas: byte-identity
-//! with and without sharing at every job count against a per-cell
-//! generate-and-simulate reference, arena lifetime bounds (failed cells
-//! included), and kill/resume mid-trace-group with sharing enabled.
+//! Integration tests for trace sharing inside one plan: byte-identity at every
+//! job count against a per-cell generate-and-simulate reference, kill/resume
+//! mid-trace-group, and a render acquiring each trace once across all of its
+//! matrices and specs.
 
 use std::fs;
 use std::path::PathBuf;
 
 use svw_cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
-use svw_sim::{execute_plan, run_cells, JsonlSink, RunOptions, SweepPlan};
-use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
+use svw_sim::{
+    artifact_resolved, execute_plan, render_specs, run_cells, ExperimentCtx, JsonlSink, RunOptions,
+    SweepMetrics, SweepObserver, SweepPlan,
+};
+use svw_workloads::WorkloadProfile;
 
 const LEN: usize = 2_000;
 
@@ -63,10 +66,9 @@ fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
         .collect()
 }
 
-/// Sharing decoded arenas must never change results: `execute_plan` with and
-/// without a cross-plan arena registry, at every job count, produces cell
-/// statistics byte-identical to generating each cell's trace itself and
-/// simulating it on a fresh `Cpu`.
+/// Sharing a plan's traces must never change results: `execute_plan` at every
+/// job count produces cell statistics byte-identical to generating each cell's
+/// trace itself and simulating it on a fresh `Cpu`.
 #[test]
 fn shared_decode_is_byte_identical_across_job_counts() {
     let workloads = workloads();
@@ -88,76 +90,68 @@ fn shared_decode_is_byte_identical_across_job_counts() {
 
     let plan = SweepPlan::enumerate("det", &workloads, &configs, LEN, &seeds, 0);
     for jobs in [1usize, 4, 16] {
-        for shared in [false, true] {
-            let arenas = TraceArenas::new();
-            let opts = RunOptions {
-                jobs,
-                arenas: shared.then_some(&arenas),
-                ..RunOptions::default()
+        let opts = RunOptions {
+            jobs,
+            ..RunOptions::default()
+        };
+        let result = execute_plan(&plan, &opts);
+        assert_eq!(
+            fingerprint(&result.cells),
+            reference,
+            "decode sharing changed results at jobs={jobs}"
+        );
+    }
+}
+
+/// A render is one plan, so each trace is acquired once for every matrix and
+/// spec that replays it: `summary` runs three matrices over the same 16
+/// SPECint traces, and `tables` adds `ssn-width` and `spec-ssbf` over five of
+/// them. Rendering each matrix as its own plan would generate 48 traces for
+/// `summary` alone.
+#[test]
+fn a_render_acquires_each_trace_once_across_its_matrices() {
+    let cases: [(&[&str], u64); 2] = [
+        (&["summary"], 240),
+        (&["ssn-width", "spec-ssbf", "summary"], 285),
+    ];
+    for (names, cells) in cases {
+        let specs: Vec<_> = names
+            .iter()
+            .map(|n| artifact_resolved(n, 1).unwrap())
+            .collect();
+        for jobs in [1usize, 4] {
+            let observer = SweepObserver {
+                metrics: Some(SweepMetrics::new()),
+                ..SweepObserver::default()
             };
-            let result = execute_plan(&plan, &opts);
+            let ctx = ExperimentCtx {
+                opts: RunOptions {
+                    jobs,
+                    obs: Some(&observer),
+                    ..RunOptions::default()
+                },
+                ..ExperimentCtx::new(1_000, 1)
+            };
+            let reports = render_specs(&ctx, &specs).expect("renders");
+            assert_eq!(reports.len(), names.len());
+            let metrics = observer.metrics.as_ref().unwrap();
             assert_eq!(
-                fingerprint(&result.cells),
-                reference,
-                "decode sharing changed results at jobs={jobs} shared={shared}"
+                metrics.traces_generated.get(),
+                16,
+                "{names:?} at jobs={jobs}: one trace per workload"
             );
-            assert_eq!(arenas.live_keys(), 0, "every registration was released");
+            assert_eq!(
+                metrics.cells_shared_decode.get(),
+                cells - 16,
+                "{names:?} at jobs={jobs}: every other cell shares"
+            );
         }
     }
 }
 
-/// The arena registry's lifetime contract: while a plan runs, the number of
-/// retained arenas never exceeds its distinct trace keys, and when the plan
-/// finishes — failed (panicked) cells included — every registration has been
-/// released and nothing stays resident.
-#[test]
-fn arenas_are_bounded_and_drained_even_with_failed_cells() {
-    let workloads = workloads();
-    let mut configs = configs();
-    let mut poisoned = configs[0].clone();
-    poisoned.name = "poisoned".to_string();
-    poisoned.rob_size = 0; // MachineConfig::validate panics inside the cell
-    configs.push(poisoned);
-    let seeds = [1u64, 2];
-    let distinct_keys: usize = {
-        let mut keys: Vec<TraceKey> = workloads
-            .iter()
-            .flat_map(|w| seeds.iter().map(|&s| TraceKey::of(w, LEN, s)))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    };
-
-    let arenas = TraceArenas::new();
-    let opts = RunOptions {
-        jobs: 4,
-        arenas: Some(&arenas),
-        ..RunOptions::default()
-    };
-    let result = run_cells("panic", &workloads, &configs, LEN, &seeds, 0, &opts);
-    assert_eq!(
-        result.failures().count(),
-        workloads.len() * seeds.len(),
-        "every poisoned cell failed, everything else completed"
-    );
-    assert!(
-        arenas.peak_decoded() as usize <= distinct_keys,
-        "peak decoded arenas ({}) exceeded the plan's distinct trace keys ({distinct_keys})",
-        arenas.peak_decoded()
-    );
-    assert_eq!(
-        arenas.live_keys(),
-        0,
-        "failed cells still release their uses"
-    );
-    assert_eq!(arenas.live_decoded(), 0, "no arena outlives the plan");
-}
-
-/// Kill/resume mid-trace-group with sharing enabled: truncate the results file
-/// in the middle of a slot's cell group and resume with arenas on — restored +
-/// re-simulated cells must match a fresh run byte-for-byte, and the arenas must
-/// drain afterwards.
+/// Kill/resume mid-trace-group: truncate the results file in the middle of a
+/// slot's cell group and resume — restored + re-simulated cells must match a
+/// fresh run byte-for-byte.
 #[test]
 fn resume_mid_trace_group_with_shared_decode_is_lossless() {
     let dir = temp_dir("resume");
@@ -169,11 +163,9 @@ fn resume_mid_trace_group_with_shared_decode_is_lossless() {
 
     let fresh = {
         let sink = JsonlSink::open(&path).unwrap();
-        let arenas = TraceArenas::new();
         let opts = RunOptions {
             jobs: 1,
             sink: Some(&sink),
-            arenas: Some(&arenas),
             ..RunOptions::default()
         };
         run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts)
@@ -195,14 +187,12 @@ fn resume_mid_trace_group_with_shared_decode_is_lossless() {
     );
     fs::write(&path, format!("{}\n", lines[..keep].join("\n"))).unwrap();
 
-    let arenas = TraceArenas::new();
     let resumed = {
         let sink = JsonlSink::open(&path).unwrap();
         assert_eq!(sink.restored_count(), keep);
         let opts = RunOptions {
             jobs: 4,
             sink: Some(&sink),
-            arenas: Some(&arenas),
             ..RunOptions::default()
         };
         run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts)
@@ -213,7 +203,6 @@ fn resume_mid_trace_group_with_shared_decode_is_lossless() {
         fingerprint(&fresh.cells),
         "resume with shared decode must be lossless"
     );
-    assert_eq!(arenas.live_keys(), 0, "arenas drain after the resumed plan");
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -5,11 +5,13 @@
 //! — exactly what `svwsim sweep --figure ART --trace-len 2000 --seeds 2
 //! [--model-version 2] [--json]` prints on stdout — plus fig6 and fig8 with
 //! `--substrate` (`ART-substrate.vN.*`), whose tables pin the SSBF lookup and
-//! update traffic per 1k committed instructions. This test renders each
-//! artifact once per model version through the default execution path (shared
-//! decode arenas, recycled worker arenas, more than one job) and compares both
-//! formats byte for byte, so any change to simulated behaviour, aggregation or
-//! formatting shows up as a reviewable diff of the corpus.
+//! update traffic per 1k committed instructions. This test renders the corpus
+//! once per model version through the default execution path — the ten
+//! artifacts as one render-wide plan, the two `--substrate` renders as another
+//! (traces shared across artifacts, recycled worker arenas, more than one
+//! job) — and compares both formats byte for byte, so any change to simulated
+//! behaviour, aggregation or formatting shows up as a reviewable diff of the
+//! corpus.
 //!
 //! On a mismatch the actual renders are written under the target directory and
 //! the failure names that directory: an *intentional* change is reviewed by
@@ -18,8 +20,9 @@
 
 use std::path::{Path, PathBuf};
 
-use svw_sim::{json, render_artifact, ExperimentCtx, RunOptions, ARTIFACT_NAMES};
-use svw_workloads::TraceArenas;
+use svw_sim::{
+    artifact_resolved, json, render_specs, ExperimentCtx, ResolvedSpec, RunOptions, ARTIFACT_NAMES,
+};
 
 const TRACE_LEN: usize = 2_000;
 const SEEDS: [u64; 2] = [1, 2];
@@ -36,13 +39,11 @@ fn corpus_dir() -> PathBuf {
 fn render_corpus() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for &version in &MODEL_VERSIONS {
-        let arenas = TraceArenas::new();
         let ctx = ExperimentCtx {
             seeds: SEEDS.to_vec(),
             model_version: version,
             opts: RunOptions {
                 jobs: 2,
-                arenas: Some(&arenas),
                 ..RunOptions::default()
             },
             ..ExperimentCtx::new(TRACE_LEN, SEEDS[0])
@@ -51,21 +52,25 @@ fn render_corpus() -> Vec<(String, String)> {
             substrate: true,
             ..ctx.clone()
         };
-        let renders = ARTIFACT_NAMES
-            .iter()
-            .map(|&(name, _)| (&ctx, name, name.to_string()))
-            .chain(
-                SUBSTRATE_ARTIFACTS
-                    .iter()
-                    .map(|&name| (&substrate_ctx, name, format!("{name}-substrate"))),
-            );
-        for (ctx, name, stem) in renders {
-            let report = render_artifact(ctx, name).unwrap_or_else(|e| panic!("{stem}: {e}"));
-            out.push((format!("{stem}.v{version}.txt"), format!("{report}\n")));
-            out.push((
-                format!("{stem}.v{version}.json"),
-                format!("{}\n", json::array([report.to_json()])),
-            ));
+        let all: Vec<&str> = ARTIFACT_NAMES.iter().map(|&(name, _)| name).collect();
+        let renders = [
+            (&ctx, &all[..], ""),
+            (&substrate_ctx, &SUBSTRATE_ARTIFACTS[..], "-substrate"),
+        ];
+        for (ctx, names, suffix) in renders {
+            let specs: Vec<ResolvedSpec> = names
+                .iter()
+                .map(|name| artifact_resolved(name, version).expect("builtin artifact"))
+                .collect();
+            let reports = render_specs(ctx, &specs).unwrap_or_else(|e| panic!("v{version}: {e}"));
+            for (resolved, report) in specs.iter().zip(reports) {
+                let stem = format!("{}{suffix}", resolved.spec.name);
+                out.push((format!("{stem}.v{version}.txt"), format!("{report}\n")));
+                out.push((
+                    format!("{stem}.v{version}.json"),
+                    format!("{}\n", json::array([report.to_json()])),
+                ));
+            }
         }
     }
     out

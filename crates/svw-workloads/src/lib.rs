@@ -17,6 +17,12 @@
 //! and pointer-chasing, `vortex` has a high store fraction and heavy forwarding,
 //! `eon` is floating-point flavoured with very predictable branches).
 //!
+//! A generated trace is identified by its [`TraceKey`]: the profile's parameter
+//! [fingerprint](WorkloadProfile::fingerprint), the trace length and the seed.
+//! The on-disk trace cache names its files by it, and a sweep plan groups the
+//! cells that replay one trace by it, so the trace is generated once for all
+//! of them.
+//!
 //! # Example
 //!
 //! ```
@@ -33,12 +39,10 @@
 #![warn(missing_docs)]
 
 mod adversarial;
-pub mod arenas;
 mod generator;
 mod profile;
 mod spec;
 
 pub use adversarial::adversarial_names;
-pub use arenas::{ArenaPin, TraceArenas, TraceKey};
-pub use profile::WorkloadProfile;
+pub use profile::{TraceKey, WorkloadProfile};
 pub use spec::spec2000int_names;

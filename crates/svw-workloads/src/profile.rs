@@ -191,6 +191,33 @@ impl WorkloadProfile {
     }
 }
 
+/// The identity of one generated trace: the workload profile's parameter
+/// [fingerprint](WorkloadProfile::fingerprint) plus the requested length and
+/// generation seed — the same key the on-disk trace cache files are named by.
+/// Keys carry the fingerprint rather than the profile itself, so editing a
+/// profile changes the key instead of replaying a stale trace.
+#[derive(Clone, Debug, Hash, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TraceKey {
+    /// The workload profile's parameter fingerprint
+    /// ([`WorkloadProfile::fingerprint`]).
+    pub fingerprint: u64,
+    /// Requested dynamic trace length.
+    pub trace_len: u64,
+    /// Workload-generation seed.
+    pub seed: u64,
+}
+
+impl TraceKey {
+    /// The key of `profile`'s trace at `(trace_len, seed)`.
+    pub fn of(profile: &WorkloadProfile, trace_len: usize, seed: u64) -> TraceKey {
+        TraceKey {
+            fingerprint: profile.fingerprint(),
+            trace_len: trace_len as u64,
+            seed,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +276,17 @@ mod tests {
             .map(|p| p.fingerprint())
             .collect();
         assert_eq!(fps.len(), 16);
+    }
+
+    #[test]
+    fn keys_follow_the_profile_fingerprint() {
+        let p = WorkloadProfile::quicktest();
+        let k = TraceKey::of(&p, 1_000, 7);
+        assert_eq!(k.fingerprint, p.fingerprint());
+        assert_eq!((k.trace_len, k.seed), (1_000, 7));
+        let mut edited = p.clone();
+        edited.load_frac += 0.01;
+        assert_ne!(TraceKey::of(&edited, 1_000, 7), k, "edits change the key");
     }
 
     #[test]
