@@ -1228,7 +1228,7 @@ fn tab_summary(
     resolved: &ResolvedSpec,
     matrices: &[Matrix],
 ) -> FigureReport {
-    let wnames = matrices[0].workload_names.clone();
+    let wnames = &matrices[0].workload_names;
     let mut table = SeriesTable::new(
         "Re-execution reduction from SVW (unfiltered vs. filtered)",
         "% reduction in re-executed loads",
