@@ -5,8 +5,8 @@
 //! unit organisations and re-execution/SVW settings. [`MachineConfig`] captures all of
 //! those axes; the experiment layer (`svw-sim`) provides the exact per-figure presets.
 
-use svw_core::SvwConfig;
-use svw_mem::HierarchyConfig;
+use svw_core::{SsbfConfig, SsbfOrganization, SsnWidth, SvwConfig, SvwUpdatePolicy};
+use svw_mem::{CacheConfig, HierarchyConfig};
 use svw_predictors::{BranchPredictorConfig, StoreSetsConfig};
 use svw_rle::ItConfig;
 
@@ -267,6 +267,186 @@ impl MachineConfig {
         self
     }
 
+    /// A stable 64-bit fingerprint of the simulated machine: FNV-1a over every
+    /// field except `name` and `model_version`, nested configurations included.
+    /// Two configurations with the same fingerprint simulate identically at the
+    /// same model version, whatever they are called; the result cache and
+    /// `--out` resume key cells by it. Every struct is destructured without
+    /// `..`, so a new field is a compile error here rather than a silent miss.
+    pub fn fingerprint(&self) -> u64 {
+        let MachineConfig {
+            name: _,
+            fetch_width,
+            commit_width,
+            rob_size,
+            iq_size,
+            lq_size,
+            sq_size,
+            phys_regs,
+            issue_int,
+            issue_fp,
+            issue_load,
+            issue_store,
+            issue_branch,
+            frontend_depth,
+            issue_to_execute,
+            reexec_stages,
+            store_commit_ports,
+            lsq,
+            rle,
+            reexec,
+            hierarchy,
+            branch,
+            store_sets,
+            model_version: _,
+        } = self;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for b in word.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for n in [
+            fetch_width,
+            commit_width,
+            rob_size,
+            iq_size,
+            lq_size,
+            sq_size,
+            phys_regs,
+            issue_int,
+            issue_fp,
+            issue_load,
+            issue_store,
+            issue_branch,
+            store_commit_ports,
+        ] {
+            mix(*n as u64);
+        }
+        for n in [frontend_depth, issue_to_execute, reexec_stages] {
+            mix(*n);
+        }
+        // Each enum writes a variant tag before its payload, so the encoding
+        // stays unambiguous.
+        match *lsq {
+            LsqOrganization::Conventional {
+                extra_load_latency,
+                store_exec_bandwidth,
+            } => {
+                mix(0);
+                mix(extra_load_latency);
+                mix(store_exec_bandwidth as u64);
+            }
+            LsqOrganization::Nlq {
+                store_exec_bandwidth,
+            } => {
+                mix(1);
+                mix(store_exec_bandwidth as u64);
+            }
+            LsqOrganization::Ssq {
+                fsq_entries,
+                fwd_buffer_entries,
+                store_exec_bandwidth,
+            } => {
+                mix(2);
+                mix(fsq_entries as u64);
+                mix(fwd_buffer_entries as u64);
+                mix(store_exec_bandwidth as u64);
+            }
+        }
+        match *rle {
+            None => mix(0),
+            Some(ItConfig {
+                entries,
+                assoc,
+                squash_reuse,
+            }) => {
+                mix(1);
+                mix(entries as u64);
+                mix(assoc as u64);
+                mix(u64::from(squash_reuse));
+            }
+        }
+        match *reexec {
+            ReexecMode::None => mix(0),
+            ReexecMode::Full => mix(1),
+            ReexecMode::Perfect => mix(2),
+            ReexecMode::Svw(SvwConfig {
+                ssn_width,
+                ssbf:
+                    SsbfConfig {
+                        entries,
+                        granularity,
+                        organization,
+                        banks,
+                    },
+                update_policy,
+                speculative_ssbf_updates,
+            }) => {
+                mix(3);
+                match ssn_width {
+                    SsnWidth::Infinite => mix(0),
+                    SsnWidth::Bits(bits) => {
+                        mix(1);
+                        mix(u64::from(bits));
+                    }
+                }
+                mix(entries as u64);
+                mix(granularity);
+                mix(match organization {
+                    SsbfOrganization::Simple => 0,
+                    SsbfOrganization::DoubleBloom => 1,
+                    SsbfOrganization::Infinite => 2,
+                });
+                mix(banks as u64);
+                mix(match update_policy {
+                    SvwUpdatePolicy::NoForwardUpdate => 0,
+                    SvwUpdatePolicy::UpdateOnForward => 1,
+                });
+                mix(u64::from(speculative_ssbf_updates));
+            }
+        }
+        let HierarchyConfig {
+            l1i,
+            l1d,
+            l2,
+            memory_latency,
+        } = *hierarchy;
+        for CacheConfig {
+            size_bytes,
+            assoc,
+            line_bytes,
+            hit_latency,
+        } in [l1i, l1d, l2]
+        {
+            mix(size_bytes as u64);
+            mix(assoc as u64);
+            mix(line_bytes as u64);
+            mix(hit_latency);
+        }
+        mix(memory_latency);
+        let BranchPredictorConfig {
+            direction_entries,
+            history_bits,
+            btb_entries,
+            btb_assoc,
+        } = *branch;
+        mix(direction_entries as u64);
+        mix(u64::from(history_bits));
+        mix(btb_entries as u64);
+        mix(btb_assoc as u64);
+        let StoreSetsConfig {
+            ssit_entries,
+            lfst_entries,
+            clear_interval,
+        } = *store_sets;
+        mix(ssit_entries as u64);
+        mix(lfst_entries as u64);
+        mix(clear_interval);
+        h
+    }
+
     /// Basic structural sanity checks.
     ///
     /// # Panics
@@ -361,6 +541,173 @@ mod tests {
             ReexecMode::None,
         )
         .validate();
+    }
+
+    #[test]
+    fn fingerprints_are_stable_and_parameter_sensitive() {
+        // A base that reaches every nested field: SSQ, SVW and RLE all on.
+        let base = || {
+            MachineConfig::eight_wide(
+                "base",
+                LsqOrganization::Ssq {
+                    fsq_entries: 16,
+                    fwd_buffer_entries: 8,
+                    store_exec_bandwidth: 2,
+                },
+                ReexecMode::Svw(SvwConfig::paper_default()),
+            )
+            .with_rle(ItConfig::paper_default())
+        };
+        let fp = base().fingerprint();
+        assert_eq!(fp, base().fingerprint(), "stable");
+
+        let mut renamed = base();
+        renamed.name = "renamed".into();
+        assert_eq!(renamed.fingerprint(), fp, "the name is not the machine");
+        assert_eq!(
+            base().with_model_version(2).fingerprint(),
+            fp,
+            "the model version is keyed on its own"
+        );
+
+        fn svw(c: &mut MachineConfig) -> &mut SvwConfig {
+            match &mut c.reexec {
+                ReexecMode::Svw(svw) => svw,
+                _ => unreachable!("the base uses SVW"),
+            }
+        }
+        fn ssq(c: &mut MachineConfig) -> (&mut usize, &mut usize, &mut usize) {
+            match &mut c.lsq {
+                LsqOrganization::Ssq {
+                    fsq_entries,
+                    fwd_buffer_entries,
+                    store_exec_bandwidth,
+                } => (fsq_entries, fwd_buffer_entries, store_exec_bandwidth),
+                _ => unreachable!("the base uses SSQ"),
+            }
+        }
+        fn rle(c: &mut MachineConfig) -> &mut ItConfig {
+            c.rle.as_mut().expect("the base uses RLE")
+        }
+        type Edit = fn(&mut MachineConfig);
+        let edits: &[(&str, Edit)] = &[
+            ("fetch_width", |c| c.fetch_width += 1),
+            ("commit_width", |c| c.commit_width += 1),
+            ("rob_size", |c| c.rob_size = 64),
+            ("iq_size", |c| c.iq_size += 1),
+            ("lq_size", |c| c.lq_size += 1),
+            ("sq_size", |c| c.sq_size += 1),
+            ("phys_regs", |c| c.phys_regs += 1),
+            ("issue_int", |c| c.issue_int += 1),
+            ("issue_fp", |c| c.issue_fp += 1),
+            ("issue_load", |c| c.issue_load += 1),
+            ("issue_store", |c| c.issue_store += 1),
+            ("issue_branch", |c| c.issue_branch += 1),
+            ("frontend_depth", |c| c.frontend_depth += 1),
+            ("issue_to_execute", |c| c.issue_to_execute += 1),
+            ("reexec_stages", |c| c.reexec_stages += 1),
+            ("store_commit_ports", |c| c.store_commit_ports += 1),
+            ("lsq.fsq_entries", |c| *ssq(c).0 += 1),
+            ("lsq.fwd_buffer_entries", |c| *ssq(c).1 += 1),
+            ("lsq.store_exec_bandwidth", |c| *ssq(c).2 += 1),
+            ("lsq = Nlq", |c| {
+                c.lsq = LsqOrganization::Nlq {
+                    store_exec_bandwidth: 2,
+                }
+            }),
+            ("lsq = Conventional", |c| {
+                c.lsq = LsqOrganization::Conventional {
+                    extra_load_latency: 0,
+                    store_exec_bandwidth: 2,
+                }
+            }),
+            ("lsq.extra_load_latency", |c| {
+                c.lsq = LsqOrganization::Conventional {
+                    extra_load_latency: 2,
+                    store_exec_bandwidth: 2,
+                }
+            }),
+            ("rle = None", |c| c.rle = None),
+            ("rle.entries", |c| rle(c).entries *= 2),
+            ("rle.assoc", |c| rle(c).assoc *= 2),
+            ("rle.squash_reuse", |c| rle(c).squash_reuse ^= true),
+            ("reexec = None", |c| c.reexec = ReexecMode::None),
+            ("reexec = Full", |c| c.reexec = ReexecMode::Full),
+            ("reexec = Perfect", |c| c.reexec = ReexecMode::Perfect),
+            ("svw.ssn_width", |c| svw(c).ssn_width = SsnWidth::Bits(8)),
+            ("svw.ssn_width = Infinite", |c| {
+                svw(c).ssn_width = SsnWidth::Infinite
+            }),
+            ("svw.ssbf.entries", |c| svw(c).ssbf.entries *= 2),
+            ("svw.ssbf.granularity", |c| svw(c).ssbf.granularity = 4),
+            ("svw.ssbf.organization", |c| {
+                svw(c).ssbf.organization = SsbfOrganization::DoubleBloom
+            }),
+            ("svw.ssbf.banks", |c| svw(c).ssbf.banks = 2),
+            ("svw.update_policy", |c| {
+                svw(c).update_policy = SvwUpdatePolicy::NoForwardUpdate
+            }),
+            ("svw.speculative_ssbf_updates", |c| {
+                svw(c).speculative_ssbf_updates ^= true
+            }),
+            ("hierarchy.l1i.size_bytes", |c| {
+                c.hierarchy.l1i.size_bytes *= 2
+            }),
+            ("hierarchy.l1i.assoc", |c| c.hierarchy.l1i.assoc *= 2),
+            ("hierarchy.l1i.line_bytes", |c| {
+                c.hierarchy.l1i.line_bytes *= 2
+            }),
+            ("hierarchy.l1i.hit_latency", |c| {
+                c.hierarchy.l1i.hit_latency += 1
+            }),
+            ("hierarchy.l1d.size_bytes", |c| {
+                c.hierarchy.l1d.size_bytes *= 2
+            }),
+            ("hierarchy.l1d.assoc", |c| c.hierarchy.l1d.assoc *= 2),
+            ("hierarchy.l1d.line_bytes", |c| {
+                c.hierarchy.l1d.line_bytes *= 2
+            }),
+            ("hierarchy.l1d.hit_latency", |c| {
+                c.hierarchy.l1d.hit_latency += 1
+            }),
+            ("hierarchy.l2.size_bytes", |c| {
+                c.hierarchy.l2.size_bytes *= 2
+            }),
+            ("hierarchy.l2.assoc", |c| c.hierarchy.l2.assoc *= 2),
+            ("hierarchy.l2.line_bytes", |c| {
+                c.hierarchy.l2.line_bytes *= 2
+            }),
+            ("hierarchy.l2.hit_latency", |c| {
+                c.hierarchy.l2.hit_latency += 1
+            }),
+            ("hierarchy.memory_latency", |c| {
+                c.hierarchy.memory_latency += 1
+            }),
+            ("branch.direction_entries", |c| {
+                c.branch.direction_entries *= 2
+            }),
+            ("branch.history_bits", |c| c.branch.history_bits += 1),
+            ("branch.btb_entries", |c| c.branch.btb_entries *= 2),
+            ("branch.btb_assoc", |c| c.branch.btb_assoc *= 2),
+            ("store_sets.ssit_entries", |c| {
+                c.store_sets.ssit_entries *= 2
+            }),
+            ("store_sets.lfst_entries", |c| {
+                c.store_sets.lfst_entries *= 2
+            }),
+            ("store_sets.clear_interval", |c| {
+                c.store_sets.clear_interval += 1
+            }),
+        ];
+        let mut seen = std::collections::HashMap::from([(fp, "base")]);
+        for (field, edit) in edits {
+            let mut edited = base();
+            edit(&mut edited);
+            let got = edited.fingerprint();
+            if let Some(other) = seen.insert(got, field) {
+                panic!("editing {field} gives the fingerprint of {other}");
+            }
+        }
     }
 
     #[test]

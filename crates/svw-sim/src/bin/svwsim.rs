@@ -735,6 +735,7 @@ fn replay_trace(
             header.name
         );
     }
+    let config_fingerprint = config.fingerprint();
     let cpu = Cpu::new(config, &program);
     let stats = match oracle_options(args) {
         Some(oracle_opts) => {
@@ -759,6 +760,7 @@ fn replay_trace(
             seed: header.seed,
             trace_len: header.requested_len,
             fingerprint: header.fingerprint,
+            config_fingerprint,
             model_version: args.num("--model-version"),
             spec_fingerprint: 0,
         };

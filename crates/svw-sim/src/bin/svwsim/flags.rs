@@ -145,9 +145,10 @@ pub const FLAGS: [Flag; 32] = [
                   ~/.cache/svw/traces)" },
     Flag { name: "--result-cache", value: "DIR", kind: TEXT,
            scope: SCHEDULER | CACHE | CACHE_GC,
-           help: "content-addressed result cache: a cell found by its full\n\
-                  identity skips acquisition, decode and simulation, and every\n\
-                  fresh cell is published back; renders stay byte-identical\n\
+           help: "content-addressed result cache: a cell whose machine, workload,\n\
+                  trace length, seed and model version were simulated before\n\
+                  skips acquisition, decode and simulation, and every fresh\n\
+                  cell is published back; renders stay byte-identical\n\
                   (default $SVW_RESULT_CACHE; see docs/CACHING.md)" },
     Flag { name: "--no-result-cache", value: "", kind: Switch, scope: SCHEDULER,
            help: "ignore --result-cache and $SVW_RESULT_CACHE (A/B check)" },

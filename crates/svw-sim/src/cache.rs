@@ -1,16 +1,17 @@
 //! Content-addressed global result cache: memoize finished cells across sweeps,
 //! users, and CI (`--result-cache DIR`, `svwsim cache stats|gc|verify`).
 //!
-//! Every successfully simulated cell is already uniquely identified by its full
-//! [`CellId`] — the lineage triple `(result schema, model version, spec
-//! fingerprint)` plus `(matrix, workload, configuration, seed, trace length,
-//! workload fingerprint)` — and serialized as one canonical JSONL line. This
-//! module turns that identity into an address: an FNV-1a hash over the full
-//! identity selects a fanout directory and entry file under the cache root, the
-//! entry holds the canonical line plus an integrity checksum, and a lookup
-//! re-parses the stored line back into lossless [`CpuStats`]. A cell simulated
-//! once — by any sweep, any user sharing the directory — is never simulated
-//! again.
+//! A finished cell is addressed by what it simulates, its
+//! [`SimKey`]: `(result schema, model version, config fingerprint, workload
+//! fingerprint, trace length, seed)`. The matrix label, the configuration name
+//! and the spec fingerprint are not part of it, so every artifact that asks for
+//! the same machine on the same trace shares one entry, and a preset edited
+//! under its old name misses. This module turns the key into an address: an
+//! FNV-1a hash selects a fanout directory and entry file under the cache root,
+//! the entry holds the canonical JSONL line plus an integrity checksum, and a
+//! lookup re-parses the stored line back into lossless [`CpuStats`]. A cell
+//! simulated once — by any sweep, any user sharing the directory — is never
+//! simulated again.
 //!
 //! Layering (cheapest first):
 //!
@@ -23,9 +24,9 @@
 //!
 //! Safety properties:
 //!
-//! * **Lineage mismatches miss.** The hash covers the full identity, and a
-//!   matched entry's stored line is re-parsed and compared against the
-//!   requested id — a different model version, spec fingerprint, or result
+//! * **Key mismatches miss.** The hash covers the whole key, and a matched
+//!   entry's stored line is re-parsed and its key compared against the
+//!   requested one — a different model version, machine, workload, or result
 //!   schema can never be served.
 //! * **Corruption is a miss, never a failure.** A torn entry (a crashed
 //!   writer's truncated tmp leftover, a bad checksum, an unparsable line) is
@@ -49,10 +50,11 @@ use std::time::SystemTime;
 
 use svw_cpu::CpuStats;
 
-use crate::jsonl::{cell_line, parse_cell_line, CellId};
+use crate::jsonl::{cell_line, parse_cell_line, CellId, SimKey};
 
-/// Entry-file magic: format version 1 of the result-cache entry layout.
-const ENTRY_MAGIC: &str = "svwr1";
+/// Entry-file magic: format version 2 of the result-cache entry layout (keyed
+/// by [`SimKey`]; version 1 entries were keyed by the full [`CellId`]).
+const ENTRY_MAGIC: &str = "svwr2";
 
 /// Extension of committed entry files (`<hash>.svwr`).
 const ENTRY_EXT: &str = "svwr";
@@ -179,7 +181,7 @@ pub struct GcReport {
 pub struct ResultCache {
     root: PathBuf,
     mode: CacheMode,
-    index: Vec<Mutex<HashMap<CellId, CpuStats>>>,
+    index: Vec<Mutex<HashMap<SimKey, CpuStats>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -229,25 +231,24 @@ impl ResultCache {
         }
     }
 
-    /// The content address of `id`: FNV-1a over a stable serialization of the
-    /// full cell identity, lineage included. Any identity difference — a new
-    /// model version, an edited spec, a different seed — lands at a different
-    /// address (and a colliding address is still rejected by the stored line's
-    /// identity check on lookup).
+    /// The content address of `id`: FNV-1a over a stable serialization of its
+    /// [`SimKey`] and the result schema. A new model version, an edited
+    /// machine or workload, a different seed or trace length lands at a
+    /// different address (and a colliding address is still rejected by the
+    /// stored line's key check on lookup).
     pub fn cache_key(id: &CellId) -> u64 {
-        let identity = format!(
-            "{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}",
+        let SimKey {
+            model_version,
+            config_fingerprint,
+            fingerprint,
+            trace_len,
+            seed,
+        } = id.sim_key();
+        let key = format!(
+            "{}\u{1f}{model_version}\u{1f}{config_fingerprint}\u{1f}{fingerprint}\u{1f}{trace_len}\u{1f}{seed}",
             crate::registry::RESULT_SCHEMA_VERSION,
-            id.model_version,
-            id.spec_fingerprint,
-            id.matrix,
-            id.workload,
-            id.config,
-            id.seed,
-            id.trace_len,
-            id.fingerprint,
         );
-        fnv1a(identity.as_bytes())
+        fnv1a(key.as_bytes())
     }
 
     fn entry_path(&self, key: u64) -> PathBuf {
@@ -256,8 +257,8 @@ impl ResultCache {
             .join(format!("{key:016x}.{ENTRY_EXT}"))
     }
 
-    fn index_stripe(&self, id: &CellId) -> &Mutex<HashMap<CellId, CpuStats>> {
-        &self.index[(Self::cache_key(id) as usize) % INDEX_STRIPES]
+    fn index_stripe(&self, key: u64) -> &Mutex<HashMap<SimKey, CpuStats>> {
+        &self.index[(key as usize) % INDEX_STRIPES]
     }
 
     /// Looks up `id`, consulting the in-process index first and the on-disk
@@ -269,23 +270,24 @@ impl ResultCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
+        let (key, sim_key) = (Self::cache_key(id), id.sim_key());
         {
             let stripe = self
-                .index_stripe(id)
+                .index_stripe(key)
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(stats) = stripe.get(id) {
+            if let Some(stats) = stripe.get(&sim_key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(stats.clone());
             }
         }
-        match read_entry(&self.entry_path(Self::cache_key(id)), id) {
+        match read_entry(&self.entry_path(key), sim_key) {
             Some(stats) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.index_stripe(id)
+                self.index_stripe(key)
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(id.clone(), stats.clone());
+                    .insert(sim_key, stats.clone());
                 Some(stats)
             }
             None => {
@@ -298,29 +300,29 @@ impl ResultCache {
     /// Publishes one successfully simulated cell: atomically (tmp+rename)
     /// writes the checksummed canonical line, so a concurrent reader sees
     /// either the whole entry or nothing. A no-op under
-    /// [`CacheMode::ReadOnly`], and when an identical entry is already
-    /// indexed in-process. I/O errors are returned for the caller to
+    /// [`CacheMode::ReadOnly`], and when an entry with the same [`SimKey`] is
+    /// already indexed in-process. I/O errors are returned for the caller to
     /// aggregate into a sweep warning — never to abort on.
     pub fn store(&self, id: &CellId, stats: &CpuStats) -> io::Result<()> {
         if self.mode == CacheMode::ReadOnly {
             return Ok(());
         }
+        let key = Self::cache_key(id);
         {
             let mut stripe = self
-                .index_stripe(id)
+                .index_stripe(key)
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if stripe.get(id).is_some() {
+            if stripe.insert(id.sim_key(), stats.clone()).is_some() {
                 return Ok(());
             }
-            stripe.insert(id.clone(), stats.clone());
         }
         let payload = cell_line(id, &Ok(stats.clone()));
         let entry = format!(
             "{ENTRY_MAGIC} {:016x}\n{payload}\n",
             fnv1a(payload.as_bytes())
         );
-        let path = self.entry_path(Self::cache_key(id));
+        let path = self.entry_path(key);
         let result = (|| {
             fs::create_dir_all(path.parent().expect("entry path has a fanout parent"))?;
             // Unique per process *and* per in-flight write, so concurrent
@@ -484,15 +486,15 @@ fn walk_files(dir: &Path) -> io::Result<Vec<FileInfo>> {
     Ok(files)
 }
 
-/// Parses and fully validates one entry file against the requested identity.
+/// Parses and fully validates one entry file against the requested key.
 /// Every failure mode — unreadable, torn (no trailing newline), bad magic, bad
-/// checksum, unparsable line, failed-status line, identity mismatch — is a
-/// silent miss.
-fn read_entry(path: &Path, id: &CellId) -> Option<CpuStats> {
+/// checksum, unparsable line, failed-status line, key mismatch — is a silent
+/// miss.
+fn read_entry(path: &Path, key: SimKey) -> Option<CpuStats> {
     let content = fs::read_to_string(path).ok()?;
     let payload = validate_entry(&content)?;
     match parse_cell_line(payload) {
-        Some((stored_id, Ok(stats))) if stored_id == *id => Some(stats),
+        Some((stored_id, Ok(stats))) if stored_id.sim_key() == key => Some(stats),
         _ => None,
     }
 }
@@ -517,7 +519,7 @@ fn validate_entry(content: &str) -> Option<&str> {
 }
 
 /// Full validation of one entry file on disk: envelope intact, line parses to
-/// a successful cell, and the file sits at the identity's content address.
+/// a successful cell, and the file sits at the key's content address.
 fn entry_is_valid(path: &Path) -> bool {
     let Ok(content) = fs::read_to_string(path) else {
         return false;
@@ -536,6 +538,7 @@ fn entry_is_valid(path: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svw_cpu::MachineConfig;
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -552,6 +555,7 @@ mod tests {
             seed,
             trace_len: 3_000,
             fingerprint: 0xfeed_f00d,
+            config_fingerprint: 0x5151_5151,
             model_version: 1,
             spec_fingerprint: 0xabcd,
         }
@@ -591,18 +595,65 @@ mod tests {
     fn lineage_and_identity_differences_always_miss() {
         let dir = test_dir("lineage");
         let cache = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-        let id = sample_id(1);
+        let preset = crate::presets::config_by_name("nlq-svw").unwrap();
+        let id = CellId {
+            config_fingerprint: preset.fingerprint(),
+            ..sample_id(1)
+        };
         cache.store(&id, &sample_stats(0)).unwrap();
         let mut model_bump = id.clone();
         model_bump.model_version = 2;
-        let mut spec_drift = id.clone();
-        spec_drift.spec_fingerprint ^= 1;
         let mut workload_drift = id.clone();
         workload_drift.fingerprint ^= 1;
-        for miss in [&model_bump, &spec_drift, &workload_drift] {
-            assert!(cache.lookup(miss).is_none(), "{miss:?} must miss");
+        // The preset keeps its name, but the machine it names has changed.
+        let mut stale_preset = id.clone();
+        stale_preset.config_fingerprint = MachineConfig {
+            rob_size: 64,
+            ..preset
+        }
+        .fingerprint();
+        for miss in [&model_bump, &workload_drift, &stale_preset] {
+            let fresh = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+            assert!(fresh.lookup(miss).is_none(), "{miss:?} must miss on disk");
+            assert!(
+                cache.lookup(miss).is_none(),
+                "{miss:?} must miss in-process"
+            );
+        }
+        // Names and the spec are not the machine: the same simulation under
+        // another matrix, configuration name or spec hits.
+        let mut spec_drift = id.clone();
+        spec_drift.spec_fingerprint ^= 1;
+        let mut renamed = id.clone();
+        renamed.matrix = "summary/NLQ".into();
+        renamed.config = "NLQ spec-SSBF".into();
+        for hit in [&spec_drift, &renamed] {
+            let fresh = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+            assert!(fresh.lookup(hit).is_some(), "{hit:?} must hit on disk");
+            assert!(cache.lookup(hit).is_some(), "{hit:?} must hit in-process");
         }
         assert!(cache.lookup(&id).is_some(), "the original still hits");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_of_the_previous_format_miss_and_verify_prunes_them() {
+        let dir = test_dir("svwr1");
+        let cache = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+        let id = sample_id(1);
+        cache.store(&id, &sample_stats(0)).unwrap();
+        // Rewrite the entry in place under the old magic, checksum intact.
+        let path = cache.entry_path(ResultCache::cache_key(&id));
+        let content = fs::read_to_string(&path).unwrap();
+        let (header, payload) = content.split_once('\n').unwrap();
+        let old = header.replacen(ENTRY_MAGIC, "svwr1", 1);
+        fs::write(&path, format!("{old}\n{payload}")).unwrap();
+
+        let fresh = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+        assert!(fresh.lookup(&id).is_none(), "an svwr1 entry is a miss");
+        let report = fresh.verify().unwrap();
+        assert_eq!((report.checked, report.pruned), (1, 1), "{report:?}");
+        assert!(!path.exists(), "verify removed the svwr1 entry");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -615,7 +666,7 @@ mod tests {
         // A torn entry: a writer died after the header, mid-payload.
         let torn_path = cache.entry_path(ResultCache::cache_key(&torn));
         fs::create_dir_all(torn_path.parent().unwrap()).unwrap();
-        fs::write(&torn_path, "svwr1 0123456789abcdef\n{\"matrix\":\"fi").unwrap();
+        fs::write(&torn_path, "svwr2 0123456789abcdef\n{\"matrix\":\"fi").unwrap();
         // A corrupt entry: intact framing, flipped payload byte.
         cache.store(&corrupt, &sample_stats(0)).unwrap();
         let corrupt_path = cache.entry_path(ResultCache::cache_key(&corrupt));

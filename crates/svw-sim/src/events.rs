@@ -259,6 +259,7 @@ mod tests {
             seed: 3,
             trace_len: 4000,
             fingerprint: 0xABCD,
+            config_fingerprint: 0x1234,
             model_version: 1,
             spec_fingerprint: 0,
         }

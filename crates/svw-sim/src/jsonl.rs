@@ -16,16 +16,20 @@
 //! (missing the substrate or fingerprint fields) fail to parse and their cells are
 //! simply re-simulated.
 //!
-//! Each line also records the workload profile's parameter *fingerprint*, making the
-//! stream safe to move between machines: resume refuses to restore a cell whose
-//! workload definition has changed.
+//! Each line also records the workload profile's parameter *fingerprint* and the
+//! machine's [`MachineConfig::fingerprint`](svw_cpu::MachineConfig::fingerprint),
+//! making the stream safe to move between machines: resume refuses to restore a
+//! cell whose workload or machine definition has changed.
 //!
-//! Since result schema 2, every line additionally carries its *lineage*: the
-//! result `schema` version, the behavioural `model_version` the cell was
-//! simulated under, and the `spec_fingerprint` of the experiment spec that
-//! enumerated it (see [`crate::registry`]). Both lineage values are part of the
-//! cell identity, so results simulated under different model versions — or under
-//! a spec whose definition drifted — are never reconciled as interchangeable.
+//! Resume matches a cell by its [`SimKey`] alone: what it simulates, not what a
+//! render calls it. A line restores every planned cell with the same model
+//! version, config fingerprint, workload fingerprint, trace length and seed,
+//! whichever matrix or configuration name it was written under. The `matrix`,
+//! `config` and `spec_fingerprint` fields stay on every line for renders and
+//! readers; they are not part of the identity.
+//!
+//! Result schema 3 added `config_fingerprint`. Lines of any other schema fail
+//! to parse and their cells are re-simulated.
 
 use std::collections::HashMap;
 use std::fs;
@@ -200,9 +204,8 @@ fn stat_set(s: &mut CpuStats, field: &str, v: u64) {
     }
 }
 
-/// The identity of one experiment cell, as recorded in (and matched against) the
-/// JSONL stream. `matrix` disambiguates configurations that share a display name
-/// across different artifacts (e.g. `+SVW+UPD` appears in both Figure 5 and 6).
+/// One experiment cell as recorded in the JSONL stream: what it simulates (its
+/// [`SimKey`]) plus the names a render files it under.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub struct CellId {
     /// Matrix label (artifact name, e.g. `"fig5"` or `"summary/SSQ"`).
@@ -216,19 +219,54 @@ pub struct CellId {
     /// Per-workload dynamic trace length.
     pub trace_len: u64,
     /// The workload profile's parameter fingerprint
-    /// ([`svw_workloads::WorkloadProfile::fingerprint`]). Part of the identity:
+    /// ([`svw_workloads::WorkloadProfile::fingerprint`]). Part of the key:
     /// results produced by a *different* workload definition (an edited profile, an
     /// older binary) never restore on resume or hit in the result cache.
     pub fingerprint: u64,
+    /// The machine's fingerprint ([`svw_cpu::MachineConfig::fingerprint`]). Part
+    /// of the key: a preset edited under its old name never restores or hits,
+    /// and two names for one machine share their results.
+    pub config_fingerprint: u64,
     /// Behavioural model version the cell was simulated under
-    /// ([`svw_cpu::MachineConfig::model_version`]). Part of the identity: results
+    /// ([`svw_cpu::MachineConfig::model_version`]). Part of the key: results
     /// from different model versions are never mixed on resume or in the result
     /// cache.
     pub model_version: u32,
     /// Fingerprint of the experiment spec's canonical form
     /// ([`crate::registry::spec_fingerprint`]); `0` for ad-hoc cells that were not
-    /// enumerated from a spec (e.g. `svwsim run`).
+    /// enumerated from a spec (e.g. `svwsim run`). Recorded for readers, not part
+    /// of the key: a spec edit that leaves every machine unchanged reuses results.
     pub spec_fingerprint: u64,
+}
+
+/// What a cell simulates: the only identity the result cache and `--out`
+/// resume match on. The result schema is implied, since lines and entries of
+/// another schema never parse.
+#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+pub struct SimKey {
+    /// Behavioural model version.
+    pub model_version: u32,
+    /// [`CellId::config_fingerprint`].
+    pub config_fingerprint: u64,
+    /// [`CellId::fingerprint`] (the workload's).
+    pub fingerprint: u64,
+    /// Per-workload dynamic trace length.
+    pub trace_len: u64,
+    /// Workload-generation seed.
+    pub seed: u64,
+}
+
+impl CellId {
+    /// The cell's simulation key.
+    pub fn sim_key(&self) -> SimKey {
+        SimKey {
+            model_version: self.model_version,
+            config_fingerprint: self.config_fingerprint,
+            fingerprint: self.fingerprint,
+            trace_len: self.trace_len,
+            seed: self.seed,
+        }
+    }
 }
 
 /// Serializes one finished cell as a single JSONL line (no trailing newline).
@@ -240,6 +278,7 @@ pub fn cell_line(id: &CellId, result: &Result<CpuStats, String>) -> String {
         ("seed", json::uint(id.seed)),
         ("trace_len", json::uint(id.trace_len)),
         ("fingerprint", json::uint(id.fingerprint)),
+        ("config_fingerprint", json::uint(id.config_fingerprint)),
         ("schema", json::uint(crate::registry::RESULT_SCHEMA_VERSION)),
         ("model_version", json::uint(u64::from(id.model_version))),
         ("spec_fingerprint", json::uint(id.spec_fingerprint)),
@@ -269,7 +308,7 @@ pub fn parse_cell_line(line: &str) -> Option<(CellId, Result<CpuStats, String>)>
     let fields = json::parse_flat_object(line)?;
     let lookup = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
     // Lines written under a different result schema (e.g. by an older binary
-    // that predates the lineage fields) fail to parse and are re-simulated.
+    // that predates the config fingerprint) fail to parse and are re-simulated.
     if lookup("schema")?.as_u64()? != crate::registry::RESULT_SCHEMA_VERSION {
         return None;
     }
@@ -280,6 +319,7 @@ pub fn parse_cell_line(line: &str) -> Option<(CellId, Result<CpuStats, String>)>
         seed: lookup("seed")?.as_u64()?,
         trace_len: lookup("trace_len")?.as_u64()?,
         fingerprint: lookup("fingerprint")?.as_u64()?,
+        config_fingerprint: lookup("config_fingerprint")?.as_u64()?,
         model_version: u32::try_from(lookup("model_version")?.as_u64()?).ok()?,
         spec_fingerprint: lookup("spec_fingerprint")?.as_u64()?,
     };
@@ -303,13 +343,15 @@ pub fn parse_cell_line(line: &str) -> Option<(CellId, Result<CpuStats, String>)>
 }
 
 /// An append-only JSONL results file shared by all sweep workers, with the already-
-/// present cells indexed for resume.
+/// present cells indexed by [`SimKey`] for resume.
 #[derive(Debug)]
 pub struct JsonlSink {
     path: PathBuf,
     file: Mutex<fs::File>,
     /// Successfully simulated cells found in the file at open time (last line wins).
-    restored: HashMap<CellId, CpuStats>,
+    restored: HashMap<SimKey, CpuStats>,
+    /// Lines of successful cells found in the file at open time.
+    restored_lines: usize,
     /// Lines at open time that did not parse (e.g. one truncated by a kill).
     skipped_lines: usize,
 }
@@ -320,6 +362,7 @@ impl JsonlSink {
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         let mut restored = HashMap::new();
+        let mut restored_lines = 0usize;
         let mut skipped_lines = 0usize;
         let mut ends_mid_line = false;
         if let Ok(existing) = fs::read_to_string(&path) {
@@ -333,7 +376,8 @@ impl JsonlSink {
                 }
                 match parse_cell_line(line) {
                     Some((id, Ok(stats))) => {
-                        restored.insert(id, stats);
+                        restored.insert(id.sim_key(), stats);
+                        restored_lines += 1;
                     }
                     // Failed cells are re-tried on resume; their line is kept for the
                     // record but not restored.
@@ -353,6 +397,7 @@ impl JsonlSink {
             path,
             file: Mutex::new(file),
             restored,
+            restored_lines,
             skipped_lines,
         })
     }
@@ -362,9 +407,10 @@ impl JsonlSink {
         &self.path
     }
 
-    /// How many finished cells were found (and will be skipped) at open time.
+    /// How many finished cells were found at open time. Every planned cell
+    /// whose [`SimKey`] one of them has is restored instead of simulated.
     pub fn restored_count(&self) -> usize {
-        self.restored.len()
+        self.restored_lines
     }
 
     /// How many lines at open time did not parse (typically a line truncated by an
@@ -373,9 +419,10 @@ impl JsonlSink {
         self.skipped_lines
     }
 
-    /// The restored statistics for `id`, if its cell finished in a previous run.
+    /// The restored statistics for `id`'s [`SimKey`], if a cell with that key
+    /// finished in a previous run (under any matrix or configuration name).
     pub fn lookup(&self, id: &CellId) -> Option<CpuStats> {
-        self.restored.get(id).cloned()
+        self.restored.get(&id.sim_key()).cloned()
     }
 
     /// Appends one finished cell and flushes, so an interrupted sweep loses at most
@@ -410,6 +457,7 @@ mod tests {
             seed: 7,
             trace_len: 60_000,
             fingerprint: 0xdead_beef_0123_4567,
+            config_fingerprint: 0x7654_3210_fedc_ba98,
             model_version: 2,
             spec_fingerprint: 0x0123_4567_89ab_cdef,
         };
@@ -439,6 +487,7 @@ mod tests {
             seed: 1,
             trace_len: 10,
             fingerprint: 1,
+            config_fingerprint: 2,
             model_version: 1,
             spec_fingerprint: 0,
         };
@@ -461,11 +510,13 @@ mod tests {
             seed: 1,
             trace_len: 100,
             fingerprint: 42,
+            config_fingerprint: 43,
             model_version: 1,
             spec_fingerprint: 7,
         };
         let failed_id = CellId {
             workload: "b".into(),
+            fingerprint: 44,
             ..ok_id.clone()
         };
         {

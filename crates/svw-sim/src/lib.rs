@@ -45,8 +45,9 @@
 //!
 //! Finished cells themselves are memoizable across sweeps, users, and CI
 //! through the content-addressed **result cache** ([`cache`]): `--result-cache
-//! DIR` makes [`runner::execute_plan`] consult a shared store keyed by the full
-//! cell identity (lineage triple included) before scheduling anything — a hit
+//! DIR` makes [`runner::execute_plan`] consult a shared store keyed by what a
+//! cell simulates ([`SimKey`]: model version, machine and workload
+//! fingerprints, trace length, seed) before scheduling anything — a hit
 //! becomes [`runner::CellOutcome::Cached`], skipping trace acquisition, decode,
 //! and simulation entirely — and publishes every freshly simulated cell back via
 //! atomic tmp+rename writes, so concurrent sweeps can share one directory.
@@ -68,8 +69,9 @@
 //!
 //! Results carry **lineage**: every JSONL cell line and result-cache entry
 //! records the `(result schema, model version, spec fingerprint)` triple it was
-//! produced under, so a resume or cache lookup never mixes results from
-//! different lineages, and a render at `--model-version 2` records why it
+//! produced under. The schema and the model version are part of the
+//! [`SimKey`], so a resume or cache lookup never mixes model versions, and a
+//! render at `--model-version 2` records why it
 //! diverges from the byte-identical v1 baseline (see `docs/EXPERIMENTS.md`). The
 //! operational walkthrough lives in `docs/SWEEPS.md` and `docs/OBSERVABILITY.md`;
 //! the crate map in `docs/ARCHITECTURE.md`.
@@ -97,7 +99,7 @@ pub use experiments::{
     run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep, ExperimentCtx, Stat,
     ARTIFACT_NAMES,
 };
-pub use jsonl::{CellId, JsonlSink};
+pub use jsonl::{CellId, JsonlSink, SimKey};
 pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver, WorkerStats};
 pub use planner::{artifact_plans, PlannedCell, SweepPlan};
 pub use profile::{profile_events, CellProfile, PhaseTotals, ProfileReport};

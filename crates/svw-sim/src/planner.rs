@@ -4,8 +4,8 @@
 //! architecture: it enumerates each matrix's `(workload, configuration, seed)`
 //! cells in the canonical order every downstream consumer assumes (workload-major,
 //! then configuration, then seed) and carries each cell's full [`CellId`]
-//! (including the workload fingerprint and the `(model_version, spec_fingerprint)`
-//! lineage).
+//! (including the workload and config fingerprints and the `(model_version,
+//! spec_fingerprint)` lineage).
 //!
 //! A non-adaptive render is one plan: [`render_plan`] lays the matrices of every
 //! spec it renders end to end, so [`crate::runner::execute_plan`] sees every cell
@@ -70,7 +70,8 @@ impl SweepPlan {
     /// workload-major, then configuration, then seed — the order every renderer
     /// and resume file assumes. Each cell's lineage is the config's
     /// own [`MachineConfig::model_version`] plus the given `spec_fingerprint` (`0`
-    /// for ad-hoc sweeps not enumerated from a spec).
+    /// for ad-hoc sweeps not enumerated from a spec); its config fingerprint is
+    /// [`MachineConfig::fingerprint`].
     pub fn enumerate(
         matrix: &str,
         workloads: &[WorkloadProfile],
@@ -107,6 +108,8 @@ impl SweepPlan {
         let (w0, c0) = (self.workloads.len(), self.configs.len());
         self.cells
             .reserve(workloads.len() * configs.len() * seeds.len());
+        let config_fingerprints: Vec<u64> =
+            configs.iter().map(MachineConfig::fingerprint).collect();
         for (w, workload) in workloads.iter().enumerate() {
             let fingerprint = workload.fingerprint();
             for (c, config) in configs.iter().enumerate() {
@@ -119,6 +122,7 @@ impl SweepPlan {
                             seed,
                             trace_len: self.trace_len as u64,
                             fingerprint,
+                            config_fingerprint: config_fingerprints[c],
                             model_version: config.model_version,
                             spec_fingerprint,
                         },
@@ -248,6 +252,7 @@ mod tests {
                                 seed,
                                 trace_len: trace_len as u64,
                                 fingerprint,
+                                config_fingerprint: c.fingerprint(),
                                 model_version: 1,
                                 spec_fingerprint,
                             });
@@ -290,6 +295,54 @@ mod tests {
                 cell.id.fingerprint
             );
         }
+    }
+
+    /// The result cache and `--out` resume share results between names for one
+    /// machine; these are the sharings the builtin artifacts rely on.
+    #[test]
+    fn config_axes_share_machines_across_names() {
+        let axis = |name: &str| crate::registry::config_axis(name).expect("builtin axis");
+        let fingerprint_of = |axis_name: &str, config: &str| {
+            axis(axis_name)
+                .iter()
+                .find(|c| c.name == config)
+                .unwrap_or_else(|| panic!("{axis_name} has no {config:?}"))
+                .fingerprint()
+        };
+        let ssq_svw = fingerprint_of("fig6-ssq", "+SVW+UPD");
+        assert_eq!(fingerprint_of("fig8-ssbf", "512"), ssq_svw);
+        assert_eq!(fingerprint_of("ssn-width", "16-bit"), ssq_svw);
+        assert_eq!(
+            fingerprint_of("ssbf-update-policy", "SSQ spec-SSBF"),
+            ssq_svw
+        );
+        let nlq_svw = fingerprint_of("fig5-nlq", "+SVW+UPD");
+        assert_eq!(
+            fingerprint_of("ssbf-update-policy", "NLQ spec-SSBF"),
+            nlq_svw
+        );
+        assert_ne!(nlq_svw, ssq_svw);
+
+        let configs: Vec<MachineConfig> = crate::registry::config_axis_names()
+            .into_iter()
+            .flat_map(axis)
+            .collect();
+        let machines: std::collections::HashSet<u64> =
+            configs.iter().map(MachineConfig::fingerprint).collect();
+        assert_eq!((configs.len(), machines.len()), (30, 26));
+    }
+
+    /// The ten builtin artifacts at one seed plan 662 cells but only 335
+    /// distinct simulations.
+    #[test]
+    fn builtin_artifacts_plan_335_distinct_simulations() {
+        let ids: Vec<CellId> = ARTIFACT_NAMES
+            .iter()
+            .flat_map(|(name, _)| artifact_plans(name, 1_000, &[1], 1).unwrap())
+            .flat_map(|plan| plan.cells.into_iter().map(|c| c.id))
+            .collect();
+        let keys: std::collections::HashSet<_> = ids.iter().map(CellId::sim_key).collect();
+        assert_eq!((ids.len(), keys.len()), (662, 335));
     }
 
     #[test]

@@ -44,9 +44,12 @@ pub const SPEC_SCHEMA_VERSION: u64 = 1;
 /// Schema version stamped on every JSONL result line and plan-file header.
 ///
 /// Version 2 added the lineage fields (`model_version`, `spec_fingerprint`);
-/// lines written by schema-1 binaries fail to parse and their cells are
-/// re-simulated, per the resume contract documented in [`crate::jsonl`].
-pub const RESULT_SCHEMA_VERSION: u64 = 2;
+/// version 3 added `config_fingerprint`, which with the model version, the
+/// workload fingerprint, the trace length and the seed is the key results are
+/// matched on. Lines written under any other schema fail to parse and their
+/// cells are re-simulated, per the resume contract documented in
+/// [`crate::jsonl`].
+pub const RESULT_SCHEMA_VERSION: u64 = 3;
 
 /// Highest behavioural model version this binary implements.
 pub const LATEST_MODEL_VERSION: u32 = 2;

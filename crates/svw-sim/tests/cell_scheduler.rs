@@ -232,8 +232,9 @@ fn jsonl_resume_skips_finished_cells_without_duplicates_or_gaps() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Different matrix labels must not collide in one results file (identically named
-/// configurations appear in several figures).
+/// Matrix labels stay on every line, so identically named configurations from
+/// different figures are both recorded. Resume matches on what a cell
+/// simulates, so a later run restores either label's cell from the other.
 #[test]
 fn matrix_labels_disambiguate_identical_cell_names() {
     let dir = temp_dir("labels");
@@ -254,5 +255,107 @@ fn matrix_labels_disambiguate_identical_cell_names() {
 
     let sink = JsonlSink::open(&path).unwrap();
     assert_eq!(sink.restored_count(), 2);
+    let opts = RunOptions {
+        sink: Some(&sink),
+        ..RunOptions::default()
+    };
+    let c = run_cells("figC", &workloads, &configs, LEN, &[1], 0, &opts);
+    assert_eq!(c.restored, 1, "the same machine on the same trace resumes");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A preset edited under its old name simulates a different machine: resuming
+/// from a file written before the edit must re-simulate every cell.
+#[test]
+fn stale_preset_must_not_resume_from_out() {
+    let dir = temp_dir("stale");
+    let path = dir.join("results.jsonl");
+    let (workloads, configs) = (workloads(), configs());
+    {
+        let sink = JsonlSink::open(&path).unwrap();
+        let opts = RunOptions {
+            sink: Some(&sink),
+            ..RunOptions::default()
+        };
+        run_cells("stale", &workloads, &configs, LEN, &[1], 0, &opts);
+    }
+    let edited: Vec<MachineConfig> = configs
+        .iter()
+        .map(|c| {
+            assert_eq!(c.rob_size, 512);
+            MachineConfig {
+                rob_size: 64,
+                ..c.clone()
+            }
+        })
+        .collect();
+    let sink = JsonlSink::open(&path).unwrap();
+    let opts = RunOptions {
+        sink: Some(&sink),
+        ..RunOptions::default()
+    };
+    let resumed = run_cells("stale", &workloads, &edited, LEN, &[1], 0, &opts);
+    assert_eq!(
+        resumed.restored, 0,
+        "no cell of the old machine is restored"
+    );
+    let fresh = run_cells(
+        "stale",
+        &workloads,
+        &edited,
+        LEN,
+        &[1],
+        0,
+        &RunOptions::default(),
+    );
+    assert_eq!(fingerprint(&resumed.cells), fingerprint(&fresh.cells));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Lines of result schema 2 (before `config_fingerprint`) do not parse, so
+/// their cells are re-simulated rather than restored.
+#[test]
+fn schema_2_out_file_re_simulates_its_cells() {
+    let dir = temp_dir("schema2");
+    let path = dir.join("results.jsonl");
+    let (workloads, configs) = (workloads(), configs());
+    let total = workloads.len() * configs.len();
+    {
+        let sink = JsonlSink::open(&path).unwrap();
+        let opts = RunOptions {
+            sink: Some(&sink),
+            ..RunOptions::default()
+        };
+        run_cells("schema", &workloads, &configs, LEN, &[1], 0, &opts);
+    }
+    // Rewrite each line as schema 2 wrote it: no config fingerprint.
+    let old: String = fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let (head, rest) = line.split_once(",\"config_fingerprint\":").unwrap();
+            let rest = &rest[rest.find(',').unwrap()..];
+            format!(
+                "{head}{}\n",
+                rest.replacen("\"schema\":3", "\"schema\":2", 1)
+            )
+        })
+        .collect();
+    assert!(old.contains("\"schema\":2") && !old.contains("config_fingerprint"));
+    fs::write(&path, old).unwrap();
+
+    let sink = JsonlSink::open(&path).unwrap();
+    assert_eq!(sink.restored_count(), 0);
+    assert_eq!(
+        sink.skipped_lines(),
+        total,
+        "every schema-2 line is skipped"
+    );
+    let opts = RunOptions {
+        sink: Some(&sink),
+        ..RunOptions::default()
+    };
+    let resumed = run_cells("schema", &workloads, &configs, LEN, &[1], 0, &opts);
+    assert_eq!(resumed.restored, 0, "schema-2 cells are re-simulated");
     let _ = fs::remove_dir_all(&dir);
 }

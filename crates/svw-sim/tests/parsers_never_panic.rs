@@ -162,6 +162,7 @@ fn seeds() -> &'static Seeds {
             seed: 3,
             trace_len: 500,
             fingerprint: workloads[0].fingerprint(),
+            config_fingerprint: configs[0].fingerprint(),
             model_version: 1,
             spec_fingerprint: 0,
         };

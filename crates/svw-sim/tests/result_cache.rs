@@ -1,6 +1,7 @@
 //! Integration tests for the content-addressed result cache: warm-cache
-//! byte-identity at every job count across every builtin artifact, lineage
-//! mismatches that must miss, and concurrent sweeps sharing one cache
+//! byte-identity at every job count across every builtin artifact, key
+//! mismatches that must miss (and spec edits that must not), artifacts that
+//! share machines sharing results, and concurrent sweeps sharing one cache
 //! directory.
 
 use std::fs;
@@ -114,6 +115,49 @@ fn warm_cache_renders_every_builtin_artifact_byte_identically_at_every_job_count
 }
 
 #[test]
+fn artifacts_that_repeat_a_figure_simulate_nothing_after_it() {
+    let dir = temp_dir("shared");
+    let render = |rc: Option<&ResultCache>, name: &str| {
+        let ctx = ExperimentCtx {
+            trace_len: 400,
+            seeds: vec![1],
+            adaptive: None,
+            substrate: false,
+            model_version: 1,
+            opts: RunOptions {
+                result_cache: rc,
+                ..RunOptions::default()
+            },
+        };
+        let report = render_artifact(&ctx, name).unwrap();
+        (format!("{report}"), report.to_json())
+    };
+    for (figures, repeat) in [
+        (&["fig5", "fig6", "fig7"][..], "summary"),
+        (&["fig8"][..], "substrate-ssbf"),
+    ] {
+        let cache_dir = dir.join(repeat);
+        let rc = ResultCache::open(&cache_dir, CacheMode::ReadWrite).unwrap();
+        for figure in figures {
+            render(Some(&rc), figure);
+        }
+        let warm = ResultCache::open(&cache_dir, CacheMode::ReadWrite).unwrap();
+        assert_eq!(
+            render(Some(&warm), repeat),
+            render(None, repeat),
+            "{repeat}"
+        );
+        let counters = warm.counters();
+        assert_eq!(
+            counters.misses, 0,
+            "{repeat} after {figures:?} simulates nothing"
+        );
+        assert!(counters.hits > 0);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn lineage_mismatches_must_miss() {
     let dir = temp_dir("lineage");
     let (workloads, configs) = (workloads(), configs());
@@ -141,7 +185,8 @@ fn lineage_mismatches_must_miss() {
     assert_eq!(v2.counters().hits, 0, "model v2 must not reuse v1 results");
     assert_eq!(result.cached, 0);
 
-    // Same cells under an edited spec fingerprint: every lookup must miss.
+    // Same machines under an edited spec fingerprint: the spec is not the
+    // machine, so every lookup hits.
     let fp = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
     let opts = RunOptions {
         result_cache: Some(&fp),
@@ -149,9 +194,35 @@ fn lineage_mismatches_must_miss() {
     };
     let result = run_cells("lineage", &workloads, &configs, LEN, &seeds, 8, &opts);
     assert_eq!(
-        fp.counters().hits,
+        fp.counters().misses,
         0,
-        "an edited spec fingerprint must not reuse the old spec's results"
+        "a spec edit that leaves every machine unchanged must reuse its results"
+    );
+    assert_eq!(result.cached, result.cells.len());
+    assert_eq!(fingerprint(&result.cells), fingerprint(&baseline.cells));
+
+    // A stale preset: each config keeps its name, but its ROB shrinks from
+    // 512 to 64 entries. Every lookup must miss.
+    let stale_configs: Vec<MachineConfig> = configs
+        .iter()
+        .map(|c| {
+            assert_eq!(c.rob_size, 512);
+            MachineConfig {
+                rob_size: 64,
+                ..c.clone()
+            }
+        })
+        .collect();
+    let stale = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+    let opts = RunOptions {
+        result_cache: Some(&stale),
+        ..RunOptions::default()
+    };
+    let result = run_cells("lineage", &workloads, &stale_configs, LEN, &seeds, 7, &opts);
+    assert_eq!(
+        stale.counters().hits,
+        0,
+        "a preset edited under its old name must not reuse the old machine's results"
     );
     assert_eq!(result.cached, 0);
 
