@@ -5,13 +5,16 @@
 //! — exactly what `svwsim sweep --figure ART --trace-len 2000 --seeds 2
 //! [--model-version 2] [--json]` prints on stdout — plus fig6 and fig8 with
 //! `--substrate` (`ART-substrate.vN.*`), whose tables pin the SSBF lookup and
-//! update traffic per 1k committed instructions. This test renders the corpus
-//! once per model version through the default execution path — the ten
-//! artifacts as one render-wide plan, the two `--substrate` renders as another
-//! (traces shared across artifacts, recycled worker arenas, more than one
-//! job) — and compares both formats byte for byte, so any change to simulated
-//! behaviour, aggregation or formatting shows up as a reviewable diff of the
-//! corpus.
+//! update traffic per 1k committed instructions. At model version 1 the three
+//! `tables` artifacts are also pinned as one adaptive render
+//! (`ART-adaptive.v1.*`: `svwsim tables --trace-len 2000 --ci-target 25
+//! --min-seeds 2 --max-seeds 3`), whose notes record each workload's seed
+//! count. This test renders the corpus once per model version through the
+//! default execution path — the ten artifacts as one render, the two
+//! `--substrate` renders as another, the adaptive `tables` as a third (traces
+//! shared across artifacts, recycled worker arenas, more than one job) — and
+//! compares both formats byte for byte, so any change to simulated behaviour,
+//! aggregation or formatting shows up as a reviewable diff of the corpus.
 //!
 //! On a mismatch the actual renders are written under the target directory and
 //! the failure names that directory: an *intentional* change is reviewed by
@@ -21,7 +24,8 @@
 use std::path::{Path, PathBuf};
 
 use svw_sim::{
-    artifact_resolved, json, render_specs, ExperimentCtx, ResolvedSpec, RunOptions, ARTIFACT_NAMES,
+    artifact_resolved, json, render_specs, AdaptiveOpts, ExperimentCtx, ResolvedSpec, RunOptions,
+    ARTIFACT_NAMES,
 };
 
 const TRACE_LEN: usize = 2_000;
@@ -29,6 +33,15 @@ const SEEDS: [u64; 2] = [1, 2];
 const MODEL_VERSIONS: [u32; 2] = [1, 2];
 /// Artifacts additionally pinned with the substrate-level tables appended.
 const SUBSTRATE_ARTIFACTS: [&str; 2] = ["fig6", "fig8"];
+/// The `tables` artifacts, additionally pinned as one adaptive render at v1.
+const TABLES: [&str; 3] = ["ssn-width", "spec-ssbf", "summary"];
+/// The adaptive policy of that render: loose enough that some workloads stop
+/// at `min_seeds` and others run to `max_seeds`.
+const ADAPTIVE: AdaptiveOpts = AdaptiveOpts {
+    ci_target_pct: 25.0,
+    min_seeds: 2,
+    max_seeds: 3,
+};
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/renders")
@@ -52,11 +65,19 @@ fn render_corpus() -> Vec<(String, String)> {
             substrate: true,
             ..ctx.clone()
         };
+        let adaptive_ctx = ExperimentCtx {
+            seeds: vec![SEEDS[0]],
+            adaptive: Some(ADAPTIVE),
+            ..ctx.clone()
+        };
         let all: Vec<&str> = ARTIFACT_NAMES.iter().map(|&(name, _)| name).collect();
-        let renders = [
+        let mut renders = vec![
             (&ctx, &all[..], ""),
             (&substrate_ctx, &SUBSTRATE_ARTIFACTS[..], "-substrate"),
         ];
+        if version == 1 {
+            renders.push((&adaptive_ctx, &TABLES[..], "-adaptive"));
+        }
         for (ctx, names, suffix) in renders {
             let specs: Vec<ResolvedSpec> = names
                 .iter()
