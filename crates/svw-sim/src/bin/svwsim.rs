@@ -17,10 +17,10 @@ use std::process::ExitCode;
 use svw_cpu::Cpu;
 use svw_sim::registry::AdaptiveDefaults;
 use svw_sim::{
-    json, presets, profile_events, registry, render_resolved, render_specs, run_cells,
-    AdaptiveOpts, CacheMode, CellId, DifferentialChecker, EventSink, ExperimentCtx, ExperimentSpec,
-    FigureReport, JsonlSink, OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat,
-    SweepMetrics, SweepObserver, SweepResult, LATEST_MODEL_VERSION,
+    json, presets, profile_events, registry, render_specs, run_cells, AdaptiveOpts, CacheMode,
+    CellId, DifferentialChecker, EventSink, ExperimentCtx, ExperimentSpec, FigureReport, JsonlSink,
+    OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat, SweepMetrics,
+    SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
 use svw_trace::{TraceCache, TraceReader};
 use svw_workloads::WorkloadProfile;
@@ -32,6 +32,9 @@ mod flags;
 mod tests;
 
 use flags::Args;
+
+/// The artifacts `svwsim tables` renders, as one render.
+const TABLES: [&str; 3] = ["ssn-width", "spec-ssbf", "summary"];
 
 const USAGE: &str = "\
 svwsim — Store Vulnerability Window (ISCA 2005) reproduction driver
@@ -157,6 +160,13 @@ fn oracle_options(args: &Args) -> Option<OracleOptions> {
     args.has("--oracle").then(|| OracleOptions {
         inject_fault: args.int("--inject-fault"),
     })
+}
+
+/// The one adaptive sampling policy of a render of `specs`: bounded by the
+/// flags, else by the first spec's `[adaptive]` block (the `tables` specs
+/// declare the same block), else by the flag defaults.
+fn render_policy(args: &Args, specs: &[ResolvedSpec]) -> Option<AdaptiveOpts> {
+    adaptive(args, specs.first().and_then(|r| r.spec.adaptive.as_ref()))
 }
 
 /// The adaptive sampling policy, when `--ci-target` was given (validated).
@@ -867,39 +877,20 @@ fn print_replicated(args: &Args, workload: &str, config_name: &str, result: &Swe
 /// `--json`), and exits 1 if `--oracle` failed any cell.
 fn run_render(args: &Args, specs: &[ResolvedSpec]) {
     // Resolved before the session opens any file, so a bad bound writes nothing.
-    let adaptive: Vec<Option<AdaptiveOpts>> = specs
-        .iter()
-        .map(|resolved| adaptive(args, resolved.spec.adaptive.as_ref()))
-        .collect();
+    let adaptive = render_policy(args, specs);
     let session = Session::open(args);
     let ctx = ExperimentCtx {
         trace_len: args.num("--trace-len"),
         seeds: seed_list(args),
-        adaptive: None,
+        adaptive,
         substrate: args.has("--substrate"),
         model_version: args.num("--model-version"),
         opts: session.options(),
     };
     let start = std::time::Instant::now();
-    let reports: Vec<FigureReport> = if adaptive.iter().all(Option::is_none) {
-        // One plan for the whole render: `tables` (three artifacts over the
-        // same workloads) acquires each trace once and frees it after its
-        // last cell.
-        render_specs(&ctx, specs).unwrap_or_else(|e| fail(&e))
-    } else {
-        // Each spec's [adaptive] block bounds its own seeds.
-        specs
-            .iter()
-            .zip(adaptive)
-            .map(|(resolved, adaptive)| {
-                let ctx = ExperimentCtx {
-                    adaptive,
-                    ..ctx.clone()
-                };
-                render_resolved(&ctx, resolved).unwrap_or_else(|e| fail(&e))
-            })
-            .collect()
-    };
+    // One render: `tables` (three artifacts over the same workloads) acquires
+    // each trace of a round once and frees it after its last cell.
+    let reports: Vec<FigureReport> = render_specs(&ctx, specs).unwrap_or_else(|e| fail(&e));
     if args.has("--verbose") {
         let names: Vec<&str> = specs.iter().map(|r| r.spec.name.as_str()).collect();
         eprintln!(
@@ -1227,7 +1218,7 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&args),
         "experiments" => return cmd_experiments(&args),
         "cache" => cmd_cache(&args),
-        "tables" => run_artifacts(&args, &["ssn-width", "spec-ssbf", "summary"]),
+        "tables" => run_artifacts(&args, &TABLES),
         // `Args::parse` accepts no other command than the figure shortcuts.
         figure => run_artifacts(&args, &[figure]),
     }

@@ -3,7 +3,7 @@ use std::path::Path;
 use svw_sim::{DEFAULT_SEED, DEFAULT_TRACE_LEN};
 
 use super::flags::{scope_of, Args, Kind, FLAGS};
-use super::usage;
+use super::{adaptive, builtin_spec, render_policy, resolve, usage, TABLES};
 
 fn parse(command: &str, argv: &[&str]) -> Result<Args, String> {
     Args::parse(command, argv.iter().map(|s| s.to_string()).collect())
@@ -327,4 +327,47 @@ fn documented_invocations_use_only_flags_their_command_takes() {
     }
     assert!(checked > 100, "only {checked} documented invocations found");
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// A render runs under one adaptive policy. `tables` is the only render of
+/// more than one spec, and its specs declare the same `[adaptive]` block, so
+/// the policy resolved from the first spec is the one each spec resolves on its
+/// own: the flags, else that block, else the flag defaults.
+#[test]
+fn one_adaptive_policy_per_render_is_each_specs_own() {
+    let blocks: Vec<_> = TABLES
+        .iter()
+        .map(|name| builtin_spec(name, "artifact").adaptive.clone())
+        .collect();
+    assert!(blocks[0].is_some(), "the tables specs declare [adaptive]");
+    assert!(
+        blocks.iter().all(|b| b == &blocks[0]),
+        "the tables specs declare different [adaptive] blocks: {blocks:?}"
+    );
+    for argv in [
+        &["--ci-target", "5"][..],
+        &["--ci-target", "5", "--max-seeds", "4"],
+        &["--ci-target", "5", "--min-seeds", "2", "--max-seeds", "2"],
+        &[],
+    ] {
+        let args = parse("tables", argv).expect("parses");
+        let specs: Vec<_> = TABLES
+            .iter()
+            .map(|name| resolve(&args, builtin_spec(name, "artifact")))
+            .collect();
+        let policy = render_policy(&args, &specs);
+        assert_eq!(policy.is_some(), !argv.is_empty(), "{argv:?}");
+        for spec in &specs {
+            assert_eq!(
+                policy,
+                adaptive(&args, spec.spec.adaptive.as_ref()),
+                "{argv:?}: {}",
+                spec.spec.name
+            );
+        }
+    }
+    // Without a spec block the flag defaults bound the render.
+    let args = parse("tables", &["--ci-target", "5"]).expect("parses");
+    let bounds = render_policy(&args, &[]).map(|a| (a.min_seeds, a.max_seeds));
+    assert_eq!(bounds, Some((3, 10)));
 }

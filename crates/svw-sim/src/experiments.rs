@@ -2,10 +2,10 @@
 //! declarative [`crate::registry`] spec, and a render runs in two steps.
 //!
 //! 1. **Execute.** The (workload × configuration × seed) matrices of every spec
-//!    in the render run as one [`crate::planner::render_plan`] on the
-//!    cell-parallel scheduler, so a trace several matrices replay is acquired
-//!    once. Adaptive (`--ci-target`) renders run each matrix on its own, one
-//!    plan per round.
+//!    in the render run in rounds, each one [`crate::planner::render_plan`] on
+//!    the cell-parallel scheduler, so a trace several matrices replay is
+//!    acquired once per round. A fixed-seed render is one round; an adaptive
+//!    (`--ci-target`) render adds a round per extra seed.
 //! 2. **Render.** The renderer the spec names turns the executed matrices into
 //!    a [`FigureReport`] with the same series the paper plots.
 //!
@@ -16,12 +16,11 @@
 //! baseline.
 
 use svw_cpu::CpuStats;
-use svw_workloads::WorkloadProfile;
 
-use crate::planner::render_plan;
+use crate::planner::{render_plan, MatrixRound};
 use crate::registry::{self, ResolvedMatrix, ResolvedSpec};
 use crate::report::{FigureReport, SeriesTable};
-use crate::runner::{execute_plan, run_cells, ExperimentCell, RunOptions};
+use crate::runner::{execute_plan, ExperimentCell, RunOptions};
 
 /// Everything an experiment needs beyond its configuration matrix: trace length,
 /// replication seeds, and how to acquire workload traces and schedule cells.
@@ -30,8 +29,8 @@ pub struct ExperimentCtx<'c> {
     /// Per-workload dynamic trace length.
     pub trace_len: usize,
     /// Workload-generation seeds; one cell is run per (workload, config, seed).
-    /// Under adaptive sampling this is the *starting* list (its first element is the
-    /// base seed; extra seeds continue the arithmetic run).
+    /// Under adaptive sampling only the first element counts: it is the base
+    /// seed, and every further seed continues the arithmetic run.
     pub seeds: Vec<u64>,
     /// Adaptive CI-targeted sampling: when set, each workload keeps receiving extra
     /// seeds until its confidence intervals meet the target (or `max_seeds` is hit)
@@ -69,62 +68,107 @@ impl ExperimentCtx<'_> {
     }
 
     /// Step 1 of a render: runs every matrix of `specs` and returns them
-    /// executed, per spec, in spec and matrix order. A fixed-seed render is one
-    /// plan; its sweep-level warnings go to the first matrix of each spec, so
+    /// executed, per spec, in spec and matrix order.
+    ///
+    /// The render runs in rounds, each one [`render_plan`] over every matrix.
+    /// Round 0 holds every workload at `seeds` (under adaptive sampling, the
+    /// first `min_seeds` seeds of the run `seeds[0]..`). Each later round holds,
+    /// per matrix, the workloads whose IPC CI still misses the target, at
+    /// their next seed, until no matrix holds any or `max_seeds` is reached. A
+    /// workload leaves its matrix's pool once and never re-enters, so every
+    /// pool member has run the same seeds and a round runs one seed. The
+    /// rounds' sweep-level warnings go to the first matrix of each spec, so
     /// every report notes them once.
     fn execute(&self, specs: &[ResolvedSpec]) -> Vec<Vec<Matrix>> {
-        if let Some(adaptive) = &self.adaptive {
-            return specs
+        let mut seeds = match &self.adaptive {
+            Some(adaptive) => (0..adaptive.min_seeds as u64)
+                .map(|i| self.seeds[0] + i)
+                .collect(),
+            None => self.seeds.clone(),
+        };
+        let resolved: Vec<&ResolvedMatrix> = specs.iter().flat_map(|r| &r.matrices).collect();
+        let mut matrices: Vec<Matrix> = resolved
+            .iter()
+            .map(|m| Matrix::new(m, self.multi_seed()))
+            .collect();
+        // Per matrix, the workloads the next round holds.
+        let mut pools: Vec<Vec<usize>> = resolved
+            .iter()
+            .map(|m| (0..m.workloads.len()).collect())
+            .collect();
+        let mut extra_cells = vec![0usize; resolved.len()];
+        let mut warnings = Vec::new();
+        let mut seeds_run = 0;
+        loop {
+            let rounds: Vec<MatrixRound> = pools
                 .iter()
-                .map(|resolved| {
-                    resolved
-                        .matrices
-                        .iter()
-                        .map(|m| {
-                            let sweep = run_cells_adaptive(
-                                &m.label,
-                                &m.workloads,
-                                &m.configs,
-                                self.trace_len,
-                                self.seeds[0],
-                                resolved.fingerprint,
-                                adaptive,
-                                &self.opts,
-                            );
-                            Matrix::from_adaptive(m, sweep)
-                        })
-                        .collect()
+                .map(|workloads| MatrixRound {
+                    workloads,
+                    seeds: &seeds,
                 })
                 .collect();
+            let result = execute_plan(&render_plan(specs, self.trace_len, &rounds), &self.opts);
+            warnings.extend(result.warnings);
+            let mut cells = result.cells.into_iter();
+            for (matrix, pool) in matrices.iter_mut().zip(&pools) {
+                matrix.absorb(pool, seeds.len(), &mut cells);
+            }
+            seeds_run += seeds.len();
+            let Some(adaptive) = &self.adaptive else {
+                break;
+            };
+            for (matrix, pool) in matrices.iter().zip(&mut pools) {
+                pool.retain(|&w| matrix.worst_ipc_ci(w) > adaptive.ci_target_pct);
+            }
+            self.note_worst_ci(&matrices);
+            if pools.iter().all(Vec::is_empty) || seeds_run >= adaptive.max_seeds {
+                break;
+            }
+            seeds = vec![self.seeds[0] + seeds_run as u64];
+            for ((extra, pool), m) in extra_cells.iter_mut().zip(&pools).zip(&resolved) {
+                *extra += pool.len() * m.configs.len();
+            }
         }
-        let plan = render_plan(specs, self.trace_len, &self.seeds);
-        let result = execute_plan(&plan, &self.opts);
-        let ns = self.seeds.len();
-        let mut cells = result.cells.into_iter();
+        if let Some(adaptive) = &self.adaptive {
+            if let Some(metrics) = self.opts.obs.and_then(|o| o.metrics.as_ref()) {
+                metrics
+                    .adaptive_extra_cells
+                    .add(extra_cells.iter().sum::<usize>() as u64);
+            }
+            for (matrix, extra) in matrices.iter_mut().zip(extra_cells) {
+                matrix.adaptive_note = Some(matrix.sampling_note(extra, adaptive.ci_target_pct));
+            }
+        }
+        let mut matrices = matrices.into_iter();
         specs
             .iter()
-            .map(|resolved| {
-                resolved
-                    .matrices
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| {
-                        let n = m.workloads.len() * m.configs.len() * ns;
-                        Matrix::from_uniform(
-                            m,
-                            cells.by_ref().take(n).collect(),
-                            if i == 0 {
-                                result.warnings.clone()
-                            } else {
-                                Vec::new()
-                            },
-                            ns,
-                            self.multi_seed(),
-                        )
-                    })
-                    .collect()
+            .map(|r| {
+                let mut executed: Vec<Matrix> = matrices.by_ref().take(r.matrices.len()).collect();
+                if let Some(first) = executed.first_mut() {
+                    first.warnings = warnings.clone();
+                }
+                executed
             })
             .collect()
+    }
+
+    /// Surfaces the workload furthest from the CI target, across the whole
+    /// render, on the live `--progress` line, so a long adaptive run shows
+    /// *why* it keeps going.
+    fn note_worst_ci(&self, matrices: &[Matrix]) {
+        let Some(progress) = self.opts.obs.and_then(|o| o.progress.as_ref()) else {
+            return;
+        };
+        let worst = matrices
+            .iter()
+            .flat_map(|m| {
+                let names = m.workload_names.iter().enumerate();
+                names.map(move |(w, name)| (name, m.worst_ipc_ci(w)))
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        if let Some((name, pct)) = worst {
+            progress.note_worst_ci(name, pct);
+        }
     }
 }
 
@@ -201,7 +245,7 @@ fn t_critical_95(df: usize) -> f64 {
 /// far is at most `ci_target_pct` percent of the mean IPC. IPC is the metric every
 /// reported table derives from (speedups are ratios of paired IPCs, rates are ratios
 /// of like-shaped counters), so its precision is the sweep's precision.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveOpts {
     /// Target relative 95% CI, in percent of the mean (e.g. `1.0` = ±1%).
     pub ci_target_pct: f64,
@@ -229,37 +273,6 @@ impl AdaptiveOpts {
     }
 }
 
-/// One workload's adaptive-sampling outcome.
-#[derive(Clone, Debug)]
-pub struct AdaptiveGroupReport {
-    /// Workload name.
-    pub workload: String,
-    /// Seeds actually run for this workload (each across every configuration).
-    pub seeds_run: usize,
-    /// The achieved precision: the *worst* relative 95% CI of IPC across the
-    /// workload's configurations, in percent of the mean (infinite if any
-    /// configuration has fewer than two successful seeds).
-    pub achieved_ci_pct: f64,
-    /// Whether the target was met (`false` means the workload hit `max_seeds`).
-    pub met_target: bool,
-}
-
-/// Everything [`run_cells_adaptive`] produced: the per-(workload, config) cell
-/// groups — ragged across workloads, since each workload stops at its own seed
-/// count — plus the per-workload outcomes and sweep-level bookkeeping.
-#[derive(Debug)]
-pub struct AdaptiveSweep {
-    /// `groups[w][c]` = the per-seed cells for workload `w` under config `c`, in
-    /// seed order. Within one workload every config has the same seed list.
-    pub groups: Vec<Vec<Vec<ExperimentCell>>>,
-    /// Per-workload sampling outcomes, in workload order.
-    pub reports: Vec<AdaptiveGroupReport>,
-    /// Aggregated sweep-level warnings from every round.
-    pub warnings: Vec<String>,
-    /// Extra seed-cells scheduled beyond `min_seeds` over the whole sweep.
-    pub extra_cells: usize,
-}
-
 /// The relative 95% CI of one sample set, in percent of the mean — infinite when
 /// fewer than two samples exist or the mean is zero (no CI can be formed).
 fn relative_ci_pct(samples: &[f64]) -> f64 {
@@ -271,137 +284,9 @@ fn relative_ci_pct(samples: &[f64]) -> f64 {
     }
 }
 
-/// The worst (largest) relative 95% CI of IPC across one workload's configurations,
-/// in percent of the mean. Infinite while any configuration has fewer than two
-/// successful seeds (no CI can be formed yet).
-fn worst_relative_ipc_ci(row: &[Vec<ExperimentCell>]) -> f64 {
-    row.iter()
-        .map(|cells| {
-            let samples: Vec<f64> = cells
-                .iter()
-                .filter_map(|cell| cell.stats().map(CpuStats::ipc))
-                .collect();
-            relative_ci_pct(&samples)
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Runs a matrix with adaptive CI-targeted sampling (sequential sampling): every
-/// workload starts with `min_seeds` replication seeds (`start_seed..`), then rounds
-/// of one extra seed per still-imprecise workload — requeued across all of that
-/// workload's configurations to keep seed-paired speedups paired — until every
-/// workload meets [`AdaptiveOpts::ci_target_pct`] or hits `max_seeds`.
-///
-/// Resume-safe: with a [`crate::JsonlSink`] attached, the rounds re-derive the same
-/// decisions from restored cells, so an interrupted adaptive sweep continues where
-/// it stopped.
-///
-/// # Panics
-///
-/// Panics if the policy is invalid (see [`AdaptiveOpts::validate`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cells_adaptive(
-    matrix: &str,
-    workloads: &[WorkloadProfile],
-    configs: &[svw_cpu::MachineConfig],
-    trace_len: usize,
-    start_seed: u64,
-    spec_fingerprint: u64,
-    adaptive: &AdaptiveOpts,
-    opts: &RunOptions<'_>,
-) -> AdaptiveSweep {
-    adaptive
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid adaptive policy: {e}"));
-    let (nw, nc) = (workloads.len(), configs.len());
-    let base_seeds: Vec<u64> = (0..adaptive.min_seeds as u64)
-        .map(|i| start_seed + i)
-        .collect();
-    let first = run_cells(
-        matrix,
-        workloads,
-        configs,
-        trace_len,
-        &base_seeds,
-        spec_fingerprint,
-        opts,
-    );
-    let mut warnings = first.warnings;
-    let mut groups: Vec<Vec<Vec<ExperimentCell>>> = vec![vec![Vec::new(); nc]; nw];
-    for (i, cell) in first.cells.into_iter().enumerate() {
-        let (w, c) = (i / (nc * adaptive.min_seeds), (i / adaptive.min_seeds) % nc);
-        groups[w][c].push(cell);
-    }
-
-    // Workloads still missing the target. All pool members share the same seed
-    // count (a workload leaves the pool exactly once and never re-enters), so each
-    // round appends one seed to every member.
-    let mut pool: Vec<usize> = (0..nw).collect();
-    let mut seeds_run = vec![adaptive.min_seeds; nw];
-    let mut extra_cells = 0usize;
-    loop {
-        pool.retain(|&w| worst_relative_ipc_ci(&groups[w]) > adaptive.ci_target_pct);
-        // Surface the workload furthest from the CI target on the live
-        // `--progress` line, so a long adaptive run shows *why* it keeps going.
-        if let Some(progress) = opts.obs.and_then(|o| o.progress.as_ref()) {
-            let worst = (0..nw)
-                .map(|w| (w, worst_relative_ipc_ci(&groups[w])))
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((w, pct)) = worst {
-                progress.note_worst_ci(&workloads[w].name, pct);
-            }
-        }
-        if pool.is_empty() || seeds_run[pool[0]] >= adaptive.max_seeds {
-            break;
-        }
-        let next_seed = start_seed + seeds_run[pool[0]] as u64;
-        let subset: Vec<WorkloadProfile> = pool.iter().map(|&w| workloads[w].clone()).collect();
-        let round = run_cells(
-            matrix,
-            &subset,
-            configs,
-            trace_len,
-            &[next_seed],
-            spec_fingerprint,
-            opts,
-        );
-        warnings.extend(round.warnings);
-        for (i, cell) in round.cells.into_iter().enumerate() {
-            groups[pool[i / nc]][i % nc].push(cell);
-        }
-        for &w in &pool {
-            seeds_run[w] += 1;
-        }
-        extra_cells += pool.len() * nc;
-    }
-    if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
-        metrics.adaptive_extra_cells.add(extra_cells as u64);
-    }
-
-    let reports = workloads
-        .iter()
-        .enumerate()
-        .map(|(w, profile)| {
-            let achieved = worst_relative_ipc_ci(&groups[w]);
-            AdaptiveGroupReport {
-                workload: profile.name.clone(),
-                seeds_run: seeds_run[w],
-                achieved_ci_pct: achieved,
-                met_target: achieved <= adaptive.ci_target_pct,
-            }
-        })
-        .collect();
-    AdaptiveSweep {
-        groups,
-        reports,
-        warnings,
-        extra_cells,
-    }
-}
-
-/// A completed matrix: the per-(workload, configuration) cell groups — possibly
-/// ragged across workloads under adaptive sampling — plus the lookup and
-/// aggregation helpers the figure renderers use.
+/// An executed matrix: the per-(workload, configuration) cell groups — ragged
+/// across workloads under adaptive sampling — plus the lookup and aggregation
+/// helpers the figure renderers use.
 struct Matrix {
     /// `groups[w][c]` = per-seed cells for that pair, in seed order.
     groups: Vec<Vec<Vec<ExperimentCell>>>,
@@ -410,69 +295,88 @@ struct Matrix {
     warnings: Vec<String>,
     /// Whether aggregate cells should render as mean ± CI.
     replicated: bool,
-    /// Adaptive per-workload seed-count notes (empty for fixed-seed sweeps).
-    adaptive_notes: Vec<String>,
+    /// Adaptive per-workload seed counts and precision (`None` for fixed-seed
+    /// renders).
+    adaptive_note: Option<String>,
 }
 
 impl Matrix {
-    /// Builds a matrix from its fixed-seed cells (canonical workload-major,
-    /// configuration, seed order; `ns` seeds per pair).
-    fn from_uniform(
-        m: &ResolvedMatrix,
-        cells: Vec<ExperimentCell>,
-        warnings: Vec<String>,
-        ns: usize,
-        replicated: bool,
-    ) -> Matrix {
-        let nc = m.configs.len();
-        let mut groups: Vec<Vec<Vec<ExperimentCell>>> =
-            vec![vec![Vec::new(); nc]; m.workloads.len()];
-        for (i, cell) in cells.into_iter().enumerate() {
-            groups[i / (nc * ns)][(i / ns) % nc].push(cell);
-        }
+    /// A matrix over `m`'s workloads and configurations with no cells yet;
+    /// each render round adds its cells with [`Matrix::absorb`].
+    fn new(m: &ResolvedMatrix, replicated: bool) -> Matrix {
         Matrix {
-            groups,
+            groups: vec![vec![Vec::new(); m.configs.len()]; m.workloads.len()],
             workload_names: m.workloads.iter().map(|w| w.name.clone()).collect(),
             config_names: m.configs.iter().map(|c| c.name.clone()).collect(),
-            warnings,
+            warnings: Vec::new(),
             replicated,
-            adaptive_notes: Vec::new(),
+            adaptive_note: None,
         }
     }
 
-    /// Builds a matrix from an adaptive sweep, turning the per-workload outcomes
-    /// into report notes (seed counts and achieved precision).
-    fn from_adaptive(m: &ResolvedMatrix, sweep: AdaptiveSweep) -> Matrix {
-        let per_workload: Vec<String> = sweep
-            .reports
+    /// Appends one round's cells for the workloads `held` — taken from
+    /// `cells` in canonical order (workload-major, configuration, then `ns`
+    /// seeds), as [`render_plan`] enumerates them.
+    fn absorb(
+        &mut self,
+        held: &[usize],
+        ns: usize,
+        cells: &mut impl Iterator<Item = ExperimentCell>,
+    ) {
+        for &w in held {
+            for group in &mut self.groups[w] {
+                group.extend(cells.by_ref().take(ns));
+            }
+        }
+    }
+
+    /// The worst (largest) relative 95% CI of IPC across workload `w`'s
+    /// configurations, in percent of the mean. Infinite while any
+    /// configuration has fewer than two successful seeds (no CI can be formed
+    /// yet).
+    fn worst_ipc_ci(&self, w: usize) -> f64 {
+        self.groups[w]
             .iter()
-            .map(|r| {
+            .map(|cells| {
+                let samples: Vec<f64> = cells
+                    .iter()
+                    .filter_map(|cell| cell.stats().map(CpuStats::ipc))
+                    .collect();
+                relative_ci_pct(&samples)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// The adaptive-sampling report note: the extra seed-cells scheduled beyond
+    /// `min_seeds`, and each workload's seed count and achieved precision
+    /// (the worst relative IPC CI), flagged when it missed the target.
+    fn sampling_note(&self, extra_cells: usize, ci_target_pct: f64) -> String {
+        let per_workload: Vec<String> = self
+            .workload_names
+            .iter()
+            .enumerate()
+            .map(|(w, name)| {
+                let achieved = self.worst_ipc_ci(w);
                 format!(
-                    "{} {} seed(s), worst IPC CI {}{}",
-                    r.workload,
-                    r.seeds_run,
-                    if r.achieved_ci_pct.is_finite() {
-                        format!("\u{b1}{:.2}%", r.achieved_ci_pct)
+                    "{name} {} seed(s), worst IPC CI {}{}",
+                    self.groups[w].first().map_or(0, Vec::len),
+                    if achieved.is_finite() {
+                        format!("\u{b1}{achieved:.2}%")
                     } else {
                         "unavailable".to_string()
                     },
-                    if r.met_target { "" } else { " [hit max-seeds]" },
+                    if achieved <= ci_target_pct {
+                        ""
+                    } else {
+                        " [hit max-seeds]"
+                    },
                 )
             })
             .collect();
-        let adaptive_notes = vec![format!(
-            "adaptive sampling ({} extra seed-cell(s)): {}",
-            sweep.extra_cells,
+        format!(
+            "adaptive sampling ({extra_cells} extra seed-cell(s)): {}",
             per_workload.join("; ")
-        )];
-        Matrix {
-            groups: sweep.groups,
-            workload_names: m.workloads.iter().map(|w| w.name.clone()).collect(),
-            config_names: m.configs.iter().map(|c| c.name.clone()).collect(),
-            warnings: sweep.warnings,
-            replicated: true,
-            adaptive_notes,
-        }
+        )
     }
 
     /// The per-seed cells for one (workload, configuration) pair.
@@ -538,7 +442,7 @@ impl Matrix {
                 first.error().unwrap_or("unknown")
             ));
         }
-        notes.extend(self.adaptive_notes.iter().cloned());
+        notes.extend(self.adaptive_note.iter().cloned());
         notes.extend(self.warnings.iter().map(|w| format!("warning: {w}")));
         notes
     }
@@ -727,11 +631,11 @@ pub fn artifact_resolved(name: &str, model_version: u32) -> Option<ResolvedSpec>
 }
 
 /// Renders `specs` as one render. Every spec is checked against the renderer it
-/// names before anything runs; then all of their matrices execute together
-/// (one plan, unless the context is adaptive) and each spec's renderer turns
-/// its matrices into a report, in spec order. For model versions above 1 each
-/// report carries a lineage note recording why it diverges from the
-/// byte-identical v1 baseline.
+/// names, and the adaptive policy (if any) is validated, before anything runs;
+/// then all of their matrices execute together, one plan per round, and each
+/// spec's renderer turns its matrices into a report, in spec order. For model
+/// versions above 1 each report carries a lineage note recording why it
+/// diverges from the byte-identical v1 baseline.
 pub fn render_specs(
     ctx: &ExperimentCtx<'_>,
     specs: &[ResolvedSpec],
@@ -749,6 +653,9 @@ pub fn render_specs(
             Ok(render)
         })
         .collect::<Result<Vec<Render>, String>>()?;
+    if let Some(adaptive) = &ctx.adaptive {
+        adaptive.validate()?;
+    }
     let executed = ctx.execute(specs);
     Ok(specs
         .iter()
@@ -789,32 +696,6 @@ pub fn render_artifact(ctx: &ExperimentCtx<'_>, name: &str) -> Result<FigureRepo
         )
     })?;
     render_resolved(ctx, &resolved)
-}
-
-/// The exact (matrix label, workloads, configurations) matrices an artifact runs,
-/// in order, derived from the artifact's builtin spec at model version 1. This is
-/// the legacy shape of [`artifact_resolved`], which carries the spec's lineage.
-#[allow(clippy::type_complexity)]
-pub fn artifact_matrices(
-    name: &str,
-) -> Option<Vec<(String, Vec<WorkloadProfile>, Vec<svw_cpu::MachineConfig>)>> {
-    let resolved = artifact_resolved(name, 1)?;
-    Some(
-        resolved
-            .matrices
-            .into_iter()
-            .map(|m| (m.label, m.workloads, m.configs))
-            .collect(),
-    )
-}
-
-/// The workload subset the paper uses for Figure 8 (crafty, gcc, perl.d, vortex,
-/// vpr.r).
-pub fn fig8_workloads() -> Vec<WorkloadProfile> {
-    ["crafty", "gcc", "perl.d", "vortex", "vpr.r"]
-        .iter()
-        .map(|n| WorkloadProfile::by_name(n).expect("figure-8 workload exists"))
-        .collect()
 }
 
 /// Builds the paper's standard two-panel figure (re-execution rate on top, speedup
@@ -1307,12 +1188,6 @@ mod tests {
     }
 
     #[test]
-    fn fig8_workload_subset_matches_paper() {
-        let names: Vec<String> = fig8_workloads().iter().map(|w| w.name.clone()).collect();
-        assert_eq!(names, vec!["crafty", "gcc", "perl.d", "vortex", "vpr.r"]);
-    }
-
-    #[test]
     fn builtin_specs_resolve_to_legacy_enumerations() {
         // The spec-derived matrices must enumerate exactly what the hard-coded
         // families did pre-registry: same labels, workloads, and config names.
@@ -1393,6 +1268,21 @@ mod tests {
         assert!(err.contains("unknown artifact \"fig55\""), "{err}");
         assert!(err.contains("did you mean \"fig5\"?"), "{err}");
         assert!(err.contains("expected one of:"), "{err}");
+    }
+
+    #[test]
+    fn an_invalid_adaptive_policy_is_an_error_before_anything_runs() {
+        let resolved = artifact_resolved("fig8", 1).expect("builtin resolves");
+        let ctx = ExperimentCtx {
+            adaptive: Some(AdaptiveOpts {
+                ci_target_pct: 5.0,
+                min_seeds: 1,
+                max_seeds: 3,
+            }),
+            ..ctx()
+        };
+        let err = render_resolved(&ctx, &resolved).unwrap_err();
+        assert!(err.contains("--min-seeds must be at least 2"), "{err}");
     }
 
     #[test]

@@ -95,9 +95,8 @@ pub mod runner;
 pub use cache::{CacheCounters, CacheMode, GcReport, ResultCache, StoreStats, VerifyReport};
 pub use events::{parse_event_line, read_events, Event, EventSink};
 pub use experiments::{
-    artifact_matrices, artifact_resolved, render_artifact, render_resolved, render_specs,
-    run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep, ExperimentCtx, Stat,
-    ARTIFACT_NAMES,
+    artifact_resolved, render_artifact, render_resolved, render_specs, AdaptiveOpts, ExperimentCtx,
+    Stat, ARTIFACT_NAMES,
 };
 pub use jsonl::{CellId, JsonlSink, SimKey};
 pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver, WorkerStats};

@@ -7,11 +7,13 @@
 //! (including the workload and config fingerprints and the `(model_version,
 //! spec_fingerprint)` lineage).
 //!
-//! A non-adaptive render is one plan: [`render_plan`] lays the matrices of every
-//! spec it renders end to end, so [`crate::runner::execute_plan`] sees every cell
-//! that replays a trace and acquires each trace once for all of them, whichever
-//! matrix asks. Adaptive requeue rounds build one plan per matrix per round with
-//! [`SweepPlan::enumerate`]; the executor runs any plan the same way.
+//! A render runs in rounds, and each round is one plan: [`render_plan`] lays
+//! the matrices of every spec it renders end to end, so
+//! [`crate::runner::execute_plan`] sees every cell that replays a trace and
+//! acquires each trace once for all of them, whichever matrix asks. A fixed
+//! render is one round over every workload of every matrix; each extra round of
+//! an adaptive (`--ci-target`) render holds, per matrix, only the workloads
+//! still short of the target, at their next seed.
 
 use std::sync::Arc;
 
@@ -81,7 +83,7 @@ impl SweepPlan {
         spec_fingerprint: u64,
     ) -> SweepPlan {
         let mut plan = SweepPlan::empty(matrix, trace_len);
-        plan.push_matrix(matrix, workloads, configs, seeds, spec_fingerprint);
+        plan.push_matrix(matrix, workloads.to_vec(), configs, seeds, spec_fingerprint);
         plan
     }
 
@@ -100,7 +102,7 @@ impl SweepPlan {
     fn push_matrix(
         &mut self,
         label: &str,
-        workloads: &[WorkloadProfile],
+        workloads: Vec<WorkloadProfile>,
         configs: &[MachineConfig],
         seeds: &[u64],
         spec_fingerprint: u64,
@@ -132,7 +134,7 @@ impl SweepPlan {
                 }
             }
         }
-        self.workloads.extend_from_slice(workloads);
+        self.workloads.extend(workloads);
         self.configs
             .extend(configs.iter().map(|c| Arc::new(c.clone())));
     }
@@ -172,22 +174,44 @@ pub fn artifact_plans(
     )
 }
 
-/// The one plan of a render: every matrix of every spec in `specs`, in order,
-/// each enumerated as [`SweepPlan::enumerate`] would, so the executed cells
-/// split back into the specs' matrices by position.
-pub fn render_plan(specs: &[ResolvedSpec], trace_len: usize, seeds: &[u64]) -> SweepPlan {
+/// What one round of a render runs of one matrix: the workloads it holds, as
+/// indices into the matrix's workload list, each at every seed of `seeds`.
+#[derive(Clone, Copy, Debug)]
+pub struct MatrixRound<'a> {
+    /// Indices into [`crate::registry::ResolvedMatrix::workloads`].
+    pub workloads: &'a [usize],
+    /// The seeds every held workload runs at.
+    pub seeds: &'a [u64],
+}
+
+/// The plan of one render round: every matrix of every spec in `specs`, in
+/// order, each cut to what `rounds` (one entry per matrix, in the same order)
+/// holds of it and enumerated as [`SweepPlan::enumerate`] would, so the
+/// executed cells split back into the matrices by position.
+///
+/// # Panics
+///
+/// Panics unless `rounds` has one entry per matrix.
+pub fn render_plan(specs: &[ResolvedSpec], trace_len: usize, rounds: &[MatrixRound]) -> SweepPlan {
     let names: Vec<&str> = specs.iter().map(|r| r.spec.name.as_str()).collect();
     let mut plan = SweepPlan::empty(&names.join("+"), trace_len);
-    for resolved in specs {
-        for m in &resolved.matrices {
-            plan.push_matrix(
-                &m.label,
-                &m.workloads,
-                &m.configs,
-                seeds,
-                resolved.fingerprint,
-            );
-        }
+    let matrices = specs
+        .iter()
+        .flat_map(|r| r.matrices.iter().map(move |m| (r.fingerprint, m)));
+    assert_eq!(
+        matrices.clone().count(),
+        rounds.len(),
+        "one round entry per matrix"
+    );
+    for ((spec_fingerprint, m), round) in matrices.zip(rounds) {
+        let held = round.workloads.iter().map(|&w| m.workloads[w].clone());
+        plan.push_matrix(
+            &m.label,
+            held.collect(),
+            &m.configs,
+            round.seeds,
+            spec_fingerprint,
+        );
     }
     plan
 }
@@ -195,7 +219,7 @@ pub fn render_plan(specs: &[ResolvedSpec], trace_len: usize, seeds: &[u64]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{artifact_matrices, ARTIFACT_NAMES};
+    use crate::experiments::ARTIFACT_NAMES;
 
     #[test]
     fn enumerate_is_workload_major_config_then_seed() {
@@ -240,13 +264,13 @@ mod tests {
             );
             // The legacy enumeration, hand-rolled from the static matrix definitions.
             let mut legacy: Vec<CellId> = Vec::new();
-            for (label, workloads, configs) in artifact_matrices(name).unwrap() {
-                for w in &workloads {
+            for m in artifact_resolved(name, 1).unwrap().matrices {
+                for w in &m.workloads {
                     let fingerprint = w.fingerprint();
-                    for c in &configs {
+                    for c in &m.configs {
                         for &seed in &seeds {
                             legacy.push(CellId {
-                                matrix: label.clone(),
+                                matrix: m.label.clone(),
                                 workload: w.name.clone(),
                                 config: c.name.clone(),
                                 seed,
@@ -269,9 +293,9 @@ mod tests {
         }
     }
 
-    /// A render plan is its specs' matrix plans laid end to end: the same cell
-    /// identities in the same order, with indices that resolve to the same
-    /// workload and configuration.
+    /// A render plan holding every workload at every seed is its specs' matrix
+    /// plans laid end to end: the same cell identities in the same order, with
+    /// indices that resolve to the same workload and configuration.
     #[test]
     fn render_plan_concatenates_the_specs_matrix_plans() {
         let names = ["ssn-width", "spec-ssbf", "summary"];
@@ -279,7 +303,19 @@ mod tests {
             .iter()
             .map(|n| artifact_resolved(n, 1).unwrap())
             .collect();
-        let plan = render_plan(&specs, 1_000, &[2, 3]);
+        let every: Vec<Vec<usize>> = specs
+            .iter()
+            .flat_map(|r| &r.matrices)
+            .map(|m| (0..m.workloads.len()).collect())
+            .collect();
+        let rounds: Vec<MatrixRound> = every
+            .iter()
+            .map(|workloads| MatrixRound {
+                workloads,
+                seeds: &[2, 3],
+            })
+            .collect();
+        let plan = render_plan(&specs, 1_000, &rounds);
         assert_eq!(plan.matrix, "ssn-width+spec-ssbf+summary");
         let parts: Vec<SweepPlan> = names
             .iter()
@@ -294,6 +330,50 @@ mod tests {
                 plan.workloads[cell.workload].fingerprint(),
                 cell.id.fingerprint
             );
+        }
+    }
+
+    /// A round holds, per matrix, only the workloads it names, at its seeds; a
+    /// matrix holding none contributes no cells.
+    #[test]
+    fn render_plan_holds_each_matrixs_workload_subset_at_its_seeds() {
+        let specs = [artifact_resolved("summary", 1).unwrap()];
+        let m = &specs[0].matrices;
+        let rounds = [
+            MatrixRound {
+                workloads: &[1, 4],
+                seeds: &[7],
+            },
+            MatrixRound {
+                workloads: &[],
+                seeds: &[7],
+            },
+            MatrixRound {
+                workloads: &[0],
+                seeds: &[7],
+            },
+        ];
+        let plan = render_plan(&specs, 1_000, &rounds);
+        let mut expected = Vec::new();
+        for (matrix, workloads) in [(&m[0], vec![1, 4]), (&m[2], vec![0])] {
+            let held: Vec<WorkloadProfile> = workloads
+                .iter()
+                .map(|&w| matrix.workloads[w].clone())
+                .collect();
+            let part = SweepPlan::enumerate(
+                &matrix.label,
+                &held,
+                &matrix.configs,
+                1_000,
+                &[7],
+                specs[0].fingerprint,
+            );
+            expected.extend(part.cells.into_iter().map(|c| c.id));
+        }
+        assert_eq!(plan.cell_ids().cloned().collect::<Vec<_>>(), expected);
+        for cell in &plan.cells {
+            assert_eq!(plan.workloads[cell.workload].name, cell.id.workload);
+            assert_eq!(plan.configs[cell.config].name, cell.id.config);
         }
     }
 

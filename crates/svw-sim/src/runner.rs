@@ -6,8 +6,8 @@
 //! typed [`SweepPlan`] (see [`crate::planner`]): [`execute_plan`] restores, serves
 //! from the result cache, or simulates every planned cell and collects the results
 //! in plan order. [`run_cells`] is the canonical-full-matrix convenience wrapper (it
-//! enumerates the plan and executes it); the rounds of an adaptive sweep route
-//! through it, while a fixed-seed render executes one plan covering all of its
+//! enumerates the plan and executes it) for one-matrix sweeps such as `svwsim
+//! run`; every round of a render executes one plan covering all of its
 //! matrices, so every sweep behaves identically per cell.
 //!
 //! The plan is the only place traces are shared: its cells are grouped into trace

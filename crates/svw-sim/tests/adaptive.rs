@@ -1,41 +1,52 @@
-//! Integration tests for the adaptive sweep engine: CI-targeted sampling stops
-//! at the target, never exceeds `--max-seeds`, and resumes losslessly — plus
-//! the planner's artifact cell sets agreeing with what the artifacts stream.
+//! Integration tests for adaptive (`--ci-target`) renders: sampling stops at
+//! the target, never exceeds `max_seeds`, and resumes losslessly — read from
+//! the seeds and lines a render streams to its `--out` sink and from the extra
+//! seed-cells it counts — plus the planner's artifact cell sets agreeing with
+//! what the artifacts stream.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
-use svw_sim::{artifact_plans, run_cells_adaptive, AdaptiveOpts, CellId, JsonlSink, RunOptions};
-use svw_workloads::WorkloadProfile;
+use svw_sim::{
+    artifact_plans, json, parse_spec, render_specs, resolve_spec, AdaptiveOpts, CellId,
+    ExperimentCtx, FigureReport, JsonlSink, ResolvedSpec, RunOptions, SweepMetrics, SweepObserver,
+};
 
 const LEN: usize = 1_500;
 
-fn workloads() -> Vec<WorkloadProfile> {
-    vec![
-        WorkloadProfile::quicktest(),
-        WorkloadProfile::by_name("gzip").unwrap(),
-    ]
+/// A two-matrix summary render over two workloads: 16 cells per seed.
+const SPEC: &str = r#"schema_version = 1
+name = "adapt"
+description = "two small matrices under adaptive sampling"
+renderer = "summary"
+metrics = ["reexec_reduction"]
+
+[[matrix]]
+label = "adapt/NLQ_LS"
+workloads = ["gzip", "mcf"]
+configs = "fig5-nlq"
+unfiltered_idx = 1
+svw_idx = 3
+
+[[matrix]]
+label = "adapt/SSQ"
+workloads = ["gzip", "mcf"]
+configs = "fig6-ssq"
+unfiltered_idx = 1
+svw_idx = 3
+"#;
+
+fn spec() -> ResolvedSpec {
+    resolve_spec(&parse_spec(SPEC, "adapt.toml").expect("parses"), 1).expect("resolves")
 }
 
-fn configs() -> Vec<MachineConfig> {
-    vec![
-        MachineConfig::eight_wide(
-            "base",
-            LsqOrganization::Conventional {
-                extra_load_latency: 0,
-                store_exec_bandwidth: 1,
-            },
-            ReexecMode::None,
-        ),
-        MachineConfig::eight_wide(
-            "nlq",
-            LsqOrganization::Nlq {
-                store_exec_bandwidth: 2,
-            },
-            ReexecMode::Full,
-        ),
-    ]
+/// The (workload, configuration) pairs of one seed of the render.
+fn cells_per_seed(spec: &ResolvedSpec) -> usize {
+    spec.matrices
+        .iter()
+        .map(|m| m.workloads.len() * m.configs.len())
+        .sum()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -43,6 +54,68 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// What one adaptive render produced: its report, its extra seed-cells, and
+/// the cells it simulated (the rest were restored from the sink).
+struct Adaptive {
+    report: FigureReport,
+    extra_cells: u64,
+    simulated: u64,
+}
+
+/// Renders the spec adaptively at `jobs`, streaming every cell to `out`.
+fn render(adaptive: AdaptiveOpts, out: &Path, jobs: usize) -> Adaptive {
+    let sink = JsonlSink::open(out).unwrap();
+    let observer = SweepObserver {
+        metrics: Some(SweepMetrics::new()),
+        ..SweepObserver::default()
+    };
+    let ctx = ExperimentCtx {
+        adaptive: Some(adaptive),
+        opts: RunOptions {
+            jobs,
+            sink: Some(&sink),
+            obs: Some(&observer),
+            ..RunOptions::default()
+        },
+        ..ExperimentCtx::new(LEN, 1)
+    };
+    let mut reports = render_specs(&ctx, &[spec()]).expect("renders");
+    let metrics = observer.metrics.as_ref().unwrap();
+    Adaptive {
+        report: reports.remove(0),
+        extra_cells: metrics.adaptive_extra_cells.get(),
+        simulated: metrics.totals().cells_simulated,
+    }
+}
+
+/// The seeds each (matrix, workload, configuration) streamed to `out`,
+/// sorted: cells stream in completion order, which varies with `jobs`.
+fn streamed_seeds(out: &Path) -> BTreeMap<(String, String, String), Vec<u64>> {
+    let mut seeds: BTreeMap<_, Vec<u64>> = BTreeMap::new();
+    for line in fs::read_to_string(out).unwrap().lines() {
+        let (id, result) = svw_sim::jsonl::parse_cell_line(line).expect("parses");
+        assert!(result.is_ok(), "{id:?} failed");
+        seeds
+            .entry((id.matrix, id.workload, id.config))
+            .or_default()
+            .push(id.seed);
+    }
+    for list in seeds.values_mut() {
+        list.sort_unstable();
+    }
+    seeds
+}
+
+/// The per-matrix adaptive-sampling notes of a report.
+fn adaptive_notes(report: &FigureReport) -> Vec<&str> {
+    report
+        .notes
+        .iter()
+        .filter(|n| n.starts_with("adaptive sampling ("))
+        .map(String::as_str)
+        .collect()
 }
 
 /// The planner's artifact plans must agree with the cells the artifact renderers
@@ -93,136 +166,97 @@ fn artifact_matrices_match_what_the_artifact_streams() {
 /// must stop immediately: no extra cells, every workload at `min_seeds`.
 #[test]
 fn adaptive_sampling_stops_at_a_met_target() {
-    let workloads = workloads();
-    let configs = configs();
+    let dir = temp_dir("met");
+    let out = dir.join("met.jsonl");
     let adaptive = AdaptiveOpts {
         ci_target_pct: 1e9,
         min_seeds: 2,
         max_seeds: 8,
     };
-    let sweep = run_cells_adaptive(
-        "adapt",
-        &workloads,
-        &configs,
-        LEN,
-        1,
-        0,
-        &adaptive,
-        &RunOptions::default(),
-    );
-    assert_eq!(sweep.extra_cells, 0);
-    for report in &sweep.reports {
-        assert!(report.met_target, "{}: target missed", report.workload);
-        assert_eq!(report.seeds_run, 2);
-        assert!(report.achieved_ci_pct <= 1e9);
+    let run = render(adaptive, &out, 2);
+    assert_eq!(run.extra_cells, 0);
+    let seeds = streamed_seeds(&out);
+    assert_eq!(seeds.len(), cells_per_seed(&spec()));
+    for (cell, seeds) in &seeds {
+        assert_eq!(seeds, &[1, 2], "{cell:?}: exactly min_seeds seeds");
     }
-    for row in &sweep.groups {
-        for cells in row {
-            assert_eq!(cells.len(), 2, "exactly min_seeds cells per group");
+    let notes = adaptive_notes(&run.report);
+    assert_eq!(notes.len(), 2, "one note per matrix: {notes:?}");
+    for note in notes {
+        assert!(note.starts_with("adaptive sampling (0 extra seed-cell(s)): "));
+        for workload in ["gzip", "mcf"] {
+            assert!(note.contains(&format!("{workload} 2 seed(s), worst IPC CI \u{b1}")));
         }
+        assert!(!note.contains("[hit max-seeds]"), "target met: {note}");
     }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// With an unreachable target, every workload must run exactly `max_seeds` seeds —
-/// never more — and be reported as having hit the ceiling; the invariant "every
-/// reported CI meets the target or the workload hit max-seeds" holds throughout.
+/// never more — and be reported as having hit the ceiling.
 #[test]
 fn adaptive_sampling_never_exceeds_max_seeds() {
-    let workloads = workloads();
-    let configs = configs();
+    let dir = temp_dir("max");
+    let out = dir.join("max.jsonl");
     let adaptive = AdaptiveOpts {
         ci_target_pct: 1e-9,
         min_seeds: 2,
         max_seeds: 4,
     };
-    let sweep = run_cells_adaptive(
-        "adapt",
-        &workloads,
-        &configs,
-        LEN,
-        1,
-        0,
-        &adaptive,
-        &RunOptions::default(),
-    );
-    for report in &sweep.reports {
-        assert!(
-            report.met_target || report.seeds_run == adaptive.max_seeds,
-            "{}: CI {} misses the target but stopped at {} < max_seeds",
-            report.workload,
-            report.achieved_ci_pct,
-            report.seeds_run
-        );
-        assert!(report.seeds_run <= adaptive.max_seeds);
+    let run = render(adaptive, &out, 2);
+    // The seeds are the arithmetic continuation of the base seed, per cell.
+    let seeds = streamed_seeds(&out);
+    assert_eq!(seeds.len(), cells_per_seed(&spec()));
+    for (cell, seeds) in &seeds {
+        assert_eq!(seeds, &[1, 2, 3, 4], "{cell:?}: exactly max_seeds seeds");
     }
-    // An ~0 target is unreachable here, so every workload must have hit the cap.
-    assert!(sweep.reports.iter().all(|r| !r.met_target));
-    for row in &sweep.groups {
-        for cells in row {
-            assert_eq!(cells.len(), 4, "exactly max_seeds cells per group");
+    // Extra cells beyond min_seeds: (4 - 2) seeds × every (workload, config)
+    // pair of every matrix.
+    assert_eq!(run.extra_cells, 2 * cells_per_seed(&spec()) as u64);
+    let notes = adaptive_notes(&run.report);
+    assert_eq!(notes.len(), 2, "one note per matrix: {notes:?}");
+    for (note, m) in notes.iter().zip(&spec().matrices) {
+        let extra = 2 * m.workloads.len() * m.configs.len();
+        assert!(note.starts_with(&format!("adaptive sampling ({extra} extra seed-cell(s)): ")));
+        // An ~0 target is unreachable here, so every workload hit the cap.
+        for workload in ["gzip", "mcf"] {
+            assert!(
+                note.contains(&format!("{workload} 4 seed(s)")),
+                "{workload}: {note}"
+            );
         }
+        assert_eq!(note.matches(" [hit max-seeds]").count(), 2, "{note}");
     }
-    // Extra cells beyond min_seeds: (4 - 2) seeds × all (workload, config) pairs.
-    assert_eq!(
-        sweep.extra_cells,
-        2 * workloads.len() * configs.len(),
-        "extra seed-cells are all (max-min) rounds across the matrix"
-    );
-    // The seeds are the arithmetic continuation of the starting seed, per group.
-    for row in &sweep.groups {
-        for cells in row {
-            let seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
-            assert_eq!(seeds, vec![1, 2, 3, 4]);
-        }
-    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
-/// Adaptive sweeps are resume-safe: re-running over the JSONL stream restores every
-/// round's cells and schedules nothing new.
+/// Adaptive renders are resume-safe: re-rendering over the `--out` stream
+/// restores every round's cells, simulates nothing and renders the same bytes.
 #[test]
 fn adaptive_sampling_resumes_losslessly() {
-    let dir = temp_dir("adaptive-resume");
-    let path = dir.join("adaptive.jsonl");
-    let workloads = workloads();
-    let configs = configs();
+    let dir = temp_dir("resume");
+    let out = dir.join("adaptive.jsonl");
     let adaptive = AdaptiveOpts {
         ci_target_pct: 1e-9,
         min_seeds: 2,
         max_seeds: 3,
     };
-    let fresh = {
-        let sink = JsonlSink::open(&path).unwrap();
-        let opts = RunOptions {
-            sink: Some(&sink),
-            ..RunOptions::default()
-        };
-        run_cells_adaptive("adapt", &workloads, &configs, LEN, 1, 0, &adaptive, &opts)
-    };
-    let resumed = {
-        let sink = JsonlSink::open(&path).unwrap();
-        let opts = RunOptions {
-            sink: Some(&sink),
-            ..RunOptions::default()
-        };
-        run_cells_adaptive("adapt", &workloads, &configs, LEN, 1, 0, &adaptive, &opts)
-    };
-    for (a, b) in fresh.reports.iter().zip(resumed.reports.iter()) {
-        assert_eq!(a.seeds_run, b.seeds_run);
-        assert_eq!(a.met_target, b.met_target);
-    }
-    for (ra, rb) in fresh.groups.iter().zip(resumed.groups.iter()) {
-        for (ca, cb) in ra.iter().zip(rb.iter()) {
-            for (a, b) in ca.iter().zip(cb.iter()) {
-                assert_eq!(
-                    format!("{:?}", a.stats().unwrap()),
-                    format!("{:?}", b.stats().unwrap()),
-                    "resumed adaptive cells must be byte-identical"
-                );
-            }
-        }
-    }
-    // One line per (workload, config, seed) cell — the resume simulated nothing new.
-    let lines = fs::read_to_string(&path).unwrap().lines().count();
-    assert_eq!(lines, workloads.len() * configs.len() * 3);
+    let fresh = render(adaptive, &out, 1);
+    let lines = fs::read_to_string(&out).unwrap().lines().count();
+    assert_eq!(lines, 3 * cells_per_seed(&spec()), "one line per cell");
+    let resumed = render(adaptive, &out, 4);
+    assert_eq!(resumed.simulated, 0, "the resume simulates nothing");
+    assert_eq!(resumed.extra_cells, fresh.extra_cells);
+    assert_eq!(
+        resumed.report.to_string(),
+        fresh.report.to_string(),
+        "a resumed adaptive render must be byte-identical"
+    );
+    assert_eq!(
+        json::array([resumed.report.to_json()]),
+        json::array([fresh.report.to_json()])
+    );
+    // The resume appended nothing.
+    assert_eq!(fs::read_to_string(&out).unwrap().lines().count(), lines);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 
 use svw_cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
 use svw_sim::{
-    artifact_resolved, execute_plan, render_specs, run_cells, ExperimentCtx, JsonlSink, RunOptions,
-    SweepMetrics, SweepObserver, SweepPlan,
+    artifact_resolved, execute_plan, render_specs, run_cells, AdaptiveOpts, ExperimentCtx,
+    JsonlSink, RunOptions, SweepMetrics, SweepObserver, SweepPlan,
 };
 use svw_workloads::WorkloadProfile;
 
@@ -103,18 +103,32 @@ fn shared_decode_is_byte_identical_across_job_counts() {
     }
 }
 
-/// A render is one plan, so each trace is acquired once for every matrix and
-/// spec that replays it: `summary` runs three matrices over the same 16
-/// SPECint traces, and `tables` adds `ssn-width` and `spec-ssbf` over five of
-/// them. Rendering each matrix as its own plan would generate 48 traces for
-/// `summary` alone.
+/// Each round of a render is one plan, so each trace is acquired once for
+/// every matrix and spec that replays it: `summary` runs three matrices over
+/// the same 16 SPECint traces, and `tables` adds `ssn-width` and `spec-ssbf`
+/// over five of them. Rendering each matrix as its own plan would generate 48
+/// traces for `summary` alone. An adaptive render at an unreachable target runs
+/// every workload to `max_seeds` 3, so it needs 48 traces, one per (workload,
+/// seed), however many matrices replay them.
 #[test]
 fn a_render_acquires_each_trace_once_across_its_matrices() {
-    let cases: [(&[&str], u64); 2] = [
-        (&["summary"], 240),
-        (&["ssn-width", "spec-ssbf", "summary"], 285),
+    let unreachable = AdaptiveOpts {
+        ci_target_pct: 1e-9,
+        min_seeds: 2,
+        max_seeds: 3,
+    };
+    let cases: [(&[&str], Option<AdaptiveOpts>, u64, u64); 4] = [
+        (&["summary"], None, 240, 16),
+        (&["ssn-width", "spec-ssbf", "summary"], None, 285, 16),
+        (&["summary"], Some(unreachable), 3 * 240, 48),
+        (
+            &["ssn-width", "spec-ssbf", "summary"],
+            Some(unreachable),
+            3 * 285,
+            48,
+        ),
     ];
-    for (names, cells) in cases {
+    for (names, adaptive, cells, traces) in cases {
         let specs: Vec<_> = names
             .iter()
             .map(|n| artifact_resolved(n, 1).unwrap())
@@ -125,6 +139,7 @@ fn a_render_acquires_each_trace_once_across_its_matrices() {
                 ..SweepObserver::default()
             };
             let ctx = ExperimentCtx {
+                adaptive,
                 opts: RunOptions {
                     jobs,
                     obs: Some(&observer),
@@ -135,15 +150,21 @@ fn a_render_acquires_each_trace_once_across_its_matrices() {
             let reports = render_specs(&ctx, &specs).expect("renders");
             assert_eq!(reports.len(), names.len());
             let metrics = observer.metrics.as_ref().unwrap();
+            let case = format!("{names:?} (adaptive {}) at jobs={jobs}", adaptive.is_some());
+            assert_eq!(
+                metrics.totals().cells_simulated,
+                cells,
+                "{case}: every cell simulated"
+            );
             assert_eq!(
                 metrics.traces_generated.get(),
-                16,
-                "{names:?} at jobs={jobs}: one trace per workload"
+                traces,
+                "{case}: one trace per (workload, seed)"
             );
             assert_eq!(
                 metrics.cells_shared_decode.get(),
-                cells - 16,
-                "{names:?} at jobs={jobs}: every other cell shares"
+                cells - traces,
+                "{case}: every other cell shares"
             );
         }
     }
