@@ -47,3 +47,6 @@ pub use config::{LsqOrganization, MachineConfig, ReexecMode};
 pub use core::{Cpu, SimArena};
 pub use observe::{CommitObserver, CommitRecord, FwdOrigin};
 pub use stats::CpuStats;
+// The substrate statistics nested in `CpuStats`, so its readers can name them.
+pub use svw_mem::{CacheStats, HierarchyStats};
+pub use svw_predictors::BranchPredictorStats;

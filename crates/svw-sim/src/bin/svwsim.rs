@@ -104,8 +104,8 @@ SWEEP:
     spec by name and renders byte-identically to `--figure NAME`. Every builtin
     artifact is itself defined as such a spec (`svwsim experiments show NAME`).
 
-    Observability: --verbose, --stats, --stats-json, --events, --progress and
-    --metrics-out never change an artifact; every report and JSONL stream stays
+    Observability: --verbose, --stats, --stats-json, --events and --progress
+    never change an artifact; every report and JSONL stream stays
     byte-identical with them on or off.
 
 EXPERIMENTS:
@@ -218,15 +218,14 @@ fn dump_worker_stats(metrics: &SweepMetrics, result_cache: Option<&ResultCache>)
         );
     }
     if let Some(rc) = result_cache {
-        let c = rc.counters();
         eprintln!(
             "  result cache ({}, mode {}): {} hit(s), {} miss(es), {} store(s), {} store error(s)",
             rc.root().display(),
             rc.mode().label(),
-            c.hits,
-            c.misses,
-            c.stores,
-            c.store_errors,
+            metrics.result_cache_hits.get(),
+            metrics.result_cache_misses.get(),
+            metrics.result_cache_stores.get(),
+            metrics.result_cache_store_errors.get(),
         );
     }
     eprintln!(
@@ -242,58 +241,6 @@ fn dump_worker_stats(metrics: &SweepMetrics, result_cache: Option<&ResultCache>)
     if extra > 0 {
         eprintln!("  adaptive sampling scheduled {extra} extra seed-cell(s) beyond --min-seeds");
     }
-}
-
-/// `--stats-json FILE`: the machine-readable twin of [`dump_worker_stats`].
-fn stats_json(metrics: &SweepMetrics, result_cache: Option<&ResultCache>) -> String {
-    let workers = metrics.workers();
-    let mut fields = vec![
-        (
-            "workers",
-            json::array(workers.iter().enumerate().map(|(i, w)| {
-                json::object([
-                    ("worker", json::uint(i as u64)),
-                    ("cells_simulated", json::uint(w.cells_simulated)),
-                    ("cells_restored", json::uint(w.cells_restored)),
-                    ("cells_cached", json::uint(w.cells_cached)),
-                    ("cells_failed", json::uint(w.cells_failed)),
-                    ("resets", json::uint(w.resets)),
-                    ("rebuilds", json::uint(w.rebuilds)),
-                ])
-            })),
-        ),
-        (
-            "traces_generated",
-            json::uint(metrics.traces_generated.get()),
-        ),
-        (
-            "trace_cache_hits",
-            json::uint(metrics.trace_cache_hits.get()),
-        ),
-        (
-            "cells_shared_decode",
-            json::uint(metrics.cells_shared_decode.get()),
-        ),
-        (
-            "adaptive_extra_cells",
-            json::uint(metrics.adaptive_extra_cells.get()),
-        ),
-    ];
-    if let Some(rc) = result_cache {
-        let c = rc.counters();
-        fields.push((
-            "result_cache",
-            json::object([
-                ("dir", json::string(&rc.root().display().to_string())),
-                ("mode", json::string(rc.mode().label())),
-                ("hits", json::uint(c.hits)),
-                ("misses", json::uint(c.misses)),
-                ("stores", json::uint(c.stores)),
-                ("store_errors", json::uint(c.store_errors)),
-            ]),
-        ));
-    }
-    format!("{}\n", json::object(fields))
 }
 
 /// An output file a flag names, created when the session opens: `(path, file)`.
@@ -322,9 +269,10 @@ struct Session<'a> {
     cache: Option<TraceCache>,
     result_cache: Option<ResultCache>,
     sink: Option<JsonlSink>,
-    metrics_out: Output<'a>,
     stats_json: Output<'a>,
-    observer: Option<SweepObserver>,
+    /// Always carries the metrics: the result-cache summary line and the
+    /// `--oracle` exit code read them.
+    observer: SweepObserver,
 }
 
 impl<'a> Session<'a> {
@@ -334,25 +282,14 @@ impl<'a> Session<'a> {
             cache: open_cache(args),
             result_cache: open_result_cache(args),
             sink: open_sink(args),
-            metrics_out: create_output(args, "--metrics-out"),
             stats_json: create_output(args, "--stats-json"),
-            // `None` when no instrumentation flag was given, so the hot path
-            // pays nothing.
-            observer: {
-                let observer = SweepObserver {
-                    events: args.text("--events").map(|path| {
-                        EventSink::open(path)
-                            .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")))
-                    }),
-                    // --oracle needs the counters even without a stats flag:
-                    // their failed cells are how `finish` counts divergences.
-                    metrics: ["--stats", "--stats-json", "--metrics-out", "--oracle"]
-                        .into_iter()
-                        .any(|flag| args.has(flag))
-                        .then(SweepMetrics::new),
-                    progress: args.has("--progress").then(Progress::new),
-                };
-                (!observer.is_empty()).then_some(observer)
+            observer: SweepObserver {
+                events: args.text("--events").map(|path| {
+                    EventSink::open(path)
+                        .unwrap_or_else(|e| fail(&format!("cannot open --events {path}: {e}")))
+                }),
+                metrics: Some(SweepMetrics::new()),
+                progress: args.has("--progress").then(Progress::new),
             },
         }
     }
@@ -364,52 +301,46 @@ impl<'a> Session<'a> {
             verbose: self.args.has("--verbose"),
             jobs: self.args.num("--jobs"),
             sink: self.sink.as_ref(),
-            obs: self.observer.as_ref(),
+            obs: Some(&self.observer),
             oracle: oracle_options(self.args),
             result_cache: self.result_cache.as_ref(),
         }
     }
 
-    /// The end-of-run epilogues: the final progress line, the `--metrics-out`
-    /// snapshot, a warning if any journal append failed, the `--stats` and
-    /// `--stats-json` dumps, and the result-cache summary. Returns the number
-    /// of cells that failed (counted when `--oracle`, `--metrics-out` or a stats
-    /// flag is given).
-    fn finish(mut self) -> u64 {
+    /// The end-of-run epilogues: the final progress line, a warning if any
+    /// journal append failed, the `--stats` and `--stats-json` dumps, and the
+    /// result-cache summary, all read from the one counter set. Returns the
+    /// number of cells that failed.
+    fn finish(self) -> u64 {
         let result_cache = self.result_cache.as_ref();
-        let metrics = self.observer.as_ref().and_then(|o| o.metrics.as_ref());
-        if let Some(observer) = &self.observer {
-            if let Some(progress) = &observer.progress {
-                progress.finish();
-            }
-            if let Some(events) = &observer.events {
-                if events.write_errors() > 0 {
-                    eprintln!(
-                        "warning: {} event line(s) failed to write to {}",
-                        events.write_errors(),
-                        events.path().display()
-                    );
-                }
+        let observer = &self.observer;
+        let metrics = observer.metrics.as_ref().expect("a session always counts");
+        if let Some(progress) = &observer.progress {
+            progress.finish();
+        }
+        if let Some(events) = &observer.events {
+            if events.write_errors() > 0 {
+                eprintln!(
+                    "warning: {} event line(s) failed to write to {}",
+                    events.write_errors(),
+                    events.path().display()
+                );
             }
         }
-        if let Some(metrics) = metrics {
-            if let Some(output) = self.metrics_out.take() {
-                write_output("--metrics-out", output, &metrics.render_prometheus());
-            }
-            if self.args.has("--stats") {
-                dump_worker_stats(metrics, result_cache);
-            }
-            if let Some(output) = self.stats_json.take() {
-                write_output("--stats-json", output, &stats_json(metrics, result_cache));
-            }
+        if self.args.has("--stats") {
+            dump_worker_stats(metrics, result_cache);
+        }
+        if let Some(output) = self.stats_json {
+            write_output("--stats-json", output, &metrics.to_json(result_cache));
         }
         // `misses` counts exactly the cells that went on to real simulation
-        // (restored cells never consult the cache), so a fully
-        // warm run reads `... 0 simulated, 0 stored` — the line CI greps for.
+        // (restored cells never consult the cache), and `stores` only the
+        // entries written, so a fully warm run reads `... 0 simulated, 0
+        // stored` — the line CI greps for.
         if let Some(rc) = result_cache {
-            let c = rc.counters();
-            let errors = if c.store_errors > 0 {
-                format!(", {} store error(s)", c.store_errors)
+            let store_errors = metrics.result_cache_store_errors.get();
+            let errors = if store_errors > 0 {
+                format!(", {store_errors} store error(s)")
             } else {
                 String::new()
             };
@@ -417,12 +348,12 @@ impl<'a> Session<'a> {
                 "[svwsim] result cache {} (mode {}): {} cached, {} simulated, {} stored{errors}",
                 rc.root().display(),
                 rc.mode().label(),
-                c.hits,
-                c.misses,
-                c.stores,
+                metrics.result_cache_hits.get(),
+                metrics.result_cache_misses.get(),
+                metrics.result_cache_stores.get(),
             );
         }
-        metrics.map_or(0, |m| m.totals().cells_failed)
+        metrics.totals().cells_failed
     }
 }
 

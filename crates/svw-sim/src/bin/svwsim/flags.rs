@@ -83,7 +83,7 @@ const TEXT: Kind = Text { default: None };
 const ANY: u64 = u64::MAX;
 
 #[rustfmt::skip]
-pub const FLAGS: [Flag; 32] = [
+pub const FLAGS: [Flag; 31] = [
     // What to simulate.
     Flag { name: "--workload", value: "NAME", kind: TEXT, scope: CAPTURE | RUN_WORKLOAD,
            help: "workload to generate (capture also takes `all`)" },
@@ -179,16 +179,15 @@ pub const FLAGS: [Flag; 32] = [
                   cached and failed; resets vs rebuilds) and trace-acquisition\n\
                   counters to stderr" },
     Flag { name: "--stats-json", value: "FILE", kind: TEXT, scope: SCHEDULER,
-           help: "write the --stats counters to FILE as one JSON object" },
+           help: "write every sweep counter (the --stats ones, trace bytes,\n\
+                  simulated cycles, forwarding-buffer and store-set counts,\n\
+                  per-phase count and seconds) to FILE as one JSON object" },
     Flag { name: "--events", value: "FILE", kind: TEXT, scope: SCHEDULER,
            help: "append a kill-tolerant per-cell lifecycle event journal to FILE;\n\
                   analyze it with `svwsim profile`" },
     Flag { name: "--progress", value: "", kind: Switch, scope: SCHEDULER,
            help: "live progress lines on stderr (cells done/total, cells/s, ETA;\n\
                   adaptive runs add the worst per-workload relative CI)" },
-    Flag { name: "--metrics-out", value: "FILE", kind: TEXT, scope: SCHEDULER,
-           help: "write an end-of-run metrics snapshot (counters, gauges, phase\n\
-                  histograms) to FILE in Prometheus text format" },
 ];
 
 fn index(name: &str) -> usize {

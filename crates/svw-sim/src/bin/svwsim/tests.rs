@@ -142,7 +142,7 @@ fn applicability_follows_the_command_and_its_mode() {
 
 #[test]
 fn the_table_declares_each_flag_once_with_defaults_in_range() {
-    assert_eq!(FLAGS.len(), 32);
+    assert_eq!(FLAGS.len(), 31);
     for (i, flag) in FLAGS.iter().enumerate() {
         assert!(flag.name.starts_with("--"), "{}", flag.name);
         assert!(

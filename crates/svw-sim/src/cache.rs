@@ -39,6 +39,10 @@
 //! Results served from the cache are byte-identical to re-simulating: the
 //! stored line *is* the canonical [`cell_line`] serialization, whose stats
 //! round-trip losslessly (the jsonl unit tests enforce this).
+//!
+//! The cache is storage only and counts nothing. [`ResultCache::store`] says
+//! whether it wrote an entry, and the runner counts hits, misses, stores and
+//! store errors in [`crate::obs::SweepMetrics`].
 
 use std::collections::HashMap;
 use std::fs;
@@ -115,21 +119,6 @@ impl CacheMode {
     }
 }
 
-/// Hit/miss/store traffic of one [`ResultCache`] instance (process-local).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups served (from the in-process index or the on-disk store).
-    pub hits: u64,
-    /// Lookups that found nothing valid (including torn/corrupt entries and
-    /// lookups suppressed by [`CacheMode::WriteOnly`]).
-    pub misses: u64,
-    /// Entries published to the on-disk store.
-    pub stores: u64,
-    /// Store attempts that failed with an I/O error (the sweep continues; the
-    /// cell is simply not shared).
-    pub store_errors: u64,
-}
-
 /// What `svwsim cache stats` reports about an on-disk store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -182,10 +171,6 @@ pub struct ResultCache {
     root: PathBuf,
     mode: CacheMode,
     index: Vec<Mutex<HashMap<SimKey, CpuStats>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    store_errors: AtomicU64,
 }
 
 /// Process-global in-flight-write sequence. Shared across *instances* so two
@@ -204,10 +189,6 @@ impl ResultCache {
             index: (0..INDEX_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            store_errors: AtomicU64::new(0),
         })
     }
 
@@ -219,16 +200,6 @@ impl ResultCache {
     /// The mode this instance was opened with.
     pub fn mode(&self) -> CacheMode {
         self.mode
-    }
-
-    /// Process-local hit/miss/store counters.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            store_errors: self.store_errors.load(Ordering::Relaxed),
-        }
     }
 
     /// The content address of `id`: FNV-1a over a stable serialization of its
@@ -267,7 +238,6 @@ impl ResultCache {
     /// under [`CacheMode::WriteOnly`].
     pub fn lookup(&self, id: &CellId) -> Option<CpuStats> {
         if self.mode == CacheMode::WriteOnly {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let (key, sim_key) = (Self::cache_key(id), id.sim_key());
@@ -277,35 +247,26 @@ impl ResultCache {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             if let Some(stats) = stripe.get(&sim_key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(stats.clone());
             }
         }
-        match read_entry(&self.entry_path(key), sim_key) {
-            Some(stats) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.index_stripe(key)
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(sim_key, stats.clone());
-                Some(stats)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let stats = read_entry(&self.entry_path(key), sim_key)?;
+        self.index_stripe(key)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(sim_key, stats.clone());
+        Some(stats)
     }
 
     /// Publishes one successfully simulated cell: atomically (tmp+rename)
     /// writes the checksummed canonical line, so a concurrent reader sees
-    /// either the whole entry or nothing. A no-op under
-    /// [`CacheMode::ReadOnly`], and when an entry with the same [`SimKey`] is
-    /// already indexed in-process. I/O errors are returned for the caller to
-    /// aggregate into a sweep warning — never to abort on.
-    pub fn store(&self, id: &CellId, stats: &CpuStats) -> io::Result<()> {
+    /// either the whole entry or nothing. Returns whether it wrote an entry:
+    /// `false` under [`CacheMode::ReadOnly`], and when an entry with the same
+    /// [`SimKey`] is already indexed in-process. I/O errors are returned for
+    /// the caller to aggregate into a sweep warning — never to abort on.
+    pub fn store(&self, id: &CellId, stats: &CpuStats) -> io::Result<bool> {
         if self.mode == CacheMode::ReadOnly {
-            return Ok(());
+            return Ok(false);
         }
         let key = Self::cache_key(id);
         {
@@ -314,7 +275,7 @@ impl ResultCache {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             if stripe.insert(id.sim_key(), stats.clone()).is_some() {
-                return Ok(());
+                return Ok(false);
             }
         }
         let payload = cell_line(id, &Ok(stats.clone()));
@@ -323,37 +284,26 @@ impl ResultCache {
             fnv1a(payload.as_bytes())
         );
         let path = self.entry_path(key);
-        let result = (|| {
-            fs::create_dir_all(path.parent().expect("entry path has a fanout parent"))?;
-            // Unique per process *and* per in-flight write, so concurrent
-            // sweeps sharing the directory never collide on the tmp name.
-            let tmp = path.with_extension(format!(
-                "tmp.{}.{}",
-                std::process::id(),
-                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let mut file = fs::File::create(&tmp)?;
-            let write = file
-                .write_all(entry.as_bytes())
-                .and_then(|()| file.flush())
-                .and_then(|()| {
-                    drop(file);
-                    fs::rename(&tmp, &path)
-                });
-            if write.is_err() {
-                let _ = fs::remove_file(&tmp);
-            }
-            write
-        })();
-        match &result {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        fs::create_dir_all(path.parent().expect("entry path has a fanout parent"))?;
+        // Unique per process *and* per in-flight write, so concurrent sweeps
+        // sharing the directory never collide on the tmp name.
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut file = fs::File::create(&tmp)?;
+        let write = file
+            .write_all(entry.as_bytes())
+            .and_then(|()| file.flush())
+            .and_then(|()| {
+                drop(file);
+                fs::rename(&tmp, &path)
+            });
+        if write.is_err() {
+            let _ = fs::remove_file(&tmp);
         }
-        result
+        write.map(|()| true)
     }
 
     /// Scans the on-disk store: entry/byte totals, fanout directories, and
@@ -576,7 +526,11 @@ mod tests {
         let id = sample_id(1);
         let stats = sample_stats(7);
         assert!(cache.lookup(&id).is_none(), "cold store misses");
-        cache.store(&id, &stats).unwrap();
+        assert!(cache.store(&id, &stats).unwrap(), "the first store writes");
+        assert!(
+            !cache.store(&id, &stats).unwrap(),
+            "an indexed key is not written again"
+        );
         let hit = cache.lookup(&id).expect("stored entry hits");
         assert_eq!(
             format!("{hit:?}"),
@@ -586,8 +540,7 @@ mod tests {
         // A second instance (fresh in-process index) reads it from disk.
         let other = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
         assert!(other.lookup(&id).is_some(), "visible across instances");
-        let counters = cache.counters();
-        assert_eq!((counters.hits, counters.misses, counters.stores), (1, 1, 1));
+        assert_eq!(cache.stats().unwrap().entries, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -727,11 +680,14 @@ mod tests {
         let dir = test_dir("modes");
         let ro = ResultCache::open(&dir, CacheMode::ReadOnly).unwrap();
         let id = sample_id(1);
-        ro.store(&id, &sample_stats(0)).unwrap();
+        assert!(
+            !ro.store(&id, &sample_stats(0)).unwrap(),
+            "read-only writes nothing"
+        );
         assert_eq!(ro.stats().unwrap().entries, 0, "read-only stored nothing");
 
         let wo = ResultCache::open(&dir, CacheMode::WriteOnly).unwrap();
-        wo.store(&id, &sample_stats(0)).unwrap();
+        assert!(wo.store(&id, &sample_stats(0)).unwrap());
         assert_eq!(wo.stats().unwrap().entries, 1);
         assert!(wo.lookup(&id).is_none(), "write-only never serves");
         assert!(

@@ -79,6 +79,11 @@ impl ExperimentCtx<'_> {
     /// pool member has run the same seeds and a round runs one seed. The
     /// rounds' sweep-level warnings go to the first matrix of each spec, so
     /// every report notes them once.
+    ///
+    /// The `--progress` total starts at every cell the render can run (under
+    /// adaptive sampling, every workload to `max_seeds`) and drops a
+    /// workload's unrun seeds when it leaves its pool, so the ETA is an upper
+    /// bound and the total ends at the cells run.
     fn execute(&self, specs: &[ResolvedSpec]) -> Vec<Vec<Matrix>> {
         let mut seeds = match &self.adaptive {
             Some(adaptive) => (0..adaptive.min_seeds as u64)
@@ -99,6 +104,15 @@ impl ExperimentCtx<'_> {
         let mut extra_cells = vec![0usize; resolved.len()];
         let mut warnings = Vec::new();
         let mut seeds_run = 0;
+        let progress = self.opts.obs.and_then(|o| o.progress.as_ref());
+        if let Some(progress) = progress {
+            let max_seeds = self.adaptive.map_or(seeds.len(), |a| a.max_seeds);
+            let per_seed: usize = resolved
+                .iter()
+                .map(|m| m.workloads.len() * m.configs.len())
+                .sum();
+            progress.add_planned(per_seed * max_seeds);
+        }
         loop {
             let rounds: Vec<MatrixRound> = pools
                 .iter()
@@ -117,8 +131,13 @@ impl ExperimentCtx<'_> {
             let Some(adaptive) = &self.adaptive else {
                 break;
             };
-            for (matrix, pool) in matrices.iter().zip(&mut pools) {
+            for ((matrix, pool), m) in matrices.iter().zip(&mut pools).zip(&resolved) {
+                let held = pool.len();
                 pool.retain(|&w| matrix.worst_ipc_ci(w) > adaptive.ci_target_pct);
+                if let Some(progress) = progress {
+                    let unrun = adaptive.max_seeds - seeds_run;
+                    progress.drop_planned((held - pool.len()) * m.configs.len() * unrun);
+                }
             }
             self.note_worst_ci(&matrices);
             if pools.iter().all(Vec::is_empty) || seeds_run >= adaptive.max_seeds {
@@ -551,46 +570,6 @@ fn push_stats(table: &mut SeriesTable, name: &str, stats: &[Stat], multi_seed: b
         table.push_series(name, values);
     }
 }
-
-/// The builtin artifact names, each with a one-line description. These mirror
-/// the builtin spec registry ([`crate::registry::builtin_specs`]); a test pins
-/// the two together.
-pub const ARTIFACT_NAMES: &[(&str, &str)] = &[
-    (
-        "fig5",
-        "Figure 5: SVW over the non-associative load queue (NLQ_LS)",
-    ),
-    (
-        "fig6",
-        "Figure 6: SVW over the speculative store queue (SSQ)",
-    ),
-    (
-        "fig7",
-        "Figure 7: SVW over redundant load elimination (RLE)",
-    ),
-    ("fig8", "Figure 8: SSBF organisation sensitivity"),
-    (
-        "ssn-width",
-        "Table (§3.6): SSN width / wrap-drain sensitivity",
-    ),
-    (
-        "spec-ssbf",
-        "Table (§3.6): speculative vs. atomic SSBF updates",
-    ),
-    (
-        "substrate-ssbf",
-        "Substrate: SSBF organisation filter-traffic comparison",
-    ),
-    ("summary", "Table (§6): aggregate re-execution reduction"),
-    (
-        "adversarial-ssbf",
-        "Adversarial: SSBF organisation false-positive/re-exec rates vs. SPECint",
-    ),
-    (
-        "adversarial-svw",
-        "Adversarial: SVW filtering on the SSQ under adversarial stress vs. SPECint",
-    ),
-];
 
 /// Checks that a spec fits a renderer's shape, before anything runs.
 type Check = fn(&ResolvedSpec) -> Result<(), String>;
@@ -1248,17 +1227,6 @@ mod tests {
                 let expect_cfgs: Vec<&str> = axis_configs.iter().map(|c| c.name.as_str()).collect();
                 assert_eq!(got_cfgs, expect_cfgs, "{name}/{label} configs");
             }
-        }
-    }
-
-    #[test]
-    fn artifact_names_match_registry() {
-        let builtin = registry::builtin_names();
-        let artifact: Vec<&str> = ARTIFACT_NAMES.iter().map(|(n, _)| *n).collect();
-        assert_eq!(builtin, artifact);
-        for (name, desc) in ARTIFACT_NAMES {
-            let spec = registry::spec_by_name(name).expect("registered");
-            assert_eq!(spec.description, *desc, "{name}");
         }
     }
 

@@ -37,171 +37,141 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use svw_cpu::CpuStats;
+use svw_core::SvwStats;
+use svw_cpu::{BranchPredictorStats, CacheStats, CpuStats, HierarchyStats};
 
 use crate::json::{self, Scalar};
 
 /// The scalar `CpuStats` counters that round-trip through the JSONL stream, in
-/// emission order. [`stat_get`] and [`stat_set`] must cover exactly these names (a
-/// unit test enforces the round-trip).
-const STAT_FIELDS: &[&str] = &[
-    "cycles",
-    "committed",
-    "loads_retired",
-    "stores_retired",
-    "loads_marked",
-    "loads_filtered",
-    "loads_reexecuted",
-    "reexecuted_fsq_loads",
-    "reexecuted_reuse_loads",
-    "reexecuted_bypass_loads",
-    "loads_eliminated",
-    "eliminations_reuse",
-    "eliminations_bypass",
-    "eliminations_squash",
-    "reexec_flushes",
-    "ordering_flushes",
-    "wrap_drains",
-    "branch_mispredictions",
-    "commit_stalled_on_reexec",
-    "reexec_port_conflicts",
-    "fwd_buffer_lookups",
-    "fwd_buffer_hits",
-    "store_set_squashes",
-    // Nested substrate statistics, flattened so restored cells are lossless.
-    "bp_predictions",
-    "bp_mispredictions",
-    "l1i_reads",
-    "l1i_writes",
-    "l1i_read_misses",
-    "l1i_write_misses",
-    "l1i_dirty_evictions",
-    "l1d_reads",
-    "l1d_writes",
-    "l1d_read_misses",
-    "l1d_write_misses",
-    "l1d_dirty_evictions",
-    "l2_reads",
-    "l2_writes",
-    "l2_read_misses",
-    "l2_write_misses",
-    "l2_dirty_evictions",
-    "mem_accesses",
-    "svw_marked_loads",
-    "svw_filtered_loads",
-    "svw_reexecuted_loads",
-    "svw_reexec_mismatches",
-    "svw_wrap_drains",
-    "svw_ssbf_store_updates",
-    "svw_ssbf_invalidation_updates",
-];
-
-fn stat_get(s: &CpuStats, field: &str) -> u64 {
-    match field {
-        "cycles" => s.cycles,
-        "committed" => s.committed,
-        "loads_retired" => s.loads_retired,
-        "stores_retired" => s.stores_retired,
-        "loads_marked" => s.loads_marked,
-        "loads_filtered" => s.loads_filtered,
-        "loads_reexecuted" => s.loads_reexecuted,
-        "reexecuted_fsq_loads" => s.reexecuted_fsq_loads,
-        "reexecuted_reuse_loads" => s.reexecuted_reuse_loads,
-        "reexecuted_bypass_loads" => s.reexecuted_bypass_loads,
-        "loads_eliminated" => s.loads_eliminated,
-        "eliminations_reuse" => s.eliminations_reuse,
-        "eliminations_bypass" => s.eliminations_bypass,
-        "eliminations_squash" => s.eliminations_squash,
-        "reexec_flushes" => s.reexec_flushes,
-        "ordering_flushes" => s.ordering_flushes,
-        "wrap_drains" => s.wrap_drains,
-        "branch_mispredictions" => s.branch_mispredictions,
-        "commit_stalled_on_reexec" => s.commit_stalled_on_reexec,
-        "reexec_port_conflicts" => s.reexec_port_conflicts,
-        "fwd_buffer_lookups" => s.fwd_buffer_lookups,
-        "fwd_buffer_hits" => s.fwd_buffer_hits,
-        "store_set_squashes" => s.store_set_squashes,
-        "bp_predictions" => s.branch_predictor.predictions,
-        "bp_mispredictions" => s.branch_predictor.mispredictions,
-        "l1i_reads" => s.hierarchy.l1i.reads,
-        "l1i_writes" => s.hierarchy.l1i.writes,
-        "l1i_read_misses" => s.hierarchy.l1i.read_misses,
-        "l1i_write_misses" => s.hierarchy.l1i.write_misses,
-        "l1i_dirty_evictions" => s.hierarchy.l1i.dirty_evictions,
-        "l1d_reads" => s.hierarchy.l1d.reads,
-        "l1d_writes" => s.hierarchy.l1d.writes,
-        "l1d_read_misses" => s.hierarchy.l1d.read_misses,
-        "l1d_write_misses" => s.hierarchy.l1d.write_misses,
-        "l1d_dirty_evictions" => s.hierarchy.l1d.dirty_evictions,
-        "l2_reads" => s.hierarchy.l2.reads,
-        "l2_writes" => s.hierarchy.l2.writes,
-        "l2_read_misses" => s.hierarchy.l2.read_misses,
-        "l2_write_misses" => s.hierarchy.l2.write_misses,
-        "l2_dirty_evictions" => s.hierarchy.l2.dirty_evictions,
-        "mem_accesses" => s.hierarchy.memory_accesses,
-        "svw_marked_loads" => s.svw.marked_loads,
-        "svw_filtered_loads" => s.svw.filtered_loads,
-        "svw_reexecuted_loads" => s.svw.reexecuted_loads,
-        "svw_reexec_mismatches" => s.svw.reexec_mismatches,
-        "svw_wrap_drains" => s.svw.wrap_drains,
-        "svw_ssbf_store_updates" => s.svw.ssbf_store_updates,
-        "svw_ssbf_invalidation_updates" => s.svw.ssbf_invalidation_updates,
-        _ => unreachable!("unknown stat field {field}"),
+/// emission order, each named and paired with its place in `s`. The nested
+/// substrate statistics are flattened so restored cells are lossless. The
+/// destructure is exhaustive, so a new counter fails to compile here instead
+/// of restoring as 0.
+fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
+    let CpuStats {
+        cycles,
+        committed,
+        loads_retired,
+        stores_retired,
+        loads_marked,
+        loads_filtered,
+        loads_reexecuted,
+        reexecuted_fsq_loads,
+        reexecuted_reuse_loads,
+        reexecuted_bypass_loads,
+        loads_eliminated,
+        eliminations_reuse,
+        eliminations_bypass,
+        eliminations_squash,
+        reexec_flushes,
+        ordering_flushes,
+        wrap_drains,
+        branch_mispredictions,
+        commit_stalled_on_reexec,
+        reexec_port_conflicts,
+        fwd_buffer_lookups,
+        fwd_buffer_hits,
+        store_set_squashes,
+        branch_predictor:
+            BranchPredictorStats {
+                predictions: bp_predictions,
+                mispredictions: bp_mispredictions,
+            },
+        hierarchy:
+            HierarchyStats {
+                l1i:
+                    CacheStats {
+                        reads: l1i_reads,
+                        writes: l1i_writes,
+                        read_misses: l1i_read_misses,
+                        write_misses: l1i_write_misses,
+                        dirty_evictions: l1i_dirty_evictions,
+                    },
+                l1d:
+                    CacheStats {
+                        reads: l1d_reads,
+                        writes: l1d_writes,
+                        read_misses: l1d_read_misses,
+                        write_misses: l1d_write_misses,
+                        dirty_evictions: l1d_dirty_evictions,
+                    },
+                l2:
+                    CacheStats {
+                        reads: l2_reads,
+                        writes: l2_writes,
+                        read_misses: l2_read_misses,
+                        write_misses: l2_write_misses,
+                        dirty_evictions: l2_dirty_evictions,
+                    },
+                memory_accesses: mem_accesses,
+            },
+        svw:
+            SvwStats {
+                marked_loads: svw_marked_loads,
+                filtered_loads: svw_filtered_loads,
+                reexecuted_loads: svw_reexecuted_loads,
+                reexec_mismatches: svw_reexec_mismatches,
+                wrap_drains: svw_wrap_drains,
+                ssbf_store_updates: svw_ssbf_store_updates,
+                ssbf_invalidation_updates: svw_ssbf_invalidation_updates,
+            },
+    } = s;
+    // Each field is named by its binding, so a name cannot drift from its field.
+    macro_rules! named {
+        ($($field:ident),*) => {
+            [$((stringify!($field), $field)),*]
+        };
     }
-}
-
-fn stat_set(s: &mut CpuStats, field: &str, v: u64) {
-    match field {
-        "cycles" => s.cycles = v,
-        "committed" => s.committed = v,
-        "loads_retired" => s.loads_retired = v,
-        "stores_retired" => s.stores_retired = v,
-        "loads_marked" => s.loads_marked = v,
-        "loads_filtered" => s.loads_filtered = v,
-        "loads_reexecuted" => s.loads_reexecuted = v,
-        "reexecuted_fsq_loads" => s.reexecuted_fsq_loads = v,
-        "reexecuted_reuse_loads" => s.reexecuted_reuse_loads = v,
-        "reexecuted_bypass_loads" => s.reexecuted_bypass_loads = v,
-        "loads_eliminated" => s.loads_eliminated = v,
-        "eliminations_reuse" => s.eliminations_reuse = v,
-        "eliminations_bypass" => s.eliminations_bypass = v,
-        "eliminations_squash" => s.eliminations_squash = v,
-        "reexec_flushes" => s.reexec_flushes = v,
-        "ordering_flushes" => s.ordering_flushes = v,
-        "wrap_drains" => s.wrap_drains = v,
-        "branch_mispredictions" => s.branch_mispredictions = v,
-        "commit_stalled_on_reexec" => s.commit_stalled_on_reexec = v,
-        "reexec_port_conflicts" => s.reexec_port_conflicts = v,
-        "fwd_buffer_lookups" => s.fwd_buffer_lookups = v,
-        "fwd_buffer_hits" => s.fwd_buffer_hits = v,
-        "store_set_squashes" => s.store_set_squashes = v,
-        "bp_predictions" => s.branch_predictor.predictions = v,
-        "bp_mispredictions" => s.branch_predictor.mispredictions = v,
-        "l1i_reads" => s.hierarchy.l1i.reads = v,
-        "l1i_writes" => s.hierarchy.l1i.writes = v,
-        "l1i_read_misses" => s.hierarchy.l1i.read_misses = v,
-        "l1i_write_misses" => s.hierarchy.l1i.write_misses = v,
-        "l1i_dirty_evictions" => s.hierarchy.l1i.dirty_evictions = v,
-        "l1d_reads" => s.hierarchy.l1d.reads = v,
-        "l1d_writes" => s.hierarchy.l1d.writes = v,
-        "l1d_read_misses" => s.hierarchy.l1d.read_misses = v,
-        "l1d_write_misses" => s.hierarchy.l1d.write_misses = v,
-        "l1d_dirty_evictions" => s.hierarchy.l1d.dirty_evictions = v,
-        "l2_reads" => s.hierarchy.l2.reads = v,
-        "l2_writes" => s.hierarchy.l2.writes = v,
-        "l2_read_misses" => s.hierarchy.l2.read_misses = v,
-        "l2_write_misses" => s.hierarchy.l2.write_misses = v,
-        "l2_dirty_evictions" => s.hierarchy.l2.dirty_evictions = v,
-        "mem_accesses" => s.hierarchy.memory_accesses = v,
-        "svw_marked_loads" => s.svw.marked_loads = v,
-        "svw_filtered_loads" => s.svw.filtered_loads = v,
-        "svw_reexecuted_loads" => s.svw.reexecuted_loads = v,
-        "svw_reexec_mismatches" => s.svw.reexec_mismatches = v,
-        "svw_wrap_drains" => s.svw.wrap_drains = v,
-        "svw_ssbf_store_updates" => s.svw.ssbf_store_updates = v,
-        "svw_ssbf_invalidation_updates" => s.svw.ssbf_invalidation_updates = v,
-        _ => unreachable!("unknown stat field {field}"),
-    }
+    named![
+        cycles,
+        committed,
+        loads_retired,
+        stores_retired,
+        loads_marked,
+        loads_filtered,
+        loads_reexecuted,
+        reexecuted_fsq_loads,
+        reexecuted_reuse_loads,
+        reexecuted_bypass_loads,
+        loads_eliminated,
+        eliminations_reuse,
+        eliminations_bypass,
+        eliminations_squash,
+        reexec_flushes,
+        ordering_flushes,
+        wrap_drains,
+        branch_mispredictions,
+        commit_stalled_on_reexec,
+        reexec_port_conflicts,
+        fwd_buffer_lookups,
+        fwd_buffer_hits,
+        store_set_squashes,
+        bp_predictions,
+        bp_mispredictions,
+        l1i_reads,
+        l1i_writes,
+        l1i_read_misses,
+        l1i_write_misses,
+        l1i_dirty_evictions,
+        l1d_reads,
+        l1d_writes,
+        l1d_read_misses,
+        l1d_write_misses,
+        l1d_dirty_evictions,
+        l2_reads,
+        l2_writes,
+        l2_read_misses,
+        l2_write_misses,
+        l2_dirty_evictions,
+        mem_accesses,
+        svw_marked_loads,
+        svw_filtered_loads,
+        svw_reexecuted_loads,
+        svw_reexec_mismatches,
+        svw_wrap_drains,
+        svw_ssbf_store_updates,
+        svw_ssbf_invalidation_updates
+    ]
 }
 
 /// One experiment cell as recorded in the JSONL stream: what it simulates (its
@@ -286,8 +256,8 @@ pub fn cell_line(id: &CellId, result: &Result<CpuStats, String>) -> String {
     match result {
         Ok(stats) => {
             fields.push(("status", json::string("ok")));
-            for f in STAT_FIELDS {
-                fields.push((f, json::uint(stat_get(stats, f))));
+            for (name, value) in stat_fields(&mut stats.clone()) {
+                fields.push((name, json::uint(*value)));
             }
             // Derived metrics for human and downstream consumers (not read back).
             fields.push(("ipc", json::number(stats.ipc())));
@@ -326,8 +296,8 @@ pub fn parse_cell_line(line: &str) -> Option<(CellId, Result<CpuStats, String>)>
     match lookup("status")?.as_str()? {
         "ok" => {
             let mut stats = CpuStats::default();
-            for f in STAT_FIELDS {
-                stat_set(&mut stats, f, lookup(f)?.as_u64()?);
+            for (name, value) in stat_fields(&mut stats) {
+                *value = lookup(name)?.as_u64()?;
             }
             Some((id, Ok(stats)))
         }
@@ -440,10 +410,11 @@ impl JsonlSink {
 mod tests {
     use super::*;
 
+    /// Every counter set, each to a distinct value.
     fn nonzero_stats() -> CpuStats {
         let mut s = CpuStats::default();
-        for (i, f) in STAT_FIELDS.iter().enumerate() {
-            stat_set(&mut s, f, (i as u64 + 1) * 1_000_000_007);
+        for (i, (_, value)) in stat_fields(&mut s).into_iter().enumerate() {
+            *value = (i as u64 + 1) * 1_000_000_007;
         }
         s
     }
@@ -465,9 +436,11 @@ mod tests {
         let line = cell_line(&id, &Ok(stats.clone()));
         let (rid, result) = parse_cell_line(&line).expect("parses");
         assert_eq!(rid, id);
-        let restored = result.expect("ok cell");
-        for f in STAT_FIELDS {
-            assert_eq!(stat_get(&restored, f), stat_get(&stats, f), "field {f}");
+        let mut restored = result.expect("ok cell");
+        let names: Vec<&str> = stat_fields(&mut restored).map(|(name, _)| name).into();
+        for (name, value) in stat_fields(&mut stats.clone()) {
+            assert_eq!(names.iter().filter(|&&n| n == name).count(), 1, "{name}");
+            assert!(line.contains(&format!("\"{name}\":{value},")), "{name}");
         }
         // Lossless resume: the restored struct — including the nested substrate
         // statistics — must equal the original in every field.

@@ -51,7 +51,8 @@
 //! becomes [`runner::CellOutcome::Cached`], skipping trace acquisition, decode,
 //! and simulation entirely — and publishes every freshly simulated cell back via
 //! atomic tmp+rename writes, so concurrent sweeps can share one directory.
-//! `--no-result-cache` is the A/B control (renders are byte-identical either
+//! The cache only stores; the runner counts its hits, misses and stores in
+//! [`SweepMetrics`]. `--no-result-cache` is the A/B control (renders are byte-identical either
 //! way), `--result-cache-mode ro|wo` serves CI read-only or warm-only flows,
 //! and `svwsim cache stats|gc|verify` manages the store (see
 //! `docs/CACHING.md`).
@@ -60,11 +61,11 @@
 //! [`events`], [`profile`]): `--events FILE.jsonl` appends a kill-tolerant
 //! per-cell lifecycle journal (`planned → trace_acquired → decoded → simulated →
 //! written`, with worker ids and per-phase durations), `--progress` reports live
-//! completion/rate/ETA on stderr, `--metrics-out FILE` writes an end-of-run
-//! metrics snapshot in Prometheus text format, and `svwsim profile` turns
-//! journals into phase breakdowns, slowest-cell lists, and worker utilization.
-//! One counter set, [`SweepMetrics`], backs `--stats`, `--stats-json`,
-//! `--metrics-out` and the `--oracle` failure count.
+//! completion/rate/ETA on stderr, and `svwsim profile` turns journals into
+//! phase breakdowns, slowest-cell lists, and worker utilization. One counter
+//! set, [`SweepMetrics`], counts everything a sweep does; `--stats` and
+//! `--stats-json` are its only renderings, and the result-cache summary line
+//! and the `--oracle` failure count read it too.
 //! Every artifact stays byte-identical with instrumentation on or off.
 //!
 //! Results carry **lineage**: every JSONL cell line and result-cache entry
@@ -92,11 +93,11 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 
-pub use cache::{CacheCounters, CacheMode, GcReport, ResultCache, StoreStats, VerifyReport};
+pub use cache::{CacheMode, GcReport, ResultCache, StoreStats, VerifyReport};
 pub use events::{parse_event_line, read_events, Event, EventSink};
 pub use experiments::{
     artifact_resolved, render_artifact, render_resolved, render_specs, AdaptiveOpts, ExperimentCtx,
-    Stat, ARTIFACT_NAMES,
+    Stat,
 };
 pub use jsonl::{CellId, JsonlSink, SimKey};
 pub use obs::{CellProgress, Progress, SweepMetrics, SweepObserver, WorkerStats};

@@ -1,18 +1,22 @@
-//! Sweep-engine observability: [`SweepMetrics`], the one counter set behind
-//! `--stats`, `--stats-json`, `--metrics-out` and the `--oracle` exit code; the
-//! live `--progress` reporter; and the [`SweepObserver`] handle that threads
-//! both (plus the `--events` journal) through [`crate::runner::RunOptions`].
+//! Sweep-engine observability: [`SweepMetrics`], the one count of everything
+//! a sweep does (cells, traces, result-cache traffic, phase durations) and
+//! the only source of `--stats`, `--stats-json`, the result-cache summary
+//! line and the `--oracle` exit code; the live `--progress` reporter; and the
+//! [`SweepObserver`] handle that threads both (plus the `--events` journal)
+//! through [`crate::runner::RunOptions`].
 //!
-//! Everything here is optional at run time: an uninstrumented sweep carries
-//! `obs: None` and pays only the `Option` branch per cell. When enabled, a
-//! cell costs a few relaxed atomic adds, and each worker takes the per-worker
-//! lock once, when it exits.
+//! A library caller that needs none of it passes `obs: None` and pays only
+//! the `Option` branch per cell. With metrics on, a cell costs a few relaxed
+//! atomic adds, and each worker takes the per-worker lock once, when it
+//! exits.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::cache::ResultCache;
 use crate::events::EventSink;
+use crate::json;
 
 /// A monotonically increasing event count: relaxed atomic adds, safe from any
 /// thread, never a lock.
@@ -36,17 +40,10 @@ impl Counter {
     }
 }
 
-/// Upper bounds (in seconds) of the duration-histogram buckets: log-spaced
-/// from 10 µs (a trace decode) to 100 s, with an implicit `+Inf` bucket above.
-const DURATION_BUCKET_BOUNDS: [f64; 8] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
-
-/// A fixed-bucket histogram of durations. Recording never allocates: one
-/// relaxed add into the matching bucket, one into the count, one into the sum.
+/// A duration accumulator: how many phases were timed and their summed
+/// duration. Recording never allocates: two relaxed atomic adds.
 #[derive(Debug, Default)]
 pub struct DurationHistogram {
-    // One slot per finite bound plus the +Inf bucket. Non-cumulative here;
-    // rendering produces the cumulative form Prometheus expects.
-    buckets: [AtomicU64; DURATION_BUCKET_BOUNDS.len() + 1],
     count: AtomicU64,
     sum_nanos: AtomicU64,
 }
@@ -54,12 +51,6 @@ pub struct DurationHistogram {
 impl DurationHistogram {
     /// Records one duration observation.
     pub fn record(&self, d: Duration) {
-        let secs = d.as_secs_f64();
-        let idx = DURATION_BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| secs <= bound)
-            .unwrap_or(DURATION_BUCKET_BOUNDS.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos
             .fetch_add(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
@@ -75,18 +66,12 @@ impl DurationHistogram {
         Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed))
     }
 
-    /// The cumulative `_bucket`, `_sum` and `_count` sample lines.
-    fn render(&self, name: &str, out: &mut String) {
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            let le = DURATION_BUCKET_BOUNDS
-                .get(i)
-                .map_or_else(|| "+Inf".to_string(), f64::to_string);
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        }
-        out.push_str(&format!("{name}_sum {}\n", self.sum().as_secs_f64()));
-        out.push_str(&format!("{name}_count {}\n", self.count()));
+    /// The `{"count":N,"seconds":S}` object `--stats-json` prints per phase.
+    fn to_json(&self) -> String {
+        json::object([
+            ("count", json::uint(self.count())),
+            ("seconds", json::number(self.sum().as_secs_f64())),
+        ])
     }
 }
 
@@ -130,17 +115,6 @@ impl WorkerStats {
     }
 }
 
-/// One metric of the `--metrics-out` snapshot: a single value with its
-/// Prometheus kind (`counter` or `gauge`), or a histogram.
-enum Sample<'a> {
-    Value(&'static str, u64),
-    Histogram(&'a DurationHistogram),
-}
-
-fn counter(n: u64) -> Sample<'static> {
-    Sample::Value("counter", n)
-}
-
 /// Everything the sweep engine counts, shared by every plan execution of one
 /// invocation (the matrices of `tables`, the rounds of an adaptive sweep).
 #[derive(Debug, Default)]
@@ -180,8 +154,12 @@ pub struct SweepMetrics {
     pub result_cache_hits: Counter,
     /// Result-cache lookups that found nothing valid.
     pub result_cache_misses: Counter,
-    /// Cells published to the result cache.
+    /// Entries the result cache wrote (a read-only cache and a key already
+    /// stored this process write none).
     pub result_cache_stores: Counter,
+    /// Result-cache writes that failed with an I/O error (the cell is simply
+    /// not shared).
+    pub result_cache_store_errors: Counter,
     /// Result-cache phase durations (lookup or publish, per consulted cell).
     pub result_cache_seconds: DurationHistogram,
 }
@@ -215,126 +193,60 @@ impl SweepMetrics {
         WorkerStats::sum(&self.workers())
     }
 
-    /// Renders the snapshot in Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        let workers = self.workers();
-        let cells = WorkerStats::sum(&workers);
-        let table = [
-            (
-                "svw_cells_simulated_total",
-                "Cells simulated by this process",
-                counter(cells.cells_simulated),
-            ),
-            (
-                "svw_cells_restored_total",
-                "Cells restored from an existing results file",
-                counter(cells.cells_restored),
-            ),
-            (
-                "svw_cells_cached_total",
-                "Cells served by the content-addressed result cache",
-                counter(cells.cells_cached),
-            ),
-            (
-                "svw_cells_failed_total",
-                "Cells whose simulation panicked",
-                counter(cells.cells_failed),
-            ),
-            (
-                "svw_traces_generated_total",
-                "Traces generated from workload profiles",
-                counter(self.traces_generated.get()),
-            ),
-            (
-                "svw_trace_cache_hits_total",
-                "Traces served by the on-disk trace cache",
-                counter(self.trace_cache_hits.get()),
-            ),
-            (
-                "svw_trace_bytes_read_total",
-                "Bytes read from disk while acquiring traces",
-                counter(self.trace_bytes_read.get()),
-            ),
-            (
-                "svw_sim_cycles_total",
-                "Simulated cycles across all cells",
-                counter(self.sim_cycles.get()),
-            ),
-            (
-                "svw_fwd_buffer_lookups_total",
-                "Forwarding-buffer probes by re-executing loads",
-                counter(self.fwd_buffer_lookups.get()),
-            ),
-            (
-                "svw_fwd_buffer_hits_total",
-                "Forwarding-buffer probes served from the buffer",
-                counter(self.fwd_buffer_hits.get()),
-            ),
-            (
-                "svw_store_set_squashes_total",
-                "Loads held at rename by a store-set dependence prediction",
-                counter(self.store_set_squashes.get()),
-            ),
-            (
-                "svw_workers",
-                "Worker threads used by the largest plan execution",
-                Sample::Value("gauge", workers.len() as u64),
-            ),
-            (
-                "svw_phase_trace_acquire_seconds",
-                "Trace-acquisition phase durations",
-                Sample::Histogram(&self.trace_acquire_seconds),
-            ),
-            (
-                "svw_phase_decode_seconds",
-                "Trace-decode phase durations",
-                Sample::Histogram(&self.decode_seconds),
-            ),
-            (
-                "svw_phase_simulate_seconds",
-                "Cycle-level simulation phase durations",
-                Sample::Histogram(&self.simulate_seconds),
-            ),
-            (
-                "svw_phase_write_seconds",
-                "Result-write (JSONL append) phase durations",
-                Sample::Histogram(&self.write_seconds),
-            ),
-            (
-                "svw_result_cache_hits_total",
-                "Result-cache lookups served",
-                counter(self.result_cache_hits.get()),
-            ),
-            (
-                "svw_result_cache_misses_total",
-                "Result-cache lookups that found nothing valid",
-                counter(self.result_cache_misses.get()),
-            ),
-            (
-                "svw_result_cache_stores_total",
-                "Cells published to the result cache",
-                counter(self.result_cache_stores.get()),
-            ),
-            (
-                "svw_phase_result_cache_seconds",
-                "Result-cache phase durations (lookup or publish)",
-                Sample::Histogram(&self.result_cache_seconds),
-            ),
-        ];
-        let mut out = String::new();
-        for (name, help, sample) in table {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            match sample {
-                Sample::Value(kind, n) => {
-                    out.push_str(&format!("# TYPE {name} {kind}\n{name} {n}\n"));
-                }
-                Sample::Histogram(h) => {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
-                    h.render(name, &mut out);
-                }
-            }
+    /// The `--stats-json` object: the per-worker rows, every counter, the
+    /// count and summed seconds of each phase, and (when a result cache was
+    /// consulted) its traffic, one line, newline-terminated.
+    pub fn to_json(&self, result_cache: Option<&ResultCache>) -> String {
+        let workers = json::array(self.workers().iter().enumerate().map(|(i, w)| {
+            json::object([
+                ("worker", json::uint(i as u64)),
+                ("cells_simulated", json::uint(w.cells_simulated)),
+                ("cells_restored", json::uint(w.cells_restored)),
+                ("cells_cached", json::uint(w.cells_cached)),
+                ("cells_failed", json::uint(w.cells_failed)),
+                ("resets", json::uint(w.resets)),
+                ("rebuilds", json::uint(w.rebuilds)),
+            ])
+        }));
+        let phases = json::object([
+            ("trace_acquire", self.trace_acquire_seconds.to_json()),
+            ("decode", self.decode_seconds.to_json()),
+            ("simulate", self.simulate_seconds.to_json()),
+            ("write", self.write_seconds.to_json()),
+            ("result_cache", self.result_cache_seconds.to_json()),
+        ]);
+        let mut fields = vec![("workers", workers)];
+        for (name, counter) in [
+            ("traces_generated", &self.traces_generated),
+            ("trace_cache_hits", &self.trace_cache_hits),
+            ("cells_shared_decode", &self.cells_shared_decode),
+            ("adaptive_extra_cells", &self.adaptive_extra_cells),
+            ("trace_bytes_read", &self.trace_bytes_read),
+            ("sim_cycles", &self.sim_cycles),
+            ("fwd_buffer_lookups", &self.fwd_buffer_lookups),
+            ("fwd_buffer_hits", &self.fwd_buffer_hits),
+            ("store_set_squashes", &self.store_set_squashes),
+        ] {
+            fields.push((name, json::uint(counter.get())));
         }
-        out
+        fields.push(("phases", phases));
+        if let Some(rc) = result_cache {
+            fields.push((
+                "result_cache",
+                json::object([
+                    ("dir", json::string(&rc.root().display().to_string())),
+                    ("mode", json::string(rc.mode().label())),
+                    ("hits", json::uint(self.result_cache_hits.get())),
+                    ("misses", json::uint(self.result_cache_misses.get())),
+                    ("stores", json::uint(self.result_cache_stores.get())),
+                    (
+                        "store_errors",
+                        json::uint(self.result_cache_store_errors.get()),
+                    ),
+                ]),
+            ));
+        }
+        format!("{}\n", json::object(fields))
     }
 }
 
@@ -391,10 +303,18 @@ impl Progress {
         }
     }
 
-    /// Adds `n` cells to the denominator (called once per plan execution, so
-    /// adaptive rounds grow the total as they schedule more cells).
+    /// Adds `n` cells to the denominator. The code that plans a sweep calls
+    /// it before the cells run: `run_cells` with its matrix, a render with
+    /// every cell it can run (an adaptive render: every workload to
+    /// `max_seeds`), so the ETA is an upper bound.
     pub fn add_planned(&self, n: usize) {
         self.total.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Removes `n` planned cells that will not run after all (the seeds an
+    /// adaptive render no longer owes a workload that met its CI target).
+    pub fn drop_planned(&self, n: usize) {
+        self.total.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Records one finished cell and maybe prints a throttled progress line.
@@ -423,7 +343,9 @@ impl Progress {
         (total, simulated, restored, cached, failed)
     }
 
-    fn render_line(&self) -> String {
+    /// The progress line as printed: cells done of planned, the outcome
+    /// mix, the simulation rate and ETA, and the worst CI so far.
+    pub fn line(&self) -> String {
         let (total, simulated, restored, cached, failed) = self.counts();
         let done = simulated + restored + cached + failed;
         let mut line = format!("[svwsim] progress: {done}/{total} cells");
@@ -472,12 +394,12 @@ impl Progress {
             }
         }
         *last = Some(now);
-        eprintln!("{}", self.render_line());
+        eprintln!("{}", self.line());
     }
 
     /// Prints the final progress line unconditionally.
     pub fn finish(&self) {
-        eprintln!("{}", self.render_line());
+        eprintln!("{}", self.line());
     }
 }
 
@@ -490,25 +412,18 @@ impl Default for Progress {
 /// The bundle of enabled instrumentation a sweep carries, threaded by
 /// reference through [`crate::runner::RunOptions::obs`].
 ///
-/// Each component is independently optional — `--events`, `--progress`, and
-/// `--metrics-out` can be combined freely — and a run with all three disabled
-/// never constructs this struct at all.
+/// Each component is independently optional. `svwsim` always builds the
+/// metrics (the result-cache summary line and the `--oracle` exit code read
+/// them); `--events` and `--progress` add the other two.
 #[derive(Debug, Default)]
 pub struct SweepObserver {
     /// The `--events` journal writer.
     pub events: Option<EventSink>,
-    /// The counter set behind `--stats`, `--stats-json`, `--metrics-out` and
-    /// the `--oracle` failure count.
+    /// The counter set behind `--stats`, `--stats-json`, the result-cache
+    /// summary line and the `--oracle` failure count.
     pub metrics: Option<SweepMetrics>,
     /// The `--progress` stderr reporter.
     pub progress: Option<Progress>,
-}
-
-impl SweepObserver {
-    /// True when no instrumentation is enabled (callers then pass `obs: None`).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_none() && self.metrics.is_none() && self.progress.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -529,34 +444,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_sum() {
+    fn histogram_counts_and_sums() {
         let h = DurationHistogram::default();
-        h.record(Duration::from_micros(5)); // <= 10 µs bucket
-        h.record(Duration::from_millis(5)); // <= 10 ms bucket
-        h.record(Duration::from_secs(200)); // +Inf bucket
+        h.record(Duration::from_micros(5));
+        h.record(Duration::from_millis(5));
+        h.record(Duration::from_secs(200));
         assert_eq!(h.count(), 3);
-        let counts: Vec<u64> = h
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(counts, [1, 0, 0, 1, 0, 0, 0, 0, 1]);
         let sum = h.sum();
         assert!(sum > Duration::from_secs(200));
         assert!(sum < Duration::from_secs(201));
-    }
-
-    #[test]
-    fn prometheus_histogram_is_cumulative() {
-        let metrics = SweepMetrics::new();
-        metrics.decode_seconds.record(Duration::from_micros(5));
-        metrics.decode_seconds.record(Duration::from_micros(50));
-        let text = metrics.render_prometheus();
-        assert!(text.contains("svw_phase_decode_seconds_bucket{le=\"0.00001\"} 1"));
-        assert!(text.contains("svw_phase_decode_seconds_bucket{le=\"0.0001\"} 2"));
-        assert!(text.contains("svw_phase_decode_seconds_bucket{le=\"100\"} 2"));
-        assert!(text.contains("svw_phase_decode_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("svw_phase_decode_seconds_count 2"));
     }
 
     #[test]
@@ -571,49 +467,72 @@ mod tests {
         metrics.record_worker(2, &row);
         metrics.trace_bytes_read.add(1024);
         metrics.simulate_seconds.record(Duration::from_millis(2));
-        let text = metrics.render_prometheus();
-        assert!(text.contains("# TYPE svw_cells_simulated_total counter"));
-        assert!(text.contains("svw_cells_simulated_total 6"));
-        assert!(text.contains("svw_cells_failed_total 2"));
-        assert!(text.contains("svw_workers 3"), "a row per worker slot");
-        assert!(text.contains("svw_trace_bytes_read_total 1024"));
-        assert!(text.contains("svw_phase_simulate_seconds_count 1"));
-        assert!(text.contains("# TYPE svw_phase_simulate_seconds histogram"));
-        assert_eq!(metrics.totals().cells_simulated, 6);
+        metrics.decode_seconds.record(Duration::from_micros(5));
+        metrics.decode_seconds.record(Duration::from_micros(50));
+        let text = metrics.to_json(None);
+        assert_eq!(text.matches("\"cells_simulated\":3").count(), 2, "{text}");
+        assert_eq!(
+            text.matches("\"worker\":").count(),
+            3,
+            "a row per worker slot"
+        );
+        assert!(text.contains("\"trace_bytes_read\":1024"), "{text}");
+        assert!(
+            text.contains("\"simulate\":{\"count\":1,\"seconds\":0.002}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"decode\":{\"count\":2,\"seconds\":0.000055}"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("result_cache\":{\"dir"),
+            "no cache, no cache block"
+        );
+        let totals = metrics.totals();
+        assert_eq!((totals.cells_simulated, totals.cells_failed), (6, 2));
     }
 
     #[test]
     fn metrics_render_every_metric_once_in_a_fixed_order() {
-        let text = SweepMetrics::new().render_prometheus();
-        let types: Vec<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .collect();
-        assert_eq!(
-            types,
-            [
-                "svw_cells_simulated_total counter",
-                "svw_cells_restored_total counter",
-                "svw_cells_cached_total counter",
-                "svw_cells_failed_total counter",
-                "svw_traces_generated_total counter",
-                "svw_trace_cache_hits_total counter",
-                "svw_trace_bytes_read_total counter",
-                "svw_sim_cycles_total counter",
-                "svw_fwd_buffer_lookups_total counter",
-                "svw_fwd_buffer_hits_total counter",
-                "svw_store_set_squashes_total counter",
-                "svw_workers gauge",
-                "svw_phase_trace_acquire_seconds histogram",
-                "svw_phase_decode_seconds histogram",
-                "svw_phase_simulate_seconds histogram",
-                "svw_phase_write_seconds histogram",
-                "svw_result_cache_hits_total counter",
-                "svw_result_cache_misses_total counter",
-                "svw_result_cache_stores_total counter",
-                "svw_phase_result_cache_seconds histogram",
-            ]
+        let phase = r#"{"count":0,"seconds":0}"#;
+        let body = format!(
+            r#"{{"workers":[],"traces_generated":0,"trace_cache_hits":0,"cells_shared_decode":0,"adaptive_extra_cells":0,"trace_bytes_read":0,"sim_cycles":0,"fwd_buffer_lookups":0,"fwd_buffer_hits":0,"store_set_squashes":0,"phases":{{"trace_acquire":{phase},"decode":{phase},"simulate":{phase},"write":{phase},"result_cache":{phase}}}"#
         );
+        let metrics = SweepMetrics::new();
+        assert_eq!(metrics.to_json(None), format!("{body}}}\n"));
+
+        let dir = std::env::temp_dir().join(format!("svw-obs-json-{}", std::process::id()));
+        let rc = ResultCache::open(&dir, crate::cache::CacheMode::ReadOnly).unwrap();
+        metrics.result_cache_stores.add(270);
+        metrics.result_cache_store_errors.inc();
+        let cache = format!(
+            r#""result_cache":{{"dir":{},"mode":"ro","hits":0,"misses":0,"stores":270,"store_errors":1}}"#,
+            json::string(&dir.display().to_string())
+        );
+        assert_eq!(metrics.to_json(Some(&rc)), format!("{body},{cache}}}\n"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropped_cells_shrink_the_planned_total_to_the_cells_run() {
+        // An adaptive render plans every workload to max_seeds (here 12
+        // cells), runs 6, and drops the 6 a converged workload no longer owes.
+        let progress = Progress::new();
+        progress.add_planned(12);
+        for _ in 0..6 {
+            progress.record(CellProgress::Simulated);
+        }
+        assert!(
+            progress.line().contains("6/12 cells"),
+            "{}",
+            progress.line()
+        );
+        assert!(progress.line().contains("ETA"), "{}", progress.line());
+        progress.drop_planned(6);
+        let line = progress.line();
+        assert!(line.starts_with("[svwsim] progress: 6/6 cells"), "{line}");
+        assert!(!line.contains("ETA"), "nothing remains: {line}");
     }
 
     #[test]
@@ -624,7 +543,7 @@ mod tests {
         progress.record(CellProgress::Restored);
         progress.record(CellProgress::Cached);
         progress.note_worst_ci("gcc", 2.5);
-        let line = progress.render_line();
+        let line = progress.line();
         assert!(line.contains("3/10 cells"), "line: {line}");
         assert!(line.contains("1 simulated"), "line: {line}");
         assert!(line.contains("1 restored"), "line: {line}");
@@ -643,7 +562,7 @@ mod tests {
         }
         // No simulated cells yet: no rate, no ETA — a restore- or cache-only
         // prefix must not advertise an (infinite) rate as the simulation rate.
-        let line = progress.render_line();
+        let line = progress.line();
         assert!(!line.contains("cells/s"), "line: {line}");
         assert!(!line.contains("ETA"), "line: {line}");
     }

@@ -219,7 +219,7 @@ pub fn render_plan(specs: &[ResolvedSpec], trace_len: usize, rounds: &[MatrixRou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ARTIFACT_NAMES;
+    use crate::registry::builtin_specs;
 
     #[test]
     fn enumerate_is_workload_major_config_then_seed() {
@@ -258,10 +258,9 @@ mod tests {
     fn plan_enumeration_is_byte_identical_to_legacy_for_every_artifact() {
         let seeds = [4u64, 9];
         let trace_len = 2_000usize;
-        for (name, _) in ARTIFACT_NAMES {
-            let spec_fingerprint = crate::registry::spec_fingerprint(
-                crate::registry::spec_by_name(name).expect("builtin spec"),
-            );
+        for spec in builtin_specs() {
+            let name = spec.name.as_str();
+            let spec_fingerprint = crate::registry::spec_fingerprint(spec);
             // The legacy enumeration, hand-rolled from the static matrix definitions.
             let mut legacy: Vec<CellId> = Vec::new();
             for m in artifact_resolved(name, 1).unwrap().matrices {
@@ -416,9 +415,9 @@ mod tests {
     /// distinct simulations.
     #[test]
     fn builtin_artifacts_plan_335_distinct_simulations() {
-        let ids: Vec<CellId> = ARTIFACT_NAMES
+        let ids: Vec<CellId> = builtin_specs()
             .iter()
-            .flat_map(|(name, _)| artifact_plans(name, 1_000, &[1], 1).unwrap())
+            .flat_map(|spec| artifact_plans(&spec.name, 1_000, &[1], 1).unwrap())
             .flat_map(|plan| plan.cells.into_iter().map(|c| c.id))
             .collect();
         let keys: std::collections::HashSet<_> = ids.iter().map(CellId::sim_key).collect();
@@ -427,7 +426,8 @@ mod tests {
 
     #[test]
     fn artifact_plans_cover_every_artifact_name() {
-        for (name, _) in ARTIFACT_NAMES {
+        for spec in builtin_specs() {
+            let name = &spec.name;
             let plans = artifact_plans(name, 1_000, &[1], 1).unwrap_or_else(|| {
                 panic!("artifact {name} has no plan enumeration");
             });

@@ -181,8 +181,6 @@ pub struct SweepResult {
     /// Aggregated sweep-level warnings (cache fallbacks, stream write errors) — at
     /// most one entry per category, however many cells were affected.
     pub warnings: Vec<String>,
-    /// How many cells were restored from the resume file instead of simulated.
-    pub restored: usize,
     /// How many cells were served by the content-addressed result cache.
     pub cached: usize,
 }
@@ -330,6 +328,9 @@ pub fn run_cells(
         seeds,
         spec_fingerprint,
     );
+    if let Some(progress) = opts.obs.and_then(|o| o.progress.as_ref()) {
+        progress.add_planned(plan.cells.len());
+    }
     execute_plan(&plan, opts)
 }
 
@@ -348,6 +349,9 @@ pub fn run_cells(
 ///    simulate, and `publish` it as soon as it finishes (sink append, cache
 ///    store, events), so an interrupted sweep loses nothing it finished;
 /// 4. `collect` — order the cells and aggregate the errors into warnings.
+///
+/// The `--progress` total is the planner's to set ([`run_cells`] and the
+/// render add the cells they plan); the executor only records finished cells.
 pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     let cached = lookup_cached(plan, opts);
     let slots = TraceSlots::group(plan, &cached);
@@ -489,11 +493,10 @@ fn push_error(list: &Mutex<Vec<String>>, error: String) {
 }
 
 /// What phase 3 hands to [`collect`]: every cell with its plan index, in
-/// completion order, the shared tally, and the restored-cell count.
+/// completion order, and the shared tally.
 struct Drained {
     cells: Vec<(usize, ExperimentCell)>,
     tally: Tally,
-    restored: u64,
 }
 
 /// Phase 3: N workers drain the task queue; each owns one simulation arena
@@ -509,20 +512,15 @@ fn drain(
 ) -> Drained {
     let total = plan.cells.len();
     let jobs = effective_jobs(opts.jobs, total);
-    if let Some(o) = opts.obs {
-        if let Some(progress) = &o.progress {
-            progress.add_planned(total);
-        }
-        if let Some(events) = &o.events {
-            events.emit(
-                event_kind::SWEEP_STARTED,
-                [
-                    ("matrix", json::string(&plan.matrix)),
-                    ("cells", json::uint(total as u64)),
-                    ("jobs", json::uint(jobs as u64)),
-                ],
-            );
-        }
+    if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
+        events.emit(
+            event_kind::SWEEP_STARTED,
+            [
+                ("matrix", json::string(&plan.matrix)),
+                ("cells", json::uint(total as u64)),
+                ("jobs", json::uint(jobs as u64)),
+            ],
+        );
     }
     let tally = Tally::default();
     let next_task = AtomicUsize::new(0);
@@ -585,13 +583,11 @@ fn drain(
     let mut drained = Drained {
         cells: Vec::with_capacity(total),
         tally,
-        restored: 0,
     };
     for (worker, (done, row)) in rows.into_iter().enumerate() {
         if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
             metrics.record_worker(worker, &row);
         }
-        drained.restored += row.cells_restored;
         drained.cells.extend(done);
     }
     drained
@@ -746,14 +742,17 @@ fn publish(
         Resolution::Simulated(sim) => sim,
     };
     // Publish the freshly simulated cell back to the result cache (successes
-    // only — failed cells re-run, exactly like on resume).
+    // only — failed cells re-run, exactly like on resume). A store counts
+    // only when it wrote an entry.
     if let (Some(rc), Ok(stats)) = (opts.result_cache, &sim.result) {
         let store_start = Instant::now();
         let stored = rc.store(id, stats);
         if let Some(metrics) = metrics {
             metrics.result_cache_seconds.record(store_start.elapsed());
-            if stored.is_ok() {
-                metrics.result_cache_stores.inc();
+            match stored {
+                Ok(true) => metrics.result_cache_stores.inc(),
+                Ok(false) => {}
+                Err(_) => metrics.result_cache_store_errors.inc(),
             }
         }
         if let Err(e) = stored {
@@ -880,11 +879,7 @@ fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepRe
             ],
         );
     }
-    let Drained {
-        mut cells,
-        tally,
-        restored,
-    } = drained;
+    let Drained { mut cells, tally } = drained;
     cells.sort_unstable_by_key(|&(k, _)| k);
     assert_eq!(cells.len(), total, "every planned cell produced a result");
     let cells: Vec<ExperimentCell> = cells.into_iter().map(|(_, cell)| cell).collect();
@@ -924,7 +919,6 @@ fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepRe
         cells,
         cache_fallbacks: cache_errors.len(),
         warnings,
-        restored: restored as usize,
     }
 }
 
@@ -1009,7 +1003,6 @@ mod tests {
             ]
         );
         assert_eq!(result.failures().count(), 0);
-        assert_eq!(result.restored, 0);
         // Different seeds generate different traces, so the runs differ.
         let s3 = result.cells[0].stats().unwrap();
         let s4 = result.cells[1].stats().unwrap();
@@ -1095,27 +1088,31 @@ mod tests {
         let rc = crate::cache::ResultCache::open(&dir, crate::cache::CacheMode::ReadWrite).unwrap();
         let workloads = vec![WorkloadProfile::quicktest()];
         let configs = two_configs();
-        let opts = RunOptions {
-            result_cache: Some(&rc),
-            ..RunOptions::default()
-        };
-        let observer = SweepObserver {
+        let observers: [SweepObserver; 2] = std::array::from_fn(|_| SweepObserver {
             metrics: Some(crate::obs::SweepMetrics::new()),
             ..SweepObserver::default()
+        });
+        let run = |observer| {
+            let opts = RunOptions {
+                result_cache: Some(&rc),
+                obs: Some(observer),
+                ..RunOptions::default()
+            };
+            run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &opts)
         };
-        let warm_opts = RunOptions {
-            result_cache: Some(&rc),
-            obs: Some(&observer),
-            ..RunOptions::default()
-        };
-        let cold = run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &opts);
+        let cold = run(&observers[0]);
+        let cold_metrics = observers[0].metrics.as_ref().unwrap();
         assert_eq!(cold.cached, 0);
-        assert_eq!(rc.counters().stores, 4);
-        let warm = run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &warm_opts);
+        assert_eq!(cold_metrics.result_cache_stores.get(), 4);
+        assert_eq!(cold_metrics.result_cache_misses.get(), 4);
+        let warm = run(&observers[1]);
         assert_eq!(warm.cached, 4, "every cell is served from the cache");
         assert!(warm.cells.iter().all(ExperimentCell::is_cached));
-        let totals = observer.metrics.as_ref().unwrap().totals();
+        let warm_metrics = observers[1].metrics.as_ref().unwrap();
+        let totals = warm_metrics.totals();
         assert_eq!((totals.cells_simulated, totals.cells_cached), (0, 4));
+        assert_eq!(warm_metrics.result_cache_hits.get(), 4);
+        assert_eq!(warm_metrics.result_cache_stores.get(), 0);
         // Byte-identical stats: the cache round-trip is lossless.
         for (c, w) in cold.cells.iter().zip(&warm.cells) {
             assert_eq!(

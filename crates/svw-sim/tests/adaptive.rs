@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 
 use svw_sim::{
     artifact_plans, json, parse_spec, render_specs, resolve_spec, AdaptiveOpts, CellId,
-    ExperimentCtx, FigureReport, JsonlSink, ResolvedSpec, RunOptions, SweepMetrics, SweepObserver,
+    ExperimentCtx, FigureReport, JsonlSink, Progress, ResolvedSpec, RunOptions, SweepMetrics,
+    SweepObserver,
 };
 
 const LEN: usize = 1_500;
@@ -56,12 +57,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// What one adaptive render produced: its report, its extra seed-cells, and
-/// the cells it simulated (the rest were restored from the sink).
+/// What one adaptive render produced: its report, its extra seed-cells, the
+/// cells it simulated (the rest were restored from the sink), and its final
+/// `--progress` line.
 struct Adaptive {
     report: FigureReport,
     extra_cells: u64,
     simulated: u64,
+    progress: String,
 }
 
 /// Renders the spec adaptively at `jobs`, streaming every cell to `out`.
@@ -69,6 +72,7 @@ fn render(adaptive: AdaptiveOpts, out: &Path, jobs: usize) -> Adaptive {
     let sink = JsonlSink::open(out).unwrap();
     let observer = SweepObserver {
         metrics: Some(SweepMetrics::new()),
+        progress: Some(Progress::new()),
         ..SweepObserver::default()
     };
     let ctx = ExperimentCtx {
@@ -87,6 +91,7 @@ fn render(adaptive: AdaptiveOpts, out: &Path, jobs: usize) -> Adaptive {
         report: reports.remove(0),
         extra_cells: metrics.adaptive_extra_cells.get(),
         simulated: metrics.totals().cells_simulated,
+        progress: observer.progress.as_ref().unwrap().line(),
     }
 }
 
@@ -258,5 +263,34 @@ fn adaptive_sampling_resumes_losslessly() {
     );
     // The resume appended nothing.
     assert_eq!(fs::read_to_string(&out).unwrap().lines().count(), lines);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `--progress` total of an adaptive render starts at every cell it can
+/// run (every workload to `max_seeds`) and drops the seeds a workload no
+/// longer owes once it meets the target. The ETA is then an upper bound, and
+/// the total ends at the cells run, whether the target stops sampling at
+/// `min_seeds` or `max_seeds` does.
+#[test]
+fn the_progress_total_ends_at_the_cells_run() {
+    let dir = temp_dir("progress");
+    for (ci_target_pct, seeds_run) in [(1e9, 2), (1e-9, 4)] {
+        let out = dir.join(format!("progress-{seeds_run}.jsonl"));
+        let adaptive = AdaptiveOpts {
+            ci_target_pct,
+            min_seeds: 2,
+            max_seeds: 4,
+        };
+        let run = render(adaptive, &out, 2);
+        let cells = seeds_run * cells_per_seed(&spec());
+        assert_eq!(run.simulated, cells as u64);
+        assert!(
+            run.progress
+                .starts_with(&format!("[svwsim] progress: {cells}/{cells} cells")),
+            "{}",
+            run.progress
+        );
+        assert!(!run.progress.contains("ETA"), "{}", run.progress);
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use svw_cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
 use svw_sim::jsonl::parse_cell_line;
-use svw_sim::{run_cells, JsonlSink, RunOptions};
+use svw_sim::{run_cells, JsonlSink, RunOptions, SweepMetrics, SweepObserver, SweepResult};
 use svw_workloads::WorkloadProfile;
 
 const LEN: usize = 2_000;
@@ -44,6 +44,29 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Runs the matrix at [`LEN`] under `opts` and returns the result with the
+/// number of cells restored from the sink, read from the workers' rows (their
+/// only count).
+fn run_restoring(
+    matrix: &str,
+    workloads: &[WorkloadProfile],
+    configs: &[MachineConfig],
+    seeds: &[u64],
+    opts: RunOptions<'_>,
+) -> (SweepResult, u64) {
+    let observer = SweepObserver {
+        metrics: Some(SweepMetrics::new()),
+        ..SweepObserver::default()
+    };
+    let opts = RunOptions {
+        obs: Some(&observer),
+        ..opts
+    };
+    let result = run_cells(matrix, workloads, configs, LEN, seeds, 0, &opts);
+    let restored = observer.metrics.as_ref().unwrap().totals().cells_restored;
+    (result, restored)
 }
 
 /// Byte-identical rendering of a cell list (workload, config, seed, full stats or
@@ -156,16 +179,16 @@ fn jsonl_resume_skips_finished_cells_without_duplicates_or_gaps() {
     let total = workloads.len() * configs.len() * seeds.len();
 
     // Full streamed run (single job for a deterministic line order).
-    let fresh = {
+    let (fresh, restored) = {
         let sink = JsonlSink::open(&path).unwrap();
         let opts = RunOptions {
             jobs: 1,
             sink: Some(&sink),
             ..RunOptions::default()
         };
-        run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts)
+        run_restoring("resume", &workloads, &configs, &seeds, opts)
     };
-    assert_eq!(fresh.restored, 0);
+    assert_eq!(restored, 0);
     let lines: Vec<String> = fs::read_to_string(&path)
         .unwrap()
         .lines()
@@ -181,7 +204,7 @@ fn jsonl_resume_skips_finished_cells_without_duplicates_or_gaps() {
     fs::write(&path, &truncated).unwrap();
 
     // Resume: only the missing cells are simulated; the file ends up complete.
-    let resumed = {
+    let (resumed, restored) = {
         let sink = JsonlSink::open(&path).unwrap();
         assert_eq!(sink.restored_count(), keep);
         assert_eq!(sink.skipped_lines(), 1, "the half-written line is ignored");
@@ -190,9 +213,9 @@ fn jsonl_resume_skips_finished_cells_without_duplicates_or_gaps() {
             sink: Some(&sink),
             ..RunOptions::default()
         };
-        run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts)
+        run_restoring("resume", &workloads, &configs, &seeds, opts)
     };
-    assert_eq!(resumed.restored, keep);
+    assert_eq!(restored, keep as u64);
     // Lossless resume: the *full* statistics — including the nested branch
     // predictor, hierarchy, and SVW substrate counters — must round-trip through
     // the JSONL stream, so restored cells are byte-identical to the fresh run.
@@ -223,9 +246,9 @@ fn jsonl_resume_skips_finished_cells_without_duplicates_or_gaps() {
         sink: Some(&sink),
         ..RunOptions::default()
     };
-    let third = run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts);
+    let (_, restored) = run_restoring("resume", &workloads, &configs, &seeds, opts);
     assert_eq!(
-        third.restored, total,
+        restored, total as u64,
         "fully streamed sweeps re-simulate nothing"
     );
 
@@ -247,10 +270,10 @@ fn matrix_labels_disambiguate_identical_cell_names() {
         sink: Some(&sink),
         ..RunOptions::default()
     };
-    let a = run_cells("figA", &workloads, &configs, LEN, &[1], 0, &opts);
-    let b = run_cells("figB", &workloads, &configs, LEN, &[1], 0, &opts);
-    assert_eq!(a.restored, 0);
-    assert_eq!(b.restored, 0, "figB must not reuse figA's cell");
+    let (_, a) = run_restoring("figA", &workloads, &configs, &[1], opts);
+    let (_, b) = run_restoring("figB", &workloads, &configs, &[1], opts);
+    assert_eq!(a, 0);
+    assert_eq!(b, 0, "figB must not reuse figA's cell");
     drop(sink);
 
     let sink = JsonlSink::open(&path).unwrap();
@@ -259,8 +282,8 @@ fn matrix_labels_disambiguate_identical_cell_names() {
         sink: Some(&sink),
         ..RunOptions::default()
     };
-    let c = run_cells("figC", &workloads, &configs, LEN, &[1], 0, &opts);
-    assert_eq!(c.restored, 1, "the same machine on the same trace resumes");
+    let (_, c) = run_restoring("figC", &workloads, &configs, &[1], opts);
+    assert_eq!(c, 1, "the same machine on the same trace resumes");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -294,11 +317,8 @@ fn stale_preset_must_not_resume_from_out() {
         sink: Some(&sink),
         ..RunOptions::default()
     };
-    let resumed = run_cells("stale", &workloads, &edited, LEN, &[1], 0, &opts);
-    assert_eq!(
-        resumed.restored, 0,
-        "no cell of the old machine is restored"
-    );
+    let (resumed, restored) = run_restoring("stale", &workloads, &edited, &[1], opts);
+    assert_eq!(restored, 0, "no cell of the old machine is restored");
     let fresh = run_cells(
         "stale",
         &workloads,
@@ -355,7 +375,7 @@ fn schema_2_out_file_re_simulates_its_cells() {
         sink: Some(&sink),
         ..RunOptions::default()
     };
-    let resumed = run_cells("schema", &workloads, &configs, LEN, &[1], 0, &opts);
-    assert_eq!(resumed.restored, 0, "schema-2 cells are re-simulated");
+    let (_, restored) = run_restoring("schema", &workloads, &configs, &[1], opts);
+    assert_eq!(restored, 0, "schema-2 cells are re-simulated");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -131,14 +131,14 @@ fn every_ci_and_benchmark_invocation_shape_is_accepted() {
     assert_ok(
         d,
         &format!(
-            "sweep --figure fig8 {N} --seeds 2 --events ev.jsonl --metrics-out m.prom \
-             --progress --stats-json st.json"
+            "sweep --figure fig8 {N} --seeds 2 --events ev.jsonl --progress \
+             --stats-json st.json"
         ),
     );
     assert_ok(
         d,
         &format!(
-            "sweep --figure fig8 {N} --seeds 2 --events ev2.jsonl --metrics-out m2.prom --json"
+            "sweep --figure fig8 {N} --seeds 2 --events ev2.jsonl --stats-json st2.json --json"
         ),
     );
     assert_ok(d, "profile ev.jsonl --top 3");
@@ -239,19 +239,111 @@ fn a_sweep_that_fails_the_oracle_exits_1() {
 
 /// An output file that cannot be created fails the call before any cell runs,
 /// not after the whole sweep: the `--out` stream of the same call stays empty.
+/// The removed `--metrics-out` is rejected just as early, as an unknown flag.
 #[test]
 fn an_unwritable_output_path_fails_before_any_cell_runs() {
     let dir = workdir("unwritable-output");
-    for flag in ["--metrics-out", "--stats-json"] {
+    for (flag, error) in [
+        ("--stats-json", "cannot write --stats-json"),
+        ("--metrics-out", "unknown flag --metrics-out"),
+    ] {
         let line = format!("sweep --figure fig8 --trace-len 400 --out r.jsonl {flag} missing/m");
         let err = assert_rejected(&dir, &line);
-        assert!(
-            err.contains(&format!("cannot write {flag}")),
-            "`svwsim {line}` stderr: {err}"
-        );
+        assert!(err.contains(error), "`svwsim {line}` stderr: {err}");
         let streamed = std::fs::read_to_string(dir.join("r.jsonl")).unwrap_or_default();
         assert_eq!(streamed.lines().count(), 0, "`svwsim {line}` ran cells");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The result-cache counts are counted once, so every output agrees: the
+/// summary line, `--stats-json` and the store itself. `tables` plans 285
+/// cells with 270 distinct simulations, so 15 cells repeat a key already
+/// stored and write nothing; a read-only cache writes nothing at all.
+#[test]
+fn every_output_agrees_on_the_result_cache_counts() {
+    let dir = workdir("cache-counts");
+    let d = dir.as_path();
+    let run = assert_ok(
+        d,
+        "tables --trace-len 1000 --jobs 1 --result-cache rc --stats-json s.json",
+    );
+    let err = stderr(&run);
+    assert!(
+        err.contains("[svwsim] result cache rc (mode rw): 0 cached, 285 simulated, 270 stored\n"),
+        "{err}"
+    );
+    let stats = std::fs::read_to_string(dir.join("s.json")).unwrap();
+    assert!(stats.contains("\"stores\":270,"), "{stats}");
+    let entries = assert_ok(d, "cache stats --result-cache rc --json");
+    assert!(
+        String::from_utf8_lossy(&entries.stdout).contains("\"entries\":270,"),
+        "{}",
+        String::from_utf8_lossy(&entries.stdout)
+    );
+
+    let run = assert_ok(
+        d,
+        "sweep --figure fig8 --trace-len 1000 --jobs 1 --result-cache ro-rc \
+         --result-cache-mode ro --stats-json ro.json",
+    );
+    let err = stderr(&run);
+    assert!(
+        err.contains("[svwsim] result cache ro-rc (mode ro): 0 cached, 30 simulated, 0 stored\n"),
+        "{err}"
+    );
+    let stats = std::fs::read_to_string(dir.join("ro.json")).unwrap();
+    assert!(stats.contains("\"stores\":0,"), "{stats}");
+    let written = std::fs::read_dir(dir.join("ro-rc")).unwrap().count();
+    assert_eq!(written, 0, "a read-only cache leaves its directory empty");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first and last `--progress` lines of `svwsim {line}`.
+fn progress_bounds(dir: &Path, line: &str) -> (String, String) {
+    let err = stderr(&assert_ok(dir, line));
+    let lines: Vec<&str> = err
+        .lines()
+        .filter(|l| l.starts_with("[svwsim] progress: "))
+        .collect();
+    let (Some(first), Some(last)) = (lines.first(), lines.last()) else {
+        panic!("`svwsim {line}` printed no progress line: {err}");
+    };
+    (first.to_string(), last.to_string())
+}
+
+/// `--progress` counts every cell a sweep plans. An adaptive render plans
+/// every workload to `--max-seeds` from its first line, so its ETA is an
+/// upper bound, and ends at the cells it ran. Fixed renders and `run` plan
+/// their whole matrix.
+#[test]
+fn the_progress_total_is_every_cell_the_sweep_can_run() {
+    let dir = workdir("progress");
+    let d = dir.as_path();
+    let fig8 = "sweep --figure fig8 --trace-len 400 --jobs 1 --progress";
+    for (flags, first, last) in [
+        ("--seeds 2", "1/60 cells", "60/60 cells"),
+        (
+            "--ci-target 1e-6 --min-seeds 2 --max-seeds 4",
+            "1/120 cells",
+            "120/120 cells",
+        ),
+        (
+            "--ci-target 1e9 --min-seeds 2 --max-seeds 4",
+            "1/120 cells",
+            "60/60 cells",
+        ),
+    ] {
+        let (got_first, got_last) = progress_bounds(d, &format!("{fig8} {flags}"));
+        assert!(got_first.contains(first), "{flags}: {got_first}");
+        assert!(got_last.contains(last), "{flags}: {got_last}");
+    }
+    let (first, last) = progress_bounds(
+        d,
+        "run --workload gcc --trace-len 400 --seeds 3 --jobs 1 --progress",
+    );
+    assert!(first.contains("1/3 cells"), "{first}");
+    assert!(last.contains("3/3 cells"), "{last}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -289,6 +381,9 @@ fn malformed_argv_is_an_error_with_exit_2() {
         "sweep --figure fig8 --min-seeds 2",
         "sweep --figure fig8 --seeds 2 --ci-target 5",
         "sweep --figure fig8 --result-cache-mode rw",
+        // Removed flags.
+        "sweep --figure fig8 --trace-len 400 --metrics-out m.prom",
+        "tables --trace-len 400 --stats --metrics-out m.prom",
         // run.
         "run",
         "run --workload nosuch",

@@ -208,17 +208,23 @@ fn resume_mid_trace_group_with_shared_decode_is_lossless() {
     );
     fs::write(&path, format!("{}\n", lines[..keep].join("\n"))).unwrap();
 
+    let observer = SweepObserver {
+        metrics: Some(SweepMetrics::new()),
+        ..SweepObserver::default()
+    };
     let resumed = {
         let sink = JsonlSink::open(&path).unwrap();
         assert_eq!(sink.restored_count(), keep);
         let opts = RunOptions {
             jobs: 4,
             sink: Some(&sink),
+            obs: Some(&observer),
             ..RunOptions::default()
         };
         run_cells("resume", &workloads, &configs, LEN, &seeds, 0, &opts)
     };
-    assert_eq!(resumed.restored, keep);
+    let restored = observer.metrics.as_ref().unwrap().totals().cells_restored;
+    assert_eq!(restored, keep as u64);
     assert_eq!(
         fingerprint(&resumed.cells),
         fingerprint(&fresh.cells),

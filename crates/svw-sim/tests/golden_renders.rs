@@ -24,8 +24,8 @@
 use std::path::{Path, PathBuf};
 
 use svw_sim::{
-    artifact_resolved, json, render_specs, AdaptiveOpts, ExperimentCtx, ResolvedSpec, RunOptions,
-    ARTIFACT_NAMES,
+    artifact_resolved, builtin_specs, json, render_specs, AdaptiveOpts, ExperimentCtx,
+    ResolvedSpec, RunOptions,
 };
 
 const TRACE_LEN: usize = 2_000;
@@ -70,7 +70,7 @@ fn render_corpus() -> Vec<(String, String)> {
             adaptive: Some(ADAPTIVE),
             ..ctx.clone()
         };
-        let all: Vec<&str> = ARTIFACT_NAMES.iter().map(|&(name, _)| name).collect();
+        let all: Vec<&str> = builtin_specs().iter().map(|s| s.name.as_str()).collect();
         let mut renders = vec![
             (&ctx, &all[..], ""),
             (&substrate_ctx, &SUBSTRATE_ARTIFACTS[..], "-substrate"),

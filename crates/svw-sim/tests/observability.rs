@@ -190,16 +190,24 @@ fn profile_and_metrics_agree_with_scheduler_statistics() {
         "{rendered}"
     );
 
-    // And so does the metrics snapshot.
-    let prom = metrics.render_prometheus();
-    assert!(prom.contains(&format!("svw_cells_simulated_total {scheduled}")));
-    assert!(prom.contains("svw_cells_failed_total 0\n"));
-    assert!(prom.contains("# TYPE svw_phase_simulate_seconds histogram"));
+    // And so do the metrics' totals and their --stats-json rendering.
+    let totals = metrics.totals();
+    assert_eq!(
+        (totals.cells_simulated, totals.cells_failed),
+        (scheduled, 0)
+    );
+    assert_eq!(metrics.simulate_seconds.count(), scheduled);
+    let stats = metrics.to_json(None);
+    assert!(stats.contains("\"phases\":{"), "{stats}");
+    assert!(
+        stats.contains(&format!("\"simulate\":{{\"count\":{scheduled},")),
+        "{stats}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// When every cell fails, every output counts each cell once, as failed: the
-/// per-worker rows, the metrics snapshot and the journal's profile agree.
+/// per-worker rows, their totals and the journal's profile agree.
 #[test]
 fn totals_agree_when_every_cell_fails() {
     let dir = temp_dir("all-fail");
@@ -221,11 +229,12 @@ fn totals_agree_when_every_cell_fails() {
     let failed: u64 = workers.iter().map(|w| w.cells_failed).sum();
     let simulated: u64 = workers.iter().map(|w| w.cells_simulated).sum();
     assert_eq!((simulated, failed), (0, cells));
-    let prom = metrics.render_prometheus();
-    assert!(prom.contains("svw_cells_simulated_total 0\n"), "{prom}");
-    assert!(
-        prom.contains(&format!("svw_cells_failed_total {cells}\n")),
-        "{prom}"
+    let totals = metrics.totals();
+    assert_eq!((totals.cells_simulated, totals.cells_failed), (0, cells));
+    assert_eq!(
+        metrics.simulate_seconds.count(),
+        0,
+        "no cell ran to the end"
     );
 
     let content = fs::read_to_string(&events_path).unwrap();

@@ -5,7 +5,7 @@
 //! oracle can actually catch a divergence, not just rubber-stamp the pipeline.
 
 use svw_sim::experiments::artifact_resolved;
-use svw_sim::{run_cells, OracleOptions, RunOptions, ARTIFACT_NAMES, LATEST_MODEL_VERSION};
+use svw_sim::{builtin_specs, run_cells, OracleOptions, RunOptions, LATEST_MODEL_VERSION};
 
 /// Short traces keep the full-registry sweep fast; the oracle checks every
 /// committed instruction, so agreement at this length already exercises
@@ -25,7 +25,8 @@ fn oracle_opts() -> RunOptions<'static> {
 #[test]
 fn oracle_agrees_with_pipeline_on_every_builtin_artifact_at_every_model_version() {
     for model_version in 1..=LATEST_MODEL_VERSION {
-        for (name, _) in ARTIFACT_NAMES {
+        for spec in builtin_specs() {
+            let name = &spec.name;
             let resolved = artifact_resolved(name, model_version).expect("builtin resolves");
             for m in &resolved.matrices {
                 let result = run_cells(

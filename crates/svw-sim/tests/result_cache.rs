@@ -9,7 +9,8 @@ use std::path::PathBuf;
 
 use svw_cpu::{LsqOrganization, MachineConfig, ReexecMode};
 use svw_sim::{
-    render_artifact, run_cells, CacheMode, ExperimentCtx, ResultCache, RunOptions, ARTIFACT_NAMES,
+    builtin_specs, render_artifact, run_cells, CacheMode, ExperimentCtx, ResultCache, RunOptions,
+    SweepMetrics, SweepObserver,
 };
 use svw_workloads::WorkloadProfile;
 
@@ -49,6 +50,17 @@ fn configs() -> Vec<MachineConfig> {
     ]
 }
 
+/// Runs `run` under a fresh metrics observer and returns what it returned
+/// with the metrics, the runner's count of the result-cache traffic.
+fn metered<T>(run: impl FnOnce(&SweepObserver) -> T) -> (T, SweepMetrics) {
+    let observer = SweepObserver {
+        metrics: Some(SweepMetrics::new()),
+        ..SweepObserver::default()
+    };
+    let out = run(&observer);
+    (out, observer.metrics.expect("metered"))
+}
+
 /// Byte-identical rendering of a cell list, used to compare runs.
 fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
     cells
@@ -69,46 +81,50 @@ fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
 fn warm_cache_renders_every_builtin_artifact_byte_identically_at_every_job_count() {
     let dir = temp_dir("artifacts");
     let render = |rc: Option<&ResultCache>, jobs: usize, name: &str| {
-        let ctx = ExperimentCtx {
-            trace_len: 400,
-            seeds: vec![1],
-            adaptive: None,
-            substrate: false,
-            model_version: 1,
-            opts: RunOptions {
-                jobs,
-                result_cache: rc,
-                ..RunOptions::default()
-            },
-        };
-        let report = render_artifact(&ctx, name).unwrap();
-        (format!("{report}"), report.to_json())
+        metered(|obs| {
+            let ctx = ExperimentCtx {
+                trace_len: 400,
+                seeds: vec![1],
+                adaptive: None,
+                substrate: false,
+                model_version: 1,
+                opts: RunOptions {
+                    jobs,
+                    obs: Some(obs),
+                    result_cache: rc,
+                    ..RunOptions::default()
+                },
+            };
+            let report = render_artifact(&ctx, name).unwrap();
+            (format!("{report}"), report.to_json())
+        })
     };
-    for (name, _) in ARTIFACT_NAMES {
+    for spec in builtin_specs() {
+        let name = spec.name.as_str();
         let cache_dir = dir.join(name);
-        let uncached = render(None, 1, name);
+        let (uncached, _) = render(None, 1, name);
         // Cold pass populates the store; it must not perturb the render.
         let cold = ResultCache::open(&cache_dir, CacheMode::ReadWrite).unwrap();
-        assert_eq!(
-            render(Some(&cold), 2, name),
-            uncached,
-            "{name}: cold render"
+        let (rendered, metrics) = render(Some(&cold), 2, name);
+        assert_eq!(rendered, uncached, "{name}: cold render");
+        assert!(
+            metrics.result_cache_stores.get() > 0,
+            "{name}: cold pass published"
         );
-        assert!(cold.counters().stores > 0, "{name}: cold pass published");
         // Warm passes serve every cell from the store at any parallelism.
         for jobs in [1usize, 4, 16] {
             let warm = ResultCache::open(&cache_dir, CacheMode::ReadWrite).unwrap();
+            let (rendered, metrics) = render(Some(&warm), jobs, name);
+            assert_eq!(rendered, uncached, "{name}: warm render at jobs={jobs}");
             assert_eq!(
-                render(Some(&warm), jobs, name),
-                uncached,
-                "{name}: warm render at jobs={jobs}"
-            );
-            let counters = warm.counters();
-            assert_eq!(
-                counters.misses, 0,
+                metrics.result_cache_misses.get(),
+                0,
                 "{name}: a warm pass at jobs={jobs} must simulate nothing"
             );
-            assert!(counters.hits > 0, "{name}: warm pass served from the cache");
+            assert!(
+                metrics.result_cache_hits.get() > 0,
+                "{name}: warm pass served from the cache"
+            );
         }
     }
     let _ = fs::remove_dir_all(&dir);
@@ -118,19 +134,22 @@ fn warm_cache_renders_every_builtin_artifact_byte_identically_at_every_job_count
 fn artifacts_that_repeat_a_figure_simulate_nothing_after_it() {
     let dir = temp_dir("shared");
     let render = |rc: Option<&ResultCache>, name: &str| {
-        let ctx = ExperimentCtx {
-            trace_len: 400,
-            seeds: vec![1],
-            adaptive: None,
-            substrate: false,
-            model_version: 1,
-            opts: RunOptions {
-                result_cache: rc,
-                ..RunOptions::default()
-            },
-        };
-        let report = render_artifact(&ctx, name).unwrap();
-        (format!("{report}"), report.to_json())
+        metered(|obs| {
+            let ctx = ExperimentCtx {
+                trace_len: 400,
+                seeds: vec![1],
+                adaptive: None,
+                substrate: false,
+                model_version: 1,
+                opts: RunOptions {
+                    obs: Some(obs),
+                    result_cache: rc,
+                    ..RunOptions::default()
+                },
+            };
+            let report = render_artifact(&ctx, name).unwrap();
+            (format!("{report}"), report.to_json())
+        })
     };
     for (figures, repeat) in [
         (&["fig5", "fig6", "fig7"][..], "summary"),
@@ -142,17 +161,14 @@ fn artifacts_that_repeat_a_figure_simulate_nothing_after_it() {
             render(Some(&rc), figure);
         }
         let warm = ResultCache::open(&cache_dir, CacheMode::ReadWrite).unwrap();
+        let (rendered, metrics) = render(Some(&warm), repeat);
+        assert_eq!(rendered, render(None, repeat).0, "{repeat}");
         assert_eq!(
-            render(Some(&warm), repeat),
-            render(None, repeat),
-            "{repeat}"
-        );
-        let counters = warm.counters();
-        assert_eq!(
-            counters.misses, 0,
+            metrics.result_cache_misses.get(),
+            0,
             "{repeat} after {figures:?} simulates nothing"
         );
-        assert!(counters.hits > 0);
+        assert!(metrics.result_cache_hits.get() > 0);
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -163,38 +179,40 @@ fn lineage_mismatches_must_miss() {
     let (workloads, configs) = (workloads(), configs());
     let seeds = [1u64, 2];
 
-    let v1 = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-    let opts = RunOptions {
-        result_cache: Some(&v1),
-        ..RunOptions::default()
+    // One sweep over `configs` with spec fingerprint `spec`, through a fresh
+    // instance of the cache (so nothing is served from an in-process index).
+    let sweep = |configs: &[MachineConfig], spec: u64| {
+        let rc = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+        metered(|obs| {
+            let opts = RunOptions {
+                result_cache: Some(&rc),
+                obs: Some(obs),
+                ..RunOptions::default()
+            };
+            run_cells("lineage", &workloads, configs, LEN, &seeds, spec, &opts)
+        })
     };
-    let baseline = run_cells("lineage", &workloads, &configs, LEN, &seeds, 7, &opts);
-    assert_eq!(v1.counters().stores, baseline.cells.len() as u64);
+    let (baseline, v1) = sweep(&configs, 7);
+    assert_eq!(v1.result_cache_stores.get(), baseline.cells.len() as u64);
 
     // Same cells under model version 2: every lookup must miss.
     let v2_configs: Vec<MachineConfig> = configs
         .iter()
         .map(|c| c.clone().with_model_version(2))
         .collect();
-    let v2 = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-    let opts = RunOptions {
-        result_cache: Some(&v2),
-        ..RunOptions::default()
-    };
-    let result = run_cells("lineage", &workloads, &v2_configs, LEN, &seeds, 7, &opts);
-    assert_eq!(v2.counters().hits, 0, "model v2 must not reuse v1 results");
+    let (result, v2) = sweep(&v2_configs, 7);
+    assert_eq!(
+        v2.result_cache_hits.get(),
+        0,
+        "model v2 must not reuse v1 results"
+    );
     assert_eq!(result.cached, 0);
 
     // Same machines under an edited spec fingerprint: the spec is not the
     // machine, so every lookup hits.
-    let fp = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-    let opts = RunOptions {
-        result_cache: Some(&fp),
-        ..RunOptions::default()
-    };
-    let result = run_cells("lineage", &workloads, &configs, LEN, &seeds, 8, &opts);
+    let (result, fp) = sweep(&configs, 8);
     assert_eq!(
-        fp.counters().misses,
+        fp.result_cache_misses.get(),
         0,
         "a spec edit that leaves every machine unchanged must reuse its results"
     );
@@ -213,28 +231,18 @@ fn lineage_mismatches_must_miss() {
             }
         })
         .collect();
-    let stale = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-    let opts = RunOptions {
-        result_cache: Some(&stale),
-        ..RunOptions::default()
-    };
-    let result = run_cells("lineage", &workloads, &stale_configs, LEN, &seeds, 7, &opts);
+    let (result, stale) = sweep(&stale_configs, 7);
     assert_eq!(
-        stale.counters().hits,
+        stale.result_cache_hits.get(),
         0,
         "a preset edited under its old name must not reuse the old machine's results"
     );
     assert_eq!(result.cached, 0);
 
     // The unchanged lineage still hits everything.
-    let warm = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
-    let opts = RunOptions {
-        result_cache: Some(&warm),
-        ..RunOptions::default()
-    };
-    let result = run_cells("lineage", &workloads, &configs, LEN, &seeds, 7, &opts);
+    let (result, warm) = sweep(&configs, 7);
     assert_eq!(result.cached, result.cells.len());
-    assert_eq!(warm.counters().misses, 0);
+    assert_eq!(warm.result_cache_misses.get(), 0);
     assert_eq!(fingerprint(&result.cells), fingerprint(&baseline.cells));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -296,21 +304,24 @@ fn concurrent_sweeps_share_one_cache_directory() {
     let distinct = workloads.len() * configs.len() * 6; // seeds 1..=6
     assert_eq!(report.checked as usize, distinct);
     // A third, warm sweep over the union simulates nothing.
-    let opts = RunOptions {
-        jobs: 4,
-        result_cache: Some(&rc),
-        ..RunOptions::default()
-    };
-    let result = run_cells(
-        "stress",
-        &workloads,
-        &configs,
-        LEN,
-        &[1, 2, 3, 4, 5, 6],
-        0,
-        &opts,
-    );
+    let (result, metrics) = metered(|obs| {
+        let opts = RunOptions {
+            jobs: 4,
+            result_cache: Some(&rc),
+            obs: Some(obs),
+            ..RunOptions::default()
+        };
+        run_cells(
+            "stress",
+            &workloads,
+            &configs,
+            LEN,
+            &[1, 2, 3, 4, 5, 6],
+            0,
+            &opts,
+        )
+    });
     assert_eq!(result.cached, result.cells.len());
-    assert_eq!(rc.counters().misses, 0);
+    assert_eq!(metrics.result_cache_misses.get(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
