@@ -1,12 +1,14 @@
-//! Matrix-level benchmark: the cell-parallel sweep engine end-to-end over a small
-//! (workload × configuration × seed) matrix. This is the wall-clock number the
-//! commit-path allocation work targets — the simulator's per-cycle hot loop
-//! (commit / re-execute / dispatch) dominates a sweep, so eliminating the
-//! `RobEntry` and `DynInst` clones there moves this benchmark directly.
+//! Matrix-level benchmark: the cell-parallel sweep engine end-to-end over small
+//! (workload × configuration × seed) matrices — fig5's NLQ axis, and one SSQ cell
+//! set whose busy cycles the fig5 cells do not reach. The simulator's per-cycle
+//! hot loop (commit / re-execute / issue / dispatch) dominates a sweep, so work on
+//! that loop moves this benchmark directly.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use svw_sim::{presets, run_cells, CacheMode, ResultCache, RunOptions};
+use svw_sim::{
+    presets, run_cells, CacheMode, ResultCache, RunOptions, SweepMetrics, SweepObserver,
+};
 use svw_workloads::WorkloadProfile;
 
 /// Long enough for predictors to train and the ROB to stay busy; short enough for
@@ -52,6 +54,43 @@ fn sweep_matrix(c: &mut Criterion) {
     group.finish();
 }
 
+/// The busy-cycle path the SSQ configurations take: every load is marked, a
+/// bank-blocked SSQ load retries each cycle and probes its forwarding buffer,
+/// and `adv.alias` keeps re-execution busy. The fig5 cells above spend most of
+/// their cycles quiet, so they do not time this path.
+fn sweep_matrix_ssq(c: &mut Criterion) {
+    let workloads = vec![WorkloadProfile::by_name("adv.alias").expect("workload exists")];
+    let configs = presets::fig6_ssq_configs();
+    let seeds = [1u64];
+    let cells = workloads.len() * configs.len() * seeds.len();
+
+    let mut group = c.benchmark_group("sweep_matrix_ssq(adv.alias x fig6-ssq x 1s)");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.throughput(Throughput::Elements((cells * BENCH_TRACE_LEN) as u64));
+    group.bench_function(BenchmarkId::from_parameter("jobs=1"), |b| {
+        let opts = RunOptions {
+            jobs: 1,
+            ..RunOptions::default()
+        };
+        b.iter(|| {
+            let result = run_cells(
+                "bench",
+                &workloads,
+                &configs,
+                BENCH_TRACE_LEN,
+                &seeds,
+                0,
+                &opts,
+            );
+            assert_eq!(result.failures().count(), 0);
+            black_box(result.cells.len())
+        });
+    });
+    group.finish();
+}
+
 /// The content-addressed result-cache hit path: the same matrix as
 /// [`sweep_matrix`], but served entirely from a pre-populated `--result-cache`
 /// store. Each iteration opens a fresh [`ResultCache`] instance so every cell
@@ -94,8 +133,13 @@ fn sweep_matrix_cached(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("hit-path"), |b| {
         b.iter(|| {
             let rc = ResultCache::open(&dir, CacheMode::ReadWrite).expect("cache opens");
+            let observer = SweepObserver {
+                metrics: Some(SweepMetrics::new()),
+                ..SweepObserver::default()
+            };
             let opts = RunOptions {
                 result_cache: Some(&rc),
+                obs: Some(&observer),
                 ..RunOptions::default()
             };
             let result = run_cells(
@@ -107,7 +151,8 @@ fn sweep_matrix_cached(c: &mut Criterion) {
                 0,
                 &opts,
             );
-            assert_eq!(result.cached, result.cells.len(), "fully warm");
+            let totals = observer.metrics.as_ref().expect("metered").totals();
+            assert_eq!(totals.cells_cached, cells as u64, "fully warm");
             black_box(result.cells.len())
         });
     });
@@ -115,5 +160,5 @@ fn sweep_matrix_cached(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(matrix, sweep_matrix, sweep_matrix_cached);
+criterion_group!(matrix, sweep_matrix, sweep_matrix_ssq, sweep_matrix_cached);
 criterion_main!(matrix);

@@ -65,7 +65,15 @@ struct RobEntry {
     marked: bool,
     window: VulnWindow,
     ssn: Option<Ssn>,
+    /// The load's FSQ steering bit, read once at dispatch (set only for loads that
+    /// enter the IQ under SSQ). It cannot go stale before the load issues: the
+    /// steering predictor trains only in `handle_reexec_failure`, which flushes from
+    /// the ROB head and so squashes every in-flight instruction.
     used_fsq: bool,
+    /// The forwarding-buffer version this load last probed at, and the SSN and
+    /// value that probe found: a later attempt at an unchanged version counts the
+    /// same outcome again instead of searching the buffer.
+    fwd_probe: Option<(u64, Option<(Ssn, Value)>)>,
     fwd: FwdOrigin,
     eliminated: Option<RleKind>,
     elim_squash: bool,
@@ -374,15 +382,16 @@ impl Pipeline {
         let horizon = event_horizon(config);
         self.exec_events.reset(horizon);
         self.rex_events.reset(horizon);
-        self.consumers.resize_with(config.rob_size, Vec::new);
+        let slots = self.rob.table_size();
+        self.consumers.resize_with(slots, Vec::new);
         self.consumers.iter_mut().for_each(Vec::clear);
         self.ready.clear();
-        self.ready.resize(config.rob_size.div_ceil(64), 0);
+        self.ready.resize(slots.div_ceil(64), 0);
         #[cfg(test)]
         {
             let initial = RenameMap::new().current;
             self.rename_snapshots.clear();
-            self.rename_snapshots.resize(config.rob_size, initial);
+            self.rename_snapshots.resize(slots, initial);
         }
     }
 
@@ -509,6 +518,21 @@ impl Pipeline {
         );
     }
 
+    /// Test-only reference check, run for every load that select reaches: the FSQ
+    /// steering bit read at dispatch must equal the predictor's bit now.
+    #[cfg(test)]
+    fn check_steering_bit(&self, config: &MachineConfig, seq: InstSeq) {
+        let e = self.rob.get(seq).expect("ready entries are in the ROB");
+        assert_eq!(
+            e.used_fsq,
+            config.lsq.is_ssq() && self.steering.uses_fsq(e.pc),
+            "cycle {}: load seq {seq} (pc {:#x}) was steered at dispatch against the \
+             predictor's current bit",
+            self.now,
+            e.pc
+        );
+    }
+
     /// Test-only reference check, run after every flush: the rename map must be
     /// exactly what it was before `flush_seq` dispatched.
     #[cfg(test)]
@@ -573,7 +597,7 @@ impl Pipeline {
     /// The oldest ready entry with a sequence number in `[from, end)`, found by
     /// walking the ready bitmap in ring order from `from`'s slot.
     fn next_ready(&self, from: InstSeq, end: InstSeq) -> Option<InstSeq> {
-        let cap = self.rob.capacity();
+        let slots = self.rob.table_size();
         let mut seq = from;
         while seq < end {
             let slot = self.rob.slot(seq);
@@ -585,7 +609,7 @@ impl Pipeline {
                 return (found < end).then_some(found);
             }
             // On to the next bitmap word, or across the ring's wrap point.
-            seq += (64 - slot % 64).min(cap - slot) as u64;
+            seq += (64 - slot % 64).min(slots - slot) as u64;
         }
         None
     }
@@ -990,9 +1014,9 @@ impl Pipeline {
             {
                 break;
             }
-            let (cls, pc) = {
+            let (cls, uses_fsq, addr, width) = {
                 let e = self.rob.get(seq).expect("ready entries are in the ROB");
-                (e.cls, e.pc)
+                (e.cls, e.used_fsq, e.addr, e.width)
             };
             match cls {
                 OpClass::IntAlu | OpClass::IntMul | OpClass::Nop => {
@@ -1032,11 +1056,14 @@ impl Pipeline {
                     }
                     // A load that fails here (FSQ port taken, forwarding replay,
                     // cache bank busy) stays ready and retries next cycle.
-                    let uses_fsq = config.lsq.is_ssq() && self.steering.uses_fsq(pc);
+                    #[cfg(test)]
+                    self.check_steering_bit(config, seq);
                     if uses_fsq && fsq_port_used {
                         continue;
                     }
-                    if self.do_issue_load(config, source, seq, uses_fsq) {
+                    let addr = addr.expect("a load has an address");
+                    let width = width.expect("a load has a width");
+                    if self.do_issue_load(config, seq, uses_fsq, addr, width) {
                         budget_load -= 1;
                         if uses_fsq {
                             fsq_port_used = true;
@@ -1129,25 +1156,18 @@ impl Pipeline {
     fn do_issue_load(
         &mut self,
         config: &MachineConfig,
-        source: &[DynInst],
         seq: InstSeq,
         uses_fsq: bool,
+        addr: Addr,
+        bytes: MemWidth,
     ) -> bool {
-        let inst = &source[seq as usize];
-        let acc = *inst.mem_access();
-        let bytes = acc.width;
-
         // Cache bank structural port (address-interleaved execution ports). A load
         // whose bank is taken cannot issue whatever it would observe, and a
         // forwarding replay never takes the bank, so fail it before the search. The
         // forwarding-buffer probe still counts, as when the search came first.
-        if !self.exec_ports.is_free(acc.addr, self.now) {
+        if !self.exec_ports.is_free(addr, self.now) {
             if config.lsq.is_ssq() && !uses_fsq {
-                let buf = self
-                    .fwd_buf
-                    .as_mut()
-                    .expect("SSQ configuration has forwarding buffers");
-                buf.lookup(seq, acc.addr, bytes);
+                self.probe_fwd_buffer(seq, addr, bytes);
             }
             return false;
         }
@@ -1164,37 +1184,32 @@ impl Pipeline {
                     .fsq
                     .as_mut()
                     .expect("SSQ configuration has an FSQ")
-                    .search(seq, acc.addr, bytes)
+                    .search(seq, addr, bytes)
                 {
                     ForwardResult::Forward { ssn, value, .. } => {
                         (value, FwdOrigin::Queue(ssn), false)
                     }
                     ForwardResult::Conflict { .. } | ForwardResult::None => (
-                        self.committed_mem.read(acc.addr, bytes),
+                        self.committed_mem.read(addr, bytes),
                         FwdOrigin::Memory,
                         false,
                     ),
                 }
             } else {
-                match self
-                    .fwd_buf
-                    .as_mut()
-                    .expect("SSQ configuration has forwarding buffers")
-                    .lookup(seq, acc.addr, bytes)
-                {
-                    Some((_, _, ssn, value)) => (value, FwdOrigin::Buffer(ssn), false),
+                match self.probe_fwd_buffer(seq, addr, bytes) {
+                    Some((ssn, value)) => (value, FwdOrigin::Buffer(ssn), false),
                     None => (
-                        self.committed_mem.read(acc.addr, bytes),
+                        self.committed_mem.read(addr, bytes),
                         FwdOrigin::Memory,
                         false,
                     ),
                 }
             }
         } else {
-            match self.sq.search_forward(seq, acc.addr, bytes) {
+            match self.sq.search_forward(seq, addr, bytes) {
                 ForwardResult::Forward { ssn, value, .. } => (value, FwdOrigin::Queue(ssn), false),
                 ForwardResult::None => (
-                    self.committed_mem.read(acc.addr, bytes),
+                    self.committed_mem.read(addr, bytes),
                     FwdOrigin::Memory,
                     false,
                 ),
@@ -1205,7 +1220,7 @@ impl Pipeline {
             // The youngest older matching store cannot forward yet: retry next cycle.
             return false;
         }
-        let bank_taken = self.exec_ports.try_use(acc.addr, self.now);
+        let bank_taken = self.exec_ports.try_use(addr, self.now);
         debug_assert!(bank_taken, "the bank was free before the search");
 
         // Under NLQ, loads issuing past unresolved older store addresses are marked by
@@ -1219,11 +1234,14 @@ impl Pipeline {
                 + config.lsq.extra_load_latency()
         } else {
             config.issue_to_execute
-                + self.hierarchy.access(AccessKind::DataRead, acc.addr)
+                + self.hierarchy.access(AccessKind::DataRead, addr)
                 + config.lsq.extra_load_latency()
         };
 
-        self.lq.resolve(seq, acc.addr, bytes, exec_value);
+        if config.lsq.is_conventional() {
+            // Only the conventional LQ's ordering search reads resolved entries.
+            self.lq.resolve(seq, addr, bytes, exec_value);
+        }
         let window = self.rob.get(seq).expect("load is in the ROB").window;
         let svw_window = match fwd_source {
             FwdOrigin::Queue(ssn) => self.svw.forward_update(window, ssn),
@@ -1243,18 +1261,52 @@ impl Pipeline {
         self.exec_events.push(done, seq);
         e.exec_value = Some(exec_value);
         e.window = svw_window;
-        e.used_fsq = uses_fsq;
         e.fwd = fwd_source;
         if nlq_marked {
             e.marked = true;
         }
-        let marked = e.marked;
-        if let Some(entry) = self.lq.get_mut(seq) {
-            entry.marked = marked;
-            entry.window = svw_window;
-        }
         self.leave_iq(seq);
         true
+    }
+
+    /// The forwarding-buffer probe of SSQ load `seq`: the SSN and value of the
+    /// covering store it finds, counted as one lookup. While the buffer is
+    /// unchanged since this load's last probe (its version says so), that probe's
+    /// outcome is counted again instead of searching.
+    fn probe_fwd_buffer(
+        &mut self,
+        seq: InstSeq,
+        addr: Addr,
+        width: MemWidth,
+    ) -> Option<(Ssn, Value)> {
+        let buf = self
+            .fwd_buf
+            .as_mut()
+            .expect("SSQ configuration has forwarding buffers");
+        let version = buf.version(addr);
+        let e = self.rob.get_mut(seq).expect("load is in the ROB");
+        match e.fwd_probe {
+            Some((v, found)) if v == version => {
+                #[cfg(test)]
+                assert_eq!(
+                    found,
+                    buf.find(seq, addr, width)
+                        .map(|(_, _, ssn, value)| (ssn, value)),
+                    "cycle {}: load seq {seq} reused a stale forwarding-buffer outcome \
+                     at version {version}",
+                    self.now
+                );
+                buf.count_lookup(found.is_some());
+                found
+            }
+            _ => {
+                let found = buf
+                    .lookup(seq, addr, width)
+                    .map(|(_, _, ssn, value)| (ssn, value));
+                e.fwd_probe = Some((version, found));
+                found
+            }
+        }
     }
 
     // ---------------------------------------------------------------- dispatch
@@ -1326,6 +1378,7 @@ impl Pipeline {
                 window: VulnWindow::FULLY_VULNERABLE,
                 ssn: None,
                 used_fsq: false,
+                fwd_probe: None,
                 fwd: FwdOrigin::Memory,
                 eliminated: None,
                 elim_squash: false,
@@ -1412,10 +1465,9 @@ impl Pipeline {
                             });
                         }
                     }
-                    self.lq.allocate(seq, inst.pc, entry.window);
-                    if let Some(lq_entry) = self.lq.get_mut(seq) {
-                        lq_entry.marked = entry.marked;
-                    }
+                    entry.used_fsq =
+                        enters_iq && config.lsq.is_ssq() && self.steering.uses_fsq(inst.pc);
+                    self.lq.allocate(seq);
                 }
                 OpClass::Store => {
                     let ssn = self.svw.assign_store_ssn();
@@ -1926,8 +1978,9 @@ mod tests {
     /// proptest covers: conventional LQ (ordering flushes), NLQ (store-set waits,
     /// re-execution flushes), SSQ (the single FSQ port, forwarding replays), RLE
     /// (pre-issued eliminated loads), 8-bit SSNs (wrap drains), a narrow-issue
-    /// machine at both model versions (the FP-budget early exit), and a
-    /// 1,500-cycle memory whose event wheel is eight times the default's.
+    /// machine at both model versions (the FP-budget early exit), a 1,500-cycle
+    /// memory whose event wheel is eight times the default's, and a 200-entry ROB
+    /// whose slot table (256) has slots no entry uses.
     fn wakeup_family(i: usize) -> MachineConfig {
         let nlq = LsqOrganization::Nlq {
             store_exec_bandwidth: 2,
@@ -1968,15 +2021,20 @@ mod tests {
             .with_rle(ItConfig::paper_default()),
             7 => narrow(1),
             8 => narrow(2),
-            _ => {
+            9 => {
                 let mut cfg = MachineConfig::eight_wide("ssq-svw-slow-memory", ssq, svw);
                 cfg.hierarchy.memory_latency = 1_500;
+                cfg
+            }
+            _ => {
+                let mut cfg = MachineConfig::eight_wide("ssq-svw-rob200", ssq, svw);
+                cfg.rob_size = 200;
                 cfg
             }
         }
     }
 
-    const WAKEUP_FAMILIES: usize = 10;
+    const WAKEUP_FAMILIES: usize = 11;
 
     #[test]
     #[should_panic(expected = "completion event for seq 7 at cycle 16 is outside the event wheel")]

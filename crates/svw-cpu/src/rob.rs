@@ -2,11 +2,16 @@
 //!
 //! Dynamic instructions carry dense sequence numbers (one per trace entry), so the
 //! ROB at any instant holds exactly the contiguous range `[head, head + len)`. That
-//! makes position *computable*: entry `seq` lives at ring slot
-//! `(head_slot + (seq - head)) mod capacity`. The old `VecDeque` + `rob_index`
-//! implementation verified this with a per-access equality check and fell back to an
-//! O(n) scan "for safety"; here the density invariant is enforced at `push_back` and
-//! with a `debug_assert` at every indexed access, and no scan path exists.
+//! makes position *computable*: entry `seq` lives at ring slot `seq mod slots`. The
+//! old `VecDeque` + `rob_index` implementation verified this with a per-access
+//! equality check and fell back to an O(n) scan "for safety"; here the density
+//! invariant is enforced at `push_back` and with a `debug_assert` at every indexed
+//! access, and no scan path exists.
+//!
+//! The slot table has `slots = capacity.next_power_of_two()` entries, so the modulo
+//! is a mask: `seq & (slots - 1)`. At most `capacity` consecutive sequence numbers
+//! are in flight, and those never share a slot. Side tables indexed by slot (the
+//! pipeline's ready bitmap and consumer lists) are sized by [`RobRing::table_size`].
 //!
 //! The ring owns its slot storage across [`RobRing::reset`] calls, so a recycled
 //! simulation arena re-runs with zero ROB allocations: slots written by a previous
@@ -24,10 +29,14 @@ pub(crate) trait HasSeq {
 /// sequence number in O(1) with no fallback scan.
 #[derive(Clone, Debug)]
 pub(crate) struct RobRing<T> {
-    /// Slot storage. Grows monotonically (and contiguously) up to `capacity` during
-    /// the first fill, then slots are reused by overwrite forever after.
+    /// Slot storage. Grows monotonically (and contiguously) up to the table size
+    /// during the first fill, then slots are reused by overwrite forever after.
     slots: Vec<T>,
+    /// Maximum number of in-flight entries.
     capacity: usize,
+    /// Table size minus one: the table size is the next power of two at or above
+    /// `capacity`.
+    mask: usize,
     /// Sequence number of the front (oldest) entry. Meaningful only when `len > 0`.
     head: InstSeq,
     /// Ring slot of the front entry.
@@ -44,8 +53,9 @@ impl<T: HasSeq> RobRing<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB capacity must be non-zero");
         RobRing {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity.next_power_of_two()),
             capacity,
+            mask: capacity.next_power_of_two() - 1,
             head: 0,
             head_slot: 0,
             len: 0,
@@ -53,7 +63,7 @@ impl<T: HasSeq> RobRing<T> {
     }
 
     /// Restores the empty state for `capacity`, retaining slot storage when the
-    /// capacity is unchanged (slots left over from a previous run are dead weight
+    /// table size is unchanged (slots left over from a previous run are dead weight
     /// that the next run's `push_back`s overwrite in place).
     ///
     /// # Panics
@@ -61,12 +71,13 @@ impl<T: HasSeq> RobRing<T> {
     /// Panics if `capacity` is zero.
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "ROB capacity must be non-zero");
-        if capacity != self.capacity {
+        if capacity.next_power_of_two() != self.table_size() {
             // The seq→slot mapping changes shape: drop the stale entries (the
             // allocation itself is retained by `Vec::clear`).
             self.slots.clear();
-            self.capacity = capacity;
+            self.mask = capacity.next_power_of_two() - 1;
         }
+        self.capacity = capacity;
         self.head = 0;
         self.head_slot = 0;
         self.len = 0;
@@ -76,17 +87,18 @@ impl<T: HasSeq> RobRing<T> {
         self.len
     }
 
-    /// Maximum number of in-flight entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Size of the slot table: the next power of two at or above the capacity.
+    #[inline]
+    pub fn table_size(&self) -> usize {
+        self.mask + 1
     }
 
     /// The ring slot that holds (or would hold) entry `seq`. Density makes this
-    /// `seq mod capacity` for every in-flight entry, so side tables indexed by
-    /// slot stay valid for an entry's whole lifetime without any bookkeeping.
+    /// `seq mod slots` for every in-flight entry, so side tables indexed by slot
+    /// stay valid for an entry's whole lifetime without any bookkeeping.
     #[inline]
     pub fn slot(&self, seq: InstSeq) -> usize {
-        (seq % self.capacity as u64) as usize
+        seq as usize & self.mask
     }
 
     pub fn is_empty(&self) -> bool {
@@ -96,12 +108,7 @@ impl<T: HasSeq> RobRing<T> {
     /// Ring slot of the entry at age-order position `idx` (0 = front).
     #[inline]
     fn pos(&self, idx: usize) -> usize {
-        let p = self.head_slot + idx;
-        if p >= self.capacity {
-            p - self.capacity
-        } else {
-            p
-        }
+        (self.head_slot + idx) & self.mask
     }
 
     /// The oldest entry, if any.
@@ -176,7 +183,7 @@ impl<T: HasSeq> RobRing<T> {
         let seq = entry.seq();
         if self.len == 0 {
             self.head = seq;
-            self.head_slot = (seq % self.capacity as u64) as usize;
+            self.head_slot = self.slot(seq);
         } else {
             debug_assert_eq!(
                 seq,
@@ -185,7 +192,7 @@ impl<T: HasSeq> RobRing<T> {
             );
         }
         let pos = self.pos(self.len);
-        debug_assert_eq!(pos, self.slot(seq), "entries live at slot seq mod capacity");
+        debug_assert_eq!(pos, self.slot(seq), "entries live at slot seq mod slots");
         if pos == self.slots.len() {
             self.slots.push(entry);
         } else {
@@ -219,7 +226,7 @@ impl<T: HasSeq> RobRing<T> {
 
     /// Iterates the in-flight entries from oldest to youngest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let wrap = self.len.saturating_sub(self.capacity - self.head_slot);
+        let wrap = self.len.saturating_sub(self.table_size() - self.head_slot);
         let first_end = (self.head_slot + self.len).min(self.slots.len());
         self.slots[self.head_slot..first_end]
             .iter()
@@ -229,7 +236,7 @@ impl<T: HasSeq> RobRing<T> {
     /// Mutably iterates the in-flight entries from oldest to youngest.
     #[cfg(test)]
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        let wrap = self.len.saturating_sub(self.capacity - self.head_slot);
+        let wrap = self.len.saturating_sub(self.table_size() - self.head_slot);
         let first_end = (self.head_slot + self.len).min(self.slots.len());
         let (lo, hi) = self.slots.split_at_mut(self.head_slot);
         hi[..first_end - self.head_slot]
@@ -261,62 +268,105 @@ mod tests {
         }
     }
 
-    /// Satellite regression: direct seq indexing must never miss while the ring wraps
-    /// many times and suffers interleaved squashes — the scenarios the old
-    /// `rob_index` fallback scan existed to paper over.
+    /// Direct seq indexing must never miss while the ring wraps many times and
+    /// suffers interleaved squashes — the scenarios the old `rob_index` fallback
+    /// scan existed to paper over. Capacities that are not a power of two leave
+    /// slots of the table unused, so they are covered too.
     #[test]
     fn direct_indexing_survives_wraparound_and_squash() {
-        let cap = 8usize;
-        let mut rob: RobRing<E> = RobRing::with_capacity(cap);
-        let mut next = 0u64; // next seq to push (dense)
-        let mut committed = 0u64; // committed watermark == expected head
+        for cap in [1usize, 3, 8, 96, 200] {
+            let mut rob: RobRing<E> = RobRing::with_capacity(cap);
+            let mut next = 0u64; // next seq to push (dense)
+            let mut committed = 0u64; // committed watermark == expected head
 
-        // Drive the ring through several full wraps with a mixed retire/squash
-        // schedule derived from the step counter.
-        for step in 0..1_000u64 {
-            match step % 7 {
-                // Mostly push until full.
-                0..=3 => {
-                    if rob.len() < cap {
-                        rob.push_back(e(next));
-                        next += 1;
+            // Drive the ring through several full wraps with a mixed retire/squash
+            // schedule derived from the step counter.
+            for step in 0..1_000 + 20 * cap as u64 {
+                match step % 7 {
+                    // Mostly push until full.
+                    0..=3 => {
+                        if rob.len() < cap {
+                            rob.push_back(e(next));
+                            next += 1;
+                        }
+                    }
+                    // Retire from the front.
+                    4 => {
+                        if !rob.is_empty() {
+                            assert_eq!(rob.front().unwrap().seq, committed);
+                            rob.pop_front();
+                            committed += 1;
+                        }
+                    }
+                    // Squash a variable-length tail, then refetch (same seqs
+                    // re-pushed).
+                    5 => {
+                        let squash = (step % 3) as usize;
+                        for _ in 0..squash.min(rob.len()) {
+                            rob.pop_back();
+                            next -= 1;
+                        }
+                    }
+                    _ => {
+                        if !rob.is_empty() {
+                            rob.pop_front();
+                            committed += 1;
+                        }
                     }
                 }
-                // Retire from the front.
-                4 => {
-                    if !rob.is_empty() {
-                        assert_eq!(rob.front().unwrap().seq, committed);
-                        rob.pop_front();
-                        committed += 1;
-                    }
+                // Every in-flight seq must be directly indexable with the right
+                // entry; everything outside the window must report absent.
+                let head = committed;
+                for seq in head..next {
+                    let got = rob.get(seq).expect("in-flight seq must index directly");
+                    assert_eq!(*got, e(seq), "cap {cap}: wrong entry at seq {seq}");
                 }
-                // Squash a variable-length tail, then refetch (same seqs re-pushed).
-                5 => {
-                    let squash = (step % 3) as usize;
-                    for _ in 0..squash.min(rob.len()) {
-                        rob.pop_back();
-                        next -= 1;
-                    }
-                }
-                _ => {
-                    if !rob.is_empty() {
-                        rob.pop_front();
-                        committed += 1;
-                    }
-                }
+                assert!(rob.get(head.wrapping_sub(1)).is_none() || head == 0);
+                assert!(rob.get(next).is_none());
+                assert_eq!(rob.len() as u64, next - head);
+                let seqs: Vec<u64> = rob.iter().map(|x| x.seq).collect();
+                assert_eq!(seqs, (head..next).collect::<Vec<_>>(), "cap {cap}");
             }
-            // Every in-flight seq must be directly indexable with the right entry;
-            // everything outside the window must report absent.
-            let head = committed;
-            for seq in head..next {
-                let got = rob.get(seq).expect("in-flight seq must index directly");
-                assert_eq!(*got, e(seq), "slot holds the wrong entry at seq {seq}");
-            }
-            assert!(rob.get(head.wrapping_sub(1)).is_none() || head == 0);
-            assert!(rob.get(next).is_none());
-            assert_eq!(rob.len() as u64, next - head);
+            assert!(
+                next > 2 * rob.table_size() as u64,
+                "cap {cap}: the ring wrapped several times"
+            );
         }
-        assert!(next > 2 * cap as u64, "the ring wrapped several times");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The masks index exactly as the modulo of the table size: `slot` is
+        /// `seq mod slots` and `pos` is `(head_slot + idx) mod slots`, with the
+        /// table the next power of two at or above the capacity.
+        #[test]
+        fn masked_slot_and_pos_equal_the_modulo_formulas(
+            cap_pick in 0usize..5,
+            start in 0u64..1_000_000_000_000,
+            idx in 0usize..512
+        ) {
+            let cap = [1usize, 3, 96, 200, 512][cap_pick];
+            let idx = idx % cap;
+            let mut rob: RobRing<E> = RobRing::with_capacity(cap);
+            let slots = rob.table_size();
+            proptest::prop_assert!(slots.is_power_of_two() && slots >= cap && slots < 2 * cap);
+            proptest::prop_assert_eq!(rob.slot(start), (start % slots as u64) as usize);
+            // Slot storage fills from slot 0 (sequence numbers start at 0); after
+            // one lap, a reset ring may restart anywhere.
+            for seq in 0..slots as u64 {
+                rob.push_back(e(seq));
+                rob.pop_front();
+            }
+            rob.reset(cap);
+            // Entries pushed from `start` live at the slot the formulas give.
+            for seq in start..start + cap as u64 {
+                rob.push_back(e(seq));
+            }
+            proptest::prop_assert_eq!(rob.pos(idx), (rob.slot(start) + idx) % slots);
+            proptest::prop_assert_eq!(rob.pos(idx), rob.slot(start + idx as u64));
+            proptest::prop_assert_eq!(rob.get(start + idx as u64), Some(&e(start + idx as u64)));
+        }
     }
 
     #[test]

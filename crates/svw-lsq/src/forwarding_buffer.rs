@@ -32,8 +32,14 @@ struct BufferedStore {
 pub struct ForwardingBuffer {
     banks: usize,
     entries_per_bank: usize,
-    interleave_bytes: u64,
+    /// `log2` of the interleave granularity: an address's bank is its
+    /// `addr >> interleave_shift` line number, masked.
+    interleave_shift: u32,
     buffers: Vec<VecDeque<BufferedStore>>,
+    /// Per bank, a counter bumped whenever that bank's buffer may change (a
+    /// recorded store or a flush). A lookup's outcome stays valid while its bank's
+    /// version is unchanged.
+    versions: Vec<u64>,
     hits: u64,
     lookups: u64,
 }
@@ -49,13 +55,15 @@ impl ForwardingBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two or either size is zero.
+    /// Panics if `banks` or `interleave_bytes` is not a power of two, or
+    /// `entries_per_bank` is zero.
     pub fn new(banks: usize, entries_per_bank: usize, interleave_bytes: u64) -> Self {
         let mut fb = ForwardingBuffer {
             banks,
             entries_per_bank,
-            interleave_bytes,
+            interleave_shift: 0,
             buffers: Vec::new(),
+            versions: Vec::new(),
             hits: 0,
             lookups: 0,
         };
@@ -68,28 +76,39 @@ impl ForwardingBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two or either size is zero.
+    /// Panics if `banks` or `interleave_bytes` is not a power of two, or
+    /// `entries_per_bank` is zero.
     pub fn reset(&mut self, banks: usize, entries_per_bank: usize, interleave_bytes: u64) {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
         assert!(entries_per_bank > 0, "buffer must have at least one entry");
         assert!(
-            interleave_bytes > 0,
-            "interleave granularity must be non-zero"
+            interleave_bytes.is_power_of_two(),
+            "interleave granularity must be a power of two"
         );
         self.buffers.resize(banks, VecDeque::new());
         for buf in &mut self.buffers {
             buf.clear();
         }
+        self.versions.clear();
+        self.versions.resize(banks, 0);
         self.banks = banks;
         self.entries_per_bank = entries_per_bank;
-        self.interleave_bytes = interleave_bytes;
+        self.interleave_shift = interleave_bytes.trailing_zeros();
         self.hits = 0;
         self.lookups = 0;
     }
 
     #[inline]
     fn bank_of(&self, addr: Addr) -> usize {
-        ((addr / self.interleave_bytes) as usize) & (self.banks - 1)
+        (addr >> self.interleave_shift) as usize & (self.banks - 1)
+    }
+
+    /// The version of the buffer that serves `addr`. It changes whenever that
+    /// buffer's contents may have changed, so a [`ForwardingBuffer::find`] outcome for
+    /// `addr` holds for as long as the version is unchanged.
+    #[inline]
+    pub fn version(&self, addr: Addr) -> u64 {
+        self.versions[self.bank_of(addr)]
     }
 
     /// Records an executed store (displacing the oldest buffered store of its bank if
@@ -106,6 +125,7 @@ impl ForwardingBuffer {
         value: Value,
     ) {
         let bank = self.bank_of(addr);
+        self.versions[bank] += 1;
         let buf = &mut self.buffers[bank];
         if buf.len() == self.entries_per_bank {
             buf.pop_front();
@@ -120,21 +140,20 @@ impl ForwardingBuffer {
         });
     }
 
-    /// Best-effort lookup on behalf of a load: returns the sequence number, PC, SSN,
+    /// Best-effort search on behalf of a load: returns the sequence number, PC, SSN,
     /// and value of the most recently *buffered* older store that fully covers the
     /// load, if any. This may not be the architecturally correct forwarding source —
     /// the entry may even belong to an already-retired store whose value younger
     /// retired stores have overwritten — so consumers must bound the load's
-    /// vulnerability window by the returned SSN.
-    pub fn lookup(
-        &mut self,
+    /// vulnerability window by the returned SSN. Side-effect free; a probe the
+    /// machine makes is [`ForwardingBuffer::lookup`], which also counts it.
+    pub fn find(
+        &self,
         load_seq: InstSeq,
         addr: Addr,
         width: MemWidth,
     ) -> Option<(InstSeq, Pc, Ssn, Value)> {
-        self.lookups += 1;
-        let bank = self.bank_of(addr);
-        let found = self.buffers[bank]
+        self.buffers[self.bank_of(addr)]
             .iter()
             .rev()
             .find(|s| {
@@ -145,15 +164,33 @@ impl ForwardingBuffer {
             .map(|s| {
                 let shift = (addr - s.addr) * 8;
                 (s.seq, s.pc, s.ssn, (s.value >> shift) & width.mask())
-            });
-        if found.is_some() {
-            self.hits += 1;
-        }
+            })
+    }
+
+    /// A counted probe: [`ForwardingBuffer::find`] plus one lookup, and one hit if
+    /// it found a covering store.
+    pub fn lookup(
+        &mut self,
+        load_seq: InstSeq,
+        addr: Addr,
+        width: MemWidth,
+    ) -> Option<(InstSeq, Pc, Ssn, Value)> {
+        let found = self.find(load_seq, addr, width);
+        self.count_lookup(found.is_some());
         found
+    }
+
+    /// Counts a probe whose outcome the caller already holds: one lookup, and one
+    /// hit if `hit`. The outcome must come from a search at the current
+    /// [`ForwardingBuffer::version`] of the probed address.
+    pub fn count_lookup(&mut self, hit: bool) {
+        self.lookups += 1;
+        self.hits += u64::from(hit);
     }
 
     /// Discards buffered stores younger than `survivor` after a flush.
     pub fn flush_after(&mut self, survivor: Option<InstSeq>) {
+        self.versions.iter_mut().for_each(|v| *v += 1);
         for buf in &mut self.buffers {
             match survivor {
                 None => buf.clear(),
@@ -249,5 +286,63 @@ mod tests {
         assert_eq!(fb.lookup(9, 0x1040, MemWidth::W8), None);
         fb.flush_after(None);
         assert_eq!(fb.lookup(9, 0x1000, MemWidth::W8), None);
+    }
+
+    #[test]
+    fn find_is_pure_and_lookup_counts_it() {
+        let mut fb = ForwardingBuffer::paper_default();
+        fb.record_store(1, 0x100, Ssn::new(1), 0x1000, MemWidth::W8, 0xAB);
+        let found = fb.find(2, 0x1000, MemWidth::W8);
+        assert_eq!(found, Some((1, 0x100, Ssn::new(1), 0xAB)));
+        assert_eq!((fb.lookups(), fb.hits()), (0, 0), "find counts nothing");
+        assert_eq!(fb.lookup(2, 0x1000, MemWidth::W8), found);
+        assert_eq!(fb.lookup(2, 0x2000, MemWidth::W8), None);
+        assert_eq!((fb.lookups(), fb.hits()), (2, 1));
+        fb.count_lookup(true);
+        fb.count_lookup(false);
+        assert_eq!((fb.lookups(), fb.hits()), (4, 2));
+    }
+
+    /// A bank's version moves whenever its buffer may change, and only then: a
+    /// store recorded into the other bank leaves it, a flush moves every bank.
+    #[test]
+    fn version_changes_exactly_when_the_bank_may_change() {
+        let mut fb = ForwardingBuffer::paper_default();
+        let (a, b) = (0x1000, 0x1040); // adjacent lines: different banks
+        let (va, vb) = (fb.version(a), fb.version(b));
+        let _ = fb.lookup(9, a, MemWidth::W8);
+        assert_eq!(fb.version(a), va, "a lookup changes nothing");
+        fb.record_store(1, 0x100, Ssn::new(1), b, MemWidth::W8, 1);
+        assert_eq!(fb.version(a), va, "a store into the other bank");
+        assert_ne!(fb.version(b), vb);
+        let vb = fb.version(b);
+        fb.flush_after(Some(5));
+        assert_ne!(fb.version(a), va);
+        assert_ne!(fb.version(b), vb);
+    }
+
+    #[test]
+    #[should_panic(expected = "interleave granularity must be a power of two")]
+    fn interleave_that_is_not_a_power_of_two_panics() {
+        let _ = ForwardingBuffer::new(2, 8, 96);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The shift selects the same bank as the divide it replaces.
+        #[test]
+        fn shifted_bank_equals_the_divide_formula(
+            banks_log in 0u32..4,
+            interleave_log in 0u32..9,
+            addr in 0u64..u64::MAX
+        ) {
+            let (banks, interleave) = (1usize << banks_log, 1u64 << interleave_log);
+            let fb = ForwardingBuffer::new(banks, 8, interleave);
+            proptest::prop_assert_eq!(
+                fb.bank_of(addr),
+                ((addr / interleave) % banks as u64) as usize
+            );
+        }
     }
 }

@@ -2,27 +2,22 @@
 
 use std::collections::VecDeque;
 
-use svw_core::VulnWindow;
-use svw_isa::{Addr, InstSeq, MemWidth, Pc, Value};
+use svw_isa::{Addr, InstSeq, MemWidth, Value};
 
-/// One in-flight load.
+/// One in-flight load: what the ordering search reads. A load's marking and
+/// vulnerability window live with the pipeline's per-instruction state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadEntry {
     /// Dynamic sequence number.
     pub seq: InstSeq,
-    /// Static PC.
-    pub pc: Pc,
-    /// Effective address, once the load has executed (eliminated loads keep `None`).
+    /// Effective address, once the load has executed and been resolved here
+    /// (eliminated loads keep `None`).
     pub addr: Option<Addr>,
     /// Access width.
     pub width: Option<MemWidth>,
     /// The value the load obtained when it executed (possibly wrong — that is the
     /// point of re-execution).
     pub value: Option<Value>,
-    /// Whether some active optimization marked this load for re-execution.
-    pub marked: bool,
-    /// The load's store vulnerability window.
-    pub window: VulnWindow,
 }
 
 impl LoadEntry {
@@ -41,9 +36,9 @@ impl LoadEntry {
 /// An age-ordered load queue.
 ///
 /// The conventional unit uses [`LoadQueue::search_violations`] (the associative port
-/// that stores use to find prematurely issued younger loads). The NLQ removes that
-/// port; the structure is then only a holding area for addresses/values/windows used
-/// by the re-execution pipeline.
+/// that stores use to find prematurely issued younger loads), and resolves each
+/// executed load for it. The NLQ and SSQ remove that port; the structure then only
+/// bounds the number of in-flight loads, and nothing needs resolving.
 #[derive(Clone, Debug)]
 pub struct LoadQueue {
     capacity: usize,
@@ -104,24 +99,21 @@ impl LoadQueue {
         self.searches
     }
 
-    /// Allocates a load at the tail (rename order) with its dispatch-time window.
+    /// Allocates a load at the tail (rename order).
     ///
     /// # Panics
     ///
     /// Panics if the queue is full or allocation is out of program order.
-    pub fn allocate(&mut self, seq: InstSeq, pc: Pc, window: VulnWindow) {
+    pub fn allocate(&mut self, seq: InstSeq) {
         assert!(self.has_space(), "load queue overflow");
         if let Some(tail) = self.entries.back() {
             assert!(seq > tail.seq, "loads must be allocated in program order");
         }
         self.entries.push_back(LoadEntry {
             seq,
-            pc,
             addr: None,
             width: None,
             value: None,
-            marked: false,
-            window,
         });
     }
 
@@ -131,11 +123,6 @@ impl LoadQueue {
     fn index_of(&self, seq: InstSeq) -> Option<usize> {
         let i = self.entries.partition_point(|e| e.seq < seq);
         (i < self.entries.len() && self.entries[i].seq == seq).then_some(i)
-    }
-
-    /// Mutable access to the entry for `seq`.
-    pub fn get_mut(&mut self, seq: InstSeq) -> Option<&mut LoadEntry> {
-        self.index_of(seq).map(|i| &mut self.entries[i])
     }
 
     /// Shared access to the entry for `seq`.
@@ -149,9 +136,10 @@ impl LoadQueue {
     ///
     /// Panics if the load is not in the queue.
     pub fn resolve(&mut self, seq: InstSeq, addr: Addr, width: MemWidth, value: Value) {
-        let e = self
-            .get_mut(seq)
+        let i = self
+            .index_of(seq)
             .expect("resolving a load that is not in the load queue");
+        let e = &mut self.entries[i];
         e.addr = Some(addr);
         e.width = Some(width);
         e.value = Some(value);
@@ -227,7 +215,7 @@ mod tests {
     #[test]
     fn allocate_resolve_commit() {
         let mut q = lq();
-        q.allocate(2, 0x100, VulnWindow::default());
+        q.allocate(2);
         q.resolve(2, 0x1000, MemWidth::W8, 7);
         assert_eq!(q.get(2).unwrap().value, Some(7));
         let e = q.pop_commit(2);
@@ -238,9 +226,9 @@ mod tests {
     #[test]
     fn violation_search_finds_oldest_younger_overlapping_load() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
-        q.allocate(6, 0x104, VulnWindow::default());
-        q.allocate(8, 0x108, VulnWindow::default());
+        q.allocate(4);
+        q.allocate(6);
+        q.allocate(8);
         q.resolve(4, 0x2000, MemWidth::W8, 1);
         q.resolve(6, 0x2000, MemWidth::W8, 1);
         q.resolve(8, 0x3000, MemWidth::W8, 1);
@@ -255,7 +243,7 @@ mod tests {
     #[test]
     fn silent_store_value_suppresses_violation() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
+        q.allocate(4);
         q.resolve(4, 0x2000, MemWidth::W8, 42);
         // The store writes the same value the load already obtained: no flush needed.
         assert_eq!(q.search_violations(3, 0x2000, MemWidth::W8, Some(42)), None);
@@ -269,16 +257,16 @@ mod tests {
     #[test]
     fn unexecuted_loads_never_match() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
+        q.allocate(4);
         assert_eq!(q.search_violations(3, 0x2000, MemWidth::W8, None), None);
     }
 
     #[test]
     fn flush_discards_younger_loads() {
         let mut q = lq();
-        q.allocate(2, 0, VulnWindow::default());
-        q.allocate(4, 0, VulnWindow::default());
-        q.allocate(6, 0, VulnWindow::default());
+        q.allocate(2);
+        q.allocate(4);
+        q.allocate(6);
         q.flush_after(Some(4));
         assert_eq!(q.len(), 2);
         q.flush_after(None);
@@ -289,28 +277,17 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut q = LoadQueue::new(1);
-        q.allocate(1, 0, VulnWindow::default());
-        q.allocate(2, 0, VulnWindow::default());
+        q.allocate(1);
+        q.allocate(2);
     }
 
     #[test]
     fn reset_matches_new() {
         let mut q = lq();
-        q.allocate(2, 0x100, VulnWindow::default());
+        q.allocate(2);
         q.resolve(2, 0x1000, MemWidth::W8, 7);
         let _ = q.search_violations(1, 0x1000, MemWidth::W8, None);
         q.reset(8);
         assert_eq!(format!("{q:?}"), format!("{:?}", lq()));
-    }
-
-    #[test]
-    fn marked_flag_and_window_are_mutable() {
-        let mut q = lq();
-        q.allocate(2, 0, VulnWindow::default());
-        let e = q.get_mut(2).unwrap();
-        e.marked = true;
-        e.window = e.window.shrink_to(svw_core::Ssn::new(9));
-        assert!(q.get(2).unwrap().marked);
-        assert_eq!(q.get(2).unwrap().window.boundary(), svw_core::Ssn::new(9));
     }
 }

@@ -102,6 +102,12 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `sets - 1`: a line's set is `line & set_mask`.
+    set_mask: usize,
+    /// `log2(line_bytes * sets)`: an address's tag is `addr >> tag_shift`.
+    tag_shift: u32,
     sets: Vec<Vec<Line>>,
     stats: CacheStats,
     tick: u64,
@@ -116,6 +122,9 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         let mut cache = Cache {
             config,
+            line_shift: 0,
+            set_mask: 0,
+            tag_shift: 0,
             sets: Vec::new(),
             stats: CacheStats::default(),
             tick: 0,
@@ -145,6 +154,11 @@ impl Cache {
             set.resize(config.assoc, line.clone());
         }
         self.config = config;
+        // `validate` checked that the line size and the set count are powers of two,
+        // so the divides of the set and tag arithmetic are shifts.
+        self.line_shift = config.line_bytes.trailing_zeros();
+        self.set_mask = config.sets() - 1;
+        self.tag_shift = self.line_shift + config.sets().trailing_zeros();
         self.stats = CacheStats::default();
         self.tick = 0;
     }
@@ -161,13 +175,12 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, addr: Addr) -> usize {
-        let line = addr / self.config.line_bytes as u64;
-        (line as usize) & (self.config.sets() - 1)
+        (addr >> self.line_shift) as usize & self.set_mask
     }
 
     #[inline]
     fn tag_of(&self, addr: Addr) -> Addr {
-        addr / self.config.line_bytes as u64 / self.config.sets() as u64
+        addr >> self.tag_shift
     }
 
     /// Probes the cache without modifying replacement or statistics state.
@@ -338,6 +351,31 @@ mod tests {
             format!("{c:?}"),
             format!("{:?}", Cache::new(CacheConfig::paper_l1()))
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The precomputed shifts select the same set and tag as the divides they
+        /// replace, over random power-of-two geometries and addresses.
+        #[test]
+        fn shifted_set_and_tag_equal_the_divide_formulas(
+            line_log in 0u32..9,
+            sets_log in 0u32..13,
+            assoc in 1usize..9,
+            addr in 0u64..u64::MAX
+        ) {
+            let (line_bytes, sets) = (1usize << line_log, 1usize << sets_log);
+            let c = Cache::new(CacheConfig {
+                size_bytes: line_bytes * sets * assoc,
+                assoc,
+                line_bytes,
+                hit_latency: 1,
+            });
+            let line = addr / line_bytes as u64;
+            proptest::prop_assert_eq!(c.set_index(addr), (line % sets as u64) as usize);
+            proptest::prop_assert_eq!(c.tag_of(addr), line / sets as u64);
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ use svw_isa::Addr;
 /// execution ports).
 #[derive(Clone, Debug)]
 pub struct BankedPorts {
-    line_bytes: u64,
+    /// `log2` of the interleave granularity: an address's bank is its
+    /// `addr >> interleave_shift` line number, masked.
+    interleave_shift: u32,
     banks: usize,
     /// Cycle number each bank was last used in.
     last_used: Vec<u64>,
@@ -22,10 +24,10 @@ impl BankedPorts {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two or `line_bytes` is zero.
+    /// Panics if `banks` or `line_bytes` is not a power of two.
     pub fn new(banks: usize, line_bytes: u64) -> Self {
         let mut ports = BankedPorts {
-            line_bytes,
+            interleave_shift: 0,
             banks,
             last_used: Vec::new(),
         };
@@ -38,11 +40,14 @@ impl BankedPorts {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two or `line_bytes` is zero.
+    /// Panics if `banks` or `line_bytes` is not a power of two.
     pub fn reset(&mut self, banks: usize, line_bytes: u64) {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
-        assert!(line_bytes > 0, "interleave granularity must be non-zero");
-        self.line_bytes = line_bytes;
+        assert!(
+            line_bytes.is_power_of_two(),
+            "interleave granularity must be a power of two"
+        );
+        self.interleave_shift = line_bytes.trailing_zeros();
         self.banks = banks;
         self.last_used.clear();
         self.last_used.resize(banks, u64::MAX);
@@ -51,7 +56,7 @@ impl BankedPorts {
     /// The bank an address maps to.
     #[inline]
     pub fn bank_of(&self, addr: Addr) -> usize {
-        ((addr / self.line_bytes) as usize) & (self.banks - 1)
+        (addr >> self.interleave_shift) as usize & (self.banks - 1)
     }
 
     /// Whether the bank for `addr` is still free during `cycle`. Side-effect free.
@@ -148,6 +153,25 @@ mod tests {
         assert!(p.try_use(0x080, 2));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The shift selects the same bank as the divide it replaces.
+        #[test]
+        fn shifted_bank_equals_the_divide_formula(
+            banks_log in 0u32..4,
+            line_log in 0u32..9,
+            addr in 0u64..u64::MAX
+        ) {
+            let (banks, line_bytes) = (1usize << banks_log, 1u64 << line_log);
+            let p = BankedPorts::new(banks, line_bytes);
+            proptest::prop_assert_eq!(
+                p.bank_of(addr),
+                ((addr / line_bytes) % banks as u64) as usize
+            );
+        }
+    }
+
     #[test]
     fn shared_port_single_use_per_cycle() {
         let mut p = SharedPort::new();
@@ -164,5 +188,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_bank_count_panics() {
         let _ = BankedPorts::new(3, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "interleave granularity must be a power of two")]
+    fn interleave_that_is_not_a_power_of_two_panics() {
+        let _ = BankedPorts::new(2, 48);
     }
 }

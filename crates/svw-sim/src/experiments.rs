@@ -20,7 +20,7 @@ use svw_cpu::CpuStats;
 use crate::planner::{render_plan, MatrixRound};
 use crate::registry::{self, ResolvedMatrix, ResolvedSpec};
 use crate::report::{FigureReport, SeriesTable};
-use crate::runner::{execute_plan, ExperimentCell, RunOptions};
+use crate::runner::{execute_plan_in, ArenaPool, ExperimentCell, RunOptions};
 
 /// Everything an experiment needs beyond its configuration matrix: trace length,
 /// replication seeds, and how to acquire workload traces and schedule cells.
@@ -104,6 +104,9 @@ impl ExperimentCtx<'_> {
         let mut extra_cells = vec![0usize; resolved.len()];
         let mut warnings = Vec::new();
         let mut seeds_run = 0;
+        // The rounds' workers share these, so each pipeline is built once per
+        // render rather than once per round.
+        let arenas = ArenaPool::default();
         let progress = self.opts.obs.and_then(|o| o.progress.as_ref());
         if let Some(progress) = progress {
             let max_seeds = self.adaptive.map_or(seeds.len(), |a| a.max_seeds);
@@ -121,7 +124,8 @@ impl ExperimentCtx<'_> {
                     seeds: &seeds,
                 })
                 .collect();
-            let result = execute_plan(&render_plan(specs, self.trace_len, &rounds), &self.opts);
+            let plan = render_plan(specs, self.trace_len, &rounds);
+            let result = execute_plan_in(&plan, &self.opts, &arenas);
             warnings.extend(result.warnings);
             let mut cells = result.cells.into_iter();
             for (matrix, pool) in matrices.iter_mut().zip(&pools) {

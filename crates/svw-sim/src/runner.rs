@@ -181,8 +181,6 @@ pub struct SweepResult {
     /// Aggregated sweep-level warnings (cache fallbacks, stream write errors) — at
     /// most one entry per category, however many cells were affected.
     pub warnings: Vec<String>,
-    /// How many cells were served by the content-addressed result cache.
-    pub cached: usize,
 }
 
 impl SweepResult {
@@ -353,10 +351,41 @@ pub fn run_cells(
 /// The `--progress` total is the planner's to set ([`run_cells`] and the
 /// render add the cells they plan); the executor only records finished cells.
 pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
+    execute_plan_in(plan, opts, &ArenaPool::default())
+}
+
+/// [`execute_plan`] with the workers' simulation arenas taken from, and handed
+/// back to, `arenas`, so successive plans (the rounds of an adaptive render)
+/// reuse the pipelines the previous plan's workers built.
+pub(crate) fn execute_plan_in(
+    plan: &SweepPlan,
+    opts: &RunOptions<'_>,
+    arenas: &ArenaPool,
+) -> SweepResult {
     let cached = lookup_cached(plan, opts);
     let slots = TraceSlots::group(plan, &cached);
-    let drained = drain(plan, &cached, &slots, opts);
+    let drained = drain(plan, &cached, &slots, opts, arenas);
     collect(plan, drained, opts)
+}
+
+/// Simulation arenas that outlive one plan execution. Each worker takes one
+/// when it starts (a fresh, cold one if none is left) and puts it back when it
+/// exits.
+#[derive(Default)]
+pub(crate) struct ArenaPool(Mutex<Vec<SimArena>>);
+
+impl ArenaPool {
+    fn take(&self) -> SimArena {
+        self.0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn put(&self, arena: SimArena) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(arena);
+    }
 }
 
 /// Phase 1: the result-cache hit of every cell, resolved before the trace slots
@@ -499,9 +528,10 @@ struct Drained {
     tally: Tally,
 }
 
-/// Phase 3: N workers drain the task queue; each owns one simulation arena
-/// reused across every cell it simulates, so cell startup clears the previous
-/// cell's pipeline in place instead of rebuilding it. Each worker counts its
+/// Phase 3: N workers drain the task queue; each takes one simulation arena
+/// from `arenas` and reuses it across every cell it simulates, so cell startup
+/// clears the previous cell's pipeline in place instead of rebuilding it. Each
+/// worker counts its
 /// cells in its own [`WorkerStats`] row — the only count of cell outcomes —
 /// which is merged into the metrics when the worker exits.
 fn drain(
@@ -509,6 +539,7 @@ fn drain(
     cached: &[Option<CpuStats>],
     slots: &TraceSlots,
     opts: &RunOptions<'_>,
+    arenas: &ArenaPool,
 ) -> Drained {
     let total = plan.cells.len();
     let jobs = effective_jobs(opts.jobs, total);
@@ -529,7 +560,7 @@ fn drain(
             .map(|worker| {
                 let (tally, next_task) = (&tally, &next_task);
                 scope.spawn(move || {
-                    let mut arena = SimArena::new();
+                    let mut arena = arenas.take();
                     let mut wstats = WorkerStats::default();
                     let mut done = Vec::new();
                     while let Some(&k) = slots.tasks.get(next_task.fetch_add(1, Ordering::Relaxed))
@@ -571,6 +602,7 @@ fn drain(
                             },
                         ));
                     }
+                    arenas.put(arena);
                     (done, wstats)
                 })
             })
@@ -915,7 +947,6 @@ fn collect(plan: &SweepPlan, drained: Drained, opts: &RunOptions<'_>) -> SweepRe
         ));
     }
     SweepResult {
-        cached: cells.iter().filter(|c| c.is_cached()).count(),
         cells,
         cache_fallbacks: cache_errors.len(),
         warnings,
@@ -1102,15 +1133,18 @@ mod tests {
         };
         let cold = run(&observers[0]);
         let cold_metrics = observers[0].metrics.as_ref().unwrap();
-        assert_eq!(cold.cached, 0);
+        assert_eq!(cold_metrics.totals().cells_cached, 0);
         assert_eq!(cold_metrics.result_cache_stores.get(), 4);
         assert_eq!(cold_metrics.result_cache_misses.get(), 4);
         let warm = run(&observers[1]);
-        assert_eq!(warm.cached, 4, "every cell is served from the cache");
         assert!(warm.cells.iter().all(ExperimentCell::is_cached));
         let warm_metrics = observers[1].metrics.as_ref().unwrap();
         let totals = warm_metrics.totals();
-        assert_eq!((totals.cells_simulated, totals.cells_cached), (0, 4));
+        assert_eq!(
+            (totals.cells_simulated, totals.cells_cached),
+            (0, 4),
+            "every cell is served from the cache"
+        );
         assert_eq!(warm_metrics.result_cache_hits.get(), 4);
         assert_eq!(warm_metrics.result_cache_stores.get(), 0);
         // Byte-identical stats: the cache round-trip is lossless.

@@ -167,6 +167,49 @@ fn artifact_matrices_match_what_the_artifact_streams() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The rounds of an adaptive render share their workers' simulation arenas, so
+/// a render builds at most one pipeline per worker however many rounds it runs
+/// (three here): later rounds only reset them.
+#[test]
+fn an_adaptive_render_rebuilds_each_workers_arena_once() {
+    for jobs in [1, 2] {
+        let observer = SweepObserver {
+            metrics: Some(SweepMetrics::new()),
+            ..SweepObserver::default()
+        };
+        let ctx = ExperimentCtx {
+            adaptive: Some(AdaptiveOpts {
+                ci_target_pct: 1e-6,
+                min_seeds: 2,
+                max_seeds: 4,
+            }),
+            opts: RunOptions {
+                jobs,
+                obs: Some(&observer),
+                ..RunOptions::default()
+            },
+            ..ExperimentCtx::new(LEN, 1)
+        };
+        render_specs(&ctx, &[spec()]).expect("renders");
+        let metrics = observer.metrics.as_ref().unwrap();
+        let totals = metrics.totals();
+        assert_eq!(
+            totals.cells_simulated,
+            4 * cells_per_seed(&spec()) as u64,
+            "three rounds ran the unreachable target to max_seeds"
+        );
+        assert_eq!(totals.resets + totals.rebuilds, totals.cells_simulated);
+        assert!(
+            (1..=jobs as u64).contains(&totals.rebuilds),
+            "jobs {jobs}: {} rebuilds, one per worker at most",
+            totals.rebuilds
+        );
+        if jobs == 1 {
+            assert_eq!(metrics.workers()[0].rebuilds, 1);
+        }
+    }
+}
+
 /// With a target so loose that `min_seeds` already satisfies it, adaptive sampling
 /// must stop immediately: no extra cells, every workload at `min_seeds`.
 #[test]

@@ -200,13 +200,13 @@ fn lineage_mismatches_must_miss() {
         .iter()
         .map(|c| c.clone().with_model_version(2))
         .collect();
-    let (result, v2) = sweep(&v2_configs, 7);
+    let (_, v2) = sweep(&v2_configs, 7);
     assert_eq!(
         v2.result_cache_hits.get(),
         0,
         "model v2 must not reuse v1 results"
     );
-    assert_eq!(result.cached, 0);
+    assert_eq!(v2.totals().cells_cached, 0);
 
     // Same machines under an edited spec fingerprint: the spec is not the
     // machine, so every lookup hits.
@@ -216,7 +216,7 @@ fn lineage_mismatches_must_miss() {
         0,
         "a spec edit that leaves every machine unchanged must reuse its results"
     );
-    assert_eq!(result.cached, result.cells.len());
+    assert_eq!(fp.totals().cells_cached, result.cells.len() as u64);
     assert_eq!(fingerprint(&result.cells), fingerprint(&baseline.cells));
 
     // A stale preset: each config keeps its name, but its ROB shrinks from
@@ -231,17 +231,17 @@ fn lineage_mismatches_must_miss() {
             }
         })
         .collect();
-    let (result, stale) = sweep(&stale_configs, 7);
+    let (_, stale) = sweep(&stale_configs, 7);
     assert_eq!(
         stale.result_cache_hits.get(),
         0,
         "a preset edited under its old name must not reuse the old machine's results"
     );
-    assert_eq!(result.cached, 0);
+    assert_eq!(stale.totals().cells_cached, 0);
 
     // The unchanged lineage still hits everything.
     let (result, warm) = sweep(&configs, 7);
-    assert_eq!(result.cached, result.cells.len());
+    assert_eq!(warm.totals().cells_cached, result.cells.len() as u64);
     assert_eq!(warm.result_cache_misses.get(), 0);
     assert_eq!(fingerprint(&result.cells), fingerprint(&baseline.cells));
     let _ = fs::remove_dir_all(&dir);
@@ -321,7 +321,7 @@ fn concurrent_sweeps_share_one_cache_directory() {
             &opts,
         )
     });
-    assert_eq!(result.cached, result.cells.len());
+    assert_eq!(metrics.totals().cells_cached, result.cells.len() as u64);
     assert_eq!(metrics.result_cache_misses.get(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
