@@ -73,7 +73,7 @@ impl SvwFilter {
             config,
             clock: SsnClock::new(config.ssn_width),
             ssbf: Ssbf::new(config.ssbf),
-            stats: SvwStats::new(),
+            stats: SvwStats::default(),
         }
     }
 
@@ -83,18 +83,13 @@ impl SvwFilter {
     pub fn reset(&mut self, config: SvwConfig) {
         self.clock = SsnClock::new(config.ssn_width);
         self.ssbf.reset(config.ssbf);
-        self.stats = SvwStats::new();
+        self.stats = SvwStats::default();
         self.config = config;
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SvwConfig {
         &self.config
-    }
-
-    /// The SSN clock (read-only).
-    pub fn clock(&self) -> &SsnClock {
-        &self.clock
     }
 
     /// Accumulated statistics.
@@ -143,7 +138,6 @@ impl SvwFilter {
     pub fn on_wrap_drain(&mut self) {
         self.clock.acknowledge_wrap_drain();
         self.ssbf.flash_clear();
-        self.stats.wrap_drains += 1;
     }
 
     /// Assigns an SSN to a store at rename.
@@ -211,12 +205,6 @@ impl SvwFilter {
     /// Raw filter test without statistics side-effects (`SSBF[addr] > window`).
     pub fn must_reexecute(&self, addr: Addr, bytes: u64, window: VulnWindow) -> bool {
         self.ssbf.must_reexecute(addr, bytes, window.boundary())
-    }
-
-    /// Records a value mismatch detected by an actual re-execution (a true
-    /// mis-speculation that will flush the pipeline).
-    pub fn record_mismatch(&mut self) {
-        self.stats.reexec_mismatches += 1;
     }
 
     /// Direct access to the SSBF, mainly for configuration sweeps and tests.
@@ -344,7 +332,6 @@ mod tests {
             svw.store_retired(s);
         }
         assert!(drained >= 2);
-        assert_eq!(svw.stats().wrap_drains, drained);
         // After the most recent activity the SSBF still reflects post-clear stores.
         let w = VulnWindow::at_dispatch(Ssn::ZERO);
         assert!(svw.must_reexecute(0x1000, 8, w));
@@ -376,12 +363,10 @@ mod tests {
         assert!(svw.filter_marked_load(0x1000, 8, w));
         // 0x1010 maps to a different SSBF entry than 0x1000, so it is filtered.
         assert!(!svw.filter_marked_load(0x1010, 8, w));
-        svw.record_mismatch();
         let st = svw.stats();
         assert_eq!(st.marked_loads, 2);
         assert_eq!(st.reexecuted_loads, 1);
         assert_eq!(st.filtered_loads, 1);
-        assert_eq!(st.reexec_mismatches, 1);
         assert_eq!(st.ssbf_store_updates, 1);
     }
 

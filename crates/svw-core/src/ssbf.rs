@@ -40,10 +40,6 @@ pub struct SsbfConfig {
     pub granularity: u64,
     /// Physical organisation.
     pub organization: SsbfOrganization,
-    /// Number of banks used to support cache-line invalidations; a line invalidation
-    /// updates the indexed set in every bank. Must divide `entries`. With one bank
-    /// (default), invalidations update every granule of the line individually.
-    pub banks: usize,
 }
 
 impl SsbfConfig {
@@ -53,7 +49,6 @@ impl SsbfConfig {
             entries: 512,
             granularity: 8,
             organization: SsbfOrganization::Simple,
-            banks: 1,
         }
     }
 
@@ -95,7 +90,6 @@ impl SsbfConfig {
             entries: 0,
             granularity: 4,
             organization: SsbfOrganization::Infinite,
-            banks: 1,
         }
     }
 
@@ -116,10 +110,6 @@ impl SsbfConfig {
                 assert!(
                     self.entries.is_power_of_two() && self.entries >= 2,
                     "SSBF entry count must be a power of two >= 2"
-                );
-                assert!(
-                    self.banks >= 1 && self.entries.is_multiple_of(self.banks),
-                    "SSBF bank count must divide the entry count"
                 );
             }
         }

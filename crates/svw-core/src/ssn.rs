@@ -94,7 +94,6 @@ pub struct SsnClock {
     width: SsnWidth,
     retire: Ssn,
     rename: Ssn,
-    wrap_drains: u64,
     /// The `rename` value at which the most recent wrap drain was acknowledged, so
     /// that the same boundary is not drained for twice.
     wrap_handled_at: Option<u64>,
@@ -110,7 +109,6 @@ impl SsnClock {
             width,
             retire: Ssn::ZERO,
             rename: Ssn::ZERO,
-            wrap_drains: 0,
             wrap_handled_at: None,
         }
     }
@@ -139,12 +137,6 @@ impl SsnClock {
         self.rename.raw() - self.retire.raw()
     }
 
-    /// Number of wrap-around drains that have occurred.
-    #[inline]
-    pub fn wrap_drains(&self) -> u64 {
-        self.wrap_drains
-    }
-
     /// Returns `true` if renaming one more store would cross a wrap boundary, i.e. the
     /// front end must stall, the pipeline must drain, and the SSBF must be
     /// flash-cleared before that store may rename.
@@ -170,7 +162,6 @@ impl SsnClock {
             0,
             "wrap-around drain requires an empty store window"
         );
-        self.wrap_drains += 1;
         self.wrap_handled_at = Some(self.rename.raw());
     }
 
@@ -306,7 +297,6 @@ mod tests {
             c.retire_store(s);
         }
         assert!(fired);
-        assert!(c.wrap_drains() >= 1);
     }
 
     #[test]
@@ -317,7 +307,6 @@ mod tests {
             let s = c.assign_store();
             c.retire_store(s);
         }
-        assert_eq!(c.wrap_drains(), 0);
     }
 
     #[test]

@@ -379,7 +379,6 @@ impl MachineConfig {
                         entries,
                         granularity,
                         organization,
-                        banks,
                     },
                 update_policy,
                 speculative_ssbf_updates,
@@ -399,7 +398,6 @@ impl MachineConfig {
                     SsbfOrganization::DoubleBloom => 1,
                     SsbfOrganization::Infinite => 2,
                 });
-                mix(banks as u64);
                 mix(match update_policy {
                     SvwUpdatePolicy::NoForwardUpdate => 0,
                     SvwUpdatePolicy::UpdateOnForward => 1,
@@ -408,7 +406,6 @@ impl MachineConfig {
             }
         }
         let HierarchyConfig {
-            l1i,
             l1d,
             l2,
             memory_latency,
@@ -418,7 +415,7 @@ impl MachineConfig {
             assoc,
             line_bytes,
             hit_latency,
-        } in [l1i, l1d, l2]
+        } in [l1d, l2]
         {
             mix(size_bytes as u64);
             mix(assoc as u64);
@@ -643,22 +640,11 @@ mod tests {
             ("svw.ssbf.organization", |c| {
                 svw(c).ssbf.organization = SsbfOrganization::DoubleBloom
             }),
-            ("svw.ssbf.banks", |c| svw(c).ssbf.banks = 2),
             ("svw.update_policy", |c| {
                 svw(c).update_policy = SvwUpdatePolicy::NoForwardUpdate
             }),
             ("svw.speculative_ssbf_updates", |c| {
                 svw(c).speculative_ssbf_updates ^= true
-            }),
-            ("hierarchy.l1i.size_bytes", |c| {
-                c.hierarchy.l1i.size_bytes *= 2
-            }),
-            ("hierarchy.l1i.assoc", |c| c.hierarchy.l1i.assoc *= 2),
-            ("hierarchy.l1i.line_bytes", |c| {
-                c.hierarchy.l1i.line_bytes *= 2
-            }),
-            ("hierarchy.l1i.hit_latency", |c| {
-                c.hierarchy.l1i.hit_latency += 1
             }),
             ("hierarchy.l1d.size_bytes", |c| {
                 c.hierarchy.l1d.size_bytes *= 2

@@ -788,7 +788,6 @@ impl Pipeline {
         elim_signature: Option<ItSignature>,
     ) {
         self.stats.reexec_flushes += 1;
-        self.svw.record_mismatch();
         let addr = addr.expect("failed load has an address");
         // Train the appropriate predictor so the mis-speculation does not recur:
         // the SPCT supplies the identity of the last store to the colliding address,
@@ -2078,7 +2077,10 @@ mod tests {
         /// build after every issue stage) comparing the wakeup state cycle by cycle:
         /// a lost, duplicated, or early wakeup panics naming the cycle and entry.
         /// Every marked load is also counted exactly once, as filtered or as
-        /// re-executed.
+        /// re-executed, both at the SVW stage and at retirement; every
+        /// elimination is a reuse or a bypass; a forwarding buffer hits at most
+        /// once per lookup; and the direction predictor mispredicts no more
+        /// often than the pipeline recovers from a mispredicted branch.
         #[test]
         fn wakeup_ready_set_matches_brute_force_readiness(
             seed in 0u64..1_000_000,
@@ -2092,6 +2094,18 @@ mod tests {
             proptest::prop_assert_eq!(
                 svw.marked_loads,
                 svw.filtered_loads + svw.reexecuted_loads
+            );
+            proptest::prop_assert_eq!(
+                stats.loads_marked,
+                stats.loads_filtered + stats.loads_reexecuted
+            );
+            proptest::prop_assert_eq!(
+                stats.loads_eliminated,
+                stats.eliminations_reuse + stats.eliminations_bypass
+            );
+            proptest::prop_assert!(stats.fwd_buffer_hits <= stats.fwd_buffer_lookups);
+            proptest::prop_assert!(
+                stats.branch_predictor.mispredictions <= stats.branch_mispredictions
             );
         }
     }

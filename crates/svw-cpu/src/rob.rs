@@ -176,7 +176,9 @@ impl<T: HasSeq> RobRing<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the ring is full; `debug_assert`s that the entry's sequence number
+    /// Panics if the ring is full, or if the entry would land past the filled slot
+    /// storage: slots fill in order from slot 0, so the first entry a fresh ring
+    /// takes must map to slot 0. `debug_assert`s that the entry's sequence number
     /// is exactly one past the current back (density).
     pub fn push_back(&mut self, entry: T) {
         assert!(self.len < self.capacity, "ROB overflow");
@@ -193,10 +195,14 @@ impl<T: HasSeq> RobRing<T> {
         }
         let pos = self.pos(self.len);
         debug_assert_eq!(pos, self.slot(seq), "entries live at slot seq mod slots");
-        if pos == self.slots.len() {
-            self.slots.push(entry);
-        } else {
-            self.slots[pos] = entry;
+        match pos.cmp(&self.slots.len()) {
+            std::cmp::Ordering::Less => self.slots[pos] = entry,
+            std::cmp::Ordering::Equal => self.slots.push(entry),
+            std::cmp::Ordering::Greater => panic!(
+                "ROB density invariant: slots fill in order from slot 0, but seq {seq} \
+                 maps to slot {pos} with {} slot(s) filled",
+                self.slots.len()
+            ),
         }
         self.len += 1;
     }
@@ -408,6 +414,15 @@ mod tests {
         rob.push_back(e(1));
         assert_eq!(rob.len(), 2);
         assert_eq!(rob.back().unwrap().seq, 1);
+    }
+
+    /// A fresh ring fills its slot storage from slot 0, so a first sequence
+    /// number that maps elsewhere is a named error, not an out-of-bounds index.
+    #[test]
+    #[should_panic(expected = "ROB density invariant")]
+    fn fresh_ring_starting_past_slot_zero_panics() {
+        let mut rob: RobRing<E> = RobRing::with_capacity(4);
+        rob.push_back(e(5));
     }
 
     #[test]

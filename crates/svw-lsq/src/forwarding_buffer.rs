@@ -30,7 +30,8 @@ struct BufferedStore {
 /// A set of per-bank, fixed-capacity, unordered forwarding buffers.
 #[derive(Clone, Debug)]
 pub struct ForwardingBuffer {
-    banks: usize,
+    /// The bank count minus one (the count is a power of two).
+    bank_mask: usize,
     entries_per_bank: usize,
     /// `log2` of the interleave granularity: an address's bank is its
     /// `addr >> interleave_shift` line number, masked.
@@ -59,7 +60,7 @@ impl ForwardingBuffer {
     /// `entries_per_bank` is zero.
     pub fn new(banks: usize, entries_per_bank: usize, interleave_bytes: u64) -> Self {
         let mut fb = ForwardingBuffer {
-            banks,
+            bank_mask: 0,
             entries_per_bank,
             interleave_shift: 0,
             buffers: Vec::new(),
@@ -91,7 +92,7 @@ impl ForwardingBuffer {
         }
         self.versions.clear();
         self.versions.resize(banks, 0);
-        self.banks = banks;
+        self.bank_mask = banks - 1;
         self.entries_per_bank = entries_per_bank;
         self.interleave_shift = interleave_bytes.trailing_zeros();
         self.hits = 0;
@@ -100,7 +101,7 @@ impl ForwardingBuffer {
 
     #[inline]
     fn bank_of(&self, addr: Addr) -> usize {
-        (addr >> self.interleave_shift) as usize & (self.banks - 1)
+        (addr >> self.interleave_shift) as usize & self.bank_mask
     }
 
     /// The version of the buffer that serves `addr`. It changes whenever that

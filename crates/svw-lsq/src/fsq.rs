@@ -19,7 +19,6 @@ use crate::{ForwardResult, StoreQueue};
 #[derive(Clone, Debug)]
 pub struct Fsq {
     queue: StoreQueue,
-    rejected_allocations: u64,
 }
 
 impl Fsq {
@@ -30,7 +29,6 @@ impl Fsq {
     pub fn new(capacity: usize) -> Self {
         Fsq {
             queue: StoreQueue::new(capacity),
-            rejected_allocations: 0,
         }
     }
 
@@ -38,7 +36,6 @@ impl Fsq {
     /// [`Fsq::new`] — retaining the entry storage.
     pub fn reset(&mut self, capacity: usize) {
         self.queue.reset(capacity);
-        self.rejected_allocations = 0;
     }
 
     /// Current occupancy.
@@ -51,17 +48,6 @@ impl Fsq {
         self.queue.is_empty()
     }
 
-    /// Number of steered stores that could not be allocated because the FSQ was full
-    /// (these will show up as missed forwarding instances caught by re-execution).
-    pub fn rejected_allocations(&self) -> u64 {
-        self.rejected_allocations
-    }
-
-    /// Number of associative searches performed (the single FSQ port's traffic).
-    pub fn searches(&self) -> u64 {
-        self.queue.searches()
-    }
-
     /// Attempts to allocate an entry for a steered store. Returns `true` on success;
     /// on failure (FSQ full) the store simply does not enter and any loads that needed
     /// it will mis-forward and be caught by re-execution.
@@ -70,7 +56,6 @@ impl Fsq {
             self.queue.allocate(seq, pc, ssn);
             true
         } else {
-            self.rejected_allocations += 1;
             false
         }
     }
@@ -84,7 +69,7 @@ impl Fsq {
     }
 
     /// Searches the FSQ on behalf of a steered load.
-    pub fn search(&mut self, load_seq: InstSeq, addr: Addr, width: MemWidth) -> ForwardResult {
+    pub fn search(&self, load_seq: InstSeq, addr: Addr, width: MemWidth) -> ForwardResult {
         self.queue.search_forward(load_seq, addr, width)
     }
 
@@ -112,7 +97,6 @@ mod tests {
         assert!(fsq.try_allocate(1, 0x100, Ssn::new(1)));
         assert!(fsq.try_allocate(3, 0x108, Ssn::new(2)));
         assert!(!fsq.try_allocate(5, 0x110, Ssn::new(3)));
-        assert_eq!(fsq.rejected_allocations(), 1);
         assert_eq!(fsq.len(), 2);
     }
 
@@ -128,7 +112,6 @@ mod tests {
             }
             other => panic!("expected forwarding, got {other:?}"),
         }
-        assert_eq!(fsq.searches(), 1);
     }
 
     #[test]

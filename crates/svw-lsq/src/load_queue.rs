@@ -43,7 +43,6 @@ impl LoadEntry {
 pub struct LoadQueue {
     capacity: usize,
     entries: VecDeque<LoadEntry>,
-    searches: u64,
 }
 
 impl LoadQueue {
@@ -57,7 +56,6 @@ impl LoadQueue {
         LoadQueue {
             capacity,
             entries: VecDeque::with_capacity(capacity),
-            searches: 0,
         }
     }
 
@@ -71,7 +69,6 @@ impl LoadQueue {
         assert!(capacity > 0, "load queue capacity must be non-zero");
         self.capacity = capacity;
         self.entries.clear();
-        self.searches = 0;
     }
 
     /// Maximum number of in-flight loads.
@@ -92,11 +89,6 @@ impl LoadQueue {
     /// Returns `true` if another load can be allocated.
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
-    }
-
-    /// Number of associative (ordering) searches performed.
-    pub fn searches(&self) -> u64 {
-        self.searches
     }
 
     /// Allocates a load at the tail (rename order).
@@ -151,13 +143,12 @@ impl LoadQueue {
     /// `ignore_silent_value` is `Some(v)`, loads whose obtained value equals `v` are
     /// skipped (the "ignore ordering violations from silent stores" refinement).
     pub fn search_violations(
-        &mut self,
+        &self,
         store_seq: InstSeq,
         addr: Addr,
         width: MemWidth,
         ignore_silent_value: Option<Value>,
     ) -> Option<InstSeq> {
-        self.searches += 1;
         // Only loads younger than the store can violate; binary-search the
         // age-ordered queue once instead of filtering older entries one by one.
         let younger = self.entries.partition_point(|e| e.seq <= store_seq);

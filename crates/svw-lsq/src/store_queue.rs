@@ -112,8 +112,6 @@ pub struct StoreQueue {
     unresolved_floor: std::cell::Cell<InstSeq>,
     /// Per-granule-bucket count of resolved stores covering that granule.
     granules: [u16; GRANULE_BUCKETS],
-    searches: u64,
-    forwards: u64,
 }
 
 /// The inclusive granule span of `[addr, addr + width.bytes())`.
@@ -144,8 +142,6 @@ impl StoreQueue {
             unresolved: 0,
             unresolved_floor: std::cell::Cell::new(0),
             granules: [0; GRANULE_BUCKETS],
-            searches: 0,
-            forwards: 0,
         }
     }
 
@@ -197,8 +193,6 @@ impl StoreQueue {
         self.unresolved = 0;
         self.unresolved_floor.set(0);
         self.granules = [0; GRANULE_BUCKETS];
-        self.searches = 0;
-        self.forwards = 0;
     }
 
     /// Maximum number of in-flight stores.
@@ -219,16 +213,6 @@ impl StoreQueue {
     /// Returns `true` if another store can be allocated.
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
-    }
-
-    /// Number of associative searches performed (statistics).
-    pub fn searches(&self) -> u64 {
-        self.searches
-    }
-
-    /// Number of searches that resulted in forwarding (statistics).
-    pub fn forwards(&self) -> u64 {
-        self.forwards
     }
 
     /// Allocates a store at the tail (rename order).
@@ -316,13 +300,7 @@ impl StoreQueue {
 
     /// Associatively searches for the youngest store older than `load_seq` that
     /// overlaps `[addr, addr+width)`.
-    pub fn search_forward(
-        &mut self,
-        load_seq: InstSeq,
-        addr: Addr,
-        width: MemWidth,
-    ) -> ForwardResult {
-        self.searches += 1;
+    pub fn search_forward(&self, load_seq: InstSeq, addr: Addr, width: MemWidth) -> ForwardResult {
         // The common case is no overlapping store at all: the granule index proves
         // it without touching the entries. (Unresolved stores are not in the index,
         // but they cannot overlap either — `overlaps` is false without an address.)
@@ -336,7 +314,6 @@ impl StoreQueue {
             if e.overlaps(addr, width) {
                 return match e.value {
                     Some(stored) if e.contains(addr, width) => {
-                        self.forwards += 1;
                         let store_addr = e.addr.expect("overlapping store has an address");
                         let shift = (addr - store_addr) * 8;
                         ForwardResult::Forward {
@@ -618,16 +595,5 @@ mod tests {
         assert!(q.has_unresolved_older_than(3));
         q.resolve(2, 0x2000, MemWidth::W8, 0);
         assert!(!q.has_unresolved_older_than(9));
-    }
-
-    #[test]
-    fn search_statistics() {
-        let mut q = sq();
-        q.allocate(1, 0, Ssn::new(1));
-        q.resolve(1, 0x7000, MemWidth::W8, 5);
-        let _ = q.search_forward(2, 0x7000, MemWidth::W8);
-        let _ = q.search_forward(2, 0x8000, MemWidth::W8);
-        assert_eq!(q.searches(), 2);
-        assert_eq!(q.forwards(), 1);
     }
 }

@@ -4,11 +4,9 @@ use svw_isa::Addr;
 
 use crate::{Cache, CacheConfig, CacheStats};
 
-/// Whether an access comes from the instruction fetch path or the data path.
+/// Whether a data access reads or writes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessKind {
-    /// Instruction fetch.
-    Fetch,
     /// Data read (load execution or load re-execution).
     DataRead,
     /// Data write (store retirement).
@@ -18,8 +16,6 @@ pub enum AccessKind {
 /// Configuration of the full hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HierarchyConfig {
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
     /// L1 data cache.
     pub l1d: CacheConfig,
     /// Unified L2.
@@ -29,11 +25,10 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// The paper's memory system: 32 KB/2-way/2-cycle L1s, 2 MB/8-way/15-cycle L2,
-    /// 150-cycle memory.
+    /// The paper's data-side memory system: 32 KB/2-way/2-cycle L1D, 2 MB/8-way/15-cycle
+    /// L2, 150-cycle memory.
     pub fn paper_default() -> Self {
         HierarchyConfig {
-            l1i: CacheConfig::paper_l1(),
             l1d: CacheConfig::paper_l1(),
             l2: CacheConfig::paper_l2(),
             memory_latency: 150,
@@ -50,8 +45,6 @@ impl Default for HierarchyConfig {
 /// Aggregated per-level statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HierarchyStats {
-    /// L1 instruction cache statistics.
-    pub l1i: CacheStats,
     /// L1 data cache statistics.
     pub l1d: CacheStats,
     /// Unified L2 statistics.
@@ -60,12 +53,11 @@ pub struct HierarchyStats {
     pub memory_accesses: u64,
 }
 
-/// The L1I/L1D/L2/memory hierarchy. An access returns the total latency the requester
+/// The L1D/L2/memory hierarchy. An access returns the total latency the requester
 /// observes; inclusion is maintained loosely (L2 is probed/allocated on L1 misses).
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
-    l1i: Cache,
     l1d: Cache,
     l2: Cache,
     memory_accesses: u64,
@@ -76,7 +68,6 @@ impl MemoryHierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         MemoryHierarchy {
             config,
-            l1i: Cache::new(config.l1i),
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
             memory_accesses: 0,
@@ -87,7 +78,6 @@ impl MemoryHierarchy {
     /// [`MemoryHierarchy::new`] — reusing the per-level tag storage where geometries
     /// allow.
     pub fn reset(&mut self, config: HierarchyConfig) {
-        self.l1i.reset(config.l1i);
         self.l1d.reset(config.l1d);
         self.l2.reset(config.l2);
         self.memory_accesses = 0;
@@ -101,32 +91,22 @@ impl MemoryHierarchy {
 
     /// Performs an access and returns its total latency in cycles.
     pub fn access(&mut self, kind: AccessKind, addr: Addr) -> u64 {
-        let (l1, l1_cfg) = match kind {
-            AccessKind::Fetch => (&mut self.l1i, &self.config.l1i),
-            AccessKind::DataRead | AccessKind::DataWrite => (&mut self.l1d, &self.config.l1d),
-        };
         let is_write = kind == AccessKind::DataWrite;
-        let l1_hit = l1.access(addr, is_write);
-        if l1_hit {
-            return l1_cfg.hit_latency;
+        let l1_latency = self.config.l1d.hit_latency;
+        if self.l1d.access(addr, is_write) {
+            return l1_latency;
         }
-        let l2_hit = self.l2.access(addr, is_write);
-        if l2_hit {
-            return l1_cfg.hit_latency + self.config.l2.hit_latency;
+        if self.l2.access(addr, is_write) {
+            return l1_latency + self.config.l2.hit_latency;
         }
         self.memory_accesses += 1;
-        l1_cfg.hit_latency + self.config.l2.hit_latency + self.config.memory_latency
+        l1_latency + self.config.l2.hit_latency + self.config.memory_latency
     }
 
     /// Latency of a data access that is known to hit in the L1 (used for the best-case
     /// load latency in configuration descriptions).
     pub fn l1d_hit_latency(&self) -> u64 {
         self.config.l1d.hit_latency
-    }
-
-    /// Probes the L1 data cache without side effects.
-    pub fn l1d_probe(&self, addr: Addr) -> bool {
-        self.l1d.probe(addr)
     }
 
     /// Applies a coherence invalidation to the data-side caches.
@@ -138,7 +118,6 @@ impl MemoryHierarchy {
     /// Accumulated statistics.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
-            l1i: *self.l1i.stats(),
             l1d: *self.l1d.stats(),
             l2: *self.l2.stats(),
             memory_accesses: self.memory_accesses,
@@ -164,22 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn fetch_and_data_use_separate_l1s() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::paper_default());
-        let _ = h.access(AccessKind::Fetch, 0x40_0000);
-        // The same address on the data side still misses L1 (but hits L2).
-        assert_eq!(h.access(AccessKind::DataRead, 0x40_0000), 2 + 15);
-        let s = h.stats();
-        assert_eq!(s.l1i.reads, 1);
-        assert_eq!(s.l1d.reads, 1);
-    }
-
-    #[test]
     fn writes_allocate() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::paper_default());
         let _ = h.access(AccessKind::DataWrite, 0x2000);
         assert_eq!(h.access(AccessKind::DataRead, 0x2000), 2);
-        assert!(h.l1d_probe(0x2000));
+        assert_eq!(h.stats().l1d.write_misses, 1);
     }
 
     #[test]
@@ -187,7 +155,6 @@ mod tests {
         let mut h = MemoryHierarchy::new(HierarchyConfig::paper_default());
         let _ = h.access(AccessKind::DataRead, 0x3000);
         h.invalidate_line(0x3000);
-        assert!(!h.l1d_probe(0x3000));
         assert_eq!(h.access(AccessKind::DataRead, 0x3000), 2 + 15 + 150);
     }
 
@@ -196,7 +163,7 @@ mod tests {
         let mut h = MemoryHierarchy::new(HierarchyConfig::paper_default());
         for i in 0..200 {
             let _ = h.access(AccessKind::DataRead, i * 8);
-            let _ = h.access(AccessKind::Fetch, 0x40_0000 + i * 4);
+            let _ = h.access(AccessKind::DataWrite, 0x40_0000 + i * 4);
         }
         h.reset(HierarchyConfig::paper_default());
         assert_eq!(

@@ -6,11 +6,13 @@
 //! and a *single* read/write port used by store retirement — the port that load
 //! re-execution must share and that SVW decongests.
 //!
-//! This crate provides that substrate:
+//! This crate provides the data side of that substrate. It models no instruction
+//! cache: the front end is trace-driven, so nothing fetches through one, and its
+//! contents could not change any result.
 //!
 //! * [`Cache`] — a set-associative, LRU, write-allocate cache model with hit/miss
 //!   statistics;
-//! * [`MemoryHierarchy`] — L1I + L1D + unified L2 + main memory, returning access
+//! * [`MemoryHierarchy`] — L1D + unified L2 + main memory, returning access
 //!   latencies for the timing model;
 //! * [`BankedPorts`] and [`SharedPort`] — per-cycle port budgeting for the interleaved
 //!   execution ports and the shared retirement/re-execution port;

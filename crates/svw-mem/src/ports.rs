@@ -14,7 +14,8 @@ pub struct BankedPorts {
     /// `log2` of the interleave granularity: an address's bank is its
     /// `addr >> interleave_shift` line number, masked.
     interleave_shift: u32,
-    banks: usize,
+    /// The bank count minus one (the count is a power of two).
+    bank_mask: usize,
     /// Cycle number each bank was last used in.
     last_used: Vec<u64>,
 }
@@ -28,7 +29,7 @@ impl BankedPorts {
     pub fn new(banks: usize, line_bytes: u64) -> Self {
         let mut ports = BankedPorts {
             interleave_shift: 0,
-            banks,
+            bank_mask: 0,
             last_used: Vec::new(),
         };
         ports.reset(banks, line_bytes);
@@ -48,7 +49,7 @@ impl BankedPorts {
             "interleave granularity must be a power of two"
         );
         self.interleave_shift = line_bytes.trailing_zeros();
-        self.banks = banks;
+        self.bank_mask = banks - 1;
         self.last_used.clear();
         self.last_used.resize(banks, u64::MAX);
     }
@@ -56,7 +57,7 @@ impl BankedPorts {
     /// The bank an address maps to.
     #[inline]
     pub fn bank_of(&self, addr: Addr) -> usize {
-        (addr >> self.interleave_shift) as usize & (self.banks - 1)
+        (addr >> self.interleave_shift) as usize & self.bank_mask
     }
 
     /// Whether the bank for `addr` is still free during `cycle`. Side-effect free.
@@ -76,11 +77,6 @@ impl BankedPorts {
             true
         }
     }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
 }
 
 /// A single structural resource usable by at most one requester per cycle, with the
@@ -89,8 +85,6 @@ impl BankedPorts {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SharedPort {
     last_used: Option<u64>,
-    uses: u64,
-    conflicts: u64,
 }
 
 impl SharedPort {
@@ -99,7 +93,7 @@ impl SharedPort {
         Self::default()
     }
 
-    /// Restores the idle state (no uses, no conflicts).
+    /// Restores the idle state.
     pub fn reset(&mut self) {
         *self = SharedPort::default();
     }
@@ -113,22 +107,10 @@ impl SharedPort {
     pub fn try_acquire(&mut self, cycle: u64) -> bool {
         if self.is_free(cycle) {
             self.last_used = Some(cycle);
-            self.uses += 1;
             true
         } else {
-            self.conflicts += 1;
             false
         }
-    }
-
-    /// Total successful acquisitions.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Total rejected acquisitions (a measure of port contention).
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -180,8 +162,6 @@ mod tests {
         assert!(!p.is_free(5));
         assert!(!p.try_acquire(5));
         assert!(p.try_acquire(6));
-        assert_eq!(p.uses(), 2);
-        assert_eq!(p.conflicts(), 1);
     }
 
     #[test]

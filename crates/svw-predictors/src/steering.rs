@@ -18,7 +18,6 @@ use svw_isa::{IntKeyHasher, Pc};
 #[derive(Clone, Debug, Default)]
 pub struct SteeringPredictor {
     tagged: HashSet<Pc, BuildHasherDefault<IntKeyHasher>>,
-    marks: u64,
 }
 
 impl SteeringPredictor {
@@ -30,7 +29,6 @@ impl SteeringPredictor {
     /// Restores the all-bits-clear state, retaining the tag set's capacity.
     pub fn reset(&mut self) {
         self.tagged.clear();
-        self.marks = 0;
     }
 
     /// Returns `true` if the static instruction at `pc` should use the FSQ
@@ -42,19 +40,12 @@ impl SteeringPredictor {
     /// Tags the instruction at `pc` for FSQ use (training on a missed forwarding
     /// instance detected by re-execution).
     pub fn mark(&mut self, pc: Pc) {
-        if self.tagged.insert(pc) {
-            self.marks += 1;
-        }
+        self.tagged.insert(pc);
     }
 
     /// Number of distinct static instructions tagged so far.
     pub fn tagged_count(&self) -> usize {
         self.tagged.len()
-    }
-
-    /// Number of (distinct) training events.
-    pub fn marks(&self) -> u64 {
-        self.marks
     }
 }
 
@@ -79,6 +70,5 @@ mod tests {
         assert!(p.uses_fsq(0x2000));
         assert!(!p.uses_fsq(0x3000));
         assert_eq!(p.tagged_count(), 2);
-        assert_eq!(p.marks(), 2);
     }
 }

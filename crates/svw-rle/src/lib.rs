@@ -27,4 +27,4 @@
 
 mod table;
 
-pub use table::{IntegrationTable, ItConfig, ItEntry, ItSignature, ItStats, RleKind};
+pub use table::{IntegrationTable, ItConfig, ItEntry, ItSignature, RleKind};

@@ -96,21 +96,6 @@ impl Default for ItConfig {
     }
 }
 
-/// Elimination statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ItStats {
-    /// Lookups performed (one per dynamic load while RLE is enabled).
-    pub lookups: u64,
-    /// Lookups that hit (eliminated loads).
-    pub eliminations: u64,
-    /// Eliminations whose producer was a load (reuse).
-    pub load_reuse: u64,
-    /// Eliminations whose producer was a store (memory bypassing).
-    pub memory_bypass: u64,
-    /// Eliminations integrating a squashed producer (squash reuse).
-    pub squash_reuse: u64,
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     entry: Option<ItEntry>,
@@ -123,7 +108,6 @@ struct Slot {
 pub struct IntegrationTable {
     config: ItConfig,
     slots: Vec<Slot>,
-    stats: ItStats,
     tick: u64,
 }
 
@@ -137,7 +121,6 @@ impl IntegrationTable {
         let mut it = IntegrationTable {
             config,
             slots: Vec::new(),
-            stats: ItStats::default(),
             tick: 0,
         };
         it.reset(config);
@@ -160,7 +143,6 @@ impl IntegrationTable {
                 lru: 0,
             },
         );
-        self.stats = ItStats::default();
         self.tick = 0;
         self.config = config;
     }
@@ -168,11 +150,6 @@ impl IntegrationTable {
     /// The configured geometry/policy.
     pub fn config(&self) -> &ItConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &ItStats {
-        &self.stats
     }
 
     #[inline]
@@ -192,11 +169,10 @@ impl IntegrationTable {
 
     /// Looks up an elimination candidate. On a hit the load is eliminated and the
     /// returned entry describes the value it integrates and the SVW boundary it
-    /// inherits. Statistics are updated.
+    /// inherits. The hit becomes the most recently used entry of its set.
     pub fn lookup(&mut self, sig: &ItSignature) -> Option<ItEntry> {
         self.tick += 1;
         let tick = self.tick;
-        self.stats.lookups += 1;
         let set = self.set_of(sig);
         let found = self
             .set_slots(set)
@@ -204,22 +180,13 @@ impl IntegrationTable {
             .find(|s| matches!(&s.entry, Some(e) if e.signature == *sig));
         if let Some(slot) = found {
             slot.lru = tick;
-            let entry = slot.entry.expect("matched slot holds an entry");
-            self.stats.eliminations += 1;
-            match entry.kind {
-                RleKind::LoadReuse => self.stats.load_reuse += 1,
-                RleKind::MemoryBypass => self.stats.memory_bypass += 1,
-            }
-            if entry.from_squashed {
-                self.stats.squash_reuse += 1;
-            }
-            Some(entry)
+            slot.entry
         } else {
             None
         }
     }
 
-    /// Probes for a signature without touching statistics or replacement state.
+    /// Probes for a signature without touching replacement state.
     pub fn probe(&self, sig: &ItSignature) -> Option<&ItEntry> {
         let set = self.set_of(sig);
         let assoc = self.config.assoc;
@@ -333,9 +300,7 @@ mod tests {
         let hit = it.lookup(&sig(7, 16)).expect("entry should hit");
         assert_eq!(hit.value, 0xAB);
         assert_eq!(hit.ssn, Ssn::new(10));
-        assert_eq!(it.stats().eliminations, 1);
-        assert_eq!(it.stats().load_reuse, 1);
-        assert_eq!(it.stats().lookups, 2);
+        assert_eq!(hit.kind, RleKind::LoadReuse);
     }
 
     #[test]
@@ -358,7 +323,6 @@ mod tests {
         it.insert(entry(3, 0, 0xCD, 5, 50, RleKind::MemoryBypass));
         let hit = it.lookup(&sig(3, 0)).unwrap();
         assert_eq!(hit.kind, RleKind::MemoryBypass);
-        assert_eq!(it.stats().memory_bypass, 1);
     }
 
     #[test]
@@ -389,8 +353,7 @@ mod tests {
         it.flush_after(Some(150));
         assert!(!it.probe(&sig(7, 16)).unwrap().from_squashed);
         assert!(it.probe(&sig(8, 16)).unwrap().from_squashed);
-        let _ = it.lookup(&sig(8, 16));
-        assert_eq!(it.stats().squash_reuse, 1);
+        assert!(it.lookup(&sig(8, 16)).unwrap().from_squashed);
     }
 
     #[test]

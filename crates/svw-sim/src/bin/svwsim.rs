@@ -422,7 +422,8 @@ fn open_sink(args: &Args) -> Option<JsonlSink> {
         }
         if sink.skipped_lines() > 0 {
             eprintln!(
-                "[svwsim] resume: {} malformed line(s) in {path} ignored (interrupted write?)",
+                "[svwsim] resume: {} unreadable line(s) in {path} ignored \
+                 (cut short by an interrupted write, or of another result schema)",
                 sink.skipped_lines()
             );
         }

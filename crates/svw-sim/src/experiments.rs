@@ -1002,7 +1002,7 @@ fn tab_adversarial(
         if s.loads_retired == 0 {
             0.0
         } else {
-            100.0 * s.loads_reexecuted.saturating_sub(s.svw.reexec_mismatches) as f64
+            100.0 * s.loads_reexecuted.saturating_sub(s.reexec_flushes) as f64
                 / s.loads_retired as f64
         }
     }

@@ -10,11 +10,11 @@
 //!
 //! Restored statistics are *lossless*: every scalar counter the reports consume and
 //! the nested substrate statistics (branch predictor, cache hierarchy, SVW
-//! internals) round-trip through flattened `bp_*` / `l1i_*` / `l1d_*` / `l2_*` /
-//! `svw_*` fields, so a resumed sweep is indistinguishable from an uninterrupted
-//! one — including for substrate-level figures. Lines written by older versions
-//! (missing the substrate or fingerprint fields) fail to parse and their cells are
-//! simply re-simulated.
+//! internals) round-trip through flattened `bp_*` / `l1d_*` / `l2_*` / `svw_*`
+//! fields, 41 counters in all, so a resumed sweep is indistinguishable from an
+//! uninterrupted one — including for substrate-level figures. Lines written by
+//! older versions (missing the substrate or fingerprint fields) fail to parse and
+//! their cells are simply re-simulated.
 //!
 //! Each line also records the workload profile's parameter *fingerprint* and the
 //! machine's [`MachineConfig::fingerprint`](svw_cpu::MachineConfig::fingerprint),
@@ -28,8 +28,11 @@
 //! `config` and `spec_fingerprint` fields stay on every line for renders and
 //! readers; they are not part of the identity.
 //!
-//! Result schema 3 added `config_fingerprint`. Lines of any other schema fail
-//! to parse and their cells are re-simulated.
+//! Result schema 3 added `config_fingerprint`. Schema 4 dropped seven
+//! counters: the five instruction-cache fields, always 0 because the model has
+//! no instruction cache, and the SVW-side mismatch and wrap-drain counts, which
+//! duplicated `reexec_flushes` and `wrap_drains`. Lines of any other schema
+//! fail to parse and their cells are re-simulated.
 
 use std::collections::HashMap;
 use std::fs;
@@ -47,7 +50,7 @@ use crate::json::{self, Scalar};
 /// substrate statistics are flattened so restored cells are lossless. The
 /// destructure is exhaustive, so a new counter fails to compile here instead
 /// of restoring as 0.
-fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
+fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 41] {
     let CpuStats {
         cycles,
         committed,
@@ -79,14 +82,6 @@ fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
             },
         hierarchy:
             HierarchyStats {
-                l1i:
-                    CacheStats {
-                        reads: l1i_reads,
-                        writes: l1i_writes,
-                        read_misses: l1i_read_misses,
-                        write_misses: l1i_write_misses,
-                        dirty_evictions: l1i_dirty_evictions,
-                    },
                 l1d:
                     CacheStats {
                         reads: l1d_reads,
@@ -110,8 +105,6 @@ fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
                 marked_loads: svw_marked_loads,
                 filtered_loads: svw_filtered_loads,
                 reexecuted_loads: svw_reexecuted_loads,
-                reexec_mismatches: svw_reexec_mismatches,
-                wrap_drains: svw_wrap_drains,
                 ssbf_store_updates: svw_ssbf_store_updates,
                 ssbf_invalidation_updates: svw_ssbf_invalidation_updates,
             },
@@ -148,11 +141,6 @@ fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
         store_set_squashes,
         bp_predictions,
         bp_mispredictions,
-        l1i_reads,
-        l1i_writes,
-        l1i_read_misses,
-        l1i_write_misses,
-        l1i_dirty_evictions,
         l1d_reads,
         l1d_writes,
         l1d_read_misses,
@@ -167,8 +155,6 @@ fn stat_fields(s: &mut CpuStats) -> [(&'static str, &mut u64); 48] {
         svw_marked_loads,
         svw_filtered_loads,
         svw_reexecuted_loads,
-        svw_reexec_mismatches,
-        svw_wrap_drains,
         svw_ssbf_store_updates,
         svw_ssbf_invalidation_updates
     ]
@@ -383,8 +369,8 @@ impl JsonlSink {
         self.restored_lines
     }
 
-    /// How many lines at open time did not parse (typically a line truncated by an
-    /// interrupted run).
+    /// How many lines at open time did not parse: a line truncated by an
+    /// interrupted run, or one written under another result schema.
     pub fn skipped_lines(&self) -> usize {
         self.skipped_lines
     }

@@ -46,10 +46,11 @@ pub const SPEC_SCHEMA_VERSION: u64 = 1;
 /// Version 2 added the lineage fields (`model_version`, `spec_fingerprint`);
 /// version 3 added `config_fingerprint`, which with the model version, the
 /// workload fingerprint, the trace length and the seed is the key results are
-/// matched on. Lines written under any other schema fail to parse and their
-/// cells are re-simulated, per the resume contract documented in
-/// [`crate::jsonl`].
-pub const RESULT_SCHEMA_VERSION: u64 = 3;
+/// matched on; version 4 dropped the five always-zero instruction-cache
+/// counters and the SVW-side duplicates of `reexec_flushes` and `wrap_drains`. Lines written under any other schema
+/// fail to parse and their cells are re-simulated, per the resume contract
+/// documented in [`crate::jsonl`].
+pub const RESULT_SCHEMA_VERSION: u64 = 4;
 
 /// Highest behavioural model version this binary implements.
 pub const LATEST_MODEL_VERSION: u32 = 2;

@@ -332,8 +332,9 @@ fn stale_preset_must_not_resume_from_out() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Lines of result schema 2 (before `config_fingerprint`) do not parse, so
-/// their cells are re-simulated rather than restored.
+/// Lines of result schema 2 (before `config_fingerprint`) and of schema 3
+/// (before seven counters were dropped) do not parse, so their cells are
+/// re-simulated rather than restored.
 #[test]
 fn schema_2_out_file_re_simulates_its_cells() {
     let dir = temp_dir("schema2");
@@ -348,34 +349,38 @@ fn schema_2_out_file_re_simulates_its_cells() {
         };
         run_cells("schema", &workloads, &configs, LEN, &[1], 0, &opts);
     }
+    let current = fs::read_to_string(&path).unwrap();
     // Rewrite each line as schema 2 wrote it: no config fingerprint.
-    let old: String = fs::read_to_string(&path)
-        .unwrap()
+    let schema_2: String = current
         .lines()
         .map(|line| {
             let (head, rest) = line.split_once(",\"config_fingerprint\":").unwrap();
             let rest = &rest[rest.find(',').unwrap()..];
             format!(
                 "{head}{}\n",
-                rest.replacen("\"schema\":3", "\"schema\":2", 1)
+                rest.replacen("\"schema\":4", "\"schema\":2", 1)
             )
         })
         .collect();
-    assert!(old.contains("\"schema\":2") && !old.contains("config_fingerprint"));
-    fs::write(&path, old).unwrap();
+    assert!(schema_2.contains("\"schema\":2") && !schema_2.contains("config_fingerprint"));
+    // And as schema 3 stamped it. Every counter a schema-4 line carries is
+    // there too, so only the schema number keeps it from restoring.
+    let schema_3 = current.replace("\"schema\":4", "\"schema\":3");
+    assert_eq!(schema_3.matches("\"schema\":3").count(), total);
+    fs::write(&path, schema_2 + &schema_3).unwrap();
 
     let sink = JsonlSink::open(&path).unwrap();
     assert_eq!(sink.restored_count(), 0);
     assert_eq!(
         sink.skipped_lines(),
-        total,
-        "every schema-2 line is skipped"
+        2 * total,
+        "every schema-2 and schema-3 line is skipped"
     );
     let opts = RunOptions {
         sink: Some(&sink),
         ..RunOptions::default()
     };
     let (_, restored) = run_restoring("schema", &workloads, &configs, &[1], opts);
-    assert_eq!(restored, 0, "schema-2 cells are re-simulated");
+    assert_eq!(restored, 0, "old-schema cells are re-simulated");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -97,7 +97,7 @@ fn line(workload: &str, label: &str, cfg: &MachineConfig, s: &CpuStats) -> Strin
          reexecuted={} eliminated={} commit_stalled_on_reexec={} reexec_port_conflicts={} \
          ordering_flushes={} reexec_flushes={} wrap_drains={} store_set_squashes={} \
          fwd_buffer_lookups={} fwd_buffer_hits={} svw.marked={} svw.filtered={} \
-         svw.reexecuted={} svw.mismatches={} svw.wrap_drains={} svw.ssbf_store_updates={} \
+         svw.reexecuted={} svw.ssbf_store_updates={} \
          l1d_read_misses={} l2_read_misses={} memory_accesses={}",
         cfg.model_version,
         s.cycles,
@@ -117,8 +117,6 @@ fn line(workload: &str, label: &str, cfg: &MachineConfig, s: &CpuStats) -> Strin
         s.svw.marked_loads,
         s.svw.filtered_loads,
         s.svw.reexecuted_loads,
-        s.svw.reexec_mismatches,
-        s.svw.wrap_drains,
         s.svw.ssbf_store_updates,
         s.hierarchy.l1d.read_misses,
         s.hierarchy.l2.read_misses,
