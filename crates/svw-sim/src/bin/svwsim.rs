@@ -421,10 +421,12 @@ fn open_sink(args: &Args) -> Option<JsonlSink> {
             );
         }
         if sink.skipped_lines() > 0 {
+            let other_schema = sink.other_schema_lines();
             eprintln!(
-                "[svwsim] resume: {} unreadable line(s) in {path} ignored \
-                 (cut short by an interrupted write, or of another result schema)",
-                sink.skipped_lines()
+                "[svwsim] resume: {} unreadable line(s) in {path} ignored: \
+                 {other_schema} of another result schema, {} cut short or malformed",
+                sink.skipped_lines(),
+                sink.skipped_lines() - other_schema
             );
         }
         sink

@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -62,6 +62,11 @@ const ENTRY_MAGIC: &str = "svwr2";
 
 /// Extension of committed entry files (`<hash>.svwr`).
 const ENTRY_EXT: &str = "svwr";
+
+/// Bytes the first read of an entry file asks for. An entry is a header and
+/// one cell line, ~1.2 KB for the builtin artifacts' names, so one read takes
+/// the whole file.
+const ENTRY_READ_BYTES: usize = 4096;
 
 /// Mutex stripes of the in-process index.
 const INDEX_STRIPES: usize = 16;
@@ -436,17 +441,40 @@ fn walk_files(dir: &Path) -> io::Result<Vec<FileInfo>> {
     Ok(files)
 }
 
+/// Opens the entry file at `path` and hands its text to `read`: `None` when
+/// the file cannot be opened or read or is not UTF-8. An entry that fits
+/// [`ENTRY_READ_BYTES`] costs one `open` and one `read`. A regular file
+/// returns fewer bytes than asked only at its end, so a short read is the
+/// whole file; were one ever cut short, the cut entry would fail its framing
+/// or checksum and be a miss. A file that fills the buffer is read to its end.
+fn read_entry_file<T>(path: &Path, read: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let mut file = fs::File::open(path).ok()?;
+    let mut buf = [0u8; ENTRY_READ_BYTES];
+    let len = loop {
+        match file.read(&mut buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => break result.ok()?,
+        }
+    };
+    if len < buf.len() {
+        return read(std::str::from_utf8(&buf[..len]).ok()?);
+    }
+    let mut whole = buf.to_vec();
+    file.read_to_end(&mut whole).ok()?;
+    read(std::str::from_utf8(&whole).ok()?)
+}
+
 /// Parses and fully validates one entry file against the requested key.
 /// Every failure mode — unreadable, torn (no trailing newline), bad magic, bad
 /// checksum, unparsable line, failed-status line, key mismatch — is a silent
 /// miss.
 fn read_entry(path: &Path, key: SimKey) -> Option<CpuStats> {
-    let content = fs::read_to_string(path).ok()?;
-    let payload = validate_entry(&content)?;
-    match parse_cell_line(payload) {
-        Some((stored_id, Ok(stats))) if stored_id.sim_key() == key => Some(stats),
-        _ => None,
-    }
+    read_entry_file(path, |content| {
+        match parse_cell_line(validate_entry(content)?) {
+            Some((stored_id, Ok(stats))) if stored_id.sim_key() == key => Some(stats),
+            _ => None,
+        }
+    })
 }
 
 /// Structural validation shared by lookup and verify: returns the payload line
@@ -471,13 +499,13 @@ fn validate_entry(content: &str) -> Option<&str> {
 /// Full validation of one entry file on disk: envelope intact, line parses to
 /// a successful cell, and the file sits at the key's content address.
 fn entry_is_valid(path: &Path) -> bool {
-    let Ok(content) = fs::read_to_string(path) else {
-        return false;
-    };
-    let Some(payload) = validate_entry(&content) else {
-        return false;
-    };
-    let Some((id, Ok(_))) = parse_cell_line(payload) else {
+    let stored_id = read_entry_file(path, |content| {
+        match parse_cell_line(validate_entry(content)?) {
+            Some((id, Ok(_))) => Some(id),
+            _ => None,
+        }
+    });
+    let Some(id) = stored_id else {
         return false;
     };
     let expected = format!("{:016x}.{ENTRY_EXT}", ResultCache::cache_key(&id));
@@ -727,5 +755,59 @@ mod tests {
             assert!(cache.lookup(&sample_id(seed)).is_some(), "seed {seed} hits");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every truncation and every single-byte replacement of a real entry is
+    /// a miss or the stored cell, never a panic. The damaged line reads as the
+    /// reference parsers read it for every truncation, and at every position
+    /// for one byte of each class the grammar tells apart (checking all 256
+    /// there would take minutes in a debug build).
+    #[test]
+    fn damaged_entries_miss_and_parse_as_the_reference_does() {
+        const CLASSES: &[u8] = b"\"\\{}[,: \t\n\r\x0b\x0c019-+.eEaflnrstuAFx/_\x00\x1f\x7f\x80\xff";
+        let dir = test_dir("damaged");
+        let cache = ResultCache::open(&dir, CacheMode::ReadWrite).unwrap();
+        let id = sample_id(1);
+        let stats = sample_stats(3);
+        cache.store(&id, &stats).unwrap();
+        let entry = fs::read(cache.entry_path(ResultCache::cache_key(&id))).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        let payload_start = entry.iter().position(|&b| b == b'\n').unwrap() + 1;
+
+        let lookup = |bytes: &[u8]| {
+            let hit = std::str::from_utf8(bytes)
+                .ok()
+                .and_then(validate_entry)
+                .and_then(parse_cell_line);
+            if let Some((stored_id, result)) = hit {
+                assert_eq!(stored_id, id);
+                assert_eq!(
+                    format!("{result:?}"),
+                    format!("{:?}", Ok::<_, String>(&stats))
+                );
+            }
+        };
+        let agree = |bytes: &[u8]| {
+            let line = String::from_utf8_lossy(&bytes[payload_start.min(bytes.len())..]);
+            let line = line.strip_suffix('\n').unwrap_or(&line);
+            if let Some(why) = crate::jsonl::reference::disagreement(line) {
+                panic!("{why}");
+            }
+        };
+        for len in 0..=entry.len() {
+            lookup(&entry[..len]);
+            agree(&entry[..len]);
+        }
+        let mut damaged = entry.clone();
+        for pos in 0..entry.len() {
+            for byte in 0..=u8::MAX {
+                damaged[pos] = byte;
+                lookup(&damaged);
+                if CLASSES.contains(&byte) {
+                    agree(&damaged);
+                }
+            }
+            damaged[pos] = entry[pos];
+        }
     }
 }

@@ -384,3 +384,48 @@ fn schema_2_out_file_re_simulates_its_cells() {
     assert_eq!(restored, 0, "old-schema cells are re-simulated");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A resume names what it cannot read: whole lines of another result schema
+/// apart from a line cut short by an interrupted write, and it still names
+/// the old-schema lines after a sweep has appended their cells again.
+#[test]
+fn a_resume_counts_old_schema_and_cut_short_lines_apart() {
+    let dir = temp_dir("unreadable");
+    let path = dir.join("results.jsonl");
+    let (workloads, configs) = (workloads(), configs());
+    let total = workloads.len() * configs.len();
+    {
+        let sink = JsonlSink::open(&path).unwrap();
+        let opts = RunOptions {
+            sink: Some(&sink),
+            ..RunOptions::default()
+        };
+        run_cells("unreadable", &workloads, &configs, LEN, &[1], 0, &opts);
+    }
+    let current = fs::read_to_string(&path).unwrap();
+    let schema_3 = current.replace("\"schema\":4", "\"schema\":3");
+    let first = current.lines().next().unwrap();
+    let cut_short = &first[..first.len() / 2];
+    fs::write(&path, schema_3 + cut_short).unwrap();
+
+    {
+        let sink = JsonlSink::open(&path).unwrap();
+        assert_eq!(sink.restored_count(), 0);
+        assert_eq!(sink.skipped_lines(), total + 1);
+        assert_eq!(sink.other_schema_lines(), total);
+        let opts = RunOptions {
+            sink: Some(&sink),
+            ..RunOptions::default()
+        };
+        let (_, restored) = run_restoring("unreadable", &workloads, &configs, &[1], opts);
+        assert_eq!(restored, 0, "every cell is simulated again");
+    }
+    let sink = JsonlSink::open(&path).unwrap();
+    assert_eq!(sink.restored_count(), total, "the new lines restore");
+    assert_eq!(
+        (sink.skipped_lines(), sink.other_schema_lines()),
+        (total + 1, total),
+        "the old lines are still named on the next resume"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
