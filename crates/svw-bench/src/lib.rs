@@ -18,18 +18,8 @@
 //! binary (`cargo run --release -p svw-sim --bin svwsim -- sweep --figure fig5`);
 //! the Criterion benches here use shorter traces so `cargo bench` finishes in
 //! minutes.
+//!
+//! The library itself is empty: each bench under `benches/` builds its own
+//! machines and workloads through the simulator crates.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use svw_cpu::{Cpu, CpuStats, MachineConfig};
-use svw_workloads::WorkloadProfile;
-
-/// Runs one (workload, configuration) pair over a freshly generated trace of
-/// `trace_len` instructions. Shared helper for the figure benchmarks.
-pub fn run_one(workload: &str, config: MachineConfig, trace_len: usize, seed: u64) -> CpuStats {
-    let profile =
-        WorkloadProfile::by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
-    let program = profile.generate(trace_len, seed);
-    Cpu::new(config, &program).run()
-}

@@ -169,14 +169,6 @@ impl SvwFilter {
         self.ssbf.update_store(addr, bytes, ssn);
     }
 
-    /// A coherence invalidation updates every word of the invalidated line with
-    /// `SSN_rename + 1` so that every in-flight load is (conservatively) vulnerable.
-    pub fn invalidation_svw_stage(&mut self, line_addr: Addr, line_bytes: u64) {
-        self.stats.ssbf_invalidation_updates += 1;
-        let ssn = self.clock.rename().next();
-        self.ssbf.update_invalidation(line_addr, line_bytes, ssn);
-    }
-
     /// A store retires (writes the data cache); advances `SSN_retire`.
     pub fn store_retired(&mut self, ssn: Ssn) {
         self.clock.retire_store(ssn);
@@ -335,22 +327,6 @@ mod tests {
         // After the most recent activity the SSBF still reflects post-clear stores.
         let w = VulnWindow::at_dispatch(Ssn::ZERO);
         assert!(svw.must_reexecute(0x1000, 8, w));
-    }
-
-    #[test]
-    fn invalidation_marks_all_inflight_loads_vulnerable() {
-        let mut svw = SvwFilter::new(SvwConfig::paper_default());
-        let s = svw.assign_store_ssn();
-        // A load dispatched *after* that store retired would have window == 1 and be
-        // invulnerable to anything in the SSBF…
-        svw.store_svw_stage(0x9000, 8, s);
-        svw.store_retired(s);
-        let w = svw.load_dispatch_window();
-        assert!(!svw.must_reexecute(0x7000, 8, w));
-        // …but an invalidation of its line is stamped with SSN_rename + 1, which is
-        // inside every in-flight load's window.
-        svw.invalidation_svw_stage(0x7000, 64);
-        assert!(svw.must_reexecute(0x7000, 8, w));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! simple tables of 128/512/2048 entries, a double-filter configuration (a load
 //! re-executes only if *both* filters report a conflict), 4-byte instead of 8-byte
 //! conflict granularity, and an infinite (exact) table used as the aliasing-free
-//! reference. The table is additionally banked by word-in-line so that a cache-line
-//! invalidation (the NLQ_SM case) can update every word of a line in one cycle.
+//! reference. The paper also stamps every word of a line that another thread
+//! invalidates (the NLQ_SM case); this single-threaded model has no coherence
+//! traffic, so it has no such update.
 
 use std::collections::HashMap;
 
@@ -249,15 +250,6 @@ impl Ssbf {
         self.write_span(first, last, ssn);
     }
 
-    /// Records a cache-line invalidation from another thread (the NLQ_SM case): every
-    /// granule of the `line_bytes`-byte line containing `line_addr` is stamped with
-    /// `ssn` (the paper uses `SSN_rename + 1` so every in-flight load is vulnerable).
-    pub fn update_invalidation(&mut self, line_addr: Addr, line_bytes: u64, ssn: Ssn) {
-        let base = line_addr & !(line_bytes - 1);
-        let (first, last) = self.granule_span(base, line_bytes);
-        self.write_span(first, last, ssn);
-    }
-
     /// Returns the SSN of the youngest retired store that (possibly, due to aliasing)
     /// conflicts with an access of `bytes` bytes at `addr`. Both hash lanes of a
     /// double-Bloom granule are read in the same pass.
@@ -400,16 +392,6 @@ mod tests {
         let mut simple = Ssbf::new(SsbfConfig::paper_default());
         simple.update_store(a, 8, ssn(30));
         assert!(simple.must_reexecute(b, 8, ssn(10)));
-    }
-
-    #[test]
-    fn invalidation_covers_whole_line() {
-        let mut f = Ssbf::new(SsbfConfig::paper_default());
-        f.update_invalidation(0x5010, 64, ssn(99));
-        for off in (0..64).step_by(8) {
-            assert!(f.must_reexecute(0x5000 + off, 8, ssn(50)));
-        }
-        assert!(!f.must_reexecute(0x5040, 8, ssn(50)));
     }
 
     #[test]

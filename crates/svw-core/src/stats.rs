@@ -19,6 +19,9 @@ pub struct SvwStats {
     pub reexecuted_loads: u64,
     /// SSBF updates performed by retiring (or speculatively by pre-retirement) stores.
     pub ssbf_store_updates: u64,
-    /// SSBF updates performed by coherence invalidations.
+    /// SSBF updates performed by coherence invalidations. Nothing writes it: the
+    /// model generates no coherence traffic, so it is always 0. It is kept because
+    /// perfbench and the JSONL result schema 4 (`svw_ssbf_invalidation_updates`)
+    /// read it.
     pub ssbf_invalidation_updates: u64,
 }

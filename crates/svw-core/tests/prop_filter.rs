@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use svw_core::{SsnWidth, SvwConfig, SvwFilter, VulnWindow};
 
 /// One random step of filter driving. The alphabet covers every mutating entry
-/// point the CPU model uses: SSN assignment, SSBF store/invalidation updates,
+/// point the CPU model uses: SSN assignment, SSBF store updates,
 /// in-order retirement, flushes, wrap drains, and marked-load probes.
 #[derive(Clone, Debug)]
 enum Op {
@@ -19,8 +19,6 @@ enum Op {
     RetireOldest,
     /// Probe a marked load against the current dispatch window.
     Probe { addr: u64, bytes: u64 },
-    /// Invalidate the 64-byte line of `addr`.
-    Invalidate { addr: u64 },
     /// Flush the younger half of the in-flight stores.
     Flush,
 }
@@ -40,7 +38,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => Just(Op::RetireOldest),
         3 => (addr_strategy(), bytes_strategy())
             .prop_map(|(addr, bytes)| Op::Probe { addr, bytes }),
-        1 => addr_strategy().prop_map(|addr| Op::Invalidate { addr }),
         1 => Just(Op::Flush),
     ]
 }
@@ -74,7 +71,6 @@ fn drive(svw: &mut SvwFilter, ops: &[Op]) -> Vec<bool> {
                 let w = svw.load_dispatch_window();
                 outcomes.push(svw.filter_marked_load(addr, bytes, w));
             }
-            Op::Invalidate { addr } => svw.invalidation_svw_stage(addr & !63, 64),
             Op::Flush => {
                 let keep = inflight.len() / 2;
                 inflight.truncate(keep);
@@ -150,14 +146,13 @@ proptest! {
                     }
                 }
                 // Flushes roll back *rename*, never retire, so the boundary
-                // still may not regress; probes and invalidations are
-                // window-neutral.
+                // still may not regress; probes are window-neutral.
                 Op::Flush => {
                     let keep = inflight.len() / 2;
                     inflight.truncate(keep);
                     svw.flush(inflight.last().copied());
                 }
-                Op::Probe { .. } | Op::Invalidate { .. } => {}
+                Op::Probe { .. } => {}
             }
             let boundary = svw.load_dispatch_window().boundary();
             prop_assert!(boundary >= last_boundary, "retirement moved the window backwards");

@@ -22,8 +22,6 @@ enum Event {
         bytes: u64,
         window_idx: u64,
     },
-    /// A cache-line invalidation covering the 64-byte line of `addr`.
-    Invalidate { addr: u64 },
 }
 
 fn addr_strategy() -> impl Strategy<Value = u64> {
@@ -42,7 +40,6 @@ fn event_strategy() -> impl Strategy<Value = Event> {
                 bytes,
                 window_idx
             }),
-        1 => addr_strategy().prop_map(|addr| Event::Invalidate { addr }),
     ]
 }
 
@@ -77,13 +74,6 @@ proptest! {
                         f.update_store(addr, bytes, ssn);
                     }
                 }
-                Event::Invalidate { addr } => {
-                    let ssn = Ssn::new(next_ssn + 1);
-                    exact.update_invalidation(addr, 64, ssn);
-                    for f in &mut filters {
-                        f.update_invalidation(addr, 64, ssn);
-                    }
-                }
                 Event::Probe { addr, bytes, window_idx } => {
                     let window = Ssn::new(window_idx.min(next_ssn));
                     let exact_says = exact.must_reexecute(addr, bytes, window);
@@ -114,7 +104,6 @@ proptest! {
                     small.update_store(addr, bytes, Ssn::new(next_ssn));
                     large.update_store(addr, bytes, Ssn::new(next_ssn));
                 }
-                Event::Invalidate { .. } => {}
                 Event::Probe { addr, bytes, window_idx } => {
                     let window = Ssn::new(window_idx.min(next_ssn));
                     // The 8-byte granule index of the large table is a refinement of the

@@ -183,12 +183,6 @@ impl DynInst {
         matches!(self.kind, InstKind::Store { .. })
     }
 
-    /// Returns `true` for branches.
-    #[inline]
-    pub fn is_branch(&self) -> bool {
-        matches!(self.kind, InstKind::Branch { .. })
-    }
-
     /// The destination architectural register, if any. Writes to the zero register are
     /// reported as `None` (they are architecturally dropped).
     pub fn dst(&self) -> Option<ArchReg> {

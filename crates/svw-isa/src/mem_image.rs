@@ -157,11 +157,6 @@ impl MemoryImage {
         self.read(addr, width) == (value & width.mask())
     }
 
-    /// Number of distinct 8-byte words that have been written at least once.
-    pub fn touched_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Every touched word and its current value, sorted by address. Differential
     /// verification compares two images with this (hash-map iteration order is not
     /// deterministic, so the sort keeps divergence reports stable).
@@ -244,14 +239,5 @@ mod tests {
     fn unaligned_write_panics() {
         let mut m = MemoryImage::new();
         m.write(0x1004, MemWidth::W8, 0);
-    }
-
-    #[test]
-    fn touched_words_counts_distinct_words() {
-        let mut m = MemoryImage::new();
-        m.write(0x1000, MemWidth::W4, 1);
-        m.write(0x1004, MemWidth::W4, 2); // same word
-        m.write(0x1008, MemWidth::W8, 3);
-        assert_eq!(m.touched_words(), 2);
     }
 }

@@ -83,17 +83,6 @@ impl ArchState {
         self.retired
     }
 
-    /// Computes the effective address a load/store would access *without* executing it.
-    /// Returns `None` for non-memory instructions.
-    pub fn effective_address(&self, inst: &DynInst) -> Option<Addr> {
-        match inst.kind {
-            InstKind::Load { base, offset, .. } | InstKind::Store { base, offset, .. } => {
-                Some(self.reg(base).wrapping_add_signed(offset))
-            }
-            _ => None,
-        }
-    }
-
     /// Executes `inst` sequentially, updating registers and memory, and resolves the
     /// instruction's [`MemAccess`] record in place (for loads and stores).
     ///
@@ -327,26 +316,6 @@ mod tests {
         );
         let eff = st.execute(&mut b);
         assert_eq!(eff.next_pc, 0x200);
-    }
-
-    #[test]
-    fn effective_address_matches_execute() {
-        let mut st = ArchState::new();
-        let mut setup = load_imm(0, 1, 0x3000);
-        st.execute(&mut setup);
-        let mut ld = DynInst::new(
-            1,
-            4,
-            InstKind::Load {
-                dst: r(2),
-                base: r(1),
-                offset: 24,
-                width: MemWidth::W8,
-            },
-        );
-        assert_eq!(st.effective_address(&ld), Some(0x3018));
-        st.execute(&mut ld);
-        assert_eq!(ld.mem.unwrap().addr, 0x3018);
     }
 
     #[test]

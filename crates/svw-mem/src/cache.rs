@@ -216,21 +216,6 @@ impl Cache {
         victim.lru = tick;
         false
     }
-
-    /// Invalidates the line containing `addr` (a coherence invalidation). Returns
-    /// `true` if a valid line was present.
-    pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let tag = self.tag_of(addr);
-        let set_idx = self.set_index(addr);
-        for line in &mut self.sets[set_idx] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                line.dirty = false;
-                return true;
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -290,16 +275,6 @@ mod tests {
         c.access(0x180, false); // evicts 0x080 (clean)
         assert_eq!(c.stats().dirty_evictions, 1);
         assert_eq!(c.stats().write_misses, 1);
-    }
-
-    #[test]
-    fn invalidation_removes_line() {
-        let mut c = tiny_cache();
-        c.access(0x200, false);
-        assert!(c.probe(0x200));
-        assert!(c.invalidate(0x200));
-        assert!(!c.probe(0x200));
-        assert!(!c.invalidate(0x200));
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl MemoryHierarchy {
         self.config.l1d.hit_latency
     }
 
-    /// Applies a coherence invalidation to the data-side caches.
-    pub fn invalidate_line(&mut self, addr: Addr) {
-        self.l1d.invalidate(addr);
-        self.l2.invalidate(addr);
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
@@ -148,14 +142,6 @@ mod tests {
         let _ = h.access(AccessKind::DataWrite, 0x2000);
         assert_eq!(h.access(AccessKind::DataRead, 0x2000), 2);
         assert_eq!(h.stats().l1d.write_misses, 1);
-    }
-
-    #[test]
-    fn invalidation_forces_refetch() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::paper_default());
-        let _ = h.access(AccessKind::DataRead, 0x3000);
-        h.invalidate_line(0x3000);
-        assert_eq!(h.access(AccessKind::DataRead, 0x3000), 2 + 15 + 150);
     }
 
     #[test]

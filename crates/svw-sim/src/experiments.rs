@@ -559,7 +559,8 @@ fn ssbf_lookups_per_1k(s: &CpuStats) -> f64 {
 }
 
 /// SSBF update traffic: store updates plus invalidation updates, per 1k
-/// committed instructions.
+/// committed instructions. The invalidation count has no writer and is always
+/// 0 (it stays in `SvwStats` for perfbench and JSONL schema 4).
 fn ssbf_updates_per_1k(s: &CpuStats) -> f64 {
     1000.0 * (s.svw.ssbf_store_updates + s.svw.ssbf_invalidation_updates) as f64
         / s.committed.max(1) as f64

@@ -47,9 +47,9 @@
 //! through the content-addressed **result cache** ([`cache`]): `--result-cache
 //! DIR` makes [`runner::execute_plan`] consult a shared store keyed by what a
 //! cell simulates ([`SimKey`]: model version, machine and workload
-//! fingerprints, trace length, seed) before scheduling anything — a hit
-//! becomes [`runner::CellOutcome::Cached`], skipping trace acquisition, decode,
-//! and simulation entirely — and publishes every freshly simulated cell back via
+//! fingerprints, trace length, seed) before scheduling anything — a hit is a
+//! finished cell that skipped trace acquisition, decode, and simulation
+//! entirely — and publishes every freshly simulated cell back via
 //! atomic tmp+rename writes, so concurrent sweeps can share one directory.
 //! The cache only stores; the runner counts its hits, misses and stores in
 //! [`SweepMetrics`]. `--no-result-cache` is the A/B control (renders are byte-identical either
@@ -109,7 +109,7 @@ pub use registry::{
 };
 pub use report::{FigureReport, SeriesTable};
 pub use runner::{
-    execute_plan, run_cells, CellOutcome, ExperimentCell, RunOptions, SweepResult, TraceSource,
-    DEFAULT_SEED, DEFAULT_TRACE_LEN,
+    execute_plan, run_cells, CellOutcome, ExperimentCell, RunOptions, SweepResult, DEFAULT_SEED,
+    DEFAULT_TRACE_LEN,
 };
 pub use svw_oracle::{DifferentialChecker, Divergence, DivergenceKind, OracleOptions};

@@ -143,26 +143,6 @@ impl SeriesTable {
             ),
         ])
     }
-
-    /// Emits the table as CSV (series per row; means only — confidence intervals
-    /// appear in the text and JSON renderings).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("series");
-        for w in &self.workloads {
-            out.push(',');
-            out.push_str(w);
-        }
-        out.push_str(",avg\n");
-        for row in &self.series {
-            out.push_str(&row.name);
-            for v in &row.values {
-                out.push_str(&format!(",{v:.3}"));
-            }
-            out.push_str(&format!(",{:.3}\n", Self::mean(&row.values)));
-        }
-        out
-    }
 }
 
 impl fmt::Display for SeriesTable {
@@ -262,15 +242,6 @@ mod tests {
         assert_eq!(t.value("s2", "c"), None);
         assert_eq!(t.value("s3", "a"), None);
         assert_eq!(t.ci95("s2", "b"), None, "point estimates have no CI");
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = table().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "series,a,b,avg");
-        assert!(lines[1].starts_with("s1,1.000,3.000,2.000"));
     }
 
     #[test]

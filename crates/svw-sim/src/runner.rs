@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use svw_cpu::{Cpu, CpuStats, MachineConfig, SimArena};
 use svw_isa::Program;
 use svw_oracle::{DifferentialChecker, OracleOptions};
-use svw_trace::TraceCache;
+use svw_trace::{CacheOutcome, FetchMeter, TraceCache};
 use svw_workloads::{TraceKey, WorkloadProfile};
 
 use crate::cache::ResultCache;
@@ -62,16 +62,12 @@ pub const DEFAULT_SEED: u64 = 1;
 /// How one cell's simulation ended.
 #[derive(Clone, Debug)]
 pub enum CellOutcome {
-    /// The simulation ran to completion (here, or in the run that wrote the
-    /// resume file the cell was restored from).
+    /// The simulation ran to completion: here, in the run that wrote the resume
+    /// file the cell was restored from, or in the run that stored it in the
+    /// result cache ([`RunOptions::result_cache`]; the stored stats round-trip
+    /// losslessly). The worker rows of [`crate::obs::SweepMetrics`] count the
+    /// three sources apart.
     Ok(Box<CpuStats>),
-    /// The cell was served by the content-addressed result cache
-    /// ([`RunOptions::result_cache`]) — trace acquisition, decode, and
-    /// simulation were all skipped. Indistinguishable from [`CellOutcome::Ok`]
-    /// to every renderer (the stored stats round-trip losslessly), but counted
-    /// separately so `--stats`, `--progress`, and `svwsim profile` never
-    /// conflate cached cells with simulated or restored ones.
-    Cached(Box<CpuStats>),
     /// The simulation panicked, or (under [`RunOptions::oracle`]) the differential
     /// oracle found a divergence; the payload records the panic message or
     /// divergence report. The rest of the sweep is unaffected.
@@ -96,7 +92,7 @@ impl ExperimentCell {
     /// The run statistics, if the cell completed (simulated or cache-served).
     pub fn stats(&self) -> Option<&CpuStats> {
         match &self.outcome {
-            CellOutcome::Ok(stats) | CellOutcome::Cached(stats) => Some(stats.as_ref()),
+            CellOutcome::Ok(stats) => Some(stats.as_ref()),
             CellOutcome::Failed(_) => None,
         }
     }
@@ -104,14 +100,9 @@ impl ExperimentCell {
     /// The failure message, if the cell panicked.
     pub fn error(&self) -> Option<&str> {
         match &self.outcome {
-            CellOutcome::Ok(_) | CellOutcome::Cached(_) => None,
+            CellOutcome::Ok(_) => None,
             CellOutcome::Failed(msg) => Some(msg),
         }
-    }
-
-    /// Whether the cell was served by the content-addressed result cache.
-    pub fn is_cached(&self) -> bool {
-        matches!(self.outcome, CellOutcome::Cached(_))
     }
 }
 
@@ -141,33 +132,13 @@ pub struct RunOptions<'c> {
     /// byte-identical with the oracle on or off (when no divergence exists).
     pub oracle: Option<OracleOptions>,
     /// Consult (and publish to) this content-addressed result cache
-    /// (`--result-cache DIR`): cells the cache already holds become
-    /// [`CellOutcome::Cached`] — no trace acquisition, no decode, no
+    /// (`--result-cache DIR`): cells the cache already holds are served from
+    /// it — no trace acquisition, no decode, no
     /// simulation, and no trace slot for fully-cached trace groups — and every
     /// freshly simulated successful cell is published back. Served results
     /// are byte-identical to re-simulating (the `--no-result-cache` A/B flag
     /// and the determinism suite compare both paths).
     pub result_cache: Option<&'c ResultCache>,
-}
-
-/// Where one workload trace came from, for the acquisition counters surfaced by
-/// `svwsim --stats` and the `trace_acquired` journal events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceSource {
-    /// Read back from the on-disk trace cache.
-    CacheHit,
-    /// Generated by the workload generator (and captured when a cache was open).
-    Generated,
-}
-
-impl TraceSource {
-    /// The stable label used in `trace_acquired` journal events.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceSource::CacheHit => "cache",
-            TraceSource::Generated => "generated",
-        }
-    }
 }
 
 /// Everything [`run_cells`] produced: the cells in canonical (workload-major,
@@ -209,13 +180,24 @@ fn effective_jobs(jobs: usize, total_cells: usize) -> usize {
 /// event journal and the metrics.
 #[derive(Clone, Copy)]
 struct AcquireMeter {
-    source: TraceSource,
-    /// Bytes read from disk (the cache file); 0 when generated.
-    bytes: u64,
+    /// `Hit` when read back from the trace cache; `Miss` when generated, with or
+    /// without a cache open.
+    outcome: CacheOutcome,
+    /// Bytes read and decode time of a hit; zero when generated.
+    fetch: FetchMeter,
     /// Total acquisition wall time, fallbacks included.
     acquire: Duration,
-    /// Portion of `acquire` spent decoding an on-disk representation.
-    decode: Duration,
+}
+
+impl AcquireMeter {
+    /// The `source` label of `trace_acquired` journal events.
+    fn source(&self) -> &'static str {
+        if self.outcome.is_hit() {
+            "cache"
+        } else {
+            "generated"
+        }
+    }
 }
 
 /// One acquired workload trace plus any issue worth aggregating into a
@@ -236,35 +218,31 @@ fn acquire_program(
     opts: &RunOptions<'_>,
 ) -> Acquired {
     let acquire_start = Instant::now();
-    let (program, source, cache_error, bytes, decode) = match opts.cache {
-        Some(cache) => match cache.get_or_generate_metered(profile, trace_len, seed) {
-            Ok((program, outcome, meter)) => {
-                if opts.verbose {
-                    eprintln!(
-                        "[svwsim] trace {}:{trace_len}:{seed} — cache {}",
-                        profile.name,
-                        if outcome.is_hit() {
-                            "hit"
-                        } else {
-                            "miss (captured)"
-                        }
-                    );
-                }
-                let source = if outcome.is_hit() {
-                    TraceSource::CacheHit
-                } else {
-                    TraceSource::Generated
-                };
-                (program, source, None, meter.bytes_read, meter.decode)
+    let fetched = opts
+        .cache
+        .map(|cache| cache.get_or_generate_metered(profile, trace_len, seed));
+    let generated = || profile.generate(trace_len, seed);
+    let (program, outcome, fetch, cache_error) = match fetched {
+        Some(Ok((program, outcome, fetch))) => {
+            if opts.verbose {
+                eprintln!(
+                    "[svwsim] trace {}:{trace_len}:{seed} — cache {}",
+                    profile.name,
+                    if outcome.is_hit() {
+                        "hit"
+                    } else {
+                        "miss (captured)"
+                    }
+                );
             }
-            Err(e) => (
-                profile.generate(trace_len, seed),
-                TraceSource::Generated,
-                Some(format!("{}:{trace_len}:{seed}: {e}", profile.name)),
-                0,
-                Duration::ZERO,
-            ),
-        },
+            (program, outcome, fetch, None)
+        }
+        Some(Err(e)) => (
+            generated(),
+            CacheOutcome::Miss,
+            FetchMeter::default(),
+            Some(format!("{}:{trace_len}:{seed}: {e}", profile.name)),
+        ),
         None => {
             if opts.verbose {
                 eprintln!(
@@ -272,22 +250,15 @@ fn acquire_program(
                     profile.name
                 );
             }
-            (
-                profile.generate(trace_len, seed),
-                TraceSource::Generated,
-                None,
-                0,
-                Duration::ZERO,
-            )
+            (generated(), CacheOutcome::Miss, FetchMeter::default(), None)
         }
     };
     Acquired {
         program,
         meter: AcquireMeter {
-            source,
-            bytes,
+            outcome,
+            fetch,
             acquire: acquire_start.elapsed(),
-            decode,
         },
         cache_error,
     }
@@ -769,7 +740,7 @@ fn publish(
             if let Some(progress) = progress {
                 progress.record(CellProgress::Cached);
             }
-            return CellOutcome::Cached(Box::new(stats));
+            return CellOutcome::Ok(Box::new(stats));
         }
         Resolution::Simulated(sim) => sim,
     };
@@ -814,13 +785,14 @@ fn publish(
     if let Some(metrics) = metrics {
         match &sim.meter {
             Some(meter) => {
-                match meter.source {
-                    TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
-                    TraceSource::Generated => metrics.traces_generated.inc(),
+                if meter.outcome.is_hit() {
+                    metrics.trace_cache_hits.inc();
+                } else {
+                    metrics.traces_generated.inc();
                 }
-                metrics.trace_bytes_read.add(meter.bytes);
+                metrics.trace_bytes_read.add(meter.fetch.bytes_read);
                 metrics.trace_acquire_seconds.record(meter.acquire);
-                metrics.decode_seconds.record(meter.decode);
+                metrics.decode_seconds.record(meter.fetch.decode);
             }
             // A cell that did not acquire the trace itself shared the one its
             // slot already holds.
@@ -861,8 +833,8 @@ fn emit_simulated(events: &EventSink, id: &CellId, worker: usize, sim: &Simulati
             id,
             worker,
             [
-                ("source", json::string(meter.source.label())),
-                ("bytes", json::uint(meter.bytes)),
+                ("source", json::string(meter.source())),
+                ("bytes", json::uint(meter.fetch.bytes_read)),
                 ("dur_us", json::number(meter.acquire.as_secs_f64() * 1e6)),
             ],
         );
@@ -870,7 +842,10 @@ fn emit_simulated(events: &EventSink, id: &CellId, worker: usize, sim: &Simulati
             event_kind::DECODED,
             id,
             worker,
-            [("dur_us", json::number(meter.decode.as_secs_f64() * 1e6))],
+            [(
+                "dur_us",
+                json::number(meter.fetch.decode.as_secs_f64() * 1e6),
+            )],
         );
     }
     match (&sim.result, sim.duration) {
@@ -1137,7 +1112,7 @@ mod tests {
         assert_eq!(cold_metrics.result_cache_stores.get(), 4);
         assert_eq!(cold_metrics.result_cache_misses.get(), 4);
         let warm = run(&observers[1]);
-        assert!(warm.cells.iter().all(ExperimentCell::is_cached));
+        assert!(warm.cells.iter().all(|c| c.stats().is_some()));
         let warm_metrics = observers[1].metrics.as_ref().unwrap();
         let totals = warm_metrics.totals();
         assert_eq!(

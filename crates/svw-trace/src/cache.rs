@@ -99,22 +99,10 @@ impl TraceCache {
         ))
     }
 
-    /// Returns the cached trace for the key, generating and capturing it on a miss.
-    /// The returned program is identical to `profile.generate(trace_len, seed)` either
-    /// way.
-    pub fn get_or_generate(
-        &self,
-        profile: &WorkloadProfile,
-        trace_len: usize,
-        seed: u64,
-    ) -> Result<(Program, CacheOutcome), TraceError> {
-        self.get_or_generate_metered(profile, trace_len, seed)
-            .map(|(program, outcome, _)| (program, outcome))
-    }
-
-    /// [`TraceCache::get_or_generate`] plus a [`FetchMeter`] describing how long
-    /// the decode (hit) or generation (miss) took and how many bytes were read.
-    /// The returned program is unaffected by the metering.
+    /// Returns the cached trace for the key, generating and capturing it on a miss,
+    /// with a [`FetchMeter`] describing how long the decode (hit) or generation
+    /// (miss) took and how many bytes were read. The returned program is identical
+    /// to `profile.generate(trace_len, seed)` either way.
     pub fn get_or_generate_metered(
         &self,
         profile: &WorkloadProfile,
@@ -139,22 +127,6 @@ impl TraceCache {
             generate,
         };
         Ok((program, CacheOutcome::Miss, meter))
-    }
-
-    /// Opens a streaming reader for the key if a valid cached file exists.
-    pub fn open_streaming(
-        &self,
-        profile: &WorkloadProfile,
-        trace_len: usize,
-        seed: u64,
-    ) -> Option<TraceReader<std::io::BufReader<fs::File>>> {
-        let path = self.path_for(profile, trace_len, seed);
-        let reader = TraceReader::open(&path).ok()?;
-        let h = reader.header();
-        (h.fingerprint == profile.fingerprint()
-            && h.seed == seed
-            && h.requested_len == trace_len as u64)
-            .then_some(reader)
     }
 
     fn try_read(
@@ -207,6 +179,16 @@ impl TraceCache {
 mod tests {
     use super::*;
 
+    fn get(
+        cache: &TraceCache,
+        profile: &WorkloadProfile,
+        len: usize,
+        seed: u64,
+    ) -> (Program, CacheOutcome) {
+        let (program, outcome, _) = cache.get_or_generate_metered(profile, len, seed).unwrap();
+        (program, outcome)
+    }
+
     fn temp_cache(tag: &str) -> TraceCache {
         let dir =
             std::env::temp_dir().join(format!("svw-trace-cache-test-{tag}-{}", std::process::id()));
@@ -218,9 +200,9 @@ mod tests {
     fn miss_then_hit_returns_identical_programs() {
         let cache = temp_cache("hit");
         let profile = WorkloadProfile::quicktest();
-        let (a, out_a) = cache.get_or_generate(&profile, 1_200, 5).unwrap();
+        let (a, out_a) = get(&cache, &profile, 1_200, 5);
         assert_eq!(out_a, CacheOutcome::Miss);
-        let (b, out_b) = cache.get_or_generate(&profile, 1_200, 5).unwrap();
+        let (b, out_b) = get(&cache, &profile, 1_200, 5);
         assert_eq!(out_b, CacheOutcome::Hit);
         assert_eq!(a.instructions(), b.instructions());
         assert_eq!(a.instructions(), profile.generate(1_200, 5).instructions());
@@ -249,11 +231,11 @@ mod tests {
     fn profile_edit_invalidates_the_entry() {
         let cache = temp_cache("invalidate");
         let p = WorkloadProfile::quicktest();
-        let (_, first) = cache.get_or_generate(&p, 900, 2).unwrap();
+        let (_, first) = get(&cache, &p, 900, 2);
         assert_eq!(first, CacheOutcome::Miss);
         let mut edited = p.clone();
         edited.redundancy_frac += 0.05;
-        let (_, second) = cache.get_or_generate(&edited, 900, 2).unwrap();
+        let (_, second) = get(&cache, &edited, 900, 2);
         assert_eq!(
             second,
             CacheOutcome::Miss,
@@ -266,29 +248,54 @@ mod tests {
     fn corrupt_entry_is_recaptured() {
         let cache = temp_cache("corrupt");
         let p = WorkloadProfile::quicktest();
-        let (_, _) = cache.get_or_generate(&p, 800, 3).unwrap();
+        let (_, _) = get(&cache, &p, 800, 3);
         let path = cache.path_for(&p, 800, 3);
         let mut bytes = fs::read(&path).unwrap();
         let idx = bytes.len() - 12;
         bytes[idx] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        let (program, outcome) = cache.get_or_generate(&p, 800, 3).unwrap();
+        let (program, outcome) = get(&cache, &p, 800, 3);
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(program.instructions(), p.generate(800, 3).instructions());
         // And the entry is healthy again.
-        let (_, again) = cache.get_or_generate(&p, 800, 3).unwrap();
+        let (_, again) = get(&cache, &p, 800, 3);
         assert_eq!(again, CacheOutcome::Hit);
         let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
-    fn streaming_open_validates_the_key() {
-        let cache = temp_cache("stream");
+    fn a_file_whose_header_names_another_key_is_regenerated() {
+        let cache = temp_cache("header-key");
         let p = WorkloadProfile::quicktest();
-        assert!(cache.open_streaming(&p, 700, 4).is_none(), "cold cache");
-        let (_, _) = cache.get_or_generate(&p, 700, 4).unwrap();
-        assert!(cache.open_streaming(&p, 700, 4).is_some());
-        assert!(cache.open_streaming(&p, 700, 5).is_none(), "wrong seed");
+        let path = cache.path_for(&p, 700, 4);
+        // Valid traces whose header names another seed, length or fingerprint,
+        // each filed under the key (700, 4).
+        for (len, seed, fingerprint) in [
+            (700, 5, p.fingerprint()),
+            (701, 4, p.fingerprint()),
+            (700, 4, !p.fingerprint()),
+        ] {
+            let file = BufWriter::new(fs::File::create(&path).unwrap());
+            write_program(file, &p.generate(len, seed), len, seed, fingerprint).unwrap();
+            let (program, outcome) = get(&cache, &p, 700, 4);
+            assert_eq!(
+                outcome,
+                CacheOutcome::Miss,
+                "header ({len}, {seed}, {fingerprint:x})"
+            );
+            assert_eq!(program.instructions(), p.generate(700, 4).instructions());
+            assert_eq!(
+                get(&cache, &p, 700, 4).1,
+                CacheOutcome::Hit,
+                "regenerated in place"
+            );
+        }
+        // An entry of format version 1 misses too.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(get(&cache, &p, 700, 4).1, CacheOutcome::Miss);
+        assert_eq!(get(&cache, &p, 700, 4).1, CacheOutcome::Hit);
         let _ = fs::remove_dir_all(cache.dir());
     }
 }

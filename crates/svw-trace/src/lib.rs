@@ -3,11 +3,11 @@
 //! The reproduction's workloads are synthetic, so every experiment used to pay the
 //! full cost of regenerating its instruction streams. This crate makes traces
 //! first-class artifacts: a [`TraceWriter`] serializes a resolved dynamic trace into
-//! the compact `.svwt` format, a [`TraceReader`] decodes one back into a
-//! [`Program`], and a [`TraceCache`] keyed by `(profile fingerprint, trace length,
+//! the compact `.svwt` format, a [`TraceReader`] decodes a whole image back into a
+//! [`Program`] and verifies its checksum, and a [`TraceCache`] keyed by `(profile fingerprint, trace length,
 //! seed)` guarantees each workload is generated exactly once per machine.
 //!
-//! # The `.svwt` format (version 1)
+//! # The `.svwt` format (version 2)
 //!
 //! All multi-byte header/trailer fields are little-endian. `varint` denotes LEB128
 //! (7 bits per byte, high bit = continuation); `svarint` denotes a zigzag-mapped
@@ -16,7 +16,7 @@
 //! ```text
 //! header:
 //!   magic            4 bytes   "SVWT"
-//!   version          u16       1
+//!   version          u16       2
 //!   flags            u16       0 (reserved)
 //!   seed             u64       workload-generation seed
 //!   fingerprint      u64       WorkloadProfile::fingerprint() (0 if not applicable)
@@ -29,10 +29,14 @@
 //!                              delta is taken from 0 (i.e. it encodes its pc)
 //!   ... opcode-specific operand fields (below)
 //! trailer:
-//!   checksum         u64       FNV-1a over every record byte
+//!   checksum         u64       FNV-1a over every header and record byte
 //! ```
 //!
-//! The file ends at the trailer: a reader rejects any byte after it.
+//! The file ends at the trailer: a reader rejects any byte after it. The
+//! checksum covers the header, so a damaged seed, fingerprint or length is an
+//! error rather than a trace filed under the wrong key. (Version 1 covered only
+//! the records; its files are rejected as an unsupported version, and a v1 trace
+//! cache entry misses and is captured again.)
 //!
 //! Opcodes (tag bits 0..=3) and their operand fields:
 //!
@@ -93,7 +97,7 @@ pub use writer::{write_program, TraceWriter};
 pub const MAGIC: [u8; 4] = *b"SVWT";
 
 /// The current format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Conventional file extension for trace files.
 pub const FILE_EXTENSION: &str = "svwt";
@@ -110,9 +114,9 @@ pub enum TraceError {
     /// The byte stream is structurally invalid (bad opcode, truncated record,
     /// over-long varint, invalid UTF-8 name, …).
     Corrupt(String),
-    /// The trailing checksum does not match the record bytes.
+    /// The trailing checksum does not match the header and record bytes.
     ChecksumMismatch {
-        /// Checksum recomputed from the record bytes.
+        /// Checksum recomputed from the header and record bytes.
         computed: u64,
         /// Checksum stored in the file.
         stored: u64,
@@ -174,7 +178,7 @@ pub fn read_program_from_slice(bytes: &[u8]) -> Result<Program, TraceError> {
     TraceReader::new(bytes)?.read_program()
 }
 
-/// The FNV-1a offset basis used for record checksums.
+/// The FNV-1a offset basis used for trace checksums.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 

@@ -1,10 +1,10 @@
 //! `.svwt` trace decoding.
 
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::Path;
 
-use svw_isa::{DynInst, InstSeq, Program};
+use svw_isa::Program;
 
 use crate::codec::{decode_inst, CodecState};
 use crate::varint::read_u64;
@@ -30,72 +30,55 @@ pub struct TraceHeader {
     pub count: u64,
 }
 
-/// Wraps a reader, folding every consumed byte into an FNV-1a checksum.
-struct ChecksumRead<R: Read> {
-    inner: R,
-    checksum: u64,
-}
-
-impl<R: Read> Read for ChecksumRead<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.checksum = fnv1a(self.checksum, &buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Incremental `.svwt` reader.
+/// `.svwt` reader: [`TraceReader::new`] reads the whole image and parses its
+/// header, and [`TraceReader::read_program`] decodes every record and verifies
+/// the checksum trailer, which covers the header and the records.
 ///
-/// Decodes records one at a time with [`TraceReader::next_record`], or materializes
-/// the remaining records with [`TraceReader::read_program`]. The trailing checksum is
-/// verified when the last record has been read.
-pub struct TraceReader<R: Read> {
-    input: ChecksumRead<R>,
+/// The header is untrusted until `read_program` has verified the checksum.
+pub struct TraceReader {
+    bytes: Vec<u8>,
+    header_len: usize,
     header: TraceHeader,
-    state: CodecState,
-    next_seq: InstSeq,
-    verified: bool,
 }
 
-impl TraceReader<BufReader<File>> {
-    /// Opens and parses the header of the trace file at `path`.
+impl TraceReader {
+    /// Reads the trace file at `path` and parses its header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::new(BufReader::new(File::open(path)?))
+        Self::new(File::open(path)?)
     }
-}
 
-impl<R: Read> TraceReader<R> {
-    /// Parses the header from `input`.
-    pub fn new(mut input: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        read_exact(&mut input, &mut magic)?;
-        if magic != MAGIC {
+    /// Reads all of `input` and parses the header at its start.
+    pub fn new(mut input: impl Read) -> Result<Self, TraceError> {
+        let mut bytes = Vec::new();
+        input.read_to_end(&mut bytes)?;
+        let mut rest = bytes.as_slice();
+        if read_array(&mut rest)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = u16::from_le_bytes(read_array(&mut input)?);
+        let version = u16::from_le_bytes(read_array(&mut rest)?);
         if version != FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let _flags = u16::from_le_bytes(read_array(&mut input)?);
-        let seed = u64::from_le_bytes(read_array(&mut input)?);
-        let fingerprint = u64::from_le_bytes(read_array(&mut input)?);
-        let requested_len = u64::from_le_bytes(read_array(&mut input)?);
-        let count = u64::from_le_bytes(read_array(&mut input)?);
-        let name_len = read_u64(&mut input)? as usize;
+        let _flags = u16::from_le_bytes(read_array(&mut rest)?);
+        let seed = u64::from_le_bytes(read_array(&mut rest)?);
+        let fingerprint = u64::from_le_bytes(read_array(&mut rest)?);
+        let requested_len = u64::from_le_bytes(read_array(&mut rest)?);
+        let count = u64::from_le_bytes(read_array(&mut rest)?);
+        let name_len = read_u64(&mut rest)? as usize;
         if name_len > 4096 {
             return Err(TraceError::Corrupt(format!(
                 "implausible name length {name_len}"
             )));
         }
-        let mut name_bytes = vec![0u8; name_len];
-        read_exact(&mut input, &mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
+        let name_bytes = rest
+            .get(..name_len)
+            .ok_or_else(|| TraceError::Corrupt("unexpected end of trace".to_string()))?;
+        let name = String::from_utf8(name_bytes.to_vec())
             .map_err(|_| TraceError::Corrupt("workload name is not UTF-8".to_string()))?;
+        let header_len = bytes.len() - rest.len() + name_len;
         Ok(TraceReader {
-            input: ChecksumRead {
-                inner: input,
-                checksum: FNV_OFFSET,
-            },
+            bytes,
+            header_len,
             header: TraceHeader {
                 name,
                 seed,
@@ -103,9 +86,6 @@ impl<R: Read> TraceReader<R> {
                 requested_len,
                 count,
             },
-            state: CodecState::new(),
-            next_seq: 0,
-            verified: false,
         })
     }
 
@@ -114,87 +94,41 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Decodes the next record, or returns `Ok(None)` after the last one.
+    /// Decodes every record into a [`Program`] and verifies the checksum.
     ///
-    /// The trailing checksum is verified *as part of returning the final record* (not
-    /// lazily on the read past the end), so a consumer that pulls exactly
-    /// [`TraceHeader::count`] records still sees corruption as an error rather than
-    /// completing on a damaged file.
-    pub fn next_record(&mut self) -> Result<Option<DynInst>, TraceError> {
-        if self.next_seq >= self.header.count {
-            self.verify_trailer()?;
-            return Ok(None);
+    /// The header's record count is untrusted: at most 2^20 records (and no more
+    /// than the input has bytes) are reserved up front and the vector grows from
+    /// there, so a hostile `count` fails on the missing records instead of
+    /// aborting the allocation.
+    pub fn read_program(self) -> Result<Program, TraceError> {
+        let mut rest = &self.bytes[self.header_len..];
+        let count = self.header.count;
+        let mut trace = Vec::with_capacity(count.min(MAX_PREALLOC).min(rest.len() as u64) as usize);
+        let mut state = CodecState::new();
+        for seq in 0..count {
+            trace.push(decode_inst(&mut rest, &mut state, seq)?);
         }
-        let inst = decode_inst(&mut self.input, &mut self.state, self.next_seq)?;
-        self.next_seq += 1;
-        if self.next_seq == self.header.count {
-            self.verify_trailer()?;
+        let covered = &self.bytes[..self.bytes.len() - rest.len()];
+        let computed = fnv1a(FNV_OFFSET, covered);
+        let stored = u64::from_le_bytes(read_array(&mut rest)?);
+        if computed != stored {
+            return Err(TraceError::ChecksumMismatch { computed, stored });
         }
-        Ok(Some(inst))
-    }
-
-    fn verify_trailer(&mut self) -> Result<(), TraceError> {
-        if !self.verified {
-            check_trailer(&mut self.input.inner, self.input.checksum)?;
-            self.verified = true;
+        if !rest.is_empty() {
+            return Err(TraceError::Corrupt(format!(
+                "{} trailing bytes after the trailer",
+                rest.len()
+            )));
         }
-        Ok(())
-    }
-
-    /// Materializes every remaining record into a [`Program`] (verifying the
-    /// checksum).
-    ///
-    /// The rest of the input is read into memory once and decoded from there, so
-    /// memory is bounded by the file. The header's record count is untrusted: at
-    /// most 2^20 records (and no more than the input has bytes) are reserved up
-    /// front and the vector grows from there, so a hostile `count` fails on the
-    /// missing records instead of aborting the allocation.
-    pub fn read_program(mut self) -> Result<Program, TraceError> {
-        let mut trace = Vec::new();
-        if !self.verified {
-            let mut bytes = Vec::new();
-            self.input.inner.read_to_end(&mut bytes)?;
-            let remaining = self.header.count - self.next_seq;
-            trace.reserve(remaining.min(MAX_PREALLOC).min(bytes.len() as u64) as usize);
-            let mut rest = bytes.as_slice();
-            for seq in self.next_seq..self.header.count {
-                trace.push(decode_inst(&mut rest, &mut self.state, seq)?);
-            }
-            let records = &bytes[..bytes.len() - rest.len()];
-            check_trailer(&mut rest, fnv1a(self.input.checksum, records))?;
-        }
-        Ok(Program::new(self.header.name.clone(), trace))
+        Ok(Program::new(self.header.name, trace))
     }
 }
 
-/// Reads the stored checksum that follows the records, compares it with the one
-/// `computed` over them, and requires the input to end there.
-fn check_trailer(rest: &mut impl Read, computed: u64) -> Result<(), TraceError> {
-    let stored = u64::from_le_bytes(read_array(rest)?);
-    if computed != stored {
-        return Err(TraceError::ChecksumMismatch { computed, stored });
-    }
-    let trailing = std::io::copy(rest, &mut std::io::sink())?;
-    if trailing > 0 {
-        return Err(TraceError::Corrupt(format!(
-            "{trailing} trailing bytes after the trailer"
-        )));
-    }
-    Ok(())
-}
-
-fn read_exact(input: &mut impl Read, buf: &mut [u8]) -> Result<(), TraceError> {
-    input.read_exact(buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => {
-            TraceError::Corrupt("unexpected end of trace".to_string())
-        }
-        _ => TraceError::Io(e),
-    })
-}
-
-fn read_array<const N: usize>(input: &mut impl Read) -> Result<[u8; N], TraceError> {
+fn read_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
-    read_exact(input, &mut buf)?;
+    input
+        .read_exact(&mut buf)
+        .map_err(|_| TraceError::Corrupt("unexpected end of trace".to_string()))?;
     Ok(buf)
 }
 
@@ -235,35 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_read_matches_source() {
-        let (bytes, program) = sample_bytes();
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        for expected in program.instructions() {
-            assert_eq!(reader.next_record().unwrap().as_ref(), Some(expected));
-        }
-        assert!(reader.next_record().unwrap().is_none());
-        assert!(
-            reader.next_record().unwrap().is_none(),
-            "the reader stays exhausted"
-        );
-    }
-
-    #[test]
     fn trailer_corruption_is_caught_on_the_final_record() {
-        // A consumer that pulls exactly `count` records never reads past the end —
-        // the checksum must still be enforced on that path.
-        let (mut bytes, program) = sample_bytes();
+        // Every record decodes; only the checksum after the last one is damaged.
+        let (mut bytes, _) = sample_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // inside the stored checksum trailer
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let mut outcome = Ok(None);
-        for _ in 0..program.len() {
-            outcome = reader.next_record();
-            if outcome.is_err() {
-                break;
-            }
-        }
-        assert!(matches!(outcome, Err(TraceError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            TraceReader::new(bytes.as_slice()).unwrap().read_program(),
+            Err(TraceError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
@@ -282,6 +196,13 @@ mod tests {
             TraceReader::new(bytes.as_slice()),
             Err(TraceError::UnsupportedVersion(_))
         ));
+        // Version 1 checksummed only the records.
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = TraceReader::new(bytes.as_slice()).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "unsupported .svwt format version 1 (supported: 2)"
+        );
     }
 
     #[test]
@@ -300,7 +221,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_the_trailer_are_corrupt() {
-        let (mut bytes, program) = sample_bytes();
+        let (mut bytes, _) = sample_bytes();
         bytes.extend_from_slice(b"GARBAGE");
         let err = TraceReader::new(bytes.as_slice())
             .unwrap()
@@ -310,12 +231,6 @@ mod tests {
             err.to_string(),
             "corrupt trace: 7 trailing bytes after the trailer"
         );
-        // The streaming path checks the same when it returns the final record.
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        for _ in 1..program.len() {
-            reader.next_record().unwrap();
-        }
-        assert!(matches!(reader.next_record(), Err(TraceError::Corrupt(_))));
     }
 
     #[test]

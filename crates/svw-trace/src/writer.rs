@@ -27,7 +27,8 @@ impl<W: Write> Write for ChecksumWrite<W> {
 }
 
 /// Streaming `.svwt` writer: construct with the trace's metadata, feed instructions in
-/// sequence order, then call [`TraceWriter::finish`] to write the checksum trailer.
+/// sequence order, then call [`TraceWriter::finish`] to write the checksum trailer
+/// (FNV-1a over the header and every record).
 pub struct TraceWriter<W: Write> {
     out: ChecksumWrite<W>,
     state: CodecState,
@@ -41,13 +42,17 @@ impl<W: Write> TraceWriter<W> {
     /// instruction count that was asked of the generator; the generator may overshoot
     /// slightly to finish its final loop iteration).
     pub fn new(
-        mut out: W,
+        out: W,
         name: &str,
         count: u64,
         requested_len: u64,
         seed: u64,
         fingerprint: u64,
     ) -> io::Result<Self> {
+        let mut out = ChecksumWrite {
+            inner: out,
+            checksum: FNV_OFFSET,
+        };
         out.write_all(&MAGIC)?;
         out.write_all(&FORMAT_VERSION.to_le_bytes())?;
         out.write_all(&0u16.to_le_bytes())?; // flags (reserved)
@@ -58,10 +63,7 @@ impl<W: Write> TraceWriter<W> {
         write_u64(&mut out, name.len() as u64)?;
         out.write_all(name.as_bytes())?;
         Ok(TraceWriter {
-            out: ChecksumWrite {
-                inner: out,
-                checksum: FNV_OFFSET,
-            },
+            out,
             state: CodecState::new(),
             expected: count,
             written: 0,

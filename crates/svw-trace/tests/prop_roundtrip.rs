@@ -106,6 +106,7 @@ proptest! {
 
     /// A truncated, bit-flipped or header-overwritten image decodes to an error or
     /// to the original instructions — never a panic, never an aborted allocation.
+    /// The checksum covers the header, so any change to a header byte is an error.
     #[test]
     fn damaged_images_decode_to_an_error_or_the_original(
         len in 50usize..800,
@@ -114,9 +115,14 @@ proptest! {
     ) {
         let profile = WorkloadProfile::quicktest();
         let program = profile.generate(len, seed);
-        let mut bytes = write_program_to_vec(&program, len, seed, profile.fingerprint());
+        let original = write_program_to_vec(&program, len, seed, profile.fingerprint());
+        let mut bytes = original.clone();
         damage.apply(&mut bytes);
+        // magic..count (40 bytes), the one-byte name length, then the name.
+        let header_len = 41 + program.name().len();
+        let header_damaged = bytes.len() < header_len || bytes[..header_len] != original[..header_len];
         if let Ok(decoded) = read_program_from_slice(&bytes) {
+            prop_assert!(!header_damaged, "{:?} damaged the header, yet it decoded", damage);
             prop_assert_eq!(decoded.instructions(), program.instructions());
         }
     }

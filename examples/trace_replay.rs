@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use std::time::Instant;
-
 use svw::core::SvwConfig;
 use svw::cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
 use svw::trace::{TraceCache, TraceReader};
@@ -65,18 +63,15 @@ fn main() {
     let dir = std::env::temp_dir().join("svw-example-trace-cache");
     let _ = std::fs::remove_dir_all(&dir);
     let cache = TraceCache::new(&dir).expect("cache dir is writable");
-    let t = Instant::now();
-    let (_, first) = cache
-        .get_or_generate(&profile, trace_len, seed)
+    let (_, first, miss) = cache
+        .get_or_generate_metered(&profile, trace_len, seed)
         .expect("capture works");
-    let miss_time = t.elapsed();
-    let t = Instant::now();
-    let (_, second) = cache
-        .get_or_generate(&profile, trace_len, seed)
+    let (_, second, hit) = cache
+        .get_or_generate_metered(&profile, trace_len, seed)
         .expect("replay works");
-    let hit_time = t.elapsed();
     println!(
-        "cache: first acquisition {first:?} in {miss_time:?}, second {second:?} in {hit_time:?}"
+        "cache: first acquisition {first:?} generated in {:?}, second {second:?} decoded {} bytes in {:?}",
+        miss.generate, hit.bytes_read, hit.decode
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
