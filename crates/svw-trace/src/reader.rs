@@ -168,6 +168,28 @@ mod tests {
         assert_eq!(replayed.instructions(), program.instructions());
     }
 
+    /// Yields at most three bytes per `read`, as a pipe or socket may.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn streaming_read_matches_source() {
+        let (bytes, program) = sample_bytes();
+        let reader = TraceReader::new(Trickle(&bytes)).unwrap();
+        assert_eq!(reader.header().count, program.len() as u64);
+        let replayed = reader.read_program().unwrap();
+        assert_eq!(replayed.name(), program.name());
+        assert_eq!(replayed.instructions(), program.instructions());
+    }
+
     #[test]
     fn trailer_corruption_is_caught_on_the_final_record() {
         // Every record decodes; only the checksum after the last one is damaged.
