@@ -172,7 +172,8 @@ impl Cache {
     }
 
     /// Probes the cache without modifying replacement or statistics state.
-    pub fn probe(&self, addr: Addr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn probe(&self, addr: Addr) -> bool {
         let tag = self.tag_of(addr);
         self.sets[self.set_index(addr)]
             .iter()

@@ -22,7 +22,7 @@ use svw_sim::{
     OracleOptions, Progress, ResolvedSpec, ResultCache, RunOptions, Stat, SweepMetrics,
     SweepObserver, SweepResult, LATEST_MODEL_VERSION,
 };
-use svw_trace::{TraceCache, TraceReader};
+use svw_trace::{read_trace_file, TraceCache};
 use svw_workloads::WorkloadProfile;
 
 #[path = "svwsim/flags.rs"]
@@ -478,22 +478,16 @@ fn cmd_capture(args: &Args) {
             }
         }
         let program = profile.generate(trace_len, seed);
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", path.display())));
-        svw_trace::write_program(
-            std::io::BufWriter::new(file),
-            &program,
-            trace_len,
-            seed,
-            profile.fingerprint(),
-        )
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+        let image =
+            svw_trace::write_program_to_vec(&program, trace_len, seed, profile.fingerprint());
+        std::fs::write(&path, &image)
+            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!(
             "captured {}: {} instructions -> {} ({} bytes)",
             profile.name,
             program.len(),
             path.display(),
-            std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
+            image.len(),
         );
     }
 }
@@ -504,12 +498,8 @@ fn cmd_inspect(args: &Args) {
     let [path] = args.positionals.as_slice() else {
         fail("inspect needs exactly one trace file argument");
     };
-    let reader =
-        TraceReader::open(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let header = reader.header().clone();
-    let program = reader
-        .read_program()
-        .unwrap_or_else(|e| fail(&format!("cannot decode {path}: {e}")));
+    let (header, program) =
+        read_trace_file(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let stats = program.stats();
     if args.has("--json") {
         println!(
@@ -666,12 +656,8 @@ fn replay_trace(
     config: svw_cpu::MachineConfig,
     config_name: &str,
 ) -> (String, u64, svw_cpu::CpuStats) {
-    let (header, program) = TraceReader::open(path)
-        .and_then(|reader| {
-            let header = reader.header().clone();
-            reader.read_program().map(|program| (header, program))
-        })
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let (header, program) =
+        read_trace_file(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     if args.has("--verbose") {
         eprintln!(
             "[svwsim] replaying {} instructions of {} from {path}",

@@ -1,14 +1,13 @@
 //! The on-disk trace cache.
 
 use std::fs;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use svw_isa::Program;
 use svw_workloads::WorkloadProfile;
 
-use crate::{write_program, TraceError, TraceReader, FILE_EXTENSION};
+use crate::{write_program_to_vec, TraceError, TraceReader, FILE_EXTENSION};
 
 /// Whether a cache request was served from disk or had to generate (and capture) the
 /// trace.
@@ -111,9 +110,9 @@ impl TraceCache {
     ) -> Result<(Program, CacheOutcome, FetchMeter), TraceError> {
         let path = self.path_for(profile, trace_len, seed);
         let decode_start = std::time::Instant::now();
-        if let Some(program) = self.try_read(&path, profile, trace_len, seed) {
+        if let Some((program, bytes_read)) = self.try_read(&path, profile, trace_len, seed) {
             let meter = FetchMeter {
-                bytes_read: fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
+                bytes_read,
                 decode: decode_start.elapsed(),
                 generate: std::time::Duration::ZERO,
             };
@@ -129,14 +128,17 @@ impl TraceCache {
         Ok((program, CacheOutcome::Miss, meter))
     }
 
+    /// The entry's program and image size, or `None` if it is missing, damaged
+    /// or filed under another key.
     fn try_read(
         &self,
         path: &Path,
         profile: &WorkloadProfile,
         trace_len: usize,
         seed: u64,
-    ) -> Option<Program> {
-        let reader = TraceReader::open(path).ok()?;
+    ) -> Option<(Program, u64)> {
+        let image = fs::read(path).ok()?;
+        let reader = TraceReader::new(&image).ok()?;
         let h = reader.header();
         if h.fingerprint != profile.fingerprint()
             || h.seed != seed
@@ -144,7 +146,7 @@ impl TraceCache {
         {
             return None;
         }
-        reader.read_program().ok()
+        Some((reader.read_program().ok()?, image.len() as u64))
     }
 
     fn capture(
@@ -160,9 +162,8 @@ impl TraceCache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        let file = BufWriter::new(fs::File::create(&tmp)?);
-        let result = write_program(file, program, trace_len, seed, fingerprint);
-        match result {
+        let image = write_program_to_vec(program, trace_len, seed, fingerprint);
+        match fs::write(&tmp, image) {
             Ok(()) => {
                 fs::rename(&tmp, path)?;
                 Ok(())
@@ -275,8 +276,8 @@ mod tests {
             (701, 4, p.fingerprint()),
             (700, 4, !p.fingerprint()),
         ] {
-            let file = BufWriter::new(fs::File::create(&path).unwrap());
-            write_program(file, &p.generate(len, seed), len, seed, fingerprint).unwrap();
+            let image = write_program_to_vec(&p.generate(len, seed), len, seed, fingerprint);
+            fs::write(&path, image).unwrap();
             let (program, outcome) = get(&cache, &p, 700, 4);
             assert_eq!(
                 outcome,

@@ -1,8 +1,6 @@
 //! Per-record encode/decode of dynamic instructions (see the crate docs for the
 //! format specification).
 
-use std::io::{Read, Write};
-
 use svw_isa::{
     AluKind, ArchReg, BranchInfo, BranchKind, DynInst, InstKind, InstSeq, MemAccess, MemWidth,
 };
@@ -49,11 +47,7 @@ fn reg(r: ArchReg) -> u8 {
     r.index() as u8
 }
 
-fn write_reg(out: &mut impl Write, r: ArchReg) -> std::io::Result<()> {
-    out.write_all(&[reg(r)])
-}
-
-fn read_reg(inp: &mut impl Read) -> Result<ArchReg, TraceError> {
+fn read_reg(inp: &mut &[u8]) -> Result<ArchReg, TraceError> {
     let b = read_byte(inp)?;
     if (b as usize) < svw_isa::NUM_ARCH_REGS {
         Ok(ArchReg::new(b))
@@ -70,13 +64,9 @@ fn mem_of(inst: &DynInst) -> &MemAccess {
         .expect("trace capture requires a resolved trace (run through the oracle)")
 }
 
-/// Encodes one instruction. The caller guarantees instructions arrive in sequence
-/// order with resolved memory accesses.
-pub(crate) fn encode_inst(
-    out: &mut impl Write,
-    st: &mut CodecState,
-    inst: &DynInst,
-) -> std::io::Result<()> {
+/// Appends one instruction's record to `out`. The caller guarantees instructions
+/// arrive in sequence order with resolved memory accesses.
+pub(crate) fn encode_inst(out: &mut Vec<u8>, st: &mut CodecState, inst: &DynInst) {
     let (op, flags) = match &inst.kind {
         InstKind::IntAlu { .. } => (OP_INT_ALU, 0),
         InstKind::IntMul { .. } => (OP_INT_MUL, 0),
@@ -90,8 +80,8 @@ pub(crate) fn encode_inst(
         InstKind::Branch { info, .. } => (OP_BRANCH, if info.taken { FLAG_TAKEN } else { 0 }),
         InstKind::Nop => (OP_NOP, 0),
     };
-    out.write_all(&[op | flags])?;
-    write_i64(out, inst.pc.wrapping_sub(st.prev_pc.wrapping_add(4)) as i64)?;
+    out.push(op | flags);
+    write_i64(out, inst.pc.wrapping_sub(st.prev_pc.wrapping_add(4)) as i64);
     st.prev_pc = inst.pc;
 
     match &inst.kind {
@@ -101,51 +91,51 @@ pub(crate) fn encode_inst(
             src1,
             src2,
         } => {
-            out.write_all(&[op.to_wire(), reg(*dst), reg(*src1), reg(*src2)])?;
+            out.extend_from_slice(&[op.to_wire(), reg(*dst), reg(*src1), reg(*src2)]);
         }
         InstKind::IntMul { dst, src1, src2 } | InstKind::FpAlu { dst, src1, src2 } => {
-            out.write_all(&[reg(*dst), reg(*src1), reg(*src2)])?;
+            out.extend_from_slice(&[reg(*dst), reg(*src1), reg(*src2)]);
         }
         InstKind::LoadImm { dst, imm } => {
-            write_reg(out, *dst)?;
-            write_u64(out, *imm)?;
+            out.push(reg(*dst));
+            write_u64(out, *imm);
         }
         InstKind::Load {
             dst, base, offset, ..
         } => {
-            out.write_all(&[reg(*dst), reg(*base)])?;
-            write_i64(out, *offset)?;
+            out.extend_from_slice(&[reg(*dst), reg(*base)]);
+            write_i64(out, *offset);
             let m = mem_of(inst);
-            write_i64(out, m.addr.wrapping_sub(st.prev_addr) as i64)?;
-            write_u64(out, m.value)?;
+            write_i64(out, m.addr.wrapping_sub(st.prev_addr) as i64);
+            write_u64(out, m.value);
             st.prev_addr = m.addr;
         }
         InstKind::Store {
             data, base, offset, ..
         } => {
-            out.write_all(&[reg(*data), reg(*base)])?;
-            write_i64(out, *offset)?;
+            out.extend_from_slice(&[reg(*data), reg(*base)]);
+            write_i64(out, *offset);
             let m = mem_of(inst);
-            write_i64(out, m.addr.wrapping_sub(st.prev_addr) as i64)?;
-            write_u64(out, m.value)?;
+            write_i64(out, m.addr.wrapping_sub(st.prev_addr) as i64);
+            write_u64(out, m.value);
             st.prev_addr = m.addr;
         }
         InstKind::Branch { kind, info, src1 } => {
-            out.write_all(&[kind.to_wire(), reg(*src1)])?;
-            write_i64(out, info.target.wrapping_sub(inst.pc) as i64)?;
+            out.extend_from_slice(&[kind.to_wire(), reg(*src1)]);
+            write_i64(out, info.target.wrapping_sub(inst.pc) as i64);
             write_i64(
                 out,
                 info.fallthrough.wrapping_sub(inst.pc.wrapping_add(4)) as i64,
-            )?;
+            );
         }
         InstKind::Nop => {}
     }
-    Ok(())
 }
 
-/// Decodes one instruction, assigning it sequence number `seq`.
+/// Decodes one instruction from the front of `inp`, assigning it sequence number
+/// `seq`, and advances `inp` past it.
 pub(crate) fn decode_inst(
-    inp: &mut impl Read,
+    inp: &mut &[u8],
     st: &mut CodecState,
     seq: InstSeq,
 ) -> Result<DynInst, TraceError> {
@@ -253,7 +243,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut st = CodecState::new();
         for i in &insts {
-            encode_inst(&mut buf, &mut st, i).unwrap();
+            encode_inst(&mut buf, &mut st, i);
         }
         let mut input = buf.as_slice();
         let mut st = CodecState::new();
@@ -419,7 +409,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut st = CodecState::new();
         for i in &insts {
-            encode_inst(&mut buf, &mut st, i).unwrap();
+            encode_inst(&mut buf, &mut st, i);
         }
         // Nop: tag + 2-byte pc delta (first record, pc 0x1000 from origin). Each
         // sequential IntAlu: tag + 1-byte zero pc delta + alu + 3 regs = 6 bytes.

@@ -1,13 +1,11 @@
-//! `.svwt` trace decoding.
+//! `.svwt` trace decoding from a borrowed byte image.
 
-use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 use svw_isa::Program;
 
 use crate::codec::{decode_inst, CodecState};
-use crate::varint::read_u64;
+use crate::varint::{end_of_trace, read_array, read_u64};
 use crate::{fnv1a, TraceError, FNV_OFFSET, FORMAT_VERSION, MAGIC};
 
 /// Records [`TraceReader::read_program`] reserves before any is decoded: every
@@ -30,28 +28,21 @@ pub struct TraceHeader {
     pub count: u64,
 }
 
-/// `.svwt` reader: [`TraceReader::new`] reads the whole image and parses its
-/// header, and [`TraceReader::read_program`] decodes every record and verifies
-/// the checksum trailer, which covers the header and the records.
+/// `.svwt` reader over a borrowed image: [`TraceReader::new`] parses the header,
+/// and [`TraceReader::read_program`] decodes every record and verifies the
+/// checksum trailer, which covers the header and the records.
 ///
 /// The header is untrusted until `read_program` has verified the checksum.
-pub struct TraceReader {
-    bytes: Vec<u8>,
-    header_len: usize,
+pub struct TraceReader<'a> {
+    image: &'a [u8],
+    records: &'a [u8],
     header: TraceHeader,
 }
 
-impl TraceReader {
-    /// Reads the trace file at `path` and parses its header.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::new(File::open(path)?)
-    }
-
-    /// Reads all of `input` and parses the header at its start.
-    pub fn new(mut input: impl Read) -> Result<Self, TraceError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        let mut rest = bytes.as_slice();
+impl<'a> TraceReader<'a> {
+    /// Parses the header at the start of `image`.
+    pub fn new(image: &'a [u8]) -> Result<Self, TraceError> {
+        let mut rest = image;
         if read_array(&mut rest)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
@@ -59,7 +50,7 @@ impl TraceReader {
         if version != FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let _flags = u16::from_le_bytes(read_array(&mut rest)?);
+        let _flags: [u8; 2] = read_array(&mut rest)?;
         let seed = u64::from_le_bytes(read_array(&mut rest)?);
         let fingerprint = u64::from_le_bytes(read_array(&mut rest)?);
         let requested_len = u64::from_le_bytes(read_array(&mut rest)?);
@@ -70,15 +61,13 @@ impl TraceReader {
                 "implausible name length {name_len}"
             )));
         }
-        let name_bytes = rest
-            .get(..name_len)
-            .ok_or_else(|| TraceError::Corrupt("unexpected end of trace".to_string()))?;
-        let name = String::from_utf8(name_bytes.to_vec())
-            .map_err(|_| TraceError::Corrupt("workload name is not UTF-8".to_string()))?;
-        let header_len = bytes.len() - rest.len() + name_len;
+        let (name, records) = rest.split_at_checked(name_len).ok_or_else(end_of_trace)?;
+        let name = std::str::from_utf8(name)
+            .map_err(|_| TraceError::Corrupt("workload name is not UTF-8".to_string()))?
+            .to_string();
         Ok(TraceReader {
-            bytes,
-            header_len,
+            image,
+            records,
             header: TraceHeader {
                 name,
                 seed,
@@ -101,15 +90,19 @@ impl TraceReader {
     /// there, so a hostile `count` fails on the missing records instead of
     /// aborting the allocation.
     pub fn read_program(self) -> Result<Program, TraceError> {
-        let mut rest = &self.bytes[self.header_len..];
+        let mut rest = self.records;
         let count = self.header.count;
         let mut trace = Vec::with_capacity(count.min(MAX_PREALLOC).min(rest.len() as u64) as usize);
+        // Each record is hashed right after it is decoded, so that, as in the
+        // writer, the hash's serial multiply chain overlaps the decoding.
+        let header = &self.image[..self.image.len() - rest.len()];
+        let mut computed = fnv1a(FNV_OFFSET, header);
         let mut state = CodecState::new();
         for seq in 0..count {
+            let record = rest;
             trace.push(decode_inst(&mut rest, &mut state, seq)?);
+            computed = fnv1a(computed, &record[..record.len() - rest.len()]);
         }
-        let covered = &self.bytes[..self.bytes.len() - rest.len()];
-        let computed = fnv1a(FNV_OFFSET, covered);
         let stored = u64::from_le_bytes(read_array(&mut rest)?);
         if computed != stored {
             return Err(TraceError::ChecksumMismatch { computed, stored });
@@ -124,12 +117,13 @@ impl TraceReader {
     }
 }
 
-fn read_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], TraceError> {
-    let mut buf = [0u8; N];
-    input
-        .read_exact(&mut buf)
-        .map_err(|_| TraceError::Corrupt("unexpected end of trace".to_string()))?;
-    Ok(buf)
+/// Reads the trace file at `path` with one sized read and decodes it, returning
+/// its header and its program.
+pub fn read_trace_file(path: impl AsRef<Path>) -> Result<(TraceHeader, Program), TraceError> {
+    let image = std::fs::read(path)?;
+    let reader = TraceReader::new(&image)?;
+    let header = reader.header().clone();
+    Ok((header, reader.read_program()?))
 }
 
 #[cfg(test)]
@@ -148,7 +142,7 @@ mod tests {
     #[test]
     fn header_fields_round_trip() {
         let (bytes, program) = sample_bytes();
-        let reader = TraceReader::new(bytes.as_slice()).unwrap();
+        let reader = TraceReader::new(&bytes).unwrap();
         let h = reader.header();
         assert_eq!(h.name, "quicktest");
         assert_eq!(h.seed, 3);
@@ -160,32 +154,7 @@ mod tests {
     #[test]
     fn materialized_read_matches_source() {
         let (bytes, program) = sample_bytes();
-        let replayed = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .read_program()
-            .unwrap();
-        assert_eq!(replayed.name(), program.name());
-        assert_eq!(replayed.instructions(), program.instructions());
-    }
-
-    /// Yields at most three bytes per `read`, as a pipe or socket may.
-    struct Trickle<'a>(&'a [u8]);
-
-    impl Read for Trickle<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.0.len()).min(3);
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn streaming_read_matches_source() {
-        let (bytes, program) = sample_bytes();
-        let reader = TraceReader::new(Trickle(&bytes)).unwrap();
-        assert_eq!(reader.header().count, program.len() as u64);
-        let replayed = reader.read_program().unwrap();
+        let replayed = TraceReader::new(&bytes).unwrap().read_program().unwrap();
         assert_eq!(replayed.name(), program.name());
         assert_eq!(replayed.instructions(), program.instructions());
     }
@@ -197,7 +166,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // inside the stored checksum trailer
         assert!(matches!(
-            TraceReader::new(bytes.as_slice()).unwrap().read_program(),
+            TraceReader::new(&bytes).unwrap().read_program(),
             Err(TraceError::ChecksumMismatch { .. })
         ));
     }
@@ -205,7 +174,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         assert!(matches!(
-            TraceReader::new(&b"NOPE////"[..]),
+            TraceReader::new(b"NOPE////"),
             Err(TraceError::BadMagic)
         ));
     }
@@ -215,12 +184,12 @@ mod tests {
         let (mut bytes, _) = sample_bytes();
         bytes[4] = 0xFF;
         assert!(matches!(
-            TraceReader::new(bytes.as_slice()),
+            TraceReader::new(&bytes),
             Err(TraceError::UnsupportedVersion(_))
         ));
         // Version 1 checksummed only the records.
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let err = TraceReader::new(bytes.as_slice()).err().unwrap();
+        let err = TraceReader::new(&bytes).err().unwrap();
         assert_eq!(
             err.to_string(),
             "unsupported .svwt format version 1 (supported: 2)"
@@ -235,17 +204,14 @@ mod tests {
         // checksum catches it, the read must fail.
         let idx = bytes.len() - 16;
         bytes[idx] ^= 0x01;
-        assert!(TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .read_program()
-            .is_err());
+        assert!(TraceReader::new(&bytes).unwrap().read_program().is_err());
     }
 
     #[test]
     fn trailing_bytes_after_the_trailer_are_corrupt() {
         let (mut bytes, _) = sample_bytes();
         bytes.extend_from_slice(b"GARBAGE");
-        let err = TraceReader::new(bytes.as_slice())
+        let err = TraceReader::new(&bytes)
             .unwrap()
             .read_program()
             .unwrap_err();

@@ -1,60 +1,62 @@
-//! LEB128 varints and zigzag-mapped signed varints over `io` streams.
-
-use std::io::{Read, Write};
+//! LEB128 varints and zigzag-mapped signed varints: pushed onto a byte image,
+//! read from a slice cursor (`&mut &[u8]`, advanced past what it reads).
 
 use crate::TraceError;
 
 /// Maximum bytes a 64-bit LEB128 varint may occupy.
 const MAX_VARINT_BYTES: usize = 10;
 
-/// Writes `value` as an unsigned LEB128 varint.
-pub(crate) fn write_u64(out: &mut impl Write, mut value: u64) -> std::io::Result<()> {
-    loop {
-        let byte = (value & 0x7F) as u8;
+/// Appends `value` as an unsigned LEB128 varint.
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
         value >>= 7;
-        if value == 0 {
-            return out.write_all(&[byte]);
-        }
-        out.write_all(&[byte | 0x80])?;
     }
+    out.push(value as u8);
 }
 
-/// Writes `value` as a zigzag-mapped LEB128 varint.
-pub(crate) fn write_i64(out: &mut impl Write, value: i64) -> std::io::Result<()> {
+/// Appends `value` as a zigzag-mapped LEB128 varint.
+pub(crate) fn write_i64(out: &mut Vec<u8>, value: i64) {
     write_u64(out, ((value << 1) ^ (value >> 63)) as u64)
 }
 
-/// Reads one byte, mapping EOF to [`TraceError::Corrupt`].
-pub(crate) fn read_byte(inp: &mut impl Read) -> Result<u8, TraceError> {
-    let mut buf = [0u8; 1];
-    inp.read_exact(&mut buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => {
-            TraceError::Corrupt("unexpected end of trace".to_string())
-        }
-        _ => TraceError::Io(e),
-    })?;
-    Ok(buf[0])
+pub(crate) fn end_of_trace() -> TraceError {
+    TraceError::Corrupt("unexpected end of trace".to_string())
+}
+
+/// Reads one byte.
+pub(crate) fn read_byte(inp: &mut &[u8]) -> Result<u8, TraceError> {
+    let (&byte, rest) = inp.split_first().ok_or_else(end_of_trace)?;
+    *inp = rest;
+    Ok(byte)
+}
+
+/// Reads `N` bytes.
+pub(crate) fn read_array<const N: usize>(inp: &mut &[u8]) -> Result<[u8; N], TraceError> {
+    let (head, rest) = inp.split_first_chunk::<N>().ok_or_else(end_of_trace)?;
+    *inp = rest;
+    Ok(*head)
 }
 
 /// Reads an unsigned LEB128 varint.
-pub(crate) fn read_u64(inp: &mut impl Read) -> Result<u64, TraceError> {
+pub(crate) fn read_u64(inp: &mut &[u8]) -> Result<u64, TraceError> {
     let mut value: u64 = 0;
-    let mut shift = 0u32;
-    for _ in 0..MAX_VARINT_BYTES {
-        let byte = read_byte(inp)?;
-        value |= ((byte & 0x7F) as u64)
-            .checked_shl(shift)
-            .ok_or_else(|| TraceError::Corrupt("varint overflows 64 bits".to_string()))?;
+    for (i, &byte) in inp.iter().take(MAX_VARINT_BYTES).enumerate() {
+        value |= ((byte & 0x7F) as u64) << (7 * i);
         if byte & 0x80 == 0 {
+            *inp = &inp[i + 1..];
             return Ok(value);
         }
-        shift += 7;
     }
-    Err(TraceError::Corrupt("over-long varint".to_string()))
+    Err(if inp.len() < MAX_VARINT_BYTES {
+        end_of_trace()
+    } else {
+        TraceError::Corrupt("over-long varint".to_string())
+    })
 }
 
 /// Reads a zigzag-mapped LEB128 varint.
-pub(crate) fn read_i64(inp: &mut impl Read) -> Result<i64, TraceError> {
+pub(crate) fn read_i64(inp: &mut &[u8]) -> Result<i64, TraceError> {
     let z = read_u64(inp)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
@@ -65,13 +67,13 @@ mod tests {
 
     fn round_u(v: u64) -> u64 {
         let mut buf = Vec::new();
-        write_u64(&mut buf, v).unwrap();
+        write_u64(&mut buf, v);
         read_u64(&mut buf.as_slice()).unwrap()
     }
 
     fn round_i(v: i64) -> i64 {
         let mut buf = Vec::new();
-        write_i64(&mut buf, v).unwrap();
+        write_i64(&mut buf, v);
         read_i64(&mut buf.as_slice()).unwrap()
     }
 
@@ -93,18 +95,18 @@ mod tests {
     fn small_values_are_one_byte() {
         for v in 0..128u64 {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
             assert_eq!(buf.len(), 1);
         }
         let mut buf = Vec::new();
-        write_i64(&mut buf, 0).unwrap();
+        write_i64(&mut buf, 0);
         assert_eq!(buf.len(), 1);
     }
 
     #[test]
     fn truncated_input_is_corrupt() {
         let mut buf = Vec::new();
-        write_u64(&mut buf, u64::MAX).unwrap();
+        write_u64(&mut buf, u64::MAX);
         buf.pop();
         assert!(matches!(
             read_u64(&mut buf.as_slice()),

@@ -1,140 +1,64 @@
-//! Streaming trace capture.
+//! Trace capture: one function builds a whole `.svwt` image in memory.
 
-use std::io::{self, Write};
-
-use svw_isa::{DynInst, Program};
+use svw_isa::Program;
 
 use crate::codec::{encode_inst, CodecState};
 use crate::varint::write_u64;
 use crate::{fnv1a, FNV_OFFSET, FORMAT_VERSION, MAGIC};
 
-/// Wraps a writer, folding every written byte into an FNV-1a checksum.
-struct ChecksumWrite<W: Write> {
-    inner: W,
-    checksum: u64,
-}
+/// An upper bound on the bytes a typical record takes (the bench workloads
+/// average 10–12), so that most images are built without regrowing the buffer.
+const RESERVE_PER_RECORD: usize = 16;
 
-impl<W: Write> Write for ChecksumWrite<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.checksum = fnv1a(self.checksum, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Streaming `.svwt` writer: construct with the trace's metadata, feed instructions in
-/// sequence order, then call [`TraceWriter::finish`] to write the checksum trailer
-/// (FNV-1a over the header and every record).
-pub struct TraceWriter<W: Write> {
-    out: ChecksumWrite<W>,
-    state: CodecState,
-    expected: u64,
-    written: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Writes the header for a trace of exactly `count` instructions named `name`,
-    /// generated with `seed` from a profile with `fingerprint` (`requested_len` is the
-    /// instruction count that was asked of the generator; the generator may overshoot
-    /// slightly to finish its final loop iteration).
-    pub fn new(
-        out: W,
-        name: &str,
-        count: u64,
-        requested_len: u64,
-        seed: u64,
-        fingerprint: u64,
-    ) -> io::Result<Self> {
-        let mut out = ChecksumWrite {
-            inner: out,
-            checksum: FNV_OFFSET,
-        };
-        out.write_all(&MAGIC)?;
-        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        out.write_all(&0u16.to_le_bytes())?; // flags (reserved)
-        out.write_all(&seed.to_le_bytes())?;
-        out.write_all(&fingerprint.to_le_bytes())?;
-        out.write_all(&requested_len.to_le_bytes())?;
-        out.write_all(&count.to_le_bytes())?;
-        write_u64(&mut out, name.len() as u64)?;
-        out.write_all(name.as_bytes())?;
-        Ok(TraceWriter {
-            out,
-            state: CodecState::new(),
-            expected: count,
-            written: 0,
-        })
-    }
-
-    /// Appends one instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `count` instructions are written, if `inst.seq` is not the
-    /// next sequence number, or if a memory instruction is unresolved.
-    pub fn write_inst(&mut self, inst: &DynInst) -> io::Result<()> {
-        assert!(
-            self.written < self.expected,
-            "trace writer given more instructions than the declared count"
-        );
-        assert_eq!(
-            inst.seq, self.written,
-            "instructions must be written in dense sequence order"
-        );
-        encode_inst(&mut self.out, &mut self.state, inst)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Writes the checksum trailer and returns the underlying writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `count` instructions were written.
-    pub fn finish(self) -> io::Result<W> {
-        assert_eq!(
-            self.written, self.expected,
-            "trace writer closed before the declared count was written"
-        );
-        let checksum = self.out.checksum;
-        let mut inner = self.out.inner;
-        inner.write_all(&checksum.to_le_bytes())?;
-        inner.flush()?;
-        Ok(inner)
-    }
-}
-
-/// Serializes a whole resolved [`Program`] (the common capture path).
-pub fn write_program(
-    out: impl Write,
+/// Serializes a resolved [`Program`] into a `.svwt` image: header, one record per
+/// instruction and the checksum trailer (FNV-1a over the header and every record).
+/// `requested_len` is the instruction count that was asked of the generator, which
+/// may overshoot slightly to finish its final loop iteration; `fingerprint` is the
+/// profile's (0 if not applicable). Write the image to a file with one
+/// [`std::fs::write`].
+///
+/// # Panics
+///
+/// Panics if the instructions' `seq` numbers are not `0, 1, 2, …`, or if a memory
+/// instruction is unresolved.
+pub fn write_program_to_vec(
     program: &Program,
     requested_len: usize,
     seed: u64,
     fingerprint: u64,
-) -> io::Result<()> {
-    let mut w = TraceWriter::new(
-        out,
-        program.name(),
-        program.len() as u64,
-        requested_len as u64,
-        seed,
-        fingerprint,
-    )?;
-    for inst in program.instructions() {
-        w.write_inst(inst)?;
+) -> Vec<u8> {
+    let name = program.name();
+    let mut out = Vec::with_capacity(64 + name.len() + program.len() * RESERVE_PER_RECORD);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
+    out.extend_from_slice(&seed.to_le_bytes());
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&(requested_len as u64).to_le_bytes());
+    out.extend_from_slice(&(program.len() as u64).to_le_bytes());
+    write_u64(&mut out, name.len() as u64);
+    out.extend_from_slice(name.as_bytes());
+    // Each record is hashed as soon as it is encoded: the hash's serial
+    // multiply chain then overlaps the next record's encoding.
+    let mut checksum = fnv1a(FNV_OFFSET, &out);
+    let mut state = CodecState::new();
+    for (seq, inst) in program.instructions().iter().enumerate() {
+        assert_eq!(
+            inst.seq, seq as u64,
+            "instructions must be written in dense sequence order"
+        );
+        let start = out.len();
+        encode_inst(&mut out, &mut state, inst);
+        checksum = fnv1a(checksum, &out[start..]);
     }
-    w.finish()?;
-    Ok(())
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svw_isa::{ArchReg, ArchState, InstKind};
+    use svw_isa::{ArchReg, ArchState, DynInst, InstKind};
 
     fn tiny_program() -> Program {
         let mut trace = vec![
@@ -154,8 +78,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_stable() {
-        let mut buf = Vec::new();
-        write_program(&mut buf, &tiny_program(), 2, 9, 0xABCD).unwrap();
+        let buf = write_program_to_vec(&tiny_program(), 2, 9, 0xABCD);
         assert_eq!(&buf[0..4], b"SVWT");
         assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), FORMAT_VERSION);
         assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), 0);
@@ -170,16 +93,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "dense sequence order")]
     fn out_of_order_write_panics() {
-        let mut w = TraceWriter::new(Vec::new(), "x", 2, 2, 0, 0).unwrap();
-        let mut inst = DynInst::new(1, 0, InstKind::Nop);
-        inst.seq = 1;
-        let _ = w.write_inst(&inst);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the declared count")]
-    fn short_write_panics_at_finish() {
-        let w = TraceWriter::new(Vec::new(), "x", 2, 2, 0, 0).unwrap();
-        let _ = w.finish();
+        let trace = vec![
+            DynInst::new(0, 0, InstKind::Nop),
+            DynInst::new(2, 4, InstKind::Nop),
+        ];
+        write_program_to_vec(&Program::new("x", trace), 2, 0, 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Property and determinism tests for the `.svwt` codec: encode→decode is the
 //! identity on arbitrary generated programs, damaged images decode to an error
-//! (never a panic or an aborted allocation), capture is byte-deterministic, and a
-//! replayed trace drives the timing model to exactly the same statistics as the
-//! directly generated program.
+//! (never a panic or an aborted allocation), capture is byte-deterministic and
+//! matches pinned images, and a replayed trace drives the timing model to exactly
+//! the same statistics as the directly generated program.
 
 use proptest::prelude::*;
 
@@ -138,6 +138,29 @@ fn capture_is_byte_deterministic() {
         assert_eq!(a, b, "{name}: capture must be byte-deterministic");
         let c = write_program_to_vec(&profile.generate(3_000, 8), 3_000, 8, profile.fingerprint());
         assert_ne!(a, c, "{name}: different seeds give different traces");
+    }
+}
+
+/// The format's absolute anchor: these images' lengths and trailer checksums
+/// were recorded from `svwsim capture --workload W --trace-len 3000 --seed 7`, so
+/// a change to the encoder that moves a single byte of the format fails here,
+/// not only against the previous build's output.
+#[test]
+fn pinned_images_keep_their_length_and_checksum() {
+    for (name, len, checksum) in [
+        ("gcc", 29_732, 0x8397_79d6_ba3d_e7c8_u64),
+        ("mcf", 29_678, 0xd723_5d72_d9b3_8b72),
+        ("vortex", 33_365, 0x4398_dda6_7105_6daa),
+    ] {
+        let profile = WorkloadProfile::by_name(name).unwrap();
+        let image =
+            write_program_to_vec(&profile.generate(3_000, 7), 3_000, 7, profile.fingerprint());
+        assert_eq!(image.len(), len, "{name}: image length");
+        let trailer = u64::from_le_bytes(image[len - 8..].try_into().unwrap());
+        assert_eq!(
+            trailer, checksum,
+            "{name}: trailer checksum {trailer:#018x}"
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! Trace capture and replay: capture a workload to the `.svwt` format, decode it
 //! back with `TraceReader::read_program`, and show that the timing model cannot
-//! tell the replay from the directly generated program — plus what the trace
-//! cache saves on the second acquisition.
+//! tell the replay from the directly generated program — plus what a trace-cache
+//! miss (generate and capture) and a hit (read and decode) each cost.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
